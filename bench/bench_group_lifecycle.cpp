@@ -1,6 +1,7 @@
 // E1 — full group lifecycle (Figure 1 / Section 2.1 semantics): N members
-// join, exchange data, churn, and leave, over the simulated network and
-// over real TCP loopback. Run: build/bench/bench_group_lifecycle
+// join, exchange data, churn, and leave, over the simulated network. The
+// real-socket measurement is perfbench's relay_tcp workload (one thread per
+// side). Run: build/bench/bench_group_lifecycle
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -9,7 +10,6 @@
 #include "core/leader.h"
 #include "core/member.h"
 #include "net/sim_network.h"
-#include "net/tcp.h"
 #include "util/rng.h"
 
 namespace {
@@ -58,80 +58,6 @@ void BM_LifecycleSim(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LifecycleSim)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32)
-    ->Unit(benchmark::kMillisecond);
-
-// Same lifecycle over REAL TCP loopback sockets (leader node + N member
-// nodes in one thread, interleaved polling).
-void BM_LifecycleTcp(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    DeterministicRng rng(2);
-    net::TcpNode leader_node;
-    auto port = leader_node.listen(0);
-    if (!port.ok()) {
-      state.SkipWithError("listen failed");
-      return;
-    }
-    core::Leader leader(core::LeaderConfig{"L", core::RekeyPolicy::strict()},
-                        rng);
-    std::map<std::string, net::ConnId> conn_of;
-    leader.set_send([&](const std::string& to, wire::Envelope e) {
-      auto it = conn_of.find(to);
-      if (it != conn_of.end()) (void)leader_node.send(it->second, e);
-    });
-    leader_node.set_callbacks({nullptr,
-                               [&](net::ConnId c, const wire::Envelope& e) {
-                                 conn_of[e.sender] = c;
-                                 leader.handle(e);
-                               },
-                               nullptr});
-
-    std::vector<std::unique_ptr<net::TcpNode>> nodes;
-    std::vector<std::unique_ptr<core::Member>> members;
-    auto pump = [&](const std::function<bool()>& done) {
-      for (int spin = 0; spin < 20000 && !done(); ++spin) {
-        leader_node.poll_once(0);
-        for (auto& node : nodes) node->poll_once(0);
-      }
-    };
-
-    for (int i = 0; i < n; ++i) {
-      std::string id = "m" + std::to_string(i);
-      auto pa = crypto::LongTermKey::random(rng);
-      (void)leader.register_member(id, pa);
-      auto node = std::make_unique<net::TcpNode>();
-      auto conn = node->connect(*port);
-      if (!conn.ok()) {
-        state.SkipWithError("connect failed");
-        return;
-      }
-      auto member = std::make_unique<core::Member>(id, "L", pa, rng);
-      auto* node_raw = node.get();
-      auto* member_raw = member.get();
-      net::ConnId conn_id = *conn;
-      member->set_send([node_raw, conn_id](const std::string&,
-                                           wire::Envelope e) {
-        (void)node_raw->send(conn_id, e);
-      });
-      node->set_callbacks({nullptr,
-                           [member_raw](net::ConnId, const wire::Envelope& e) {
-                             member_raw->handle(e);
-                           },
-                           nullptr});
-      nodes.push_back(std::move(node));
-      members.push_back(std::move(member));
-      (void)members.back()->join();
-      pump([&] { return members.back()->connected() &&
-                        members.back()->has_group_key(); });
-    }
-    for (auto& m : members) (void)m->send_data(to_bytes("ping"));
-    pump([&] { return leader.relayed_count() >= static_cast<size_t>(n); });
-    for (auto& m : members) (void)m->leave();
-    pump([&] { return leader.member_count() == 0; });
-    if (leader.member_count() != 0) state.SkipWithError("tcp lifecycle stuck");
-  }
-}
-BENCHMARK(BM_LifecycleTcp)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

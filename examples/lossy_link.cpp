@@ -1,8 +1,8 @@
 // Lossy-link demo: the protocol over a network that drops 40% of all
 // packets. Narrates every retransmission round and shows the group
 // converging anyway — the liveness layer (byte-identical resends +
-// idempotent duplicate answers) at work, with the audit log proving that
-// none of the duplicates were mistaken for intrusions... and the reject
+// idempotent duplicate answers) at work, with the security ledger proving
+// that none of the duplicates were mistaken for intrusions... and the reject
 // counters showing which ones were (harmlessly) turned away.
 //
 // Run: ./build/examples/lossy_link
@@ -164,7 +164,18 @@ int main() {
   std::printf("\nconverged after %d retransmission rounds; %llu packets "
               "were dropped by the link\n",
               rounds, static_cast<unsigned long long>(dropped));
-  std::printf("leader: %s\n", leader.stats().to_string().c_str());
+  std::printf("leader: members=%zu epoch=%llu relayed=%llu rejected=%llu",
+              leader.member_count(),
+              static_cast<unsigned long long>(leader.epoch()),
+              static_cast<unsigned long long>(leader.relayed_count()),
+              static_cast<unsigned long long>(leader.rejected_inputs()));
+  for (const char* name : {"joins_total", "leaves_total", "expulsions_total",
+                           "rekeys_total", "join_denials_total"}) {
+    std::printf(" %s=%llu", name,
+                static_cast<unsigned long long>(
+                    metrics.counter("L", "L", name)));
+  }
+  std::printf("\n");
   std::printf("alice: connected=%d epoch=%llu   bob: connected=%d "
               "epoch=%llu\n",
               alice.connected(),

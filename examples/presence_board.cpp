@@ -12,12 +12,15 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "app/group_chat.h"
 #include "core/leader.h"
 #include "core/registry.h"
 #include "crypto/x25519.h"
 #include "net/sim_network.h"
+#include "obs/trace.h"
 #include "util/rng.h"
 
 using namespace enclaves;
@@ -41,6 +44,9 @@ int main() {
 
   OsRng rng;
   net::SimNetwork net;
+  // The leader's membership and key changes, as typed trace events.
+  obs::TraceLog trace;
+  obs::ScopedTraceSink trace_sink(trace);
 
   // --- Key pairs. In a deployment each party generates its own and shares
   // only the PUBLIC half with the leader; no password ever exists.
@@ -116,9 +122,24 @@ int main() {
   print_board("barbara", *chats["barbara"]);
   std::printf("  edsger's own client knows: connected=%s\n",
               chats["edsger"]->connected() ? "true" : "false");
-  std::printf("\nfinal epoch %llu (rekeyed on expulsion), audit trail:\n",
+  std::printf("\nfinal epoch %llu (rekeyed on expulsion), leader trail:\n",
               static_cast<unsigned long long>(leader.epoch()));
-  for (const auto& ev : leader.audit().recent(6))
-    std::printf("  %s\n", ev.to_string().c_str());
+  std::vector<obs::TraceEvent> trail;
+  for (const auto& ev : trace.events()) {
+    if (ev.agent == "L" &&
+        (ev.kind == obs::TraceKind::join || ev.kind == obs::TraceKind::expel ||
+         ev.kind == obs::TraceKind::rekey))
+      trail.push_back(ev);
+  }
+  for (std::size_t i = trail.size() > 6 ? trail.size() - 6 : 0;
+       i < trail.size(); ++i) {
+    const obs::TraceEvent& ev = trail[i];
+    std::printf("  %-6s %s", std::string(obs::trace_kind_name(ev.kind)).c_str(),
+                ev.peer.c_str());
+    if (!ev.detail.empty()) std::printf(" (%s)", ev.detail.c_str());
+    if (ev.kind == obs::TraceKind::rekey)
+      std::printf("epoch %llu", static_cast<unsigned long long>(ev.value));
+    std::printf("\n");
+  }
   return 0;
 }

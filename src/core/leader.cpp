@@ -6,10 +6,8 @@
 
 #include "core/oplog.h"
 #include "wire/keytree.h"
-#include "obs/metrics.h"
+#include "obs/event.h"
 #include "obs/prof.h"
-#include "obs/security.h"
-#include "obs/trace.h"
 #include "util/logging.h"
 #include "wire/payloads.h"
 #include "wire/seal.h"
@@ -72,10 +70,8 @@ void Leader::handle(const wire::Envelope& e) {
   if (e.label == wire::Label::AuthInitReq && policy_) {
     auto decision = policy_->may_join(e.sender, members_.size());
     if (!decision.allow) {
-      audit_.record(AuditKind::join_denied, e.sender, decision.reason);
-      obs::count(config_.id, config_.id, "join_denials_total");
-      obs::security_event(clock_.now(), obs::EvidenceKind::join_denied,
-                          config_.id, config_.id, e.sender, decision.reason);
+      obs::emit(obs::Event::join_denied, clock_.now(), config_.id,
+                config_.id, e.sender, decision.reason);
       return;
     }
   }
@@ -87,11 +83,9 @@ void Leader::handle(const wire::Envelope& e) {
     ENCLAVES_LOG(debug) << config_.id << ": envelope from unknown sender "
                         << e.sender;
     ++relay_rejects_;
-    audit_.record(AuditKind::auth_reject, e.sender, "unknown sender");
-    obs::count(config_.id, config_.id, "auth_rejects_total");
-    obs::security_event(clock_.now(), obs::EvidenceKind::unknown_sender,
-                        config_.id, config_.id, e.sender,
-                        wire::label_name(e.label));
+    obs::emit(obs::Event::auth_reject, obs::EvidenceKind::unknown_sender,
+              clock_.now(), config_.id, config_.id, e.sender,
+              wire::label_name(e.label));
     return;
   }
   LeaderSession& session = *it->second;
@@ -100,16 +94,10 @@ void Leader::handle(const wire::Envelope& e) {
   const LeaderSession::State pre = session.state();
   auto outcome = session.handle(e);
   if (!outcome) {
-    // Rejected input: already tallied by the session; surface it to the
-    // audit trail with the label and reason.
-    audit_.record(AuditKind::auth_reject, member_id,
-                  std::string(wire::label_name(e.label)) + ": " +
-                      outcome.error().to_string());
-    obs::count(config_.id, config_.id, "auth_rejects_total");
-    obs::security_event(clock_.now(),
-                        obs::evidence_kind_for(outcome.error().code),
-                        config_.id, config_.id, e.sender,
-                        wire::label_name(e.label));
+    // Rejected input: already tallied by the session.
+    obs::emit(obs::Event::auth_reject,
+              obs::evidence_kind_for(outcome.error().code), clock_.now(),
+              config_.id, config_.id, e.sender, wire::label_name(e.label));
     return;
   }
 
@@ -125,34 +113,28 @@ void Leader::handle(const wire::Envelope& e) {
     if (obs::trace_sink()) {
       std::string detail =
           std::string(to_string(pre)) + "->" + to_string(post);
-      obs::trace(clock_.now(), obs::TraceKind::leader_phase, config_.id,
-                 config_.id, member_id, detail);
+      obs::emit(obs::Event::leader_phase, clock_.now(), config_.id,
+                config_.id, member_id, detail);
     }
   }
   if (outcome->duplicate_retransmit) {
-    obs::count(config_.id, config_.id, "reanswers_total");
-    obs::trace(clock_.now(), obs::TraceKind::reanswer, config_.id, config_.id,
-               member_id, wire::label_name(e.label));
+    obs::emit(obs::Event::reanswer, clock_.now(), config_.id, config_.id,
+              member_id, wire::label_name(e.label));
   }
   if (outcome->acked) {
-    obs::count(config_.id, config_.id, "admin_acks_total");
-    obs::trace(clock_.now(), obs::TraceKind::admin_ack, config_.id,
-               config_.id, member_id);
+    obs::emit(obs::Event::admin_ack, clock_.now(), config_.id, config_.id,
+              member_id);
   }
   if (outcome->sent_admin_kind) {
-    obs::count(config_.id, config_.id, "admin_sends_total");
-    obs::trace(clock_.now(), obs::TraceKind::admin_send, config_.id,
-               config_.id, member_id, outcome->sent_admin_kind);
+    obs::emit(obs::Event::admin_send, clock_.now(), config_.id, config_.id,
+              member_id, outcome->sent_admin_kind);
   }
 
   if (outcome->reply) send(member_id, *std::move(outcome->reply));
   if (outcome->authenticated) handle_member_authenticated(member_id);
   if (outcome->closed) {
-    audit_.record(AuditKind::member_left, member_id);
-    obs::count(config_.id, config_.id, "leaves_total");
-    obs::trace(clock_.now(), obs::TraceKind::leave, config_.id, config_.id,
-               member_id,
-               outcome->superseded ? "superseded" : "req_close");
+    obs::emit(obs::Event::leave, clock_.now(), config_.id, config_.id,
+              member_id, outcome->superseded ? "superseded" : "req_close");
     if (outcome->superseded)
       obs::count(config_.id, config_.id, "sessions_superseded_total");
     handle_member_closed(member_id);
@@ -165,9 +147,8 @@ void Leader::submit_admin_to(const std::string& member_id,
   assert(it != sessions_.end());
   const char* kind = wire::admin_kind_name(body);
   if (auto env = it->second->submit_admin(std::move(body))) {
-    obs::count(config_.id, config_.id, "admin_sends_total");
-    obs::trace(clock_.now(), obs::TraceKind::admin_send, config_.id,
-               config_.id, member_id, kind);
+    obs::emit(obs::Event::admin_send, clock_.now(), config_.id, config_.id,
+              member_id, kind);
     send(member_id, *std::move(env));
   }
 }
@@ -180,12 +161,9 @@ void Leader::handle_member_authenticated(const std::string& member_id) {
   PROF_SCOPE("leader/join/admit");
   members_.insert(member_id);
   ENCLAVES_LOG(info) << config_.id << ": " << member_id << " joined";
-  audit_.record(AuditKind::member_joined, member_id);
-  obs::count(config_.id, config_.id, "joins_total");
   obs::gauge_set(config_.id, config_.id, "members",
                  static_cast<std::int64_t>(members_.size()));
-  obs::trace(clock_.now(), obs::TraceKind::join, config_.id, config_.id,
-             member_id);
+  obs::emit(obs::Event::join, clock_.now(), config_.id, config_.id, member_id);
 
   // Fast rejoin after a completed reconciliation (PROTOCOL.md §12): the
   // member proved continuity of its session key and op-log chain, so it
@@ -198,9 +176,8 @@ void Leader::handle_member_authenticated(const std::string& member_id) {
                    static_cast<std::int64_t>(parole_.size()));
   }
   if (fast) {
-    obs::count(config_.id, config_.id, "reconcile_fast_rejoins_total");
-    obs::trace(clock_.now(), obs::TraceKind::rejoin, config_.id, config_.id,
-               member_id, "reconciled");
+    obs::emit(obs::Event::fast_rejoin, clock_.now(), config_.id, config_.id,
+              member_id, "reconciled");
   }
 
   // Initialize or renew the group key. Section 2.2: "The group leader
@@ -268,12 +245,8 @@ void Leader::handle_group_data(const wire::Envelope& e) {
   PROF_SCOPE("leader/relay");
   auto relay_reject = [this, &e](const char* why) {
     ++relay_rejects_;
-    audit_.record(AuditKind::relay_reject, e.sender, why);
-    obs::count(config_.id, config_.id, "relay_rejects_total");
-    obs::trace(clock_.now(), obs::TraceKind::data_reject, config_.id,
-               config_.id, e.sender, why);
-    obs::security_event(clock_.now(), obs::EvidenceKind::relay_reject,
-                        config_.id, config_.id, e.sender, why);
+    obs::emit(obs::Event::relay_reject, clock_.now(), config_.id, config_.id,
+              e.sender, why);
   };
   if (!kg_initialized_) {
     relay_reject("no group key yet");
@@ -342,12 +315,10 @@ void Leader::rekey() {
 
 void Leader::note_rekey() {
   ENCLAVES_LOG(info) << config_.id << ": rekey to epoch " << epoch_;
-  audit_.record(AuditKind::rekey, {}, "epoch " + std::to_string(epoch_));
-  obs::count(config_.id, config_.id, "rekeys_total");
   obs::gauge_set(config_.id, config_.id, "epoch",
                  static_cast<std::int64_t>(epoch_));
-  obs::trace(clock_.now(), obs::TraceKind::rekey, config_.id, config_.id, {},
-             {}, epoch_);
+  obs::emit(obs::Event::rekey, clock_.now(), config_.id, config_.id, {}, {},
+            epoch_);
   if (on_rekey) on_rekey(epoch_);
 
   // Parole GC: the admission window is `parole_epochs` rekeys, but entries
@@ -449,8 +420,8 @@ void Leader::emit_keytree_levels(const wire::KeyTreeUpdatePayload& payload) {
   std::sort(levels.begin(), levels.end(), std::greater<>());
   levels.erase(std::unique(levels.begin(), levels.end()), levels.end());
   for (std::uint32_t lvl : levels) {
-    obs::trace(clock_.now(), obs::TraceKind::keytree_level, config_.id,
-               config_.id, {}, "lvl" + std::to_string(lvl), epoch_);
+    obs::emit(obs::Event::keytree_level, clock_.now(), config_.id,
+              config_.id, {}, "lvl" + std::to_string(lvl), epoch_);
   }
 }
 
@@ -471,10 +442,8 @@ void Leader::broadcast_keytree(const wire::KeyTreeUpdatePayload& payload) {
 
 void Leader::handle_keytree_recover(const wire::Envelope& e) {
   auto reject = [this, &e](obs::EvidenceKind kind, const char* why) {
-    audit_.record(AuditKind::auth_reject, e.sender, why);
-    obs::count(config_.id, config_.id, "auth_rejects_total");
-    obs::security_event(clock_.now(), kind, config_.id, config_.id, e.sender,
-                        why);
+    obs::emit(obs::Event::auth_reject, kind, clock_.now(), config_.id,
+              config_.id, e.sender, why);
   };
   if (!tree_mode() || !tree_ || !members_.count(e.sender)) {
     reject(obs::EvidenceKind::bad_label, "keytree recover without a leaf");
@@ -501,9 +470,8 @@ void Leader::handle_keytree_recover(const wire::Envelope& e) {
            "keytree recover identity mismatch");
     return;
   }
-  obs::count(config_.id, config_.id, "keytree_recoveries_total");
-  obs::trace(clock_.now(), obs::TraceKind::keytree_recover, config_.id,
-             config_.id, e.sender, "answer", p->have_epoch);
+  obs::emit(obs::Event::keytree_answer, clock_.now(), config_.id, config_.id,
+            e.sender, "answer", p->have_epoch);
   send_keytree_path(e.sender, p->nr);
 }
 
@@ -547,10 +515,8 @@ Result<crypto::SessionKey> Leader::expel(const std::string& member_id,
     grant_parole(member_id, *old_key);
   else
     revoke_parole(member_id);
-  audit_.record(AuditKind::member_expelled, member_id, reason);
-  obs::count(config_.id, config_.id, "expulsions_total");
-  obs::trace(clock_.now(), obs::TraceKind::expel, config_.id, config_.id,
-             member_id, reason);
+  obs::emit(obs::Event::expel, clock_.now(), config_.id, config_.id,
+            member_id, reason);
   if (was_member && on_member_expelled) on_member_expelled(member_id, reason);
   // Only authenticated members get a departure fan-out; tearing down a
   // mid-handshake session must not announce a member who never joined.
@@ -572,12 +538,10 @@ void Leader::shutdown_group(const std::string& reason) {
   // Second pass: close every session.
   for (const auto& [id, session] : sessions_) {
     if (session->in_session()) {
-      audit_.record(AuditKind::member_expelled, id, reason);
-      obs::count(config_.id, config_.id, "expulsions_total");
       if (session->pending_retransmit())
         obs::count(config_.id, config_.id, "exchanges_abandoned_total");
-      obs::trace(clock_.now(), obs::TraceKind::expel, config_.id, config_.id,
-                 id, reason);
+      obs::emit(obs::Event::expel, clock_.now(), config_.id, config_.id, id,
+                reason);
       if (members_.count(id) && on_member_expelled)
         on_member_expelled(id, reason);
       (void)session->force_close();
@@ -639,18 +603,16 @@ void Leader::send_reconcile_verdict(const std::string& member_id,
                         wire::Label::ReconcileVerdict, config_.id, member_id,
                         wire::encode(body));
   parole.last_verdict = env;
-  obs::trace(clock_.now(), obs::TraceKind::reconcile_verdict, config_.id,
-             config_.id, member_id,
-             wire::reconcile_verdict_kind_name(verdict), ack_seq);
+  obs::emit(obs::Event::reconcile_verdict, clock_.now(), config_.id,
+            config_.id, member_id, wire::reconcile_verdict_kind_name(verdict),
+            ack_seq);
   send(member_id, std::move(env));
 }
 
 void Leader::handle_reconcile_offer(const wire::Envelope& e) {
   auto reject = [this, &e](obs::EvidenceKind kind, const char* why) {
-    audit_.record(AuditKind::auth_reject, e.sender, why);
-    obs::count(config_.id, config_.id, "auth_rejects_total");
-    obs::security_event(clock_.now(), kind, config_.id, config_.id, e.sender,
-                        why);
+    obs::emit(obs::Event::auth_reject, kind, clock_.now(), config_.id,
+              config_.id, e.sender, why);
   };
   auto it = parole_.find(e.sender);
   if (config_.parole_epochs == 0 || it == parole_.end()) {
@@ -678,9 +640,8 @@ void Leader::handle_reconcile_offer(const wire::Envelope& e) {
   }
   if (parole.last_verdict && p->nr == parole.nr) {
     // Retransmitted offer (our verdict was lost): re-answer byte-identically.
-    obs::count(config_.id, config_.id, "reanswers_total");
-    obs::trace(clock_.now(), obs::TraceKind::reanswer, config_.id, config_.id,
-               e.sender, "ReconcileOffer");
+    obs::emit(obs::Event::reanswer, clock_.now(), config_.id, config_.id,
+              e.sender, "ReconcileOffer");
     send(e.sender, *parole.last_verdict);
     return;
   }
@@ -695,24 +656,21 @@ void Leader::handle_reconcile_offer(const wire::Envelope& e) {
   // broken HMAC chain (seen during replay) is treated as intrusion.
   if (p->fence_epoch > parole.fence_epoch ||
       epoch_ - p->fence_epoch > config_.parole_epochs) {
-    obs::count(config_.id, config_.id, "reconcile_quarantines_total");
-    obs::security_event(clock_.now(), obs::EvidenceKind::stale_epoch,
-                        config_.id, config_.id, e.sender,
-                        "reconcile fence outside parole window",
-                        p->fence_epoch);
-    obs::trace(clock_.now(), obs::TraceKind::reconcile_offer, config_.id,
-               config_.id, e.sender, "quarantine", p->oplog_len);
+    obs::emit(obs::Event::offer_quarantined, clock_.now(), config_.id,
+              config_.id, e.sender, "reconcile fence outside parole window",
+              p->fence_epoch);
+    obs::emit(obs::Event::offer_answered, clock_.now(), config_.id,
+              config_.id, e.sender, "quarantine", p->oplog_len);
     send_reconcile_verdict(e.sender, parole,
                            wire::ReconcileVerdictKind::quarantine, 0);
     return;
   }
   if (p->oplog_len > config_.max_replay_ops) {
-    obs::count(config_.id, config_.id, "reconcile_quarantines_total");
-    obs::security_event(clock_.now(), obs::EvidenceKind::stale_epoch,
-                        config_.id, config_.id, e.sender,
-                        "op-log exceeds replay budget", p->oplog_len);
-    obs::trace(clock_.now(), obs::TraceKind::reconcile_offer, config_.id,
-               config_.id, e.sender, "quarantine", p->oplog_len);
+    obs::emit(obs::Event::offer_quarantined, clock_.now(), config_.id,
+              config_.id, e.sender, "op-log exceeds replay budget",
+              p->oplog_len);
+    obs::emit(obs::Event::offer_answered, clock_.now(), config_.id,
+              config_.id, e.sender, "quarantine", p->oplog_len);
     send_reconcile_verdict(e.sender, parole,
                            wire::ReconcileVerdictKind::quarantine, 0);
     return;
@@ -725,9 +683,8 @@ void Leader::handle_reconcile_offer(const wire::Envelope& e) {
   parole.oplog_len = p->oplog_len;
   parole.chain = {};
   parole.offered_head = p->chain_head;
-  obs::count(config_.id, config_.id, "reconcile_admits_total");
-  obs::trace(clock_.now(), obs::TraceKind::reconcile_offer, config_.id,
-             config_.id, e.sender, "admit", p->oplog_len);
+  obs::emit(obs::Event::offer_admitted, clock_.now(), config_.id, config_.id,
+            e.sender, "admit", p->oplog_len);
   // Relay seq-collision guard: if the epoch never moved since the member
   // was cut, its pre-partition publishes already used low seqs in this
   // epoch — relaying the replay from seq 0 would look like replays to the
@@ -744,10 +701,8 @@ void Leader::handle_reconcile_offer(const wire::Envelope& e) {
 
 void Leader::handle_op_replay(const wire::Envelope& e) {
   auto reject = [this, &e](obs::EvidenceKind kind, const char* why) {
-    audit_.record(AuditKind::auth_reject, e.sender, why);
-    obs::count(config_.id, config_.id, "auth_rejects_total");
-    obs::security_event(clock_.now(), kind, config_.id, config_.id, e.sender,
-                        why);
+    obs::emit(obs::Event::auth_reject, kind, clock_.now(), config_.id,
+              config_.id, e.sender, why);
   };
   auto it = parole_.find(e.sender);
   if (it == parole_.end()) {
@@ -776,9 +731,8 @@ void Leader::handle_op_replay(const wire::Envelope& e) {
     // come BEFORE the active check — when the FINAL op's verdict is lost the
     // replay has already completed (active is false), yet the member keeps
     // retransmitting that op until the ack arrives.
-    obs::count(config_.id, config_.id, "reanswers_total");
-    obs::trace(clock_.now(), obs::TraceKind::reanswer, config_.id, config_.id,
-               e.sender, "OpReplay");
+    obs::emit(obs::Event::reanswer, clock_.now(), config_.id, config_.id,
+              e.sender, "OpReplay");
     if (parole.last_verdict) send(e.sender, *parole.last_verdict);
     return;
   }
@@ -793,10 +747,8 @@ void Leader::handle_op_replay(const wire::Envelope& e) {
   // committed to. Evidence goes to the ledger and the replay is refused.
   auto flag_intrusion = [this, &e, &parole](const char* why,
                                             std::uint64_t seq) {
-    audit_.record(AuditKind::auth_reject, e.sender, why);
-    obs::count(config_.id, config_.id, "reconcile_intrusions_total");
-    obs::security_event(clock_.now(), obs::EvidenceKind::forged_oplog,
-                        config_.id, config_.id, e.sender, why, seq);
+    obs::emit(obs::Event::reconcile_intrusion, clock_.now(), config_.id,
+              config_.id, e.sender, why, seq);
     // Flight-recorder incident hook: a broken op-log HMAC chain is direct
     // intrusion evidence, not noise — dump the window around it.
     obs::flight_incident(clock_.now(), "forged_oplog", config_.id,
@@ -829,9 +781,8 @@ void Leader::handle_op_replay(const wire::Envelope& e) {
   // Verified: advance the chain, deliver locally, relay to the live group.
   parole.chain = want;
   parole.expected_seq = p->seq + 1;
-  obs::count(config_.id, config_.id, "reconcile_ops_replayed_total");
-  obs::trace(clock_.now(), obs::TraceKind::op_replay, config_.id, config_.id,
-             e.sender, {}, p->seq);
+  obs::emit(obs::Event::op_replay, clock_.now(), config_.id, config_.id,
+            e.sender, {}, p->seq);
   if (on_data) on_data(e.sender, p->payload);
   if (kg_initialized_ && !members_.empty()) {
     wire::GroupDataPayload relay{e.sender, epoch_, p->seq - 1, p->payload};
@@ -886,9 +837,8 @@ std::size_t Leader::tick() {
       sr.state.arm(now, stable_salt(id));
     }
     if (sr.state.due(now, config_.retry)) {
-      obs::count(config_.id, config_.id, "retransmits_total");
-      obs::trace(now, obs::TraceKind::retransmit, config_.id, config_.id, id,
-                 wire::label_name(env->label));
+      obs::emit(obs::Event::retransmit, now, config_.id, config_.id, id,
+                wire::label_name(env->label));
       send(id, *std::move(env));
       sr.state.record_attempt(now, config_.retry);
       ++sent;
@@ -928,10 +878,8 @@ std::vector<std::string> Leader::expel_stalled(std::uint32_t attempts) {
       obs::count(config_.id, config_.id, "exchanges_abandoned_total");
     if (members_.count(id)) {
       // A real member gone quiet: full expulsion (announce + rekey policy).
-      audit_.record(AuditKind::member_expelled, id, "stalled");
-      obs::count(config_.id, config_.id, "expulsions_total");
-      obs::trace(clock_.now(), obs::TraceKind::expel, config_.id, config_.id,
-                 id, "stalled");
+      obs::emit(obs::Event::expel, clock_.now(), config_.id, config_.id, id,
+                "stalled");
       if (on_member_expelled) on_member_expelled(id, "stalled");
       auto old_key = it->second->force_close();
       // A liveness expulsion is reconcilable: retain Kr on parole so the
@@ -944,9 +892,8 @@ std::vector<std::string> Leader::expel_stalled(std::uint32_t attempts) {
     } else {
       // Ghost handshake (never authenticated): discard quietly. The key
       // was never confirmed to anyone, so no Oops and no announcement.
-      audit_.record(AuditKind::auth_reject, id, "ghost handshake cleared");
-      obs::trace(clock_.now(), obs::TraceKind::expel, config_.id, config_.id,
-                 id, "ghost handshake");
+      obs::emit(obs::Event::ghost_cleared, clock_.now(), config_.id,
+                config_.id, id, "ghost handshake");
       (void)it->second->force_close();
     }
     retry_.erase(id);
@@ -972,33 +919,6 @@ LeaderSnapshot Leader::snapshot() const {
 
 void Leader::set_epoch_floor(std::uint64_t epoch) {
   if (!kg_initialized_ && epoch > epoch_) epoch_ = epoch;
-}
-
-Leader::Stats Leader::stats() const {
-  Stats s;
-  s.members = members_.size();
-  s.epoch = epoch_;
-  s.relayed = relayed_;
-  s.rejected_inputs = rejected_inputs();
-  s.joins = audit_.count(AuditKind::member_joined);
-  s.leaves = audit_.count(AuditKind::member_left);
-  s.expulsions = audit_.count(AuditKind::member_expelled);
-  s.rekeys = audit_.count(AuditKind::rekey);
-  s.join_denials = audit_.count(AuditKind::join_denied);
-  return s;
-}
-
-std::string Leader::Stats::to_string() const {
-  std::string s = "members=" + std::to_string(members);
-  s += " epoch=" + std::to_string(epoch);
-  s += " relayed=" + std::to_string(relayed);
-  s += " rejected=" + std::to_string(rejected_inputs);
-  s += " joins=" + std::to_string(joins);
-  s += " leaves=" + std::to_string(leaves);
-  s += " expulsions=" + std::to_string(expulsions);
-  s += " rekeys=" + std::to_string(rekeys);
-  s += " denials=" + std::to_string(join_denials);
-  return s;
 }
 
 std::uint64_t Leader::rejected_inputs() const {

@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "core/audit.h"
 #include "core/keytree.h"
 #include "core/leader_session.h"
 #include "core/policy.h"
@@ -91,26 +90,6 @@ class Leader {
     policy_ = std::move(policy);
   }
 
-  /// Security event log (admissions, rejections, rekeys, expulsions).
-  const AuditLog& audit() const { return audit_; }
-
-  /// One-line-able operational snapshot (derived from live state and the
-  /// audit counters; cheap to take).
-  struct Stats {
-    std::size_t members = 0;
-    std::uint64_t epoch = 0;
-    std::uint64_t relayed = 0;
-    std::uint64_t rejected_inputs = 0;
-    std::uint64_t joins = 0;
-    std::uint64_t leaves = 0;
-    std::uint64_t expulsions = 0;
-    std::uint64_t rekeys = 0;
-    std::uint64_t join_denials = 0;
-
-    std::string to_string() const;
-  };
-  Stats stats() const;
-
   const std::string& id() const { return config_.id; }
 
   /// Registers a prospective member's long-term key Pa (the out-of-band
@@ -171,7 +150,7 @@ class Leader {
   /// config.retry — byte-identically, so nothing new ever hits the wire.
   /// When config.auto_expel_attempts > 0, sessions whose retransmit budget
   /// is spent are expelled here too. Call on a timer when the transport can
-  /// lose messages (SimNetwork with a dropping tap, UDP-like links);
+  /// lose messages (SimNetwork with a dropping tap, lossy links);
   /// harmless but unnecessary on reliable transports. Returns envelopes
   /// re-sent.
   std::size_t tick();
@@ -260,7 +239,7 @@ class Leader {
   void send_group_key_to(const std::string& member_id);
   bool tree_mode() const { return config_.rekey.algo == RekeyAlgo::tree; }
   void ensure_tree();
-  /// Shared rekey bookkeeping (audit, metrics, trace, HA hook, parole GC)
+  /// Shared rekey bookkeeping (rekey event, epoch gauge, HA hook, parole GC)
   /// — called by every path that moved epoch_/kg_.
   void note_rekey();
   /// Rotates the tree for a join/leave and broadcasts the update.
@@ -305,7 +284,6 @@ class Leader {
   std::uint64_t relay_rejects_ = 0;
 
   std::shared_ptr<const AccessPolicy> policy_;
-  AuditLog audit_;
 
   // Parole list (PROTOCOL.md §12): per expelled-but-reconcilable member,
   // the retained session key Kr plus the verification state of an in-flight

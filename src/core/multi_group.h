@@ -4,9 +4,9 @@
 // participate in multiple named enclaves at once; the DSN'01 paper analyzes
 // one group, whose guarantees are per-group. This host composes one fully
 // independent Leader per named group — separate password registries,
-// session keys, group keys, epochs, policies, and audit logs — under a
-// single node identity. Group `g` on host `h` is addressed as leader
-// "h/g"; a user participating in several groups runs one Member per group,
+// session keys, group keys, epochs and policies — under a single node
+// identity. Group `g` on host `h` is addressed as leader "h/g"; a user
+// participating in several groups runs one Member per group,
 // exactly as the per-group analysis assumes.
 //
 // Isolation is cryptographic, not just structural: nothing sealed for one

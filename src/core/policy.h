@@ -20,7 +20,7 @@ namespace enclaves::core {
 
 struct AccessDecision {
   bool allow = true;
-  std::string reason;  // for the audit log; never sent on the wire
+  std::string reason;  // for the security ledger; never sent on the wire
 
   static AccessDecision yes() { return {true, {}}; }
   static AccessDecision no(std::string reason) {

@@ -6,9 +6,8 @@
 #include <stdexcept>
 
 #include "crypto/aead.h"
-#include "obs/metrics.h"
+#include "obs/event.h"
 #include "obs/prof.h"
-#include "obs/security.h"
 #include "util/result.h"
 
 namespace enclaves::crypto {
@@ -96,9 +95,8 @@ class AesGcm final : public Aead {
 
     int fin = 0;
     if (EVP_DecryptFinal_ex(ctx.get(), out.data() + len, &fin) != 1) {
-      obs::count("crypto", name(), "open_failures_total");
-      obs::security_event(0, obs::EvidenceKind::aead_open_failure,
-                          "crypto", name(), {}, "gcm tag mismatch");
+      obs::emit(obs::Event::aead_open_failure, 0, "crypto", name(), {},
+                "gcm tag mismatch");
       return make_error(Errc::auth_failed, "gcm tag mismatch");
     }
     return out;

@@ -6,9 +6,8 @@
 #include "crypto/chacha20.h"
 #include "crypto/ct.h"
 #include "crypto/poly1305.h"
-#include "obs/metrics.h"
+#include "obs/event.h"
 #include "obs/prof.h"
-#include "obs/security.h"
 
 namespace enclaves::crypto {
 
@@ -69,9 +68,8 @@ class ChaCha20Poly1305 final : public Aead {
     BytesView tag = ct.subspan(ct.size() - kTagSize);
     auto expect = compute_tag(key, nonce, aad, body);
     if (!ct_equal({expect.data(), expect.size()}, tag)) {
-      obs::count("crypto", name(), "open_failures_total");
-      obs::security_event(0, obs::EvidenceKind::aead_open_failure,
-                          "crypto", name(), {}, "poly1305 tag mismatch");
+      obs::emit(obs::Event::aead_open_failure, 0, "crypto", name(), {},
+                "poly1305 tag mismatch");
       return make_error(Errc::auth_failed, "poly1305 tag mismatch");
     }
     ChaCha20 cipher(key, nonce, 1);

@@ -2,9 +2,7 @@
 
 #include "core/registry.h"
 #include "crypto/hkdf.h"
-#include "obs/metrics.h"
-#include "obs/security.h"
-#include "obs/trace.h"
+#include "obs/event.h"
 #include "wire/seal.h"
 
 namespace enclaves::fed {
@@ -47,9 +45,9 @@ FedNode::FedNode(FedNodeConfig config, Rng& rng, const crypto::Aead& aead)
     if (!fresh) {
       // The resurrected-source case: an offer carrying an ownership version
       // the directory already superseded. Refused, with attribution.
-      obs::security_event(clock_.now(), obs::EvidenceKind::fenced_migration,
-                          o.group, config_.shard_id, o.source_shard,
-                          "stale migration offer", o.dir_version);
+      obs::emit(obs::Event::stale_offer, clock_.now(), o.group,
+                config_.shard_id, o.source_shard, "stale migration offer",
+                o.dir_version);
       // Flight-recorder incident hook: a resurrected source shard is the
       // federation-plane intrusion signature (dump-on-resurrection).
       obs::flight_incident(clock_.now(), "fenced_migration", o.group,
@@ -63,10 +61,10 @@ FedNode::FedNode(FedNodeConfig config, Rng& rng, const crypto::Aead& aead)
     auto snap =
         core::LeaderSnapshot::deserialize(o.snapshot, pair_key(o.source_shard));
     if (!snap) {
-      obs::security_event(clock_.now(),
-                          obs::evidence_kind_for(snap.error().code), o.group,
-                          config_.shard_id, o.source_shard,
-                          "migration snapshot rejected");
+      obs::emit(obs::Event::fed_malformed,
+                obs::evidence_kind_for(snap.error().code), clock_.now(),
+                o.group, config_.shard_id, o.source_shard,
+                "migration snapshot rejected");
       return snap.error();
     }
     core::Leader* leader = build_group(o.group);
@@ -178,13 +176,12 @@ void FedNode::send_redirect(const std::string& member,
                             const std::string& group,
                             const std::string& stale_leader,
                             const std::string& owner_leader) {
-  obs::count("fed", config_.shard_id, "redirects_sent_total");
-  obs::trace(clock_.now(), obs::TraceKind::fed_redirect, group,
-             config_.shard_id, member, "sent", directory_.version(group));
+  obs::emit(obs::Event::redirect_sent, clock_.now(), group, config_.shard_id,
+            member, "sent", directory_.version(group));
   // Observed-not-processed evidence. No accusation: arriving at the wrong
   // shard is the expected aftermath of a migration, not an attack.
-  obs::security_event(clock_.now(), obs::EvidenceKind::wrong_shard, group,
-                      config_.shard_id, /*accused=*/{}, owner_leader);
+  obs::emit(obs::Event::wrong_shard, clock_.now(), group, config_.shard_id,
+            /*peer=*/{}, owner_leader);
   wire::Envelope env{wire::Label::FedRedirect, config_.shard_id, member,
                      wire::encode(wire::FedRedirectPayload{
                          group, stale_leader, owner_leader,
@@ -220,22 +217,20 @@ void FedNode::handle_fed(const wire::Envelope& e) {
   using wire::Label;
   if (e.label != Label::FedMigrateOffer && e.label != Label::FedMigrateAck &&
       e.label != Label::FedMigrateCommit && e.label != Label::FedDirSync) {
-    obs::security_event(clock_.now(), obs::EvidenceKind::bad_label, "fed",
-                        config_.shard_id, e.sender,
-                        wire::label_name(e.label));
+    obs::emit(obs::Event::fed_label_refused, clock_.now(), "fed",
+              config_.shard_id, e.sender, wire::label_name(e.label));
     return;
   }
   if (e.sender.empty() || e.sender == config_.shard_id) return;
   auto plain = wire::open_sealed(aead_, pair_key(e.sender), e);
   if (!plain) {
-    obs::security_event(clock_.now(), obs::EvidenceKind::aead_open_failure,
-                        "fed", config_.shard_id, e.sender,
-                        wire::label_name(e.label));
+    obs::emit(obs::Event::fed_seal_refused, clock_.now(), "fed",
+              config_.shard_id, e.sender, wire::label_name(e.label));
     return;
   }
   auto malformed = [&](const Error& err) {
-    obs::security_event(clock_.now(), obs::EvidenceKind::malformed, "fed",
-                        config_.shard_id, e.sender, err.to_string());
+    obs::emit(obs::Event::fed_malformed, clock_.now(), "fed",
+              config_.shard_id, e.sender, err.to_string());
   };
   switch (e.label) {
     case Label::FedMigrateOffer: {
@@ -261,16 +256,14 @@ void FedNode::handle_fed(const wire::Envelope& e) {
       if (!p) return malformed(p.error());
       const Directory::Claim claim =
           directory_.claim(p->group, p->owner_shard, p->version);
-      obs::trace(clock_.now(), obs::TraceKind::fed_dir, p->group,
-                 config_.shard_id, e.sender, p->owner_shard, p->version);
+      obs::emit(obs::Event::dir_claim, clock_.now(), p->group,
+                config_.shard_id, e.sender, p->owner_shard, p->version);
       if (claim == Directory::Claim::stale) {
         // An authentic shard asserting ownership the directory already
         // superseded — the resurrected source, or a replayed sync.
-        obs::count("fed", config_.shard_id, "dir_stale_claims_total");
-        obs::security_event(clock_.now(),
-                            obs::EvidenceKind::fenced_migration, p->group,
-                            config_.shard_id, e.sender,
-                            "stale directory claim", p->version);
+        obs::emit(obs::Event::stale_dir_claim, clock_.now(), p->group,
+                  config_.shard_id, e.sender, "stale directory claim",
+                  p->version);
         obs::flight_incident(clock_.now(), "stale_dir_claim", p->group,
                              config_.shard_id);
       } else if (claim == Directory::Claim::installed) {

@@ -1,9 +1,8 @@
 #include "fed/migration.h"
 
 #include "core/retry.h"
-#include "obs/metrics.h"
+#include "obs/event.h"
 #include "obs/prof.h"
-#include "obs/trace.h"
 
 namespace enclaves::fed {
 
@@ -37,10 +36,9 @@ Result<std::uint64_t> Migrator::begin(const std::string& group,
   if (hooks_.send)
     hooks_.send(target_shard, wire::Label::FedMigrateOffer, out.payload);
   outbound_.emplace(group, std::move(out));
-  obs::count("fed", config_.shard_id, "migrations_started_total");
   gauge_inflight();
-  obs::trace(clock_.now(), obs::TraceKind::fed_migrate, group,
-             config_.shard_id, target_shard, "offer", id);
+  obs::emit(obs::Event::migrate_offer, clock_.now(), group, config_.shard_id,
+            target_shard, "offer", id);
   return id;
 }
 
@@ -50,9 +48,8 @@ void Migrator::send_ack(const std::string& to_shard, const std::string& group,
   wire::FedMigrateAckPayload ack{group, id, verdict, fenced_epoch};
   if (hooks_.send)
     hooks_.send(to_shard, wire::Label::FedMigrateAck, wire::encode(ack));
-  obs::trace(clock_.now(), obs::TraceKind::fed_migrate, group,
-             config_.shard_id, to_shard,
-             wire::fed_migrate_verdict_name(verdict), id);
+  obs::emit(obs::Event::migrate_step, clock_.now(), group, config_.shard_id,
+            to_shard, wire::fed_migrate_verdict_name(verdict), id);
 }
 
 void Migrator::handle_offer(const wire::FedMigrateOfferPayload& offer) {
@@ -71,10 +68,9 @@ void Migrator::handle_offer(const wire::FedMigrateOfferPayload& offer) {
   // fenced_migration ledger evidence; we answer with a refusal so the
   // (possibly honest-but-stale) source stops retransmitting.
   if (hooks_.offer_fresh && !hooks_.offer_fresh(offer)) {
-    obs::count("fed", config_.shard_id, "migrations_refused_total");
-    obs::trace(clock_.now(), obs::TraceKind::fed_migrate, offer.group,
-               config_.shard_id, offer.source_shard, "refuse",
-               offer.migration_id);
+    obs::emit(obs::Event::migrate_refuse, clock_.now(), offer.group,
+              config_.shard_id, offer.source_shard, "refuse",
+              offer.migration_id);
     send_ack(offer.source_shard, offer.group, offer.migration_id,
              wire::FedMigrateVerdict::refuse, 0);
     return;
@@ -84,10 +80,9 @@ void Migrator::handle_offer(const wire::FedMigrateOfferPayload& offer) {
                     : Result<std::uint64_t>(
                           make_error(Errc::unexpected, "no install hook"));
   if (!fenced) {
-    obs::count("fed", config_.shard_id, "migrations_refused_total");
-    obs::trace(clock_.now(), obs::TraceKind::fed_migrate, offer.group,
-               config_.shard_id, offer.source_shard, "refuse",
-               offer.migration_id);
+    obs::emit(obs::Event::migrate_refuse, clock_.now(), offer.group,
+              config_.shard_id, offer.source_shard, "refuse",
+              offer.migration_id);
     send_ack(offer.source_shard, offer.group, offer.migration_id,
              wire::FedMigrateVerdict::refuse, 0);
     return;
@@ -95,10 +90,9 @@ void Migrator::handle_offer(const wire::FedMigrateOfferPayload& offer) {
   adopted_[offer.group] =
       Adopted{offer.source_shard, offer.migration_id, *fenced, false};
   ++installed_count_;
-  obs::count("fed", config_.shard_id, "migrations_installed_total");
-  obs::trace(clock_.now(), obs::TraceKind::fed_migrate, offer.group,
-             config_.shard_id, offer.source_shard, "install",
-             offer.migration_id);
+  obs::emit(obs::Event::migrate_install, clock_.now(), offer.group,
+            config_.shard_id, offer.source_shard, "install",
+            offer.migration_id);
   send_ack(offer.source_shard, offer.group, offer.migration_id,
            wire::FedMigrateVerdict::accept, *fenced);
 }
@@ -109,9 +103,8 @@ void Migrator::handle_ack(const wire::FedMigrateAckPayload& ack) {
   if (it == outbound_.end() || it->second.id != ack.migration_id) return;
   Outbound& out = it->second;
   if (ack.verdict == wire::FedMigrateVerdict::refuse) {
-    obs::trace(clock_.now(), obs::TraceKind::fed_migrate, ack.group,
-               config_.shard_id, out.target, "abort", out.id);
-    obs::count("fed", config_.shard_id, "migrations_aborted_total");
+    obs::emit(obs::Event::migrate_abort, clock_.now(), ack.group,
+              config_.shard_id, out.target, "abort", out.id);
     if (hooks_.aborted) hooks_.aborted(ack.group, "refused by target");
     outbound_.erase(it);
     gauge_inflight();
@@ -133,9 +126,8 @@ void Migrator::handle_ack(const wire::FedMigrateAckPayload& ack) {
   out.retry.arm(clock_.now(), core::stable_salt(ack.group) ^ 0xC0517);
   out.retry.record_attempt(clock_.now(), config_.retry);
   ++completed_;
-  obs::count("fed", config_.shard_id, "migrations_completed_total");
-  obs::trace(clock_.now(), obs::TraceKind::fed_migrate, ack.group,
-             config_.shard_id, out.target, "commit", out.id);
+  obs::emit(obs::Event::migrate_commit, clock_.now(), ack.group,
+            config_.shard_id, out.target, "commit", out.id);
   if (hooks_.send)
     hooks_.send(out.target, wire::Label::FedMigrateCommit, out.payload);
 }
@@ -147,9 +139,9 @@ void Migrator::handle_commit(const wire::FedMigrateCommitPayload& commit) {
   if (hooks_.committed) hooks_.committed(commit.group, commit.dir_version);
   if (!it->second.committed) {
     it->second.committed = true;
-    obs::trace(clock_.now(), obs::TraceKind::fed_migrate, commit.group,
-               config_.shard_id, it->second.source, "complete",
-               commit.migration_id);
+    obs::emit(obs::Event::migrate_step, clock_.now(), commit.group,
+              config_.shard_id, it->second.source, "complete",
+              commit.migration_id);
   }
 }
 
@@ -171,9 +163,8 @@ std::size_t Migrator::tick() {
       } else {
         // Offer never answered: the target is unreachable. Unfreeze and
         // keep the group — nothing was handed over yet.
-        obs::trace(now, obs::TraceKind::fed_migrate, it->first,
-                   config_.shard_id, out.target, "abort", out.id);
-        obs::count("fed", config_.shard_id, "migrations_aborted_total");
+        obs::emit(obs::Event::migrate_abort, now, it->first,
+                  config_.shard_id, out.target, "abort", out.id);
         if (hooks_.aborted) hooks_.aborted(it->first, "offer unanswered");
         it = outbound_.erase(it);
         gauge_inflight();

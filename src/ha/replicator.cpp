@@ -2,10 +2,8 @@
 
 #include <utility>
 
-#include "obs/metrics.h"
+#include "obs/event.h"
 #include "obs/prof.h"
-#include "obs/security.h"
-#include "obs/trace.h"
 #include "util/logging.h"
 #include "wire/seal.h"
 
@@ -94,12 +92,11 @@ void LeaderReplicator::emit(wire::ReplDeltaKind kind,
 
 void LeaderReplicator::send_delta(const wire::ReplDeltaPayload& delta) {
   PROF_SCOPE("ha/repl/delta");
-  obs::count(kHaGroup, leader_.id(), "repl_deltas_total");
   obs::gauge_set(kHaGroup, leader_.id(), "repl_lag",
                  static_cast<std::int64_t>(lag()));
-  obs::trace(clock_.now(), obs::TraceKind::repl_delta, kHaGroup, leader_.id(),
-             config_.standby_id, wire::repl_delta_kind_name(delta.kind),
-             delta.seq);
+  obs::emit(obs::Event::repl_delta, clock_.now(), kHaGroup, leader_.id(),
+            config_.standby_id, wire::repl_delta_kind_name(delta.kind),
+            delta.seq);
   if (!send_) return;
   send_(config_.standby_id,
         wire::make_sealed(aead_, config_.repl_key.view(), rng_,
@@ -115,9 +112,8 @@ void LeaderReplicator::send_snapshot() {
   payload.epoch = leader_.epoch();
   payload.seq = log_.head();
   payload.snapshot = leader_.snapshot().serialize(config_.repl_key.view());
-  obs::count(kHaGroup, leader_.id(), "repl_snapshots_total");
-  obs::trace(clock_.now(), obs::TraceKind::repl_snapshot, kHaGroup,
-             leader_.id(), config_.standby_id, {}, payload.seq);
+  obs::emit(obs::Event::repl_snapshot, clock_.now(), kHaGroup, leader_.id(),
+            config_.standby_id, {}, payload.seq);
   if (!send_) return;
   send_(config_.standby_id,
         wire::make_sealed(aead_, config_.repl_key.view(), rng_,
@@ -153,14 +149,13 @@ void LeaderReplicator::handle(const wire::Envelope& e) {
       deposed_ = true;
       ENCLAVES_LOG(info) << leader_.id() << ": deposed by "
                          << config_.standby_id << " at epoch " << ack->epoch;
-      obs::count(kHaGroup, leader_.id(), "deposed_total");
-      obs::trace(clock_.now(), obs::TraceKind::fence, kHaGroup, leader_.id(),
-                 config_.standby_id, "deposed", ack->epoch);
+      obs::emit(obs::Event::deposed, clock_.now(), kHaGroup, leader_.id(),
+                config_.standby_id, "deposed", ack->epoch);
       // Evidence against ourselves: this incarnation kept distributing
       // after a failover — exactly what a resurrected leader looks like.
-      obs::security_event(clock_.now(), obs::EvidenceKind::fenced_repl,
-                          kHaGroup, leader_.id(), leader_.id(),
-                          "deposed by fenced ack", ack->epoch);
+      obs::emit(obs::Event::repl_fenced, clock_.now(), kHaGroup,
+                leader_.id(), leader_.id(), "deposed by fenced ack",
+                ack->epoch);
       // Flight-recorder incident hook: capture the deposed incarnation's
       // window before it stops mattering (dump-on-fence).
       obs::flight_incident(clock_.now(), "deposed_by_fence", kHaGroup,
@@ -174,9 +169,8 @@ void LeaderReplicator::handle(const wire::Envelope& e) {
   if (ack->gap) {
     // The standby cannot extend its contiguous prefix from what it holds —
     // repair with a full baseline (which covers every pruned delta).
-    obs::count(kHaGroup, leader_.id(), "repl_gaps_total");
-    obs::trace(clock_.now(), obs::TraceKind::repl_gap, kHaGroup, leader_.id(),
-               config_.standby_id, "resync", ack->seq);
+    obs::emit(obs::Event::repl_gap, clock_.now(), kHaGroup, leader_.id(),
+              config_.standby_id, "resync", ack->seq);
     send_snapshot();
     return;
   }

@@ -2,9 +2,7 @@
 
 #include <utility>
 
-#include "obs/metrics.h"
-#include "obs/security.h"
-#include "obs/trace.h"
+#include "obs/event.h"
 #include "util/logging.h"
 #include "wire/seal.h"
 
@@ -37,11 +35,10 @@ void StandbyLeader::handle(const wire::Envelope& e) {
   if (promoted_) {
     // We are the active leader now. Whatever the old incarnation streams is
     // void; answer with the fence so it learns it is deposed.
-    obs::trace(now_, obs::TraceKind::fence, kHaGroup, config_.id,
-               e.sender, "fenced_repl_traffic", fenced_epoch_);
-    obs::security_event(now_, obs::EvidenceKind::fenced_repl, kHaGroup,
-                        config_.id, e.sender, "repl traffic after promotion",
-                        fenced_epoch_);
+    obs::emit(obs::Event::repl_fence, now_, kHaGroup, config_.id, e.sender,
+              "fenced_repl_traffic", fenced_epoch_);
+    obs::emit(obs::Event::repl_fenced, now_, kHaGroup, config_.id, e.sender,
+              "repl traffic after promotion", fenced_epoch_);
     send_fenced_ack();
     return;
   }
@@ -70,9 +67,8 @@ void StandbyLeader::handle(const wire::Envelope& e) {
       applied_ = payload->seq;
       has_baseline_ = true;
       ++stats_.snapshots_installed;
-      obs::count(kHaGroup, config_.id, "repl_snapshots_total");
-      obs::trace(now_, obs::TraceKind::repl_snapshot, kHaGroup,
-                 config_.id, e.sender, "installed", applied_);
+      obs::emit(obs::Event::repl_snapshot, now_, kHaGroup, config_.id,
+                e.sender, "installed", applied_);
       drain_buffer();
       send_ack(false);
       return;
@@ -89,9 +85,8 @@ void StandbyLeader::handle(const wire::Envelope& e) {
         if (payload->seq > applied_ && buffer_.size() < config_.max_buffered)
           buffer_.emplace(payload->seq, *std::move(payload));
         ++stats_.gaps_detected;
-        obs::count(kHaGroup, config_.id, "repl_gaps_total");
-        obs::trace(now_, obs::TraceKind::repl_gap, kHaGroup, config_.id,
-                   e.sender, has_baseline_ ? "gap" : "no_baseline", applied_);
+        obs::emit(obs::Event::repl_gap, now_, kHaGroup, config_.id, e.sender,
+                  has_baseline_ ? "gap" : "no_baseline", applied_);
         send_ack(true);
         return;
       }
@@ -151,10 +146,9 @@ void StandbyLeader::apply(const wire::ReplDeltaPayload& delta) {
   }
   applied_ = delta.seq;
   ++stats_.deltas_applied;
-  obs::count(kHaGroup, config_.id, "repl_deltas_total");
-  obs::trace(now_, obs::TraceKind::repl_delta, kHaGroup, config_.id,
-             config_.active_id, wire::repl_delta_kind_name(delta.kind),
-             delta.seq);
+  obs::emit(obs::Event::repl_delta, now_, kHaGroup, config_.id,
+            config_.active_id, wire::repl_delta_kind_name(delta.kind),
+            delta.seq);
 }
 
 void StandbyLeader::drain_buffer() {
@@ -211,9 +205,8 @@ Result<std::unique_ptr<core::Leader>> StandbyLeader::promote(
   promoted_ = true;
   ENCLAVES_LOG(info) << config_.id << ": promoted at replication seq "
                      << applied_ << ", epoch fenced to " << fenced_epoch_;
-  obs::count(kHaGroup, config_.id, "promotions_total");
-  obs::trace(now_, obs::TraceKind::promote, kHaGroup, config_.id,
-             config_.active_id, "promoted", fenced_epoch_);
+  obs::emit(obs::Event::promote, now_, kHaGroup, config_.id,
+            config_.active_id, "promoted", fenced_epoch_);
   return leader;
 }
 

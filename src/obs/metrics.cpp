@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "obs/json_escape.h"
+#include "obs/json_reader.h"
 
 namespace enclaves::obs {
 
@@ -214,170 +215,89 @@ std::string MetricsSnapshot::to_json() const {
 }
 
 // ---------------------------------------------------------------------------
-// JSON import — a deliberately small parser for the subset to_json emits
-// (objects, arrays, strings with the escapes above, integers). Keys inside
-// an entry object may come in any order; unknown keys are an error.
+// JSON import — the subset to_json emits (objects, arrays, strings,
+// integers), read through the shared JsonCursor. Keys inside an entry object
+// may come in any order; unknown keys are an error.
 
 namespace {
 
-struct Cursor {
-  std::string_view s;
-  std::size_t pos = 0;
-
-  void skip_ws() {
-    while (pos < s.size() && (s[pos] == ' ' || s[pos] == '\n' ||
-                              s[pos] == '\t' || s[pos] == '\r'))
-      ++pos;
-  }
-  bool eat(char c) {
-    skip_ws();
-    if (pos < s.size() && s[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-  bool peek(char c) {
-    skip_ws();
-    return pos < s.size() && s[pos] == c;
-  }
-};
-
-bool parse_string(Cursor& c, std::string& out) {
-  if (!c.eat('"')) return false;
-  out.clear();
-  while (c.pos < c.s.size()) {
-    char ch = c.s[c.pos++];
-    if (ch == '"') return true;
-    if (ch == '\\') {
-      if (c.pos >= c.s.size()) return false;
-      char esc = c.s[c.pos++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'u': {
-          if (c.pos + 4 > c.s.size()) return false;
-          unsigned v = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = c.s[c.pos++];
-            v <<= 4;
-            if (h >= '0' && h <= '9') v |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              v |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              v |= static_cast<unsigned>(h - 'A' + 10);
-            else
-              return false;
-          }
-          if (v > 0xFF) return false;  // we only ever emit control bytes
-          out += static_cast<char>(v);
-          break;
-        }
-        default: return false;
-      }
-    } else {
-      out += ch;
-    }
-  }
-  return false;
-}
-
-bool parse_int(Cursor& c, std::int64_t& out) {
-  c.skip_ws();
-  bool negative = false;
-  if (c.pos < c.s.size() && c.s[c.pos] == '-') {
-    negative = true;
-    ++c.pos;
-  }
-  if (c.pos >= c.s.size() || c.s[c.pos] < '0' || c.s[c.pos] > '9')
-    return false;
-  std::uint64_t v = 0;
-  while (c.pos < c.s.size() && c.s[c.pos] >= '0' && c.s[c.pos] <= '9')
-    v = v * 10 + static_cast<std::uint64_t>(c.s[c.pos++] - '0');
-  out = negative ? -static_cast<std::int64_t>(v) : static_cast<std::int64_t>(v);
+// Stores a parsed value into `out`; false (out untouched) on a parse error.
+template <typename T>
+bool assign(Result<T> parsed, T& out) {
+  if (!parsed.ok()) return false;
+  out = *std::move(parsed);
   return true;
 }
 
-bool parse_uint(Cursor& c, std::uint64_t& out) {
-  c.skip_ws();
-  if (c.pos >= c.s.size() || c.s[c.pos] < '0' || c.s[c.pos] > '9')
-    return false;
-  out = 0;
-  while (c.pos < c.s.size() && c.s[c.pos] >= '0' && c.s[c.pos] <= '9')
-    out = out * 10 + static_cast<std::uint64_t>(c.s[c.pos++] - '0');
-  return true;
-}
-
-bool parse_uint_array(Cursor& c, std::vector<std::uint64_t>& out) {
-  if (!c.eat('[')) return false;
+bool parse_uint_array(JsonCursor& c, std::vector<std::uint64_t>& out) {
+  if (!c.consume('[')) return false;
   out.clear();
-  if (c.eat(']')) return true;
+  if (c.consume(']')) return true;
   do {
     std::uint64_t v = 0;
-    if (!parse_uint(c, v)) return false;
+    if (!assign(c.parse_uint(), v)) return false;
     out.push_back(v);
-  } while (c.eat(','));
-  return c.eat(']');
+  } while (c.consume(','));
+  return c.consume(']');
 }
 
 // Parses one `{...}` entry: the three key fields plus whatever value fields
 // the section carries, in any order. `on_field` consumes non-key fields and
 // returns false on an unknown field name.
 template <typename OnField>
-bool parse_entry(Cursor& c, MetricKey& key, OnField on_field) {
-  if (!c.eat('{')) return false;
-  if (c.eat('}')) return false;  // an entry is never empty
+bool parse_entry(JsonCursor& c, MetricKey& key, OnField on_field) {
+  if (!c.consume('{')) return false;
+  if (c.consume('}')) return false;  // an entry is never empty
   do {
     std::string field;
-    if (!parse_string(c, field) || !c.eat(':')) return false;
+    if (!assign(c.parse_string(), field) || !c.consume(':')) return false;
     if (field == "group") {
-      if (!parse_string(c, key.group)) return false;
+      if (!assign(c.parse_string(), key.group)) return false;
     } else if (field == "agent") {
-      if (!parse_string(c, key.agent)) return false;
+      if (!assign(c.parse_string(), key.agent)) return false;
     } else if (field == "name") {
-      if (!parse_string(c, key.name)) return false;
+      if (!assign(c.parse_string(), key.name)) return false;
     } else if (!on_field(field, c)) {
       return false;
     }
-  } while (c.eat(','));
-  return c.eat('}');
+  } while (c.consume(','));
+  return c.consume('}');
 }
 
 template <typename OnEntry>
-bool parse_section(Cursor& c, OnEntry on_entry) {
-  if (!c.eat('[')) return false;
-  if (c.eat(']')) return true;
+bool parse_section(JsonCursor& c, OnEntry on_entry) {
+  if (!c.consume('[')) return false;
+  if (c.consume(']')) return true;
   do {
     if (!on_entry(c)) return false;
-  } while (c.eat(','));
-  return c.eat(']');
+  } while (c.consume(','));
+  return c.consume(']');
 }
 
 }  // namespace
 
 Result<MetricsSnapshot> MetricsSnapshot::from_json(std::string_view json) {
   MetricsSnapshot snap;
-  Cursor c{json};
+  JsonCursor c{json};
   auto fail = [] {
     return make_error(Errc::malformed, "metrics json malformed");
   };
 
-  if (!c.eat('{')) return fail();
+  if (!c.consume('{')) return fail();
   bool saw_counters = false, saw_gauges = false, saw_histograms = false;
   do {
     std::string section;
-    if (!parse_string(c, section) || !c.eat(':')) return fail();
+    if (!assign(c.parse_string(), section) || !c.consume(':')) return fail();
     if (section == "counters") {
       saw_counters = true;
-      bool ok = parse_section(c, [&snap](Cursor& cur) {
+      bool ok = parse_section(c, [&snap](JsonCursor& cur) {
         MetricKey key;
         std::uint64_t value = 0;
-        if (!parse_entry(cur, key, [&value](const std::string& f, Cursor& c2) {
-              return f == "value" && parse_uint(c2, value);
-            }))
+        if (!parse_entry(cur, key,
+                         [&value](const std::string& f, JsonCursor& c2) {
+                           return f == "value" &&
+                                  assign(c2.parse_uint(), value);
+                         }))
           return false;
         snap.counters[std::move(key)] = value;
         return true;
@@ -385,12 +305,14 @@ Result<MetricsSnapshot> MetricsSnapshot::from_json(std::string_view json) {
       if (!ok) return fail();
     } else if (section == "gauges") {
       saw_gauges = true;
-      bool ok = parse_section(c, [&snap](Cursor& cur) {
+      bool ok = parse_section(c, [&snap](JsonCursor& cur) {
         MetricKey key;
         std::int64_t value = 0;
-        if (!parse_entry(cur, key, [&value](const std::string& f, Cursor& c2) {
-              return f == "value" && parse_int(c2, value);
-            }))
+        if (!parse_entry(cur, key,
+                         [&value](const std::string& f, JsonCursor& c2) {
+                           return f == "value" &&
+                                  assign(c2.parse_int(), value);
+                         }))
           return false;
         snap.gauges[std::move(key)] = value;
         return true;
@@ -398,13 +320,13 @@ Result<MetricsSnapshot> MetricsSnapshot::from_json(std::string_view json) {
       if (!ok) return fail();
     } else if (section == "histograms") {
       saw_histograms = true;
-      bool ok = parse_section(c, [&snap](Cursor& cur) {
+      bool ok = parse_section(c, [&snap](JsonCursor& cur) {
         MetricKey key;
         HistogramData h;
-        if (!parse_entry(cur, key, [&h](const std::string& f, Cursor& c2) {
-              if (f == "count") return parse_uint(c2, h.count);
-              if (f == "sum") return parse_uint(c2, h.sum);
-              if (f == "overflow") return parse_uint(c2, h.overflow);
+        if (!parse_entry(cur, key, [&h](const std::string& f, JsonCursor& c2) {
+              if (f == "count") return assign(c2.parse_uint(), h.count);
+              if (f == "sum") return assign(c2.parse_uint(), h.sum);
+              if (f == "overflow") return assign(c2.parse_uint(), h.overflow);
               if (f == "bounds") return parse_uint_array(c2, h.bounds);
               if (f == "counts") return parse_uint_array(c2, h.counts);
               return false;
@@ -418,10 +340,8 @@ Result<MetricsSnapshot> MetricsSnapshot::from_json(std::string_view json) {
     } else {
       return fail();
     }
-  } while (c.eat(','));
-  if (!c.eat('}')) return fail();
-  c.skip_ws();
-  if (c.pos != json.size()) return fail();
+  } while (c.consume(','));
+  if (!c.consume('}') || !c.at_end()) return fail();
   if (!saw_counters || !saw_gauges || !saw_histograms) return fail();
   return snap;
 }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "obs/json_escape.h"
+#include "obs/json_reader.h"
 
 namespace enclaves::obs {
 
@@ -145,83 +146,6 @@ std::string ProfSnapshot::to_json() const {
 
 namespace {
 
-// Minimal parser for exactly the subset to_json emits, in the same idiom
-// as MetricsSnapshot::from_json.
-struct Cursor {
-  std::string_view s;
-  std::size_t pos = 0;
-
-  void skip_ws() {
-    while (pos < s.size() && (s[pos] == ' ' || s[pos] == '\n' ||
-                              s[pos] == '\t' || s[pos] == '\r'))
-      ++pos;
-  }
-  bool eat(char c) {
-    skip_ws();
-    if (pos < s.size() && s[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-  bool peek(char c) {
-    skip_ws();
-    return pos < s.size() && s[pos] == c;
-  }
-};
-
-bool parse_string(Cursor& c, std::string& out) {
-  if (!c.eat('"')) return false;
-  out.clear();
-  while (c.pos < c.s.size()) {
-    char ch = c.s[c.pos++];
-    if (ch == '"') return true;
-    if (ch == '\\') {
-      if (c.pos >= c.s.size()) return false;
-      char esc = c.s[c.pos++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'u': {
-          if (c.pos + 4 > c.s.size()) return false;
-          unsigned v = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = c.s[c.pos++];
-            v <<= 4;
-            if (h >= '0' && h <= '9') v |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              v |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              v |= static_cast<unsigned>(h - 'A' + 10);
-            else
-              return false;
-          }
-          if (v > 0xFF) return false;  // we only ever emit control bytes
-          out += static_cast<char>(v);
-          break;
-        }
-        default: return false;
-      }
-    } else {
-      out += ch;
-    }
-  }
-  return false;
-}
-
-bool parse_u64(Cursor& c, std::uint64_t& out) {
-  c.skip_ws();
-  if (c.pos >= c.s.size() || c.s[c.pos] < '0' || c.s[c.pos] > '9')
-    return false;
-  out = 0;
-  while (c.pos < c.s.size() && c.s[c.pos] >= '0' && c.s[c.pos] <= '9')
-    out = out * 10 + static_cast<std::uint64_t>(c.s[c.pos++] - '0');
-  return true;
-}
-
 // Human-scaled duration, deterministic for a given input.
 std::string fmt_ns(std::uint64_t ns) {
   char buf[32];
@@ -250,48 +174,48 @@ std::string lpad(std::string s, std::size_t width) {
 }  // namespace
 
 Result<ProfSnapshot> ProfSnapshot::from_json(std::string_view json) {
-  Cursor c{json};
+  JsonCursor c{json};
   ProfSnapshot out;
-  if (!c.eat('{')) return Errc::malformed;
-  std::string key;
-  if (!parse_string(c, key) || key != "scopes" || !c.eat(':') || !c.eat('['))
+  if (!c.consume('{')) return Errc::malformed;
+  auto key = c.parse_string();
+  if (!key.ok() || *key != "scopes" || !c.consume(':') || !c.consume('['))
     return Errc::malformed;
   if (!c.peek(']')) {
     do {
-      if (!c.eat('{')) return Errc::malformed;
+      if (!c.consume('{')) return Errc::malformed;
       std::string path;
       ProfStat stat;
       bool saw_path = false;
       do {
-        std::string field;
-        if (!parse_string(c, field) || !c.eat(':')) return Errc::malformed;
-        if (field == "path") {
-          if (!parse_string(c, path)) return Errc::malformed;
+        auto field = c.parse_string();
+        if (!field.ok() || !c.consume(':')) return Errc::malformed;
+        if (*field == "path") {
+          auto v = c.parse_string();
+          if (!v.ok()) return Errc::malformed;
+          path = *std::move(v);
           saw_path = true;
-        } else if (field == "count") {
-          if (!parse_u64(c, stat.count)) return Errc::malformed;
-        } else if (field == "total_ns") {
-          if (!parse_u64(c, stat.total_ns)) return Errc::malformed;
-        } else if (field == "self_ns") {
-          if (!parse_u64(c, stat.self_ns)) return Errc::malformed;
-        } else if (field == "min_ns") {
-          if (!parse_u64(c, stat.min_ns)) return Errc::malformed;
-        } else if (field == "max_ns") {
-          if (!parse_u64(c, stat.max_ns)) return Errc::malformed;
-        } else if (field == "bytes") {
-          if (!parse_u64(c, stat.bytes)) return Errc::malformed;
-        } else {
-          return make_error(Errc::malformed, "unknown profile field: " +
-                                                 field);
+          continue;
         }
-      } while (c.eat(','));
-      if (!c.eat('}') || !saw_path) return Errc::malformed;
+        std::uint64_t* slot = *field == "count"      ? &stat.count
+                              : *field == "total_ns" ? &stat.total_ns
+                              : *field == "self_ns"  ? &stat.self_ns
+                              : *field == "min_ns"   ? &stat.min_ns
+                              : *field == "max_ns"   ? &stat.max_ns
+                              : *field == "bytes"    ? &stat.bytes
+                                                     : nullptr;
+        if (!slot)
+          return make_error(Errc::malformed,
+                            "unknown profile field: " + *field);
+        auto v = c.parse_uint();
+        if (!v.ok()) return Errc::malformed;
+        *slot = *v;
+      } while (c.consume(','));
+      if (!c.consume('}') || !saw_path) return Errc::malformed;
       out.scopes[std::move(path)] = stat;
-    } while (c.eat(','));
+    } while (c.consume(','));
   }
-  if (!c.eat(']') || !c.eat('}')) return Errc::malformed;
-  c.skip_ws();
-  if (c.pos != json.size()) return Errc::malformed;  // trailing garbage
+  if (!c.consume(']') || !c.consume('}')) return Errc::malformed;
+  if (!c.at_end()) return Errc::malformed;  // trailing garbage
   return out;
 }
 

@@ -17,9 +17,11 @@
 // operator, not a verdict.
 //
 // Same cost model as metrics/trace: without an attached SecurityLedger the
-// inline security_event() helper is one atomic load and a branch. With a
-// sink, each refusal also bumps `security.*` metrics (per-observer refusal
-// counters, per-accused rolling suspicion) through the metrics sink.
+// inline security_event() helper is one atomic load and a branch (pinned by
+// obs_test's EmitTable.FreeWhenEverySinkDetached). With a sink, each refusal
+// also bumps `security.*` metrics (per-observer refusal counters,
+// per-accused rolling suspicion) through the metrics sink. Protocol code
+// reports refusals through obs::emit (obs/event.h), which records them.
 #pragma once
 
 #include <atomic>

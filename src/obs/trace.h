@@ -8,7 +8,9 @@
 // delivery and rejection, and fault-injector verdicts.
 //
 // Same cost model as metrics: without an attached TraceLog the inline
-// trace() helper is one atomic load and a branch — no allocation.
+// trace() helper is one atomic load and a branch — no allocation (pinned by
+// obs_test's EmitTable.FreeWhenEverySinkDetached). Protocol code reports
+// through obs::emit (obs/event.h), which records these events.
 #pragma once
 
 #include <atomic>

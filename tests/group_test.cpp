@@ -8,6 +8,7 @@
 #include "core/leader.h"
 #include "core/member.h"
 #include "net/sim_network.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace enclaves::core {
@@ -291,6 +292,8 @@ TEST(Group, ExpelMidHandshakeDoesNotAnnounceDeparture) {
 }
 
 TEST(Group, ShutdownGroupNotifiesEveryoneOnce) {
+  obs::MetricsRegistry metrics;
+  obs::ScopedMetricsSink metrics_sink(metrics);
   World w(17);
   std::map<std::string, std::string> close_reasons;
   for (const char* id : {"alice", "bob", "carol"}) {
@@ -315,7 +318,7 @@ TEST(Group, ShutdownGroupNotifiesEveryoneOnce) {
     EXPECT_FALSE(m->connected()) << id;
     EXPECT_FALSE(m->has_group_key()) << id;
   }
-  EXPECT_EQ(w.leader.audit().count(AuditKind::member_expelled), 3u);
+  EXPECT_EQ(metrics.counter("L", "L", "expulsions_total"), 3u);
 }
 
 TEST(Group, EventSequenceOnJoin) {

@@ -1,19 +1,44 @@
 // Observability layer: metrics registry semantics (counter monotonicity,
-// histogram bucketing, snapshot isolation, JSON round-trip) and trace-event
-// ordering against VirtualClock ticks.
+// histogram bucketing, snapshot isolation, JSON round-trip), trace-event
+// ordering against VirtualClock ticks, and the per-event emit table.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <map>
+#include <new>
 #include <set>
 #include <string>
 #include <thread>
 #include <string_view>
 #include <vector>
 
+#include "obs/event.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
 #include "obs/security.h"
 #include "obs/trace.h"
 #include "util/clock.h"
+
+// Counts heap allocations made on the current thread while armed, so a test
+// can prove a code path allocates nothing. Replacing the global operator
+// new/delete pair is the only way to see every allocation, including those
+// made inside the standard library.
+namespace {
+thread_local bool g_count_allocations = false;
+thread_local std::size_t g_allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_count_allocations) ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler never pairs an inlined free() with a
+// `new` expression at a call site.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace enclaves::obs {
 namespace {
@@ -130,6 +155,33 @@ TEST(MetricsSnapshot, FromJsonRejectsMalformed) {
   // Trailing garbage after the top-level object.
   MetricsSnapshot empty;
   EXPECT_FALSE(MetricsSnapshot::from_json(empty.to_json() + "x").ok());
+}
+
+// Dump files are untrusted input: a counter one past 2^64 - 1 must be
+// refused, not wrapped to 0.
+TEST(MetricsSnapshot, FromJsonRejectsOutOfRangeIntegers) {
+  auto with_counter = [](std::string_view value) {
+    return std::string(R"({"counters": [{"group":"g","agent":"a","name":"n",)") +
+           R"("value":)" + std::string(value) +
+           R"(}], "gauges": [], "histograms": []})";
+  };
+  auto max = MetricsSnapshot::from_json(with_counter("18446744073709551615"));
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ(max->counters.begin()->second, 18446744073709551615ull);
+  auto over = MetricsSnapshot::from_json(with_counter("18446744073709551616"));
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.error().code, Errc::malformed);
+
+  auto gauge = [](std::string_view value) {
+    return std::string(R"({"counters": [], "gauges": [{"group":"g",)") +
+           R"("agent":"a","name":"n","value":)" + std::string(value) +
+           R"(}], "histograms": []})";
+  };
+  auto min = MetricsSnapshot::from_json(gauge("-9223372036854775808"));
+  ASSERT_TRUE(min.ok());
+  EXPECT_EQ(min->gauges.begin()->second, INT64_MIN);
+  EXPECT_FALSE(MetricsSnapshot::from_json(gauge("9223372036854775808")).ok());
+  EXPECT_FALSE(MetricsSnapshot::from_json(gauge("-9223372036854775809")).ok());
 }
 
 TEST(MetricsSink, HelpersAreQuietWithoutSink) {
@@ -512,6 +564,138 @@ TEST(ProfSnapshot, FromJsonRejectsMalformed) {
   EXPECT_TRUE(ProfSnapshot::from_json("{\"scopes\": []}").ok());
 }
 
+TEST(ProfSnapshot, FromJsonRejectsOutOfRangeIntegers) {
+  auto parsed = ProfSnapshot::from_json(
+      "{\"scopes\": [{\"path\": \"x\", \"count\": 18446744073709551616}]}");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.error().code, Errc::malformed);
+}
+
+// --- obs::emit and the per-event table -------------------------------
+
+Event event_at(std::size_t i) { return static_cast<Event>(i); }
+
+TEST(EmitTable, RowsAreNamedAndProduceSomething) {
+  std::set<std::string_view> names;
+  for (std::size_t i = 0; i < kEventCount; ++i) {
+    const EventRow& row = event_row(event_at(i));
+    EXPECT_FALSE(row.name.empty()) << i;
+    EXPECT_TRUE(names.insert(row.name).second) << row.name;
+    EXPECT_TRUE(!row.counter.empty() || row.trace || row.evidence)
+        << row.name << " produces nothing";
+  }
+}
+
+// With every sink attached, one emit of each event produces exactly its row:
+// its counter, the security.* trio when the row has evidence, one trace
+// event of its kind and one ledger entry of its kind — and nothing else.
+TEST(EmitTable, EachEventProducesExactlyItsRow) {
+  for (std::size_t i = 0; i < kEventCount; ++i) {
+    const EventRow& row = event_row(event_at(i));
+    SCOPED_TRACE(std::string(row.name));
+    MetricsRegistry metrics;
+    TraceLog trace;
+    SecurityLedger ledger;
+    {
+      ScopedMetricsSink metrics_sink(metrics);
+      ScopedTraceSink trace_sink(trace);
+      ScopedSecurityLedger ledger_sink(ledger);
+      emit(event_at(i), 7, "G", "A", "P", "why", 3);
+    }
+
+    std::map<MetricKey, std::uint64_t> counters;
+    std::map<MetricKey, std::int64_t> gauges;
+    if (!row.counter.empty()) {
+      const std::string_view group =
+          row.counter_group.empty() ? "G" : row.counter_group;
+      const std::string_view agent =
+          row.counter_agent.empty() ? "A" : row.counter_agent;
+      counters[MetricKey{std::string(group), std::string(agent),
+                         std::string(row.counter)}] = 1;
+    }
+    if (row.evidence) {
+      counters[MetricKey{"security", "A", "refusals_total"}] = 1;
+      counters[MetricKey{"security", "A",
+                         std::string(evidence_metric_name(*row.evidence))}] =
+          1;
+      counters[MetricKey{"security", "P", "suspicion_total"}] = 1;
+      gauges[MetricKey{"security", "P", "suspicion"}] = 1;
+    }
+    const MetricsSnapshot snap = metrics.snapshot();
+    EXPECT_EQ(snap.counters, counters);
+    EXPECT_EQ(snap.gauges, gauges);
+    EXPECT_TRUE(snap.histograms.empty());
+
+    const auto events = trace.events();
+    if (row.trace) {
+      ASSERT_EQ(events.size(), 1u);
+      EXPECT_EQ(events[0],
+                (TraceEvent{7, *row.trace, "G", "A", "P", "why", 3}));
+    } else {
+      EXPECT_TRUE(events.empty());
+    }
+
+    const auto entries = ledger.entries();
+    if (row.evidence) {
+      ASSERT_EQ(entries.size(), 1u);
+      EXPECT_EQ(entries[0],
+                (SecurityEvidence{7, *row.evidence, "G", "A", "P", "why", 3}));
+    } else {
+      EXPECT_TRUE(entries.empty());
+    }
+  }
+}
+
+TEST(EmitTable, SiteChosenEvidenceReplacesTheRowDefault) {
+  MetricsRegistry metrics;
+  SecurityLedger ledger;
+  {
+    ScopedMetricsSink metrics_sink(metrics);
+    ScopedSecurityLedger ledger_sink(ledger);
+    emit(Event::auth_reject, evidence_kind_for(Errc::stale), 1, "G", "A",
+         "P", "AuthAckKey");
+  }
+  ASSERT_EQ(ledger.size(), 1u);
+  EXPECT_EQ(ledger.entries()[0].kind, EvidenceKind::stale_nonce);
+  EXPECT_EQ(metrics.counter("G", "A", "auth_rejects_total"), 1u);
+  EXPECT_EQ(metrics.counter("security", "A", "refusals_stale_nonce_total"),
+            1u);
+  EXPECT_EQ(metrics.counter("security", "A", "refusals_bad_label_total"), 0u);
+}
+
+// The cost-model claim in event.h, trace.h and security.h: with every sink
+// detached, reporting builds no strings and allocates nothing.
+TEST(EmitTable, FreeWhenEverySinkDetached) {
+  ASSERT_EQ(metrics_sink(), nullptr);
+  ASSERT_EQ(trace_sink(), nullptr);
+  ASSERT_EQ(security_sink(), nullptr);
+  // Longer than any small-string buffer, so a copy would have to allocate.
+  const std::string_view long_text =
+      "a detail long enough that copying it into a std::string allocates";
+
+  g_allocations = 0;
+  g_count_allocations = true;
+  for (std::size_t i = 0; i < kEventCount; ++i) {
+    emit(event_at(i), 1, long_text, long_text, long_text, long_text, 2);
+    emit(event_at(i), EvidenceKind::malformed, 1, long_text, long_text,
+         long_text, long_text, 2);
+  }
+  trace(1, TraceKind::join, long_text, long_text, long_text, long_text, 2);
+  security_event(1, EvidenceKind::malformed, long_text, long_text, long_text,
+                 long_text, 2);
+  count(long_text, long_text, long_text);
+  g_count_allocations = false;
+  EXPECT_EQ(g_allocations, 0u);
+
+  // The counter itself works: the same call with a sink attached allocates.
+  TraceLog log;
+  ScopedTraceSink sink(log);
+  g_allocations = 0;
+  g_count_allocations = true;
+  emit(Event::join, 1, long_text, long_text, long_text, long_text, 2);
+  g_count_allocations = false;
+  EXPECT_GT(g_allocations, 0u);
+}
+
 }  // namespace
 }  // namespace enclaves::obs
-

@@ -74,6 +74,19 @@ TEST(FlightDumpParse, CountsTornMarkersAndUnknownKinds) {
   EXPECT_TRUE(dump->complete);
 }
 
+// A real CLOCK_REALTIME reading needs all 64 bits; read through a double
+// it would come back 21 ns off (rounded to the nearest multiple of 256).
+TEST(FlightDumpParse, WallClockNanosecondsParseExactly) {
+  const std::string blob =
+      "{\"enclaves_flight\":1,\"node\":\"n0\",\"incident\":\"inc-1\","
+      "\"reason\":\"test\",\"trigger_tick\":10,\"tick\":12,"
+      "\"wall_ns\":1760692060123456789,\"tick_ns\":1000000,\"seq\":0}\n";
+  auto dump = FlightDump::parse(blob);
+  ASSERT_TRUE(dump.ok());
+  EXPECT_EQ(dump->header.wall_ns, 1760692060123456789ull);
+  EXPECT_EQ(dump->global_ns(13), 1760692060124456789ull);
+}
+
 TEST(FlightDumpParse, RejectsBlobWithoutHeader) {
   EXPECT_FALSE(FlightDump::parse("{\"k\":\"end\",\"seq\":0}\n").ok());
   EXPECT_FALSE(FlightDump::parse("").ok());

@@ -10,6 +10,7 @@
 #include "core/registry.h"
 #include "crypto/password.h"
 #include "net/sim_network.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 #include "wire/payloads.h"
 #include "wire/seal.h"
@@ -321,6 +322,8 @@ TEST(Recovery, ExpelStalledRejoinNeverSeesOldKeys) {
 
 TEST(Recovery, StatsSnapshotTracksLifecycle) {
   SCOPED_TRACE("seed=4");
+  obs::MetricsRegistry metrics;
+  obs::ScopedMetricsSink metrics_sink(metrics);
   World w(4);
   auto pa = crypto::LongTermKey::random(w.rng);
   auto& alice = w.add("alice", pa);
@@ -329,17 +332,18 @@ TEST(Recovery, StatsSnapshotTracksLifecycle) {
   ASSERT_TRUE(alice.leave().ok());
   w.net.run();
 
-  auto s = w.leader.stats();
-  EXPECT_EQ(s.members, 0u);
-  EXPECT_EQ(s.joins, 1u);
-  EXPECT_EQ(s.leaves, 1u);
-  EXPECT_GE(s.rekeys, 1u);
-  EXPECT_EQ(s.expulsions, 0u);
-
-  std::string line = s.to_string();
-  EXPECT_NE(line.find("members=0"), std::string::npos);
-  EXPECT_NE(line.find("joins=1"), std::string::npos);
-  EXPECT_NE(line.find("leaves=1"), std::string::npos);
+  const obs::MetricsSnapshot s = metrics.snapshot();
+  auto leader_counter = [&s](const char* name) -> std::uint64_t {
+    auto it = s.counters.find(obs::MetricKey{"L", "L", name});
+    return it == s.counters.end() ? 0 : it->second;
+  };
+  EXPECT_EQ(w.leader.member_count(), 0u);
+  EXPECT_EQ(s.gauges.at(obs::MetricKey{"L", "L", "members"}), 0);
+  EXPECT_EQ(leader_counter("joins_total"), 1u);
+  EXPECT_EQ(leader_counter("leaves_total"), 1u);
+  EXPECT_GE(leader_counter("rekeys_total"), 1u);
+  EXPECT_EQ(leader_counter("rekeys_total"), w.leader.epoch());
+  EXPECT_EQ(leader_counter("expulsions_total"), 0u);
 }
 
 }  // namespace

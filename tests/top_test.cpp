@@ -169,6 +169,14 @@ TEST(ParseFlightStatus, LoadsTheFlightRouteBody) {
   EXPECT_FALSE(parse_flight_status("no flight recorder\n").ok());
 }
 
+TEST(ParseFlightStatus, WallClockNanosecondsParseExactly) {
+  auto status = parse_flight_status(
+      "{\"node\":\"n0\",\"dumps\":1,"
+      "\"last_wall_ns\":1760692060123456789}");
+  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(status->last_wall_ns, 1760692060123456789ull);
+}
+
 TEST(RenderFrame, HealthyFrameIsMinimal) {
   TopFrame frame;
   frame.tick = 4;

@@ -23,11 +23,11 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "obs/json_reader.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
 #include "util/result.h"
@@ -57,130 +57,7 @@ struct BenchBlob {
 
 namespace diff_detail {
 
-struct Cursor {
-  std::string_view s;
-  std::size_t pos = 0;
-
-  void skip_ws() {
-    while (pos < s.size() && (s[pos] == ' ' || s[pos] == '\t' ||
-                              s[pos] == '\n' || s[pos] == '\r'))
-      ++pos;
-  }
-  bool consume(char c) {
-    skip_ws();
-    if (pos < s.size() && s[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-  bool peek(char c) {
-    skip_ws();
-    return pos < s.size() && s[pos] == c;
-  }
-
-  Result<std::string> parse_string() {
-    skip_ws();
-    if (pos >= s.size() || s[pos] != '"') return Errc::malformed;
-    ++pos;
-    std::string out;
-    while (pos < s.size() && s[pos] != '"') {
-      char c = s[pos++];
-      if (c == '\\') {
-        if (pos >= s.size()) return Errc::truncated;
-        char esc = s[pos++];
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'u': {
-            if (pos + 4 > s.size()) return Errc::truncated;
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = s[pos++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f')
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F')
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              else
-                return Errc::malformed;
-            }
-            if (code > 0xFF) return Errc::malformed;  // escapes cover bytes
-            out += static_cast<char>(code);
-            break;
-          }
-          default: return Errc::malformed;
-        }
-      } else {
-        out += c;
-      }
-    }
-    if (pos >= s.size()) return Errc::truncated;
-    ++pos;  // closing quote
-    return out;
-  }
-
-  Result<double> parse_number() {
-    skip_ws();
-    const std::size_t start = pos;
-    if (pos < s.size() && (s[pos] == '-' || s[pos] == '+')) ++pos;
-    while (pos < s.size() &&
-           ((s[pos] >= '0' && s[pos] <= '9') || s[pos] == '.' ||
-            s[pos] == 'e' || s[pos] == 'E' || s[pos] == '-' || s[pos] == '+'))
-      ++pos;
-    if (pos == start) return Errc::malformed;
-    const std::string text(s.substr(start, pos - start));
-    char* endp = nullptr;
-    const double value = std::strtod(text.c_str(), &endp);
-    if (endp != text.c_str() + text.size()) return Errc::malformed;
-    return value;
-  }
-
-  Result<bool> parse_bool() {
-    skip_ws();
-    if (s.substr(pos, 4) == "true") {
-      pos += 4;
-      return true;
-    }
-    if (s.substr(pos, 5) == "false") {
-      pos += 5;
-      return false;
-    }
-    return Errc::malformed;
-  }
-
-  /// Consumes a balanced JSON object starting at the next '{' and returns
-  /// the raw text (string-aware brace counting).
-  Result<std::string_view> parse_raw_object() {
-    skip_ws();
-    if (pos >= s.size() || s[pos] != '{') return Errc::malformed;
-    const std::size_t start = pos;
-    int depth = 0;
-    bool in_string = false;
-    while (pos < s.size()) {
-      char c = s[pos++];
-      if (in_string) {
-        if (c == '\\') {
-          if (pos < s.size()) ++pos;
-        } else if (c == '"') {
-          in_string = false;
-        }
-        continue;
-      }
-      if (c == '"') in_string = true;
-      else if (c == '{') ++depth;
-      else if (c == '}' && --depth == 0) return s.substr(start, pos - start);
-    }
-    return Errc::truncated;
-  }
-};
-
-inline Result<BenchResult> parse_result_row(Cursor& c) {
+inline Result<BenchResult> parse_result_row(obs::JsonCursor& c) {
   if (!c.consume('{')) return Errc::malformed;
   BenchResult row;
   if (!c.peek('}')) {
@@ -193,9 +70,9 @@ inline Result<BenchResult> parse_result_row(Cursor& c) {
         if (!v.ok()) return v.error();
         row.name = *std::move(v);
       } else if (*key == "iterations") {
-        auto v = c.parse_number();
+        auto v = c.parse_uint();
         if (!v.ok()) return v.error();
-        row.iterations = static_cast<std::uint64_t>(*v);
+        row.iterations = *v;
       } else if (*key == "real_time") {
         auto v = c.parse_number();
         if (!v.ok()) return v.error();
@@ -220,7 +97,7 @@ inline Result<BenchResult> parse_result_row(Cursor& c) {
 }  // namespace diff_detail
 
 inline Result<BenchBlob> BenchBlob::parse(std::string_view json) {
-  diff_detail::Cursor c{json};
+  obs::JsonCursor c{json};
   if (!c.consume('{')) return Errc::malformed;
   BenchBlob blob;
   bool saw_results = false, saw_metrics = false;
@@ -267,8 +144,7 @@ inline Result<BenchBlob> BenchBlob::parse(std::string_view json) {
     } while (c.consume(','));
   }
   if (!c.consume('}')) return Errc::malformed;
-  c.skip_ws();
-  if (c.pos != json.size()) return Errc::malformed;  // trailing garbage
+  if (!c.at_end()) return Errc::malformed;  // trailing garbage
   if (blob.bench.empty() || !saw_results || !saw_metrics)
     return make_error(Errc::malformed, "missing blob section");
   return blob;

@@ -24,9 +24,9 @@
 #include <vector>
 
 #include "obs/json_escape.h"
+#include "obs/json_reader.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
-#include "tools/bench_diff_lib.h"
 #include "util/result.h"
 
 namespace enclaves::postmortem {
@@ -99,8 +99,6 @@ struct Postmortem {
 
 namespace pm_detail {
 
-using tools::diff_detail::Cursor;
-
 struct FlatObject {
   std::map<std::string, std::string> strings;
   std::map<std::string, std::uint64_t> numbers;
@@ -109,7 +107,7 @@ struct FlatObject {
 /// Parses one {"key":value,...} line of string/number/bool scalars (nested
 /// objects are consumed raw and dropped). Errc::malformed on anything else.
 inline Result<FlatObject> parse_flat_object(std::string_view line) {
-  Cursor c{line};
+  obs::JsonCursor c{line};
   if (!c.consume('{')) return Errc::malformed;
   FlatObject obj;
   if (!c.peek('}')) {
@@ -130,9 +128,11 @@ inline Result<FlatObject> parse_flat_object(std::string_view line) {
         if (!v.ok()) return v.error();
         obj.numbers[*key] = *v ? 1 : 0;
       } else {
-        auto v = c.parse_number();
+        // Every number a dump writes is a u64; read it exactly (a
+        // CLOCK_REALTIME wall_ns needs all 64 bits).
+        auto v = c.parse_uint();
         if (!v.ok()) return v.error();
-        obj.numbers[*key] = static_cast<std::uint64_t>(*v);
+        obj.numbers[*key] = *v;
       }
     } while (c.consume(','));
   }

@@ -19,9 +19,9 @@
 
 #include "obs/export.h"
 #include "obs/health.h"
+#include "obs/json_reader.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
-#include "tools/bench_diff_lib.h"
 #include "util/result.h"
 
 namespace enclaves::top {
@@ -43,7 +43,7 @@ struct FlightStatus {
 /// Parses a /flight body. Errc::malformed on anything unparseable (a 404
 /// body, a torn poll) — callers treat that as "no recorder".
 inline Result<FlightStatus> parse_flight_status(std::string_view json) {
-  tools::diff_detail::Cursor c{json};
+  obs::JsonCursor c{json};
   if (!c.consume('{')) return Errc::malformed;
   FlightStatus status;
   if (!c.peek('}')) {
@@ -60,14 +60,11 @@ inline Result<FlightStatus> parse_flight_status(std::string_view json) {
         else if (*key == "last_reason") status.last_reason = *std::move(v);
         else if (*key == "last_path") status.last_path = *std::move(v);
       } else {
-        auto v = c.parse_number();
+        auto v = c.parse_uint();
         if (!v.ok()) return v.error();
-        if (*key == "dumps")
-          status.dumps = static_cast<std::uint64_t>(*v);
-        else if (*key == "last_trigger_tick")
-          status.last_trigger_tick = static_cast<std::uint64_t>(*v);
-        else if (*key == "last_wall_ns")
-          status.last_wall_ns = static_cast<std::uint64_t>(*v);
+        if (*key == "dumps") status.dumps = *v;
+        else if (*key == "last_trigger_tick") status.last_trigger_tick = *v;
+        else if (*key == "last_wall_ns") status.last_wall_ns = *v;
       }
     } while (c.consume(','));
   }
