@@ -11,7 +11,7 @@ HmacSha256::HmacSha256(BytesView key) {
   if (key.size() > Sha256::kBlockSize) {
     auto d = Sha256::hash(key);
     std::memcpy(k.data(), d.data(), d.size());
-  } else {
+  } else if (!key.empty()) {  // an empty key's data() may be null
     std::memcpy(k.data(), key.data(), key.size());
   }
   for (std::size_t i = 0; i < k.size(); ++i) {

@@ -1,116 +1,94 @@
 #include "crypto/poly1305.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
 
-// Implementation follows the widely used "donna" 26-bit limb schedule:
-// r and the accumulator h are held in five 26-bit limbs and multiplied
-// modulo 2^130 - 5 with 64-bit intermediates.
+// The "donna-64" schedule: r and the accumulator h are held in three limbs
+// of 44, 44 and 42 bits, and multiplied modulo 2^130 - 5 with 64x64->128-bit
+// products (unsigned __int128). Because 2^130 = 5 (mod p), a product term
+// that lands at 2^132 or above folds back down multiplied by 4 * 5 = 20;
+// s1 and s2 carry that factor.
 
 namespace enclaves::crypto {
 
+static_assert(std::endian::native == std::endian::little,
+              "Poly1305 loads message words in host byte order");
+
 namespace {
 
-std::uint32_t load_le32(const std::uint8_t* p) {
-  return std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8) |
-         (std::uint32_t{p[2]} << 16) | (std::uint32_t{p[3]} << 24);
+using u128 = unsigned __int128;
+
+constexpr std::uint64_t kMask44 = (std::uint64_t{1} << 44) - 1;
+constexpr std::uint64_t kMask42 = (std::uint64_t{1} << 42) - 1;
+
+std::uint64_t load_le64(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
 }
 
-void store_le32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-  p[2] = static_cast<std::uint8_t>(v >> 16);
-  p[3] = static_cast<std::uint8_t>(v >> 24);
+void store_le64(std::uint8_t* p, std::uint64_t v) {
+  std::memcpy(p, &v, sizeof v);
 }
-
-struct State26 {
-  std::uint32_t r[5];
-  std::uint32_t h[5] = {0, 0, 0, 0, 0};
-  std::uint32_t pad[4];
-};
 
 }  // namespace
 
-// We keep the donna state inside the member arrays declared in the header:
-// r_[0..2] and pad_[0..1] pack the 5 r-limbs and 4 pad words; h_ packs the
-// 5 h-limbs. Packing scheme: r_[0]=r0|r1<<32, r_[1]=r2|r3<<32, r_[2]=r4;
-// same for h_; pad_[0]=pad0|pad1<<32, pad_[1]=pad2|pad3<<32.
-
 Poly1305::Poly1305(BytesView key) {
   assert(key.size() == kKeySize);
-  const std::uint8_t* k = key.data();
-  std::uint32_t r0 = load_le32(k + 0) & 0x3ffffff;
-  std::uint32_t r1 = (load_le32(k + 3) >> 2) & 0x3ffff03;
-  std::uint32_t r2 = (load_le32(k + 6) >> 4) & 0x3ffc0ff;
-  std::uint32_t r3 = (load_le32(k + 9) >> 6) & 0x3f03fff;
-  std::uint32_t r4 = (load_le32(k + 12) >> 8) & 0x00fffff;
-  r_[0] = std::uint64_t{r0} | (std::uint64_t{r1} << 32);
-  r_[1] = std::uint64_t{r2} | (std::uint64_t{r3} << 32);
-  r_[2] = r4;
+  const std::uint64_t t0 = load_le64(key.data());
+  const std::uint64_t t1 = load_le64(key.data() + 8);
+  // Clamp r (RFC 8439 §2.5.1) while splitting it into 44/44/42-bit limbs.
+  r_[0] = t0 & 0xffc0fffffff;
+  r_[1] = ((t0 >> 44) | (t1 << 20)) & 0xfffffc0ffff;
+  r_[2] = (t1 >> 24) & 0x00ffffffc0f;
   h_[0] = h_[1] = h_[2] = 0;
-  pad_[0] = std::uint64_t{load_le32(k + 16)} | (std::uint64_t{load_le32(k + 20)} << 32);
-  pad_[1] = std::uint64_t{load_le32(k + 24)} | (std::uint64_t{load_le32(k + 28)} << 32);
+  pad_[0] = load_le64(key.data() + 16);
+  pad_[1] = load_le64(key.data() + 24);
 }
 
 void Poly1305::blocks(const std::uint8_t* data, std::size_t len,
                       bool final_partial) {
-  const std::uint32_t hibit = final_partial ? 0 : (1u << 24);
-  std::uint32_t r0 = static_cast<std::uint32_t>(r_[0]);
-  std::uint32_t r1 = static_cast<std::uint32_t>(r_[0] >> 32);
-  std::uint32_t r2 = static_cast<std::uint32_t>(r_[1]);
-  std::uint32_t r3 = static_cast<std::uint32_t>(r_[1] >> 32);
-  std::uint32_t r4 = static_cast<std::uint32_t>(r_[2]);
+  // 2^128 in limb 2 (bit 128 - 88 = 40); a padded final block has its 1
+  // byte in the data instead.
+  const std::uint64_t hibit = final_partial ? 0 : (std::uint64_t{1} << 40);
+  const std::uint64_t r0 = r_[0], r1 = r_[1], r2 = r_[2];
+  const std::uint64_t s1 = r1 * 20, s2 = r2 * 20;
+  std::uint64_t h0 = h_[0], h1 = h_[1], h2 = h_[2];
 
-  const std::uint32_t s1 = r1 * 5, s2 = r2 * 5, s3 = r3 * 5, s4 = r4 * 5;
+  for (; len >= 16; data += 16, len -= 16) {
+    const std::uint64_t t0 = load_le64(data);
+    const std::uint64_t t1 = load_le64(data + 8);
+    h0 += t0 & kMask44;
+    h1 += ((t0 >> 44) | (t1 << 20)) & kMask44;
+    h2 += ((t1 >> 24) & kMask42) | hibit;
 
-  std::uint32_t h0 = static_cast<std::uint32_t>(h_[0]);
-  std::uint32_t h1 = static_cast<std::uint32_t>(h_[0] >> 32);
-  std::uint32_t h2 = static_cast<std::uint32_t>(h_[1]);
-  std::uint32_t h3 = static_cast<std::uint32_t>(h_[1] >> 32);
-  std::uint32_t h4 = static_cast<std::uint32_t>(h_[2]);
+    const u128 d0 = u128{h0} * r0 + u128{h1} * s2 + u128{h2} * s1;
+    u128 d1 = u128{h0} * r1 + u128{h1} * r0 + u128{h2} * s2;
+    u128 d2 = u128{h0} * r2 + u128{h1} * r1 + u128{h2} * r0;
 
-  while (len >= 16) {
-    h0 += load_le32(data + 0) & 0x3ffffff;
-    h1 += (load_le32(data + 3) >> 2) & 0x3ffffff;
-    h2 += (load_le32(data + 6) >> 4) & 0x3ffffff;
-    h3 += (load_le32(data + 9) >> 6) & 0x3ffffff;
-    h4 += (load_le32(data + 12) >> 8) | hibit;
-
-    std::uint64_t d0 = std::uint64_t{h0} * r0 + std::uint64_t{h1} * s4 +
-                       std::uint64_t{h2} * s3 + std::uint64_t{h3} * s2 +
-                       std::uint64_t{h4} * s1;
-    std::uint64_t d1 = std::uint64_t{h0} * r1 + std::uint64_t{h1} * r0 +
-                       std::uint64_t{h2} * s4 + std::uint64_t{h3} * s3 +
-                       std::uint64_t{h4} * s2;
-    std::uint64_t d2 = std::uint64_t{h0} * r2 + std::uint64_t{h1} * r1 +
-                       std::uint64_t{h2} * r0 + std::uint64_t{h3} * s4 +
-                       std::uint64_t{h4} * s3;
-    std::uint64_t d3 = std::uint64_t{h0} * r3 + std::uint64_t{h1} * r2 +
-                       std::uint64_t{h2} * r1 + std::uint64_t{h3} * r0 +
-                       std::uint64_t{h4} * s4;
-    std::uint64_t d4 = std::uint64_t{h0} * r4 + std::uint64_t{h1} * r3 +
-                       std::uint64_t{h2} * r2 + std::uint64_t{h3} * r1 +
-                       std::uint64_t{h4} * r0;
-
-    std::uint32_t c;
-    c = static_cast<std::uint32_t>(d0 >> 26); h0 = static_cast<std::uint32_t>(d0) & 0x3ffffff;
-    d1 += c; c = static_cast<std::uint32_t>(d1 >> 26); h1 = static_cast<std::uint32_t>(d1) & 0x3ffffff;
-    d2 += c; c = static_cast<std::uint32_t>(d2 >> 26); h2 = static_cast<std::uint32_t>(d2) & 0x3ffffff;
-    d3 += c; c = static_cast<std::uint32_t>(d3 >> 26); h3 = static_cast<std::uint32_t>(d3) & 0x3ffffff;
-    d4 += c; c = static_cast<std::uint32_t>(d4 >> 26); h4 = static_cast<std::uint32_t>(d4) & 0x3ffffff;
-    h0 += c * 5; c = h0 >> 26; h0 &= 0x3ffffff;
+    std::uint64_t c = static_cast<std::uint64_t>(d0 >> 44);
+    h0 = static_cast<std::uint64_t>(d0) & kMask44;
+    d1 += c;
+    c = static_cast<std::uint64_t>(d1 >> 44);
+    h1 = static_cast<std::uint64_t>(d1) & kMask44;
+    d2 += c;
+    c = static_cast<std::uint64_t>(d2 >> 42);
+    h2 = static_cast<std::uint64_t>(d2) & kMask42;
+    h0 += c * 5;
+    c = h0 >> 44;
+    h0 &= kMask44;
     h1 += c;
-
-    data += 16;
-    len -= 16;
   }
 
-  h_[0] = std::uint64_t{h0} | (std::uint64_t{h1} << 32);
-  h_[1] = std::uint64_t{h2} | (std::uint64_t{h3} << 32);
-  h_[2] = h4;
+  h_[0] = h0;
+  h_[1] = h1;
+  h_[2] = h2;
 }
 
 void Poly1305::update(BytesView data) {
+  if (data.empty()) return;  // an empty view's data() may be null
   const std::uint8_t* p = data.data();
   std::size_t len = data.size();
 
@@ -143,59 +121,39 @@ Poly1305::Tag Poly1305::finish() {
     buf_len_ = 0;
   }
 
-  std::uint32_t h0 = static_cast<std::uint32_t>(h_[0]);
-  std::uint32_t h1 = static_cast<std::uint32_t>(h_[0] >> 32);
-  std::uint32_t h2 = static_cast<std::uint32_t>(h_[1]);
-  std::uint32_t h3 = static_cast<std::uint32_t>(h_[1] >> 32);
-  std::uint32_t h4 = static_cast<std::uint32_t>(h_[2]);
+  std::uint64_t h0 = h_[0], h1 = h_[1], h2 = h_[2];
 
-  // Full carry.
-  std::uint32_t c;
-  c = h1 >> 26; h1 &= 0x3ffffff;
-  h2 += c; c = h2 >> 26; h2 &= 0x3ffffff;
-  h3 += c; c = h3 >> 26; h3 &= 0x3ffffff;
-  h4 += c; c = h4 >> 26; h4 &= 0x3ffffff;
-  h0 += c * 5; c = h0 >> 26; h0 &= 0x3ffffff;
-  h1 += c;
+  // Full carry, twice: the carry out of h2 folds back into h0 (times 5)
+  // and can ripple once more.
+  std::uint64_t c;
+  for (int pass = 0; pass < 2; ++pass) {
+    c = h1 >> 44; h1 &= kMask44;
+    h2 += c; c = h2 >> 42; h2 &= kMask42;
+    h0 += c * 5; c = h0 >> 44; h0 &= kMask44;
+    h1 += c;
+  }
 
-  // Compute h + -p (i.e., h - (2^130 - 5)) and select.
-  std::uint32_t g0 = h0 + 5; c = g0 >> 26; g0 &= 0x3ffffff;
-  std::uint32_t g1 = h1 + c; c = g1 >> 26; g1 &= 0x3ffffff;
-  std::uint32_t g2 = h2 + c; c = g2 >> 26; g2 &= 0x3ffffff;
-  std::uint32_t g3 = h3 + c; c = g3 >> 26; g3 &= 0x3ffffff;
-  std::uint32_t g4 = h4 + c - (1u << 26);
+  // Compute h + -p (i.e., h - (2^130 - 5)) and select it if h >= p.
+  std::uint64_t g0 = h0 + 5; c = g0 >> 44; g0 &= kMask44;
+  std::uint64_t g1 = h1 + c; c = g1 >> 44; g1 &= kMask44;
+  std::uint64_t g2 = h2 + c - (std::uint64_t{1} << 42);
 
-  std::uint32_t mask = (g4 >> 31) - 1;  // all-ones if h >= p
-  g0 &= mask; g1 &= mask; g2 &= mask; g3 &= mask; g4 &= mask;
+  std::uint64_t mask = (g2 >> 63) - 1;  // all-ones if h >= p
+  g0 &= mask; g1 &= mask; g2 &= mask;
   mask = ~mask;
   h0 = (h0 & mask) | g0;
   h1 = (h1 & mask) | g1;
   h2 = (h2 & mask) | g2;
-  h3 = (h3 & mask) | g3;
-  h4 = (h4 & mask) | g4;
 
-  // Pack into 128 bits.
-  h0 = (h0 | (h1 << 26)) & 0xffffffff;
-  h1 = ((h1 >> 6) | (h2 << 20)) & 0xffffffff;
-  h2 = ((h2 >> 12) | (h3 << 14)) & 0xffffffff;
-  h3 = ((h3 >> 18) | (h4 << 8)) & 0xffffffff;
-
-  // Add pad (mod 2^128).
-  std::uint64_t f;
-  std::uint32_t pad0 = static_cast<std::uint32_t>(pad_[0]);
-  std::uint32_t pad1 = static_cast<std::uint32_t>(pad_[0] >> 32);
-  std::uint32_t pad2 = static_cast<std::uint32_t>(pad_[1]);
-  std::uint32_t pad3 = static_cast<std::uint32_t>(pad_[1] >> 32);
-  f = std::uint64_t{h0} + pad0; h0 = static_cast<std::uint32_t>(f);
-  f = std::uint64_t{h1} + pad1 + (f >> 32); h1 = static_cast<std::uint32_t>(f);
-  f = std::uint64_t{h2} + pad2 + (f >> 32); h2 = static_cast<std::uint32_t>(f);
-  f = std::uint64_t{h3} + pad3 + (f >> 32); h3 = static_cast<std::uint32_t>(f);
+  // Add pad (mod 2^128), limb by limb.
+  const std::uint64_t t0 = pad_[0], t1 = pad_[1];
+  h0 += t0 & kMask44; c = h0 >> 44; h0 &= kMask44;
+  h1 += (((t0 >> 44) | (t1 << 20)) & kMask44) + c; c = h1 >> 44; h1 &= kMask44;
+  h2 += ((t1 >> 24) & kMask42) + c;
 
   Tag tag;
-  store_le32(tag.data() + 0, h0);
-  store_le32(tag.data() + 4, h1);
-  store_le32(tag.data() + 8, h2);
-  store_le32(tag.data() + 12, h3);
+  store_le64(tag.data(), h0 | (h1 << 44));
+  store_le64(tag.data() + 8, (h1 >> 20) | (h2 << 24));
   return tag;
 }
 

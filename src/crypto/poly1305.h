@@ -1,5 +1,7 @@
-// Poly1305 one-time authenticator (RFC 8439 §2.5), implemented from scratch
-// with 64x64->128 limb arithmetic (unsigned __int128).
+// Poly1305 one-time authenticator (RFC 8439 §2.5), implemented from scratch.
+// r and the accumulator h are held in three limbs of 44, 44 and 42 bits and
+// multiplied with 64x64->128-bit products (unsigned __int128), the
+// "donna-64" schedule.
 #pragma once
 
 #include <array>
@@ -26,8 +28,8 @@ class Poly1305 {
  private:
   void blocks(const std::uint8_t* data, std::size_t len, bool final_partial);
 
-  std::uint64_t r_[3];  // clamped r, 44-bit limbs
-  std::uint64_t h_[3];  // accumulator
+  std::uint64_t r_[3];  // clamped r, 44/44/42-bit limbs
+  std::uint64_t h_[3];  // accumulator, same limbs
   std::uint64_t pad_[2];
   std::array<std::uint8_t, 16> buf_;
   std::size_t buf_len_ = 0;

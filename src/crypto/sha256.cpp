@@ -83,6 +83,7 @@ void Sha256::compress(const std::uint8_t* block) {
 }
 
 void Sha256::update(BytesView data) {
+  if (data.empty()) return;  // an empty view's data() may be null
   total_len_ += data.size();
   std::size_t off = 0;
   if (buf_len_ > 0) {

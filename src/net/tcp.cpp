@@ -95,11 +95,15 @@ Status TcpNode::send(ConnId conn, const wire::Envelope& envelope) {
   auto it = conns_.find(conn);
   if (it == conns_.end()) return make_error(Errc::closed, "no such connection");
   PROF_SCOPE("net/tcp/send");
-  Bytes framed = wire::frame(wire::encode(envelope));
+  Bytes framed = wire::encode_framed(envelope);
   obs::prof_bytes(framed.size());
   obs::count("net", "tcp", "envelopes_sent_total");
   obs::count("net", "tcp", "bytes_sent_total", framed.size());
-  append(it->second.out, framed);
+  Bytes& out = it->second.out;
+  if (out.empty())
+    out = std::move(framed);  // nothing queued: flush this buffer as is
+  else
+    append(out, framed);
   if (!flush(conn)) return make_error(Errc::io_error, "send failed");
   return Status::success();
 }

@@ -19,6 +19,10 @@ constexpr std::uint32_t kMaxFieldLen = 1 << 20;  // 1 MiB
 
 class Writer {
  public:
+  Writer() = default;
+  /// Reserves room for `capacity` bytes, for callers that know the size.
+  explicit Writer(std::size_t capacity) { out_.reserve(capacity); }
+
   void u8(std::uint8_t v);
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);

@@ -94,6 +94,9 @@ struct Envelope {
 };
 
 Bytes encode(const Envelope& e);
+/// frame(encode(e)) built in one buffer: the u32 length prefix, then the
+/// encoding.
+Bytes encode_framed(const Envelope& e);
 Result<Envelope> decode_envelope(BytesView raw);
 
 /// Short one-line description for narration, e.g. "AdminMsg L->A (52B)".

@@ -1,7 +1,10 @@
 // Envelope-bound sealing (the {X}_K realization) and TCP stream framing.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/rng.h"
+#include "wire/envelope.h"
 #include "wire/frame.h"
 #include "wire/seal.h"
 
@@ -127,6 +130,66 @@ TEST_P(FrameChunked, ByteAtATimeReassembly) {
 INSTANTIATE_TEST_SUITE_P(ChunkSizes, FrameChunked,
                          ::testing::Values<std::size_t>(1, 2, 3, 5, 7, 64,
                                                         1000));
+
+// 1 000 small frames of varying length and content, as one stream.
+std::vector<Bytes> many_small_frames(Bytes& stream) {
+  std::vector<Bytes> bodies;
+  for (std::size_t i = 0; i < 1000; ++i) {
+    Bytes body(i % 23, static_cast<std::uint8_t>(i));
+    if (!body.empty()) body.back() = static_cast<std::uint8_t>(i >> 8);
+    append(stream, frame(body));
+    bodies.push_back(std::move(body));
+  }
+  return bodies;
+}
+
+TEST(Frame, ThousandFramesOneChunkInOrder) {
+  Bytes stream;
+  const auto bodies = many_small_frames(stream);
+  FrameDecoder d;
+  ASSERT_TRUE(d.feed(stream).ok());
+  EXPECT_EQ(d.pending_bytes(), 0u);
+  for (const auto& body : bodies) {
+    auto f = d.next();
+    ASSERT_TRUE(f.has_value());
+    EXPECT_EQ(*f, body);
+  }
+  EXPECT_FALSE(d.next().has_value());
+}
+
+TEST(Frame, ThousandFramesByteByByteInOrder) {
+  Bytes stream;
+  const auto bodies = many_small_frames(stream);
+  FrameDecoder d;
+  for (std::uint8_t b : stream) ASSERT_TRUE(d.feed({&b, 1}).ok());
+  EXPECT_EQ(d.pending_bytes(), 0u);
+  for (const auto& body : bodies) {
+    auto f = d.next();
+    ASSERT_TRUE(f.has_value());
+    EXPECT_EQ(*f, body);
+  }
+  EXPECT_FALSE(d.next().has_value());
+}
+
+TEST(Frame, FramesBeforeAnOversizedHeaderAreKept) {
+  Bytes stream = frame(to_bytes("ok"));
+  append(stream, Bytes{0xFF, 0xFF, 0xFF, 0xFF});
+  FrameDecoder d;
+  auto s = d.feed(stream);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), Errc::oversized);
+  EXPECT_EQ(*d.next(), to_bytes("ok"));
+  EXPECT_EQ(d.pending_bytes(), 4u);
+}
+
+TEST(Frame, EncodeFramedEqualsFrameOfEncode) {
+  for (std::size_t size : {std::size_t{0}, std::size_t{64}, std::size_t{16384}}) {
+    DeterministicRng rng(size + 1);
+    const Envelope e{Label::GroupData, "alice", kGroupRecipient,
+                     rng.bytes(size)};
+    EXPECT_EQ(encode_framed(e), frame(encode(e))) << "body " << size;
+  }
+}
 
 TEST(Frame, OversizedHeaderRejected) {
   Bytes evil = {0xFF, 0xFF, 0xFF, 0xFF};  // 4 GiB announcement

@@ -1,7 +1,12 @@
 // TcpNode: loopback framing, envelope transport, and a full improved-
 // protocol session over real sockets (leader and member in one thread,
 // driven by interleaved poll_once calls).
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include "core/leader.h"
 #include "core/member.h"
@@ -105,6 +110,47 @@ TEST(Tcp, LargeEnvelopeSurvivesFraming) {
           .ok());
   pump(server, client, [&] { return !received.empty(); });
   EXPECT_EQ(received, big);
+}
+
+// The bytes TcpNode::send puts on the socket are exactly
+// frame(encode(e)), read here by a plain socket on the other end.
+TEST(Tcp, SendWritesFrameOfEncodeOnTheWire) {
+  const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(lfd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof addr;
+  ASSERT_EQ(0, ::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof addr));
+  ASSERT_EQ(0, ::listen(lfd, 1));
+  ASSERT_EQ(0, ::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len));
+
+  TcpNode client;
+  auto conn = client.connect(ntohs(addr.sin_port));
+  ASSERT_TRUE(conn.ok());
+  const int peer = ::accept(lfd, nullptr, nullptr);
+  ASSERT_GE(peer, 0);
+  timeval timeout{5, 0};
+  ::setsockopt(peer, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+
+  DeterministicRng rng(5);
+  for (std::size_t size : {std::size_t{0}, std::size_t{64},
+                           std::size_t{16384}}) {
+    const wire::Envelope e{wire::Label::GroupData, "alice", "L",
+                           rng.bytes(size)};
+    const Bytes expected = wire::frame(wire::encode(e));
+    ASSERT_TRUE(client.send(*conn, e).ok());
+    Bytes got(expected.size());
+    std::size_t have = 0;
+    while (have < got.size()) {
+      const ssize_t n = ::recv(peer, got.data() + have, got.size() - have, 0);
+      ASSERT_GT(n, 0) << "body " << size;
+      have += static_cast<std::size_t>(n);
+    }
+    EXPECT_EQ(got, expected) << "body " << size;
+  }
+  ::close(peer);
+  ::close(lfd);
 }
 
 TEST(Tcp, DisconnectDetected) {
