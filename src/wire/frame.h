@@ -10,11 +10,16 @@
 
 #include "util/bytes.h"
 #include "util/result.h"
+#include "wire/codec.h"
 
 namespace enclaves::wire {
 
 /// Upper bound on a frame body; a peer announcing more is faulty/hostile.
 constexpr std::uint32_t kMaxFrameLen = 4u << 20;  // 4 MiB
+
+/// Writes the frame header (the big-endian u32 length) of a `len`-byte
+/// body; the body follows it.
+void write_frame_header(Writer& w, std::size_t len);
 
 /// Length-prefixes `payload`.
 Bytes frame(BytesView payload);
