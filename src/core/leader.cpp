@@ -70,7 +70,7 @@ void Leader::handle(const wire::Envelope& e) {
   if (e.label == wire::Label::AuthInitReq && policy_) {
     auto decision = policy_->may_join(e.sender, members_.size());
     if (!decision.allow) {
-      obs::emit(obs::Event::join_denied, clock_.now(), config_.id,
+      obs::emit(counters_, obs::Event::join_denied, clock_.now(), config_.id,
                 config_.id, e.sender, decision.reason);
       return;
     }
@@ -83,9 +83,9 @@ void Leader::handle(const wire::Envelope& e) {
     ENCLAVES_LOG(debug) << config_.id << ": envelope from unknown sender "
                         << e.sender;
     ++relay_rejects_;
-    obs::emit(obs::Event::auth_reject, obs::EvidenceKind::unknown_sender,
-              clock_.now(), config_.id, config_.id, e.sender,
-              wire::label_name(e.label));
+    obs::emit(counters_, obs::Event::auth_reject,
+              obs::EvidenceKind::unknown_sender, clock_.now(), config_.id,
+              config_.id, e.sender, wire::label_name(e.label));
     return;
   }
   LeaderSession& session = *it->second;
@@ -95,7 +95,7 @@ void Leader::handle(const wire::Envelope& e) {
   auto outcome = session.handle(e);
   if (!outcome) {
     // Rejected input: already tallied by the session.
-    obs::emit(obs::Event::auth_reject,
+    obs::emit(counters_, obs::Event::auth_reject,
               obs::evidence_kind_for(outcome.error().code), clock_.now(),
               config_.id, config_.id, e.sender, wire::label_name(e.label));
     return;
@@ -113,28 +113,29 @@ void Leader::handle(const wire::Envelope& e) {
     if (obs::trace_sink()) {
       std::string detail =
           std::string(to_string(pre)) + "->" + to_string(post);
-      obs::emit(obs::Event::leader_phase, clock_.now(), config_.id,
+      obs::emit(counters_, obs::Event::leader_phase, clock_.now(), config_.id,
                 config_.id, member_id, detail);
     }
   }
   if (outcome->duplicate_retransmit) {
-    obs::emit(obs::Event::reanswer, clock_.now(), config_.id, config_.id,
-              member_id, wire::label_name(e.label));
+    obs::emit(counters_, obs::Event::reanswer, clock_.now(), config_.id,
+              config_.id, member_id, wire::label_name(e.label));
   }
   if (outcome->acked) {
-    obs::emit(obs::Event::admin_ack, clock_.now(), config_.id, config_.id,
-              member_id);
+    obs::emit(counters_, obs::Event::admin_ack, clock_.now(), config_.id,
+              config_.id, member_id);
   }
   if (outcome->sent_admin_kind) {
-    obs::emit(obs::Event::admin_send, clock_.now(), config_.id, config_.id,
-              member_id, outcome->sent_admin_kind);
+    obs::emit(counters_, obs::Event::admin_send, clock_.now(), config_.id,
+              config_.id, member_id, outcome->sent_admin_kind);
   }
 
   if (outcome->reply) send(member_id, *std::move(outcome->reply));
   if (outcome->authenticated) handle_member_authenticated(member_id);
   if (outcome->closed) {
-    obs::emit(obs::Event::leave, clock_.now(), config_.id, config_.id,
-              member_id, outcome->superseded ? "superseded" : "req_close");
+    obs::emit(counters_, obs::Event::leave, clock_.now(), config_.id,
+              config_.id, member_id,
+              outcome->superseded ? "superseded" : "req_close");
     if (outcome->superseded)
       obs::count(config_.id, config_.id, "sessions_superseded_total");
     handle_member_closed(member_id);
@@ -147,8 +148,8 @@ void Leader::submit_admin_to(const std::string& member_id,
   assert(it != sessions_.end());
   const char* kind = wire::admin_kind_name(body);
   if (auto env = it->second->submit_admin(std::move(body))) {
-    obs::emit(obs::Event::admin_send, clock_.now(), config_.id, config_.id,
-              member_id, kind);
+    obs::emit(counters_, obs::Event::admin_send, clock_.now(), config_.id,
+              config_.id, member_id, kind);
     send(member_id, *std::move(env));
   }
 }
@@ -163,7 +164,8 @@ void Leader::handle_member_authenticated(const std::string& member_id) {
   ENCLAVES_LOG(info) << config_.id << ": " << member_id << " joined";
   obs::gauge_set(config_.id, config_.id, "members",
                  static_cast<std::int64_t>(members_.size()));
-  obs::emit(obs::Event::join, clock_.now(), config_.id, config_.id, member_id);
+  obs::emit(counters_, obs::Event::join, clock_.now(), config_.id, config_.id,
+            member_id);
 
   // Fast rejoin after a completed reconciliation (PROTOCOL.md §12): the
   // member proved continuity of its session key and op-log chain, so it
@@ -176,8 +178,8 @@ void Leader::handle_member_authenticated(const std::string& member_id) {
                    static_cast<std::int64_t>(parole_.size()));
   }
   if (fast) {
-    obs::emit(obs::Event::fast_rejoin, clock_.now(), config_.id, config_.id,
-              member_id, "reconciled");
+    obs::emit(counters_, obs::Event::fast_rejoin, clock_.now(), config_.id,
+              config_.id, member_id, "reconciled");
   }
 
   // Initialize or renew the group key. Section 2.2: "The group leader
@@ -245,8 +247,8 @@ void Leader::handle_group_data(const wire::Envelope& e) {
   PROF_SCOPE("leader/relay");
   auto relay_reject = [this, &e](const char* why) {
     ++relay_rejects_;
-    obs::emit(obs::Event::relay_reject, clock_.now(), config_.id, config_.id,
-              e.sender, why);
+    obs::emit(counters_, obs::Event::relay_reject, clock_.now(), config_.id,
+              config_.id, e.sender, why);
   };
   if (!kg_initialized_) {
     relay_reject("no group key yet");
@@ -271,9 +273,8 @@ void Leader::handle_group_data(const wire::Envelope& e) {
 
   ++relayed_;
   ++data_since_rekey_;
-  obs::count(config_.id, config_.id, "relayed_total");
-  obs::observe(config_.id, config_.id, "relay_payload_bytes",
-               payload->payload.size());
+  relayed_total_.add();
+  relay_payload_bytes_.observe(payload->payload.size());
   if (on_data) on_data(payload->origin, payload->payload);
 
   // Relay the envelope unchanged to every other member; ciphertext and AAD
@@ -317,8 +318,8 @@ void Leader::note_rekey() {
   ENCLAVES_LOG(info) << config_.id << ": rekey to epoch " << epoch_;
   obs::gauge_set(config_.id, config_.id, "epoch",
                  static_cast<std::int64_t>(epoch_));
-  obs::emit(obs::Event::rekey, clock_.now(), config_.id, config_.id, {}, {},
-            epoch_);
+  obs::emit(counters_, obs::Event::rekey, clock_.now(), config_.id, config_.id,
+            {}, {}, epoch_);
   if (on_rekey) on_rekey(epoch_);
 
   // Parole GC: the admission window is `parole_epochs` rekeys, but entries
@@ -420,7 +421,7 @@ void Leader::emit_keytree_levels(const wire::KeyTreeUpdatePayload& payload) {
   std::sort(levels.begin(), levels.end(), std::greater<>());
   levels.erase(std::unique(levels.begin(), levels.end()), levels.end());
   for (std::uint32_t lvl : levels) {
-    obs::emit(obs::Event::keytree_level, clock_.now(), config_.id,
+    obs::emit(counters_, obs::Event::keytree_level, clock_.now(), config_.id,
               config_.id, {}, "lvl" + std::to_string(lvl), epoch_);
   }
 }
@@ -442,8 +443,8 @@ void Leader::broadcast_keytree(const wire::KeyTreeUpdatePayload& payload) {
 
 void Leader::handle_keytree_recover(const wire::Envelope& e) {
   auto reject = [this, &e](obs::EvidenceKind kind, const char* why) {
-    obs::emit(obs::Event::auth_reject, kind, clock_.now(), config_.id,
-              config_.id, e.sender, why);
+    obs::emit(counters_, obs::Event::auth_reject, kind, clock_.now(),
+              config_.id, config_.id, e.sender, why);
   };
   if (!tree_mode() || !tree_ || !members_.count(e.sender)) {
     reject(obs::EvidenceKind::bad_label, "keytree recover without a leaf");
@@ -470,8 +471,8 @@ void Leader::handle_keytree_recover(const wire::Envelope& e) {
            "keytree recover identity mismatch");
     return;
   }
-  obs::emit(obs::Event::keytree_answer, clock_.now(), config_.id, config_.id,
-            e.sender, "answer", p->have_epoch);
+  obs::emit(counters_, obs::Event::keytree_answer, clock_.now(), config_.id,
+            config_.id, e.sender, "answer", p->have_epoch);
   send_keytree_path(e.sender, p->nr);
 }
 
@@ -515,7 +516,7 @@ Result<crypto::SessionKey> Leader::expel(const std::string& member_id,
     grant_parole(member_id, *old_key);
   else
     revoke_parole(member_id);
-  obs::emit(obs::Event::expel, clock_.now(), config_.id, config_.id,
+  obs::emit(counters_, obs::Event::expel, clock_.now(), config_.id, config_.id,
             member_id, reason);
   if (was_member && on_member_expelled) on_member_expelled(member_id, reason);
   // Only authenticated members get a departure fan-out; tearing down a
@@ -540,8 +541,8 @@ void Leader::shutdown_group(const std::string& reason) {
     if (session->in_session()) {
       if (session->pending_retransmit())
         obs::count(config_.id, config_.id, "exchanges_abandoned_total");
-      obs::emit(obs::Event::expel, clock_.now(), config_.id, config_.id, id,
-                reason);
+      obs::emit(counters_, obs::Event::expel, clock_.now(), config_.id,
+                config_.id, id, reason);
       if (members_.count(id) && on_member_expelled)
         on_member_expelled(id, reason);
       (void)session->force_close();
@@ -603,7 +604,7 @@ void Leader::send_reconcile_verdict(const std::string& member_id,
                         wire::Label::ReconcileVerdict, config_.id, member_id,
                         wire::encode(body));
   parole.last_verdict = env;
-  obs::emit(obs::Event::reconcile_verdict, clock_.now(), config_.id,
+  obs::emit(counters_, obs::Event::reconcile_verdict, clock_.now(), config_.id,
             config_.id, member_id, wire::reconcile_verdict_kind_name(verdict),
             ack_seq);
   send(member_id, std::move(env));
@@ -611,8 +612,8 @@ void Leader::send_reconcile_verdict(const std::string& member_id,
 
 void Leader::handle_reconcile_offer(const wire::Envelope& e) {
   auto reject = [this, &e](obs::EvidenceKind kind, const char* why) {
-    obs::emit(obs::Event::auth_reject, kind, clock_.now(), config_.id,
-              config_.id, e.sender, why);
+    obs::emit(counters_, obs::Event::auth_reject, kind, clock_.now(),
+              config_.id, config_.id, e.sender, why);
   };
   auto it = parole_.find(e.sender);
   if (config_.parole_epochs == 0 || it == parole_.end()) {
@@ -640,8 +641,8 @@ void Leader::handle_reconcile_offer(const wire::Envelope& e) {
   }
   if (parole.last_verdict && p->nr == parole.nr) {
     // Retransmitted offer (our verdict was lost): re-answer byte-identically.
-    obs::emit(obs::Event::reanswer, clock_.now(), config_.id, config_.id,
-              e.sender, "ReconcileOffer");
+    obs::emit(counters_, obs::Event::reanswer, clock_.now(), config_.id,
+              config_.id, e.sender, "ReconcileOffer");
     send(e.sender, *parole.last_verdict);
     return;
   }
@@ -656,20 +657,20 @@ void Leader::handle_reconcile_offer(const wire::Envelope& e) {
   // broken HMAC chain (seen during replay) is treated as intrusion.
   if (p->fence_epoch > parole.fence_epoch ||
       epoch_ - p->fence_epoch > config_.parole_epochs) {
-    obs::emit(obs::Event::offer_quarantined, clock_.now(), config_.id,
-              config_.id, e.sender, "reconcile fence outside parole window",
-              p->fence_epoch);
-    obs::emit(obs::Event::offer_answered, clock_.now(), config_.id,
+    obs::emit(counters_, obs::Event::offer_quarantined, clock_.now(),
+              config_.id, config_.id, e.sender,
+              "reconcile fence outside parole window", p->fence_epoch);
+    obs::emit(counters_, obs::Event::offer_answered, clock_.now(), config_.id,
               config_.id, e.sender, "quarantine", p->oplog_len);
     send_reconcile_verdict(e.sender, parole,
                            wire::ReconcileVerdictKind::quarantine, 0);
     return;
   }
   if (p->oplog_len > config_.max_replay_ops) {
-    obs::emit(obs::Event::offer_quarantined, clock_.now(), config_.id,
-              config_.id, e.sender, "op-log exceeds replay budget",
+    obs::emit(counters_, obs::Event::offer_quarantined, clock_.now(),
+              config_.id, config_.id, e.sender, "op-log exceeds replay budget",
               p->oplog_len);
-    obs::emit(obs::Event::offer_answered, clock_.now(), config_.id,
+    obs::emit(counters_, obs::Event::offer_answered, clock_.now(), config_.id,
               config_.id, e.sender, "quarantine", p->oplog_len);
     send_reconcile_verdict(e.sender, parole,
                            wire::ReconcileVerdictKind::quarantine, 0);
@@ -683,8 +684,8 @@ void Leader::handle_reconcile_offer(const wire::Envelope& e) {
   parole.oplog_len = p->oplog_len;
   parole.chain = {};
   parole.offered_head = p->chain_head;
-  obs::emit(obs::Event::offer_admitted, clock_.now(), config_.id, config_.id,
-            e.sender, "admit", p->oplog_len);
+  obs::emit(counters_, obs::Event::offer_admitted, clock_.now(), config_.id,
+            config_.id, e.sender, "admit", p->oplog_len);
   // Relay seq-collision guard: if the epoch never moved since the member
   // was cut, its pre-partition publishes already used low seqs in this
   // epoch — relaying the replay from seq 0 would look like replays to the
@@ -701,8 +702,8 @@ void Leader::handle_reconcile_offer(const wire::Envelope& e) {
 
 void Leader::handle_op_replay(const wire::Envelope& e) {
   auto reject = [this, &e](obs::EvidenceKind kind, const char* why) {
-    obs::emit(obs::Event::auth_reject, kind, clock_.now(), config_.id,
-              config_.id, e.sender, why);
+    obs::emit(counters_, obs::Event::auth_reject, kind, clock_.now(),
+              config_.id, config_.id, e.sender, why);
   };
   auto it = parole_.find(e.sender);
   if (it == parole_.end()) {
@@ -731,8 +732,8 @@ void Leader::handle_op_replay(const wire::Envelope& e) {
     // come BEFORE the active check — when the FINAL op's verdict is lost the
     // replay has already completed (active is false), yet the member keeps
     // retransmitting that op until the ack arrives.
-    obs::emit(obs::Event::reanswer, clock_.now(), config_.id, config_.id,
-              e.sender, "OpReplay");
+    obs::emit(counters_, obs::Event::reanswer, clock_.now(), config_.id,
+              config_.id, e.sender, "OpReplay");
     if (parole.last_verdict) send(e.sender, *parole.last_verdict);
     return;
   }
@@ -747,8 +748,8 @@ void Leader::handle_op_replay(const wire::Envelope& e) {
   // committed to. Evidence goes to the ledger and the replay is refused.
   auto flag_intrusion = [this, &e, &parole](const char* why,
                                             std::uint64_t seq) {
-    obs::emit(obs::Event::reconcile_intrusion, clock_.now(), config_.id,
-              config_.id, e.sender, why, seq);
+    obs::emit(counters_, obs::Event::reconcile_intrusion, clock_.now(),
+              config_.id, config_.id, e.sender, why, seq);
     // Flight-recorder incident hook: a broken op-log HMAC chain is direct
     // intrusion evidence, not noise — dump the window around it.
     obs::flight_incident(clock_.now(), "forged_oplog", config_.id,
@@ -781,8 +782,8 @@ void Leader::handle_op_replay(const wire::Envelope& e) {
   // Verified: advance the chain, deliver locally, relay to the live group.
   parole.chain = want;
   parole.expected_seq = p->seq + 1;
-  obs::emit(obs::Event::op_replay, clock_.now(), config_.id, config_.id,
-            e.sender, {}, p->seq);
+  obs::emit(counters_, obs::Event::op_replay, clock_.now(), config_.id,
+            config_.id, e.sender, {}, p->seq);
   if (on_data) on_data(e.sender, p->payload);
   if (kg_initialized_ && !members_.empty()) {
     wire::GroupDataPayload relay{e.sender, epoch_, p->seq - 1, p->payload};
@@ -792,7 +793,7 @@ void Leader::handle_op_replay(const wire::Envelope& e) {
     for (const auto& m : members_) send(m, env);
   }
   ++relayed_;
-  obs::count(config_.id, config_.id, "relayed_total");
+  relayed_total_.add();
 
   const bool complete = p->seq == parole.oplog_len;
   if (complete) {
@@ -837,8 +838,8 @@ std::size_t Leader::tick() {
       sr.state.arm(now, stable_salt(id));
     }
     if (sr.state.due(now, config_.retry)) {
-      obs::emit(obs::Event::retransmit, now, config_.id, config_.id, id,
-                wire::label_name(env->label));
+      obs::emit(counters_, obs::Event::retransmit, now, config_.id, config_.id,
+                id, wire::label_name(env->label));
       send(id, *std::move(env));
       sr.state.record_attempt(now, config_.retry);
       ++sent;
@@ -878,8 +879,8 @@ std::vector<std::string> Leader::expel_stalled(std::uint32_t attempts) {
       obs::count(config_.id, config_.id, "exchanges_abandoned_total");
     if (members_.count(id)) {
       // A real member gone quiet: full expulsion (announce + rekey policy).
-      obs::emit(obs::Event::expel, clock_.now(), config_.id, config_.id, id,
-                "stalled");
+      obs::emit(counters_, obs::Event::expel, clock_.now(), config_.id,
+                config_.id, id, "stalled");
       if (on_member_expelled) on_member_expelled(id, "stalled");
       auto old_key = it->second->force_close();
       // A liveness expulsion is reconcilable: retain Kr on parole so the
@@ -892,7 +893,7 @@ std::vector<std::string> Leader::expel_stalled(std::uint32_t attempts) {
     } else {
       // Ghost handshake (never authenticated): discard quietly. The key
       // was never confirmed to anyone, so no Oops and no announcement.
-      obs::emit(obs::Event::ghost_cleared, clock_.now(), config_.id,
+      obs::emit(counters_, obs::Event::ghost_cleared, clock_.now(), config_.id,
                 config_.id, id, "ghost handshake");
       (void)it->second->force_close();
     }

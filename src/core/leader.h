@@ -29,6 +29,7 @@
 #include "crypto/aead.h"
 #include "crypto/hmac.h"
 #include "crypto/keys.h"
+#include "obs/event.h"
 #include "util/clock.h"
 #include "util/result.h"
 #include "wire/envelope.h"
@@ -281,6 +282,10 @@ class Leader {
 
   std::uint64_t relayed_ = 0;
   std::uint64_t data_since_rekey_ = 0;
+  // The relay path's metrics, keyed by config_.id (a Leader never moves).
+  obs::Counter relayed_total_{config_.id, config_.id, "relayed_total"};
+  obs::Histogram relay_payload_bytes_{config_.id, config_.id,
+                                      "relay_payload_bytes"};
   std::uint64_t relay_rejects_ = 0;
 
   std::shared_ptr<const AccessPolicy> policy_;
@@ -313,6 +318,7 @@ class Leader {
   };
   std::map<std::string, SessionRetry> retry_;
   VirtualClock clock_;
+  obs::EventCounters counters_;  // obs::emit's cached counter cells
 };
 
 }  // namespace enclaves::core

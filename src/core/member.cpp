@@ -36,7 +36,7 @@ Status Member::join() {
   join_started_at_ = clock_.now();
   join_retry_.arm(clock_.now(), stable_salt(id_));
   rejoin_retry_.disarm();
-  obs::emit(obs::Event::member_phase, clock_.now(), leader_id_, id_,
+  obs::emit(counters_, obs::Event::member_phase, clock_.now(), leader_id_, id_,
             leader_id_, "NotConnected->WaitingForKey");
   if (send_) send_(leader_id_, *std::move(env));
   return Status::success();
@@ -50,8 +50,8 @@ Status Member::leave() {
   want_membership_ = false;  // a voluntary leave is not to be undone by
   rejoin_retry_.disarm();    // the auto-rejoin machinery
   join_retry_.disarm();
-  obs::emit(obs::Event::leave_requested, clock_.now(), leader_id_, id_,
-            leader_id_, "left");
+  obs::emit(counters_, obs::Event::leave_requested, clock_.now(), leader_id_,
+            id_, leader_id_, "left");
   if (send_) send_(leader_id_, *std::move(env));
   // Honest members drop all group secrets on leave. (A *dishonest* past
   // member keeps them — that is the paper's threat model, exercised by the
@@ -80,8 +80,8 @@ Status Member::send_data(BytesView payload) {
     if (auto s = oplog_.append(fence_epoch_, payload); !s) return s;
     obs::gauge_set(leader_id_, id_, "oplog_depth",
                    static_cast<std::int64_t>(oplog_.size()));
-    obs::emit(obs::Event::oplog_append, clock_.now(), leader_id_, id_,
-              leader_id_, {}, oplog_.size());
+    obs::emit(counters_, obs::Event::oplog_append, clock_.now(), leader_id_,
+              id_, leader_id_, {}, oplog_.size());
     reconcile_env_.reset();  // the cached offer no longer covers the log
     return Status::success();
   }
@@ -121,7 +121,7 @@ void Member::handle(const wire::Envelope& e) {
 
   auto outcome = session_.handle(e);
   if (!outcome) {
-    obs::emit(obs::Event::auth_reject,
+    obs::emit(counters_, obs::Event::auth_reject,
               obs::evidence_kind_for(outcome.error().code), clock_.now(),
               leader_id_, id_, e.sender, wire::label_name(e.label));
     return;  // rejected; tallied inside the session
@@ -132,8 +132,8 @@ void Member::handle(const wire::Envelope& e) {
   note_activity();
 
   if (outcome->duplicate_retransmit) {
-    obs::emit(obs::Event::reanswer, clock_.now(), leader_id_, id_, leader_id_,
-              wire::label_name(e.label));
+    obs::emit(counters_, obs::Event::reanswer, clock_.now(), leader_id_, id_,
+              leader_id_, wire::label_name(e.label));
   }
   // An Expelled notice ends the session on BOTH sides: the leader discarded
   // Ka before this message was delivered, so the stop-and-wait Ack has no
@@ -149,7 +149,7 @@ void Member::handle(const wire::Envelope& e) {
     redirect_hops_ = 0;  // fresh redirect budget for the next attempt
     obs::observe(leader_id_, id_, "join_latency_ticks",
                  clock_.now() - join_started_at_);
-    obs::emit(obs::Event::session_up, clock_.now(), leader_id_, id_,
+    obs::emit(counters_, obs::Event::session_up, clock_.now(), leader_id_, id_,
               leader_id_, "WaitingForKey->Connected");
     emit(SessionEstablished{});
   }
@@ -179,8 +179,8 @@ void Member::advance_failover_target() {
   const std::string& next = failover_targets_[target_idx_];
   if (next == leader_id_) return;
   if (!session_.retarget(next).ok()) return;  // handshake live: keep target
-  obs::emit(obs::Event::retarget, clock_.now(), leader_id_, id_, next,
-            "retarget");
+  obs::emit(counters_, obs::Event::retarget, clock_.now(), leader_id_, id_,
+            next, "retarget");
   leader_id_ = next;
 }
 
@@ -207,8 +207,8 @@ void Member::handle_fed_redirect(const wire::Envelope& e) {
   ++redirect_hops_;
   ++redirects_followed_;
   const std::string owner = payload->owner_leader;
-  obs::emit(obs::Event::redirect_followed, clock_.now(), leader_id_, id_,
-            owner, "followed", payload->dir_version);
+  obs::emit(counters_, obs::Event::redirect_followed, clock_.now(), leader_id_,
+            id_, owner, "followed", payload->dir_version);
   if (disconnected_mode_) {
     // Reconciliation follows the group: the owner imported the parole list
     // with the migrated snapshot, so retarget and rebuild the cached offer
@@ -240,10 +240,11 @@ bool Member::apply_admin(const wire::AdminBody& body) {
             // by a failover — obeying it would fork the group. Drop the
             // session and let rejoin find the live leader.
             ++epochs_fenced_;
-            obs::emit(obs::Event::epoch_fenced, clock_.now(), leader_id_,
-                      id_, leader_id_, "stale_epoch", b.epoch);
-            obs::emit(obs::Event::key_below_floor, clock_.now(), leader_id_,
-                      id_, leader_id_, "NewGroupKey below floor", b.epoch);
+            obs::emit(counters_, obs::Event::epoch_fenced, clock_.now(),
+                      leader_id_, id_, leader_id_, "stale_epoch", b.epoch);
+            obs::emit(counters_, obs::Event::key_below_floor, clock_.now(),
+                      leader_id_, id_, leader_id_, "NewGroupKey below floor",
+                      b.epoch);
             // Flight-recorder incident hook: a fenced key is the member-side
             // signature of a resurrected leader — worth a black-box dump.
             obs::flight_incident(clock_.now(), "epoch_fenced", leader_id_,
@@ -270,8 +271,8 @@ bool Member::apply_admin(const wire::AdminBody& body) {
             if (b.epoch == verdict_epoch_) next_seq_ = pending_replayed_;
             pending_replayed_ = 0;
           }
-          obs::emit(obs::Event::rekey_applied, clock_.now(), leader_id_,
-                    id_, leader_id_, {}, epoch_);
+          obs::emit(counters_, obs::Event::rekey_applied, clock_.now(),
+                    leader_id_, id_, leader_id_, {}, epoch_);
           emit(EpochChanged{epoch_});
         } else if constexpr (std::is_same_v<T, wire::MemberJoined>) {
           view_.insert(b.member);
@@ -291,8 +292,8 @@ bool Member::apply_admin(const wire::AdminBody& body) {
           keytree_.assign(b.leaf, session_.session_key(), id_);
           obs::count(leader_id_, id_, "keytree_assigns_total");
         } else if constexpr (std::is_same_v<T, wire::Expelled>) {
-          obs::emit(obs::Event::expelled, clock_.now(), leader_id_, id_,
-                    leader_id_, "expelled");
+          obs::emit(counters_, obs::Event::expelled, clock_.now(), leader_id_,
+                    id_, leader_id_, "expelled");
           if (reconcile_enabled_ && have_kg_ && b.reason == "stalled") {
             // A liveness eviction (the leader merely lost contact) with
             // reconciliation enabled is a partition signal, not a
@@ -323,8 +324,8 @@ void Member::handle_group_data(const wire::Envelope& e) {
   PROF_SCOPE("member/data/open");
   auto data_reject = [this, &e](obs::EvidenceKind kind, const char* why) {
     ++data_rejects_;
-    obs::emit(obs::Event::data_reject, kind, clock_.now(), leader_id_, id_,
-              e.sender, why);
+    obs::emit(counters_, obs::Event::data_reject, kind, clock_.now(),
+              leader_id_, id_, e.sender, why);
   };
   if (!connected() || !have_kg_) {
     data_reject(obs::EvidenceKind::bad_label, "no session or group key");
@@ -362,7 +363,7 @@ void Member::handle_group_data(const wire::Envelope& e) {
   // trace reads the detail, so it is built only for a trace sink.
   std::string detail;
   if (obs::trace_sink()) detail = "epoch=" + std::to_string(payload->epoch);
-  obs::emit(obs::Event::data_deliver, clock_.now(), leader_id_, id_,
+  obs::emit(counters_, obs::Event::data_deliver, clock_.now(), leader_id_, id_,
             payload->origin, detail, payload->seq);
   emit(DataReceived{payload->origin, payload->payload});
 }
@@ -388,8 +389,8 @@ void Member::enter_disconnected(const std::string& reason) {
   rejoin_retry_.disarm();
   reconcile_retry_.arm(clock_.now(), stable_salt(id_) ^ 0x0F7E);
   obs::gauge_set(leader_id_, id_, "oplog_depth", 0);
-  obs::emit(obs::Event::disconnect, clock_.now(), leader_id_, id_, leader_id_,
-            reason);
+  obs::emit(counters_, obs::Event::disconnect, clock_.now(), leader_id_, id_,
+            leader_id_, reason);
   build_reconcile_offer();  // sealed now, sent from tick()
 }
 
@@ -402,8 +403,8 @@ void Member::build_reconcile_offer() {
       wire::make_sealed(aead_, kr_.view(), rng_, wire::Label::ReconcileOffer,
                         id_, leader_id_, wire::encode(body));
   offer_len_ = oplog_.size();
-  obs::emit(obs::Event::offer_sent, clock_.now(), leader_id_, id_, leader_id_,
-            {}, oplog_.size());
+  obs::emit(counters_, obs::Event::offer_sent, clock_.now(), leader_id_, id_,
+            leader_id_, {}, oplog_.size());
 }
 
 void Member::send_next_op() {
@@ -414,8 +415,8 @@ void Member::send_next_op() {
       wire::make_sealed(aead_, kr_.view(), rng_, wire::Label::OpReplay, id_,
                         leader_id_, wire::encode(body));
   replay_sent_ = seq;
-  obs::emit(obs::Event::op_replay, clock_.now(), leader_id_, id_, leader_id_,
-            {}, seq);
+  obs::emit(counters_, obs::Event::op_replay, clock_.now(), leader_id_, id_,
+            leader_id_, {}, seq);
   if (send_) send_(leader_id_, *reconcile_env_);
   reconcile_retry_.record_attempt(clock_.now(), reconcile_policy_);
 }
@@ -423,8 +424,8 @@ void Member::send_next_op() {
 void Member::finish_reconcile(const char* detail, std::uint64_t value,
                               bool success) {
   // Member-side terminal event of the reconciliation span.
-  obs::emit(obs::Event::reconcile_verdict, clock_.now(), leader_id_, id_,
-            leader_id_, detail, value);
+  obs::emit(counters_, obs::Event::reconcile_verdict, clock_.now(), leader_id_,
+            id_, leader_id_, detail, value);
   disconnected_mode_ = false;
   replay_active_ = false;
   reconcile_env_.reset();
@@ -449,8 +450,8 @@ void Member::finish_reconcile(const char* detail, std::uint64_t value,
 
 void Member::handle_reconcile_verdict(const wire::Envelope& e) {
   auto reject = [this, &e](obs::EvidenceKind kind, const char* why) {
-    obs::emit(obs::Event::auth_reject, kind, clock_.now(), leader_id_, id_,
-              e.sender, why);
+    obs::emit(counters_, obs::Event::auth_reject, kind, clock_.now(),
+              leader_id_, id_, e.sender, why);
   };
   if (!disconnected_mode_) {
     reject(obs::EvidenceKind::bad_label, "verdict outside disconnected mode");
@@ -527,7 +528,7 @@ void Member::install_keytree_epoch(const crypto::GroupKey& kg,
   }
   keytree_recover_env_.reset();
   keytree_retry_.disarm();
-  obs::emit(obs::Event::rekey_applied, clock_.now(), leader_id_, id_,
+  obs::emit(counters_, obs::Event::rekey_applied, clock_.now(), leader_id_, id_,
             leader_id_, {}, epoch_);
   emit(EpochChanged{epoch_});
 }
@@ -536,8 +537,8 @@ void Member::handle_keytree_update(const wire::Envelope& e) {
   PROF_SCOPE("member/keytree/apply");
   auto reject = [this, &e](obs::EvidenceKind kind, const char* why,
                            std::uint64_t value = 0) {
-    obs::emit(obs::Event::keytree_reject, kind, clock_.now(), leader_id_, id_,
-              e.sender, why, value);
+    obs::emit(counters_, obs::Event::keytree_reject, kind, clock_.now(),
+              leader_id_, id_, e.sender, why, value);
   };
   if (!connected() || !keytree_.assigned()) {
     // A broadcast can legitimately race ahead of our KeyTreeAssign (or
@@ -569,8 +570,8 @@ void Member::handle_keytree_update(const wire::Envelope& e) {
   }
   if (p->epoch < epoch_floor_) {
     ++epochs_fenced_;
-    obs::emit(obs::Event::epoch_fenced, clock_.now(), leader_id_, id_,
-              e.sender, "stale_keytree_epoch", p->epoch);
+    obs::emit(counters_, obs::Event::epoch_fenced, clock_.now(), leader_id_,
+              id_, e.sender, "stale_keytree_epoch", p->epoch);
     reject(obs::EvidenceKind::epoch_fenced, "keytree update below floor",
            p->epoch);
     return;
@@ -601,8 +602,8 @@ void Member::handle_keytree_path(const wire::Envelope& e) {
   PROF_SCOPE("member/keytree/path");
   auto reject = [this, &e](obs::EvidenceKind kind, const char* why,
                            std::uint64_t value = 0) {
-    obs::emit(obs::Event::keytree_reject, kind, clock_.now(), leader_id_, id_,
-              e.sender, why, value);
+    obs::emit(counters_, obs::Event::keytree_reject, kind, clock_.now(),
+              leader_id_, id_, e.sender, why, value);
   };
   if (!connected() || !keytree_.assigned()) {
     reject(obs::EvidenceKind::bad_label, "keytree path without a leaf");
@@ -631,8 +632,8 @@ void Member::handle_keytree_path(const wire::Envelope& e) {
   switch (res.outcome) {
     case KeyTreeView::Outcome::applied:
       note_activity();
-      obs::emit(obs::Event::keytree_path, clock_.now(), leader_id_, id_,
-                leader_id_, solicited ? "healed" : "seeded", res.epoch);
+      obs::emit(counters_, obs::Event::keytree_path, clock_.now(), leader_id_,
+                id_, leader_id_, solicited ? "healed" : "seeded", res.epoch);
       if (have_kg_ && res.epoch == epoch_) {
         // Same-epoch refresh: apply_path already (re)installed the path
         // KEKs; Kg, the sequence space and the floor are untouched.
@@ -664,8 +665,8 @@ void Member::request_keytree_recovery() {
       aead_, keytree_.leaf_kek().view(), rng_, wire::Label::KeyTreeRecover,
       id_, leader_id_, wire::encode(body));
   keytree_retry_.arm(clock_.now(), stable_salt(id_) ^ 0x7EE5);
-  obs::emit(obs::Event::keytree_recover, clock_.now(), leader_id_, id_,
-            leader_id_, "request", epoch_);
+  obs::emit(counters_, obs::Event::keytree_recover, clock_.now(), leader_id_,
+            id_, leader_id_, "request", epoch_);
   if (send_) send_(leader_id_, *keytree_recover_env_);
   keytree_retry_.record_attempt(clock_.now(), keytree_retry_policy_);
 }
@@ -681,8 +682,8 @@ std::size_t Member::tick() {
   if (auto env = session_.pending_retransmit()) {
     if (!join_retry_.armed()) join_retry_.arm(now, stable_salt(id_));
     if (join_retry_.due(now, retry_policy_) && send_) {
-      obs::emit(obs::Event::retransmit, now, leader_id_, id_, leader_id_,
-                wire::label_name(env->label));
+      obs::emit(counters_, obs::Event::retransmit, now, leader_id_, id_,
+                leader_id_, wire::label_name(env->label));
       send_(leader_id_, *std::move(env));
       join_retry_.record_attempt(now, retry_policy_);
       ++sent;
@@ -693,8 +694,8 @@ std::size_t Member::tick() {
       join_retry_.disarm();
       if (auto_rejoin_ && want_membership_)
         rejoin_retry_.arm(now, stable_salt(id_) ^ 0x4E30);
-      obs::emit(obs::Event::abandon, now, leader_id_, id_, leader_id_,
-                "join_exhausted");
+      obs::emit(counters_, obs::Event::abandon, now, leader_id_, id_,
+                leader_id_, "join_exhausted");
       emit(SessionClosed{"join attempts exhausted"});
     }
   } else {
@@ -709,8 +710,8 @@ std::size_t Member::tick() {
       close_retry_.disarm();
     } else if (close_retry_.due(now, close_retry_policy_)) {
       if (session_.state() == MemberSession::State::not_connected && send_) {
-        obs::emit(obs::Event::retransmit, now, leader_id_, id_, leader_id_,
-                  wire::label_name(close_request_->label));
+        obs::emit(counters_, obs::Event::retransmit, now, leader_id_, id_,
+                  leader_id_, wire::label_name(close_request_->label));
         send_(leader_id_, *close_request_);
         ++sent;
       }
@@ -725,7 +726,7 @@ std::size_t Member::tick() {
       now - last_activity_ >= suspect_after_) {
     ENCLAVES_LOG(info) << id_ << ": leader silent for "
                        << (now - last_activity_) << " ticks, suspecting";
-    obs::emit(obs::Event::suspect, now, leader_id_, id_, leader_id_);
+    obs::emit(counters_, obs::Event::suspect, now, leader_id_, id_, leader_id_);
     if (reconcile_enabled_ && have_kg_) {
       // Partition-tolerant path (PROTOCOL.md §12): suspicion marks a
       // partition, not a death sentence — retain group state and start
@@ -753,8 +754,8 @@ std::size_t Member::tick() {
       if (!reconcile_env_ || (!replay_active_ && offer_len_ != oplog_.size()))
         build_reconcile_offer();
       if (reconcile_retry_.attempts() > 0) {
-        obs::emit(obs::Event::retransmit, now, leader_id_, id_, leader_id_,
-                  wire::label_name(reconcile_env_->label));
+        obs::emit(counters_, obs::Event::retransmit, now, leader_id_, id_,
+                  leader_id_, wire::label_name(reconcile_env_->label));
       }
       if (send_) send_(leader_id_, *reconcile_env_);
       reconcile_retry_.record_attempt(now, reconcile_policy_);
@@ -774,8 +775,8 @@ std::size_t Member::tick() {
       keytree_retry_.disarm();
       obs::count(leader_id_, id_, "exchanges_abandoned_total");
     } else if (keytree_retry_.due(now, keytree_retry_policy_)) {
-      obs::emit(obs::Event::retransmit, now, leader_id_, id_, leader_id_,
-                wire::label_name(keytree_recover_env_->label));
+      obs::emit(counters_, obs::Event::retransmit, now, leader_id_, id_,
+                leader_id_, wire::label_name(keytree_recover_env_->label));
       if (send_) send_(leader_id_, *keytree_recover_env_);
       keytree_retry_.record_attempt(now, keytree_retry_policy_);
       ++sent;
@@ -792,7 +793,7 @@ std::size_t Member::tick() {
     advance_failover_target();
     ++rejoins_;
     note_activity();  // restart the suspicion window for the new attempt
-    obs::emit(obs::Event::rejoin, now, leader_id_, id_, leader_id_);
+    obs::emit(counters_, obs::Event::rejoin, now, leader_id_, id_, leader_id_);
     if (join().ok()) ++sent;
   }
 

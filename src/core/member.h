@@ -30,6 +30,7 @@
 #include "core/retry.h"
 #include "crypto/aead.h"
 #include "crypto/keys.h"
+#include "obs/event.h"
 #include "util/clock.h"
 #include "util/result.h"
 #include "wire/envelope.h"
@@ -224,6 +225,7 @@ class Member {
   // cannot observe whether the leader processed its close, and duplicates
   // at the leader fail cleanly (session already closed).
   VirtualClock clock_;
+  obs::EventCounters counters_;  // obs::emit's cached counter cells
   RetryPolicy retry_policy_ = RetryPolicy::every_tick();
   RetryPolicy close_retry_policy_ = RetryPolicy::bounded(3);
   RetryPolicy rejoin_policy_ = RetryPolicy::every_tick();

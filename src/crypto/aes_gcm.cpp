@@ -19,17 +19,23 @@ struct CtxDeleter {
 };
 using CtxPtr = std::unique_ptr<EVP_CIPHER_CTX, CtxDeleter>;
 
+constexpr char kName[] = "aes256gcm";
+constinit obs::Counter g_seals{"crypto", kName, "seals_total"};
+constinit obs::Counter g_sealed_bytes{"crypto", kName, "sealed_bytes_total"};
+constinit obs::Counter g_opens{"crypto", kName, "opens_total"};
+constinit obs::Counter g_opened_bytes{"crypto", kName, "opened_bytes_total"};
+
 class AesGcm final : public Aead {
  public:
-  const char* name() const override { return "aes256gcm"; }
+  const char* name() const override { return kName; }
 
   Bytes seal(BytesView key, BytesView nonce, BytesView aad,
              BytesView plaintext) const override {
     assert(key.size() == kKeySize && nonce.size() == kNonceSize);
     PROF_SCOPE("crypto/seal");
     obs::prof_bytes(plaintext.size());
-    obs::count("crypto", name(), "seals_total");
-    obs::count("crypto", name(), "sealed_bytes_total", plaintext.size());
+    g_seals.add();
+    g_sealed_bytes.add(plaintext.size());
     CtxPtr ctx(EVP_CIPHER_CTX_new());
     if (!ctx) throw std::bad_alloc();
     if (EVP_EncryptInit_ex(ctx.get(), EVP_aes_256_gcm(), nullptr, key.data(),
@@ -64,8 +70,8 @@ class AesGcm final : public Aead {
     assert(key.size() == kKeySize && nonce.size() == kNonceSize);
     PROF_SCOPE("crypto/open");
     obs::prof_bytes(ct.size());
-    obs::count("crypto", name(), "opens_total");
-    obs::count("crypto", name(), "opened_bytes_total", ct.size());
+    g_opens.add();
+    g_opened_bytes.add(ct.size());
     if (ct.size() < kTagSize)
       return make_error(Errc::truncated, "aead ciphertext shorter than tag");
     const std::size_t body_len = ct.size() - kTagSize;
@@ -95,8 +101,8 @@ class AesGcm final : public Aead {
 
     int fin = 0;
     if (EVP_DecryptFinal_ex(ctx.get(), out.data() + len, &fin) != 1) {
-      obs::emit(obs::Event::aead_open_failure, 0, "crypto", name(), {},
-                "gcm tag mismatch");
+      obs::emit(obs::thread_event_counters(), obs::Event::aead_open_failure,
+                0, "crypto", name(), {}, "gcm tag mismatch");
       return make_error(Errc::auth_failed, "gcm tag mismatch");
     }
     return out;

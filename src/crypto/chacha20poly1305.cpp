@@ -45,17 +45,23 @@ Poly1305::Tag compute_tag(BytesView otk, BytesView aad, BytesView ciphertext) {
   return mac.finish();
 }
 
+constexpr char kName[] = "chacha20poly1305";
+constinit obs::Counter g_seals{"crypto", kName, "seals_total"};
+constinit obs::Counter g_sealed_bytes{"crypto", kName, "sealed_bytes_total"};
+constinit obs::Counter g_opens{"crypto", kName, "opens_total"};
+constinit obs::Counter g_opened_bytes{"crypto", kName, "opened_bytes_total"};
+
 class ChaCha20Poly1305 final : public Aead {
  public:
-  const char* name() const override { return "chacha20poly1305"; }
+  const char* name() const override { return kName; }
 
   Bytes seal(BytesView key, BytesView nonce, BytesView aad,
              BytesView plaintext) const override {
     assert(key.size() == kKeySize && nonce.size() == kNonceSize);
     PROF_SCOPE("crypto/seal");
     obs::prof_bytes(plaintext.size());
-    obs::count("crypto", name(), "seals_total");
-    obs::count("crypto", name(), "sealed_bytes_total", plaintext.size());
+    g_seals.add();
+    g_sealed_bytes.add(plaintext.size());
     ChaCha20 cipher(key, nonce, 0);
     const auto block0 = poly1305_key_block(cipher);
     const std::size_t n = plaintext.size();
@@ -73,8 +79,8 @@ class ChaCha20Poly1305 final : public Aead {
     assert(key.size() == kKeySize && nonce.size() == kNonceSize);
     PROF_SCOPE("crypto/open");
     obs::prof_bytes(ct.size());
-    obs::count("crypto", name(), "opens_total");
-    obs::count("crypto", name(), "opened_bytes_total", ct.size());
+    g_opens.add();
+    g_opened_bytes.add(ct.size());
     if (ct.size() < kTagSize)
       return make_error(Errc::truncated, "aead ciphertext shorter than tag");
     BytesView body = ct.subspan(0, ct.size() - kTagSize);
@@ -82,8 +88,8 @@ class ChaCha20Poly1305 final : public Aead {
     ChaCha20 cipher(key, nonce, 0);
     const auto expect = compute_tag(poly1305_key_block(cipher), aad, body);
     if (!ct_equal({expect.data(), expect.size()}, tag)) {
-      obs::emit(obs::Event::aead_open_failure, 0, "crypto", name(), {},
-                "poly1305 tag mismatch");
+      obs::emit(obs::thread_event_counters(), obs::Event::aead_open_failure,
+                0, "crypto", name(), {}, "poly1305 tag mismatch");
       return make_error(Errc::auth_failed, "poly1305 tag mismatch");
     }
     return cipher.transform(body);

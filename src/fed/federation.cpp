@@ -45,7 +45,7 @@ FedNode::FedNode(FedNodeConfig config, Rng& rng, const crypto::Aead& aead)
     if (!fresh) {
       // The resurrected-source case: an offer carrying an ownership version
       // the directory already superseded. Refused, with attribution.
-      obs::emit(obs::Event::stale_offer, clock_.now(), o.group,
+      obs::emit(counters_, obs::Event::stale_offer, clock_.now(), o.group,
                 config_.shard_id, o.source_shard, "stale migration offer",
                 o.dir_version);
       // Flight-recorder incident hook: a resurrected source shard is the
@@ -61,7 +61,7 @@ FedNode::FedNode(FedNodeConfig config, Rng& rng, const crypto::Aead& aead)
     auto snap =
         core::LeaderSnapshot::deserialize(o.snapshot, pair_key(o.source_shard));
     if (!snap) {
-      obs::emit(obs::Event::fed_malformed,
+      obs::emit(counters_, obs::Event::fed_malformed,
                 obs::evidence_kind_for(snap.error().code), clock_.now(),
                 o.group, config_.shard_id, o.source_shard,
                 "migration snapshot rejected");
@@ -176,12 +176,12 @@ void FedNode::send_redirect(const std::string& member,
                             const std::string& group,
                             const std::string& stale_leader,
                             const std::string& owner_leader) {
-  obs::emit(obs::Event::redirect_sent, clock_.now(), group, config_.shard_id,
-            member, "sent", directory_.version(group));
+  obs::emit(counters_, obs::Event::redirect_sent, clock_.now(), group,
+            config_.shard_id, member, "sent", directory_.version(group));
   // Observed-not-processed evidence. No accusation: arriving at the wrong
   // shard is the expected aftermath of a migration, not an attack.
-  obs::emit(obs::Event::wrong_shard, clock_.now(), group, config_.shard_id,
-            /*peer=*/{}, owner_leader);
+  obs::emit(counters_, obs::Event::wrong_shard, clock_.now(), group,
+            config_.shard_id, /*peer=*/{}, owner_leader);
   wire::Envelope env{wire::Label::FedRedirect, config_.shard_id, member,
                      wire::encode(wire::FedRedirectPayload{
                          group, stale_leader, owner_leader,
@@ -217,19 +217,19 @@ void FedNode::handle_fed(const wire::Envelope& e) {
   using wire::Label;
   if (e.label != Label::FedMigrateOffer && e.label != Label::FedMigrateAck &&
       e.label != Label::FedMigrateCommit && e.label != Label::FedDirSync) {
-    obs::emit(obs::Event::fed_label_refused, clock_.now(), "fed",
+    obs::emit(counters_, obs::Event::fed_label_refused, clock_.now(), "fed",
               config_.shard_id, e.sender, wire::label_name(e.label));
     return;
   }
   if (e.sender.empty() || e.sender == config_.shard_id) return;
   auto plain = wire::open_sealed(aead_, pair_key(e.sender), e);
   if (!plain) {
-    obs::emit(obs::Event::fed_seal_refused, clock_.now(), "fed",
+    obs::emit(counters_, obs::Event::fed_seal_refused, clock_.now(), "fed",
               config_.shard_id, e.sender, wire::label_name(e.label));
     return;
   }
   auto malformed = [&](const Error& err) {
-    obs::emit(obs::Event::fed_malformed, clock_.now(), "fed",
+    obs::emit(counters_, obs::Event::fed_malformed, clock_.now(), "fed",
               config_.shard_id, e.sender, err.to_string());
   };
   switch (e.label) {
@@ -256,13 +256,13 @@ void FedNode::handle_fed(const wire::Envelope& e) {
       if (!p) return malformed(p.error());
       const Directory::Claim claim =
           directory_.claim(p->group, p->owner_shard, p->version);
-      obs::emit(obs::Event::dir_claim, clock_.now(), p->group,
+      obs::emit(counters_, obs::Event::dir_claim, clock_.now(), p->group,
                 config_.shard_id, e.sender, p->owner_shard, p->version);
       if (claim == Directory::Claim::stale) {
         // An authentic shard asserting ownership the directory already
         // superseded — the resurrected source, or a replayed sync.
-        obs::emit(obs::Event::stale_dir_claim, clock_.now(), p->group,
-                  config_.shard_id, e.sender, "stale directory claim",
+        obs::emit(counters_, obs::Event::stale_dir_claim, clock_.now(),
+                  p->group, config_.shard_id, e.sender, "stale directory claim",
                   p->version);
         obs::flight_incident(clock_.now(), "stale_dir_claim", p->group,
                              config_.shard_id);

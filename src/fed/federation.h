@@ -28,6 +28,7 @@
 #include "fed/directory.h"
 #include "fed/migration.h"
 #include "fed/ring.h"
+#include "obs/event.h"
 
 namespace enclaves::fed {
 
@@ -118,6 +119,7 @@ class FedNode {
   Rng& rng_;
   const crypto::Aead& aead_;
   VirtualClock clock_;  // advanced by tick(); timestamps traces/evidence
+  obs::EventCounters counters_;  // obs::emit's cached counter cells
   core::MultiGroupHost host_;
   HashRing ring_;
   Directory directory_;

@@ -37,8 +37,8 @@ Result<std::uint64_t> Migrator::begin(const std::string& group,
     hooks_.send(target_shard, wire::Label::FedMigrateOffer, out.payload);
   outbound_.emplace(group, std::move(out));
   gauge_inflight();
-  obs::emit(obs::Event::migrate_offer, clock_.now(), group, config_.shard_id,
-            target_shard, "offer", id);
+  obs::emit(counters_, obs::Event::migrate_offer, clock_.now(), group,
+            config_.shard_id, target_shard, "offer", id);
   return id;
 }
 
@@ -48,8 +48,9 @@ void Migrator::send_ack(const std::string& to_shard, const std::string& group,
   wire::FedMigrateAckPayload ack{group, id, verdict, fenced_epoch};
   if (hooks_.send)
     hooks_.send(to_shard, wire::Label::FedMigrateAck, wire::encode(ack));
-  obs::emit(obs::Event::migrate_step, clock_.now(), group, config_.shard_id,
-            to_shard, wire::fed_migrate_verdict_name(verdict), id);
+  obs::emit(counters_, obs::Event::migrate_step, clock_.now(), group,
+            config_.shard_id, to_shard, wire::fed_migrate_verdict_name(verdict),
+            id);
 }
 
 void Migrator::handle_offer(const wire::FedMigrateOfferPayload& offer) {
@@ -68,7 +69,7 @@ void Migrator::handle_offer(const wire::FedMigrateOfferPayload& offer) {
   // fenced_migration ledger evidence; we answer with a refusal so the
   // (possibly honest-but-stale) source stops retransmitting.
   if (hooks_.offer_fresh && !hooks_.offer_fresh(offer)) {
-    obs::emit(obs::Event::migrate_refuse, clock_.now(), offer.group,
+    obs::emit(counters_, obs::Event::migrate_refuse, clock_.now(), offer.group,
               config_.shard_id, offer.source_shard, "refuse",
               offer.migration_id);
     send_ack(offer.source_shard, offer.group, offer.migration_id,
@@ -80,7 +81,7 @@ void Migrator::handle_offer(const wire::FedMigrateOfferPayload& offer) {
                     : Result<std::uint64_t>(
                           make_error(Errc::unexpected, "no install hook"));
   if (!fenced) {
-    obs::emit(obs::Event::migrate_refuse, clock_.now(), offer.group,
+    obs::emit(counters_, obs::Event::migrate_refuse, clock_.now(), offer.group,
               config_.shard_id, offer.source_shard, "refuse",
               offer.migration_id);
     send_ack(offer.source_shard, offer.group, offer.migration_id,
@@ -90,7 +91,7 @@ void Migrator::handle_offer(const wire::FedMigrateOfferPayload& offer) {
   adopted_[offer.group] =
       Adopted{offer.source_shard, offer.migration_id, *fenced, false};
   ++installed_count_;
-  obs::emit(obs::Event::migrate_install, clock_.now(), offer.group,
+  obs::emit(counters_, obs::Event::migrate_install, clock_.now(), offer.group,
             config_.shard_id, offer.source_shard, "install",
             offer.migration_id);
   send_ack(offer.source_shard, offer.group, offer.migration_id,
@@ -103,7 +104,7 @@ void Migrator::handle_ack(const wire::FedMigrateAckPayload& ack) {
   if (it == outbound_.end() || it->second.id != ack.migration_id) return;
   Outbound& out = it->second;
   if (ack.verdict == wire::FedMigrateVerdict::refuse) {
-    obs::emit(obs::Event::migrate_abort, clock_.now(), ack.group,
+    obs::emit(counters_, obs::Event::migrate_abort, clock_.now(), ack.group,
               config_.shard_id, out.target, "abort", out.id);
     if (hooks_.aborted) hooks_.aborted(ack.group, "refused by target");
     outbound_.erase(it);
@@ -126,7 +127,7 @@ void Migrator::handle_ack(const wire::FedMigrateAckPayload& ack) {
   out.retry.arm(clock_.now(), core::stable_salt(ack.group) ^ 0xC0517);
   out.retry.record_attempt(clock_.now(), config_.retry);
   ++completed_;
-  obs::emit(obs::Event::migrate_commit, clock_.now(), ack.group,
+  obs::emit(counters_, obs::Event::migrate_commit, clock_.now(), ack.group,
             config_.shard_id, out.target, "commit", out.id);
   if (hooks_.send)
     hooks_.send(out.target, wire::Label::FedMigrateCommit, out.payload);
@@ -139,7 +140,7 @@ void Migrator::handle_commit(const wire::FedMigrateCommitPayload& commit) {
   if (hooks_.committed) hooks_.committed(commit.group, commit.dir_version);
   if (!it->second.committed) {
     it->second.committed = true;
-    obs::emit(obs::Event::migrate_step, clock_.now(), commit.group,
+    obs::emit(counters_, obs::Event::migrate_step, clock_.now(), commit.group,
               config_.shard_id, it->second.source, "complete",
               commit.migration_id);
   }
@@ -163,7 +164,7 @@ std::size_t Migrator::tick() {
       } else {
         // Offer never answered: the target is unreachable. Unfreeze and
         // keep the group — nothing was handed over yet.
-        obs::emit(obs::Event::migrate_abort, now, it->first,
+        obs::emit(counters_, obs::Event::migrate_abort, now, it->first,
                   config_.shard_id, out.target, "abort", out.id);
         if (hooks_.aborted) hooks_.aborted(it->first, "offer unanswered");
         it = outbound_.erase(it);

@@ -32,6 +32,7 @@
 #include <string>
 
 #include "core/retry.h"
+#include "obs/event.h"
 #include "util/bytes.h"
 #include "util/clock.h"
 #include "util/result.h"
@@ -142,6 +143,7 @@ class Migrator {
   Rng& rng_;
   Hooks hooks_;
   VirtualClock clock_;
+  obs::EventCounters counters_;  // obs::emit's cached counter cells
   std::map<std::string, Outbound> outbound_;  // by group (source side)
   std::map<std::string, Adopted> adopted_;    // by group (target side)
   std::uint64_t completed_ = 0;

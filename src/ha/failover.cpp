@@ -37,8 +37,8 @@ std::unique_ptr<core::Leader> FailoverController::tick() {
 
   ENCLAVES_LOG(info) << config_.promoted.id << ": active silent for "
                      << (now - last_activity_) << " ticks, promoting standby";
-  obs::emit(obs::Event::suspect, now, kHaGroup, config_.promoted.id, {},
-            "active_silent", now - last_activity_);
+  obs::emit(counters_, obs::Event::suspect, now, kHaGroup, config_.promoted.id,
+            {}, "active_silent", now - last_activity_);
   auto leader = standby_.promote(config_.promoted, config_.epoch_fence);
   if (!leader) {
     // Only reachable if the host promoted the standby out-of-band; record

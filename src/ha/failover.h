@@ -23,6 +23,7 @@
 
 #include "core/leader.h"
 #include "ha/standby.h"
+#include "obs/event.h"
 #include "util/clock.h"
 
 namespace enclaves::ha {
@@ -71,6 +72,7 @@ class FailoverController {
   StandbyLeader& standby_;
   FailoverConfig config_;
   VirtualClock clock_;
+  obs::EventCounters counters_;  // obs::emit's cached counter cells
   Tick last_activity_ = 0;
   std::optional<Tick> promoted_at_;
   bool recovery_recorded_ = false;

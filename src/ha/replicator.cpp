@@ -94,9 +94,9 @@ void LeaderReplicator::send_delta(const wire::ReplDeltaPayload& delta) {
   PROF_SCOPE("ha/repl/delta");
   obs::gauge_set(kHaGroup, leader_.id(), "repl_lag",
                  static_cast<std::int64_t>(lag()));
-  obs::emit(obs::Event::repl_delta, clock_.now(), kHaGroup, leader_.id(),
-            config_.standby_id, wire::repl_delta_kind_name(delta.kind),
-            delta.seq);
+  obs::emit(counters_, obs::Event::repl_delta, clock_.now(), kHaGroup,
+            leader_.id(), config_.standby_id,
+            wire::repl_delta_kind_name(delta.kind), delta.seq);
   if (!send_) return;
   send_(config_.standby_id,
         wire::make_sealed(aead_, config_.repl_key.view(), rng_,
@@ -112,8 +112,8 @@ void LeaderReplicator::send_snapshot() {
   payload.epoch = leader_.epoch();
   payload.seq = log_.head();
   payload.snapshot = leader_.snapshot().serialize(config_.repl_key.view());
-  obs::emit(obs::Event::repl_snapshot, clock_.now(), kHaGroup, leader_.id(),
-            config_.standby_id, {}, payload.seq);
+  obs::emit(counters_, obs::Event::repl_snapshot, clock_.now(), kHaGroup,
+            leader_.id(), config_.standby_id, {}, payload.seq);
   if (!send_) return;
   send_(config_.standby_id,
         wire::make_sealed(aead_, config_.repl_key.view(), rng_,
@@ -149,11 +149,11 @@ void LeaderReplicator::handle(const wire::Envelope& e) {
       deposed_ = true;
       ENCLAVES_LOG(info) << leader_.id() << ": deposed by "
                          << config_.standby_id << " at epoch " << ack->epoch;
-      obs::emit(obs::Event::deposed, clock_.now(), kHaGroup, leader_.id(),
-                config_.standby_id, "deposed", ack->epoch);
+      obs::emit(counters_, obs::Event::deposed, clock_.now(), kHaGroup,
+                leader_.id(), config_.standby_id, "deposed", ack->epoch);
       // Evidence against ourselves: this incarnation kept distributing
       // after a failover — exactly what a resurrected leader looks like.
-      obs::emit(obs::Event::repl_fenced, clock_.now(), kHaGroup,
+      obs::emit(counters_, obs::Event::repl_fenced, clock_.now(), kHaGroup,
                 leader_.id(), leader_.id(), "deposed by fenced ack",
                 ack->epoch);
       // Flight-recorder incident hook: capture the deposed incarnation's
@@ -169,8 +169,8 @@ void LeaderReplicator::handle(const wire::Envelope& e) {
   if (ack->gap) {
     // The standby cannot extend its contiguous prefix from what it holds —
     // repair with a full baseline (which covers every pruned delta).
-    obs::emit(obs::Event::repl_gap, clock_.now(), kHaGroup, leader_.id(),
-              config_.standby_id, "resync", ack->seq);
+    obs::emit(counters_, obs::Event::repl_gap, clock_.now(), kHaGroup,
+              leader_.id(), config_.standby_id, "resync", ack->seq);
     send_snapshot();
     return;
   }

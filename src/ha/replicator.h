@@ -26,6 +26,7 @@
 #include "crypto/aead.h"
 #include "crypto/keys.h"
 #include "ha/repl_log.h"
+#include "obs/event.h"
 #include "util/clock.h"
 #include "util/result.h"
 #include "util/rng.h"
@@ -102,6 +103,7 @@ class LeaderReplicator {
 
   ReplLog log_;
   VirtualClock clock_;
+  obs::EventCounters counters_;  // obs::emit's cached counter cells
   core::RetryState retry_;
   std::uint64_t deltas_since_snapshot_ = 0;
   Tick last_send_ = 0;

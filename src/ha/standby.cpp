@@ -35,10 +35,10 @@ void StandbyLeader::handle(const wire::Envelope& e) {
   if (promoted_) {
     // We are the active leader now. Whatever the old incarnation streams is
     // void; answer with the fence so it learns it is deposed.
-    obs::emit(obs::Event::repl_fence, now_, kHaGroup, config_.id, e.sender,
-              "fenced_repl_traffic", fenced_epoch_);
-    obs::emit(obs::Event::repl_fenced, now_, kHaGroup, config_.id, e.sender,
-              "repl traffic after promotion", fenced_epoch_);
+    obs::emit(counters_, obs::Event::repl_fence, now_, kHaGroup, config_.id,
+              e.sender, "fenced_repl_traffic", fenced_epoch_);
+    obs::emit(counters_, obs::Event::repl_fenced, now_, kHaGroup, config_.id,
+              e.sender, "repl traffic after promotion", fenced_epoch_);
     send_fenced_ack();
     return;
   }
@@ -67,8 +67,8 @@ void StandbyLeader::handle(const wire::Envelope& e) {
       applied_ = payload->seq;
       has_baseline_ = true;
       ++stats_.snapshots_installed;
-      obs::emit(obs::Event::repl_snapshot, now_, kHaGroup, config_.id,
-                e.sender, "installed", applied_);
+      obs::emit(counters_, obs::Event::repl_snapshot, now_, kHaGroup,
+                config_.id, e.sender, "installed", applied_);
       drain_buffer();
       send_ack(false);
       return;
@@ -85,8 +85,8 @@ void StandbyLeader::handle(const wire::Envelope& e) {
         if (payload->seq > applied_ && buffer_.size() < config_.max_buffered)
           buffer_.emplace(payload->seq, *std::move(payload));
         ++stats_.gaps_detected;
-        obs::emit(obs::Event::repl_gap, now_, kHaGroup, config_.id, e.sender,
-                  has_baseline_ ? "gap" : "no_baseline", applied_);
+        obs::emit(counters_, obs::Event::repl_gap, now_, kHaGroup, config_.id,
+                  e.sender, has_baseline_ ? "gap" : "no_baseline", applied_);
         send_ack(true);
         return;
       }
@@ -146,7 +146,7 @@ void StandbyLeader::apply(const wire::ReplDeltaPayload& delta) {
   }
   applied_ = delta.seq;
   ++stats_.deltas_applied;
-  obs::emit(obs::Event::repl_delta, now_, kHaGroup, config_.id,
+  obs::emit(counters_, obs::Event::repl_delta, now_, kHaGroup, config_.id,
             config_.active_id, wire::repl_delta_kind_name(delta.kind),
             delta.seq);
 }
@@ -205,7 +205,7 @@ Result<std::unique_ptr<core::Leader>> StandbyLeader::promote(
   promoted_ = true;
   ENCLAVES_LOG(info) << config_.id << ": promoted at replication seq "
                      << applied_ << ", epoch fenced to " << fenced_epoch_;
-  obs::emit(obs::Event::promote, now_, kHaGroup, config_.id,
+  obs::emit(counters_, obs::Event::promote, now_, kHaGroup, config_.id,
             config_.active_id, "promoted", fenced_epoch_);
   return leader;
 }

@@ -31,6 +31,7 @@
 #include "core/registry.h"
 #include "crypto/aead.h"
 #include "crypto/keys.h"
+#include "obs/event.h"
 #include "util/clock.h"
 #include "util/result.h"
 #include "util/rng.h"
@@ -116,6 +117,7 @@ class StandbyLeader {
   bool promoted_ = false;
   std::uint64_t fenced_epoch_ = 0;
   Tick now_ = 0;
+  obs::EventCounters counters_;  // obs::emit's cached counter cells
   Stats stats_;
 };
 

@@ -21,8 +21,8 @@ bool crosses(const std::set<AgentId>& island, const Packet& p) {
 void FaultInjector::partition(std::set<AgentId> island) {
   manual_island_ = std::move(island);
   ++stats_.partitions_cut;
-  obs::emit(obs::Event::partition_cut, stats_.seen, "net", "fault", {}, "cut",
-            manual_island_.size());
+  obs::emit(counters_, obs::Event::partition_cut, stats_.seen, "net",
+            "fault", {}, "cut", manual_island_.size());
 }
 
 void FaultInjector::heal() {
@@ -30,8 +30,8 @@ void FaultInjector::heal() {
   const std::uint64_t size = manual_island_.size();
   manual_island_.clear();
   ++stats_.partitions_healed;
-  obs::emit(obs::Event::partition_heal, stats_.seen, "net", "fault", {},
-            "heal", size);
+  obs::emit(counters_, obs::Event::partition_heal, stats_.seen, "net",
+            "fault", {}, "heal", size);
 }
 
 const LinkFaults& FaultInjector::faults_for(const Packet& p) const {
@@ -60,22 +60,22 @@ TapDecision FaultInjector::decide(const Packet& p) {
   // clock (packets seen), since the tap has no view of any agent's ticks.
   if (crosses_partition(p, n)) {
     ++stats_.partition_dropped;
-    obs::emit(obs::Event::partition_drop, n, "net", p.envelope.sender, p.to,
-              wire::label_name(p.envelope.label));
+    obs::emit(counters_, obs::Event::partition_drop, n, "net",
+              p.envelope.sender, p.to, wire::label_name(p.envelope.label));
     return TapVerdict::drop;
   }
 
   const LinkFaults& f = faults_for(p);
   if (roll < f.drop_pct) {
     ++stats_.dropped;
-    obs::emit(obs::Event::fault_drop, n, "net", p.envelope.sender, p.to,
-              wire::label_name(p.envelope.label));
+    obs::emit(counters_, obs::Event::fault_drop, n, "net", p.envelope.sender,
+              p.to, wire::label_name(p.envelope.label));
     return TapVerdict::drop;
   }
   if (roll < f.drop_pct + f.duplicate_pct) {
     ++stats_.duplicated;
-    obs::emit(obs::Event::fault_duplicate, n, "net", p.envelope.sender, p.to,
-              wire::label_name(p.envelope.label));
+    obs::emit(counters_, obs::Event::fault_duplicate, n, "net",
+              p.envelope.sender, p.to, wire::label_name(p.envelope.label));
     return TapVerdict::duplicate;
   }
   if (roll < f.drop_pct + f.duplicate_pct + f.delay_pct) {
@@ -83,8 +83,8 @@ TapDecision FaultInjector::decide(const Packet& p) {
     const std::uint32_t max = f.max_delay_steps == 0 ? 1 : f.max_delay_steps;
     const std::uint32_t steps =
         1 + static_cast<std::uint32_t>(rng_.below(max));
-    obs::emit(obs::Event::fault_delay, n, "net", p.envelope.sender, p.to,
-              wire::label_name(p.envelope.label), steps);
+    obs::emit(counters_, obs::Event::fault_delay, n, "net", p.envelope.sender,
+              p.to, wire::label_name(p.envelope.label), steps);
     return {TapVerdict::delay, steps};
   }
   return TapVerdict::deliver;

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "net/sim_network.h"
+#include "obs/event.h"
 #include "util/rng.h"
 
 namespace enclaves::net {
@@ -100,6 +101,7 @@ class FaultInjector {
   DeterministicRng rng_;
   std::set<AgentId> manual_island_;
   Stats stats_;
+  obs::EventCounters counters_;  // obs::emit's cached counter cells
 };
 
 }  // namespace enclaves::net

@@ -8,6 +8,16 @@
 
 namespace enclaves::net {
 
+namespace {
+constinit obs::Counter g_queued{"net", "sim", "packets_queued_total"};
+constinit obs::Histogram g_body_bytes{"net", "sim", "packet_body_bytes"};
+constinit obs::Counter g_dropped{"net", "sim", "packets_dropped_total"};
+constinit obs::Counter g_duplicated{"net", "sim", "packets_duplicated_total"};
+constinit obs::Counter g_delayed{"net", "sim", "packets_delayed_total"};
+constinit obs::Counter g_unroutable{"net", "sim", "packets_unroutable_total"};
+constinit obs::Counter g_delivered{"net", "sim", "packets_delivered_total"};
+}  // namespace
+
 void SimNetwork::attach(const AgentId& id, Handler handler) {
   handlers_[id] = std::move(handler);
 }
@@ -17,8 +27,8 @@ void SimNetwork::detach(const AgentId& id) { handlers_.erase(id); }
 void SimNetwork::enqueue(const AgentId& to, wire::Envelope envelope) {
   PROF_SCOPE("net/sim/enqueue");
   obs::prof_bytes(envelope.body.size());
-  obs::count("net", "sim", "packets_queued_total");
-  obs::observe("net", "sim", "packet_body_bytes", envelope.body.size());
+  g_queued.add();
+  g_body_bytes.observe(envelope.body.size());
   Packet p{next_seq_++, to, std::move(envelope)};
   log_.push_back(p);
   queue_.push_back(std::move(p));
@@ -34,17 +44,17 @@ void SimNetwork::send(const AgentId& to, wire::Envelope envelope) {
         preview.seq = next_seq_++;
         log_.push_back(std::move(preview));
         ++dropped_by_tap_;
-        obs::count("net", "sim", "packets_dropped_total");
+        g_dropped.add();
         return;
       case TapVerdict::duplicate:
         ++duplicated_by_tap_;
-        obs::count("net", "sim", "packets_duplicated_total");
+        g_duplicated.add();
         enqueue(to, envelope);
         enqueue(to, std::move(envelope));
         return;
       case TapVerdict::delay: {
         ++delayed_by_tap_;
-        obs::count("net", "sim", "packets_delayed_total");
+        g_delayed.add();
         Packet p{next_seq_++, to, std::move(envelope)};
         log_.push_back(p);
         const std::uint64_t steps =
@@ -95,12 +105,12 @@ bool SimNetwork::deliver_next() {
   auto it = handlers_.find(p.to);
   if (it == handlers_.end()) {
     ++unroutable_;
-    obs::count("net", "sim", "packets_unroutable_total");
+    g_unroutable.add();
     ENCLAVES_LOG(debug) << "unroutable packet to " << p.to << ": "
                         << wire::describe(p.envelope);
     return true;
   }
-  obs::count("net", "sim", "packets_delivered_total");
+  g_delivered.add();
   // Copy the handler: delivery may detach/re-attach agents.
   Handler h = it->second;
   {

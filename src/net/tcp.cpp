@@ -21,6 +21,12 @@ namespace enclaves::net {
 
 namespace {
 
+constinit obs::Counter g_envelopes_sent{"net", "tcp", "envelopes_sent_total"};
+constinit obs::Counter g_bytes_sent{"net", "tcp", "bytes_sent_total"};
+constinit obs::Counter g_bytes_received{"net", "tcp", "bytes_received_total"};
+constinit obs::Counter g_envelopes_received{"net", "tcp",
+                                            "envelopes_received_total"};
+
 Status set_nonblocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0)
@@ -97,8 +103,8 @@ Status TcpNode::send(ConnId conn, const wire::Envelope& envelope) {
   PROF_SCOPE("net/tcp/send");
   Bytes framed = wire::encode_framed(envelope);
   obs::prof_bytes(framed.size());
-  obs::count("net", "tcp", "envelopes_sent_total");
-  obs::count("net", "tcp", "bytes_sent_total", framed.size());
+  g_envelopes_sent.add();
+  g_bytes_sent.add(framed.size());
   Bytes& out = it->second.out;
   if (out.empty())
     out = std::move(framed);  // nothing queued: flush this buffer as is
@@ -136,8 +142,7 @@ bool TcpNode::read_from(ConnId fd) {
     ssize_t n = ::recv(fd, buf, sizeof buf, 0);
     if (n > 0) {
       obs::prof_bytes(static_cast<std::uint64_t>(n));
-      obs::count("net", "tcp", "bytes_received_total",
-                 static_cast<std::uint64_t>(n));
+      g_bytes_received.add(static_cast<std::uint64_t>(n));
       if (auto s = it->second.decoder.feed({buf, static_cast<std::size_t>(n)});
           !s) {
         ENCLAVES_LOG(warn) << "oversized frame from fd " << fd << "; dropping";
@@ -168,7 +173,7 @@ bool TcpNode::read_from(ConnId fd) {
                          << " (" << env.error().to_string() << ")";
       continue;  // hostile bytes are ignored, not fatal
     }
-    obs::count("net", "tcp", "envelopes_received_total");
+    g_envelopes_received.add();
     if (cb_.on_envelope) cb_.on_envelope(fd, *env);
   }
   return true;

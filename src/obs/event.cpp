@@ -154,15 +154,38 @@ const EventRow& event_row(Event event) {
   return kTable[static_cast<std::size_t>(event)].row;
 }
 
-void emit_attached(Event event, std::optional<EvidenceKind> evidence,
-                   Tick tick, std::string_view group, std::string_view agent,
+void EventCounters::bump(Event event, std::string_view group,
+                         std::string_view agent) {
+  if (generation_ !=
+          detail::g_metrics_generation.load(std::memory_order_acquire) ||
+      group != group_ || agent != agent_) {
+    registry_ = detail::resolving_sink(generation_);
+    group_ = group;
+    agent_ = agent;
+    cells_.fill(nullptr);
+  }
+  if (!registry_) return;
+  auto*& cell = cells_[static_cast<std::size_t>(event)];
+  if (!cell)
+    cell = &registry_->counter_cell(group, agent, event_row(event).counter);
+  cell->fetch_add(1, std::memory_order_relaxed);
+}
+
+EventCounters& thread_event_counters() {
+  thread_local EventCounters counters;
+  return counters;
+}
+
+void emit_attached(EventCounters& counters, Event event,
+                   std::optional<EvidenceKind> evidence, Tick tick,
+                   std::string_view group, std::string_view agent,
                    std::string_view peer, std::string_view detail,
                    std::uint64_t value) {
   const EventRow& row = event_row(event);
   assert(!evidence || row.evidence);  // only evidence rows take a kind
   if (!row.counter.empty()) {
-    count(row.counter_group.empty() ? group : row.counter_group,
-          row.counter_agent.empty() ? agent : row.counter_agent, row.counter);
+    counters.bump(event, row.counter_group.empty() ? group : row.counter_group,
+                  row.counter_agent.empty() ? agent : row.counter_agent);
   }
   if (row.trace) trace(tick, *row.trace, group, agent, peer, detail, value);
   if (row.evidence) {

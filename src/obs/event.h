@@ -6,8 +6,8 @@
 // which EvidenceKind it leaves in the SecurityLedger — so a call site only
 // says *what happened* and with which fields:
 //
-//   obs::emit(obs::Event::relay_reject, clock_.now(), group, agent,
-//             /*peer=*/sender, /*detail=*/why);
+//   obs::emit(counters_, obs::Event::relay_reject, clock_.now(), group,
+//             agent, /*peer=*/sender, /*detail=*/why);
 //
 // The fields map onto each channel the same way: the counter is keyed by
 // (group, agent) unless the row fixes its own scope, the trace event carries
@@ -18,15 +18,20 @@
 //
 // A site whose evidence kind comes from an error code passes it in with the
 // overload that takes an EvidenceKind; the row must already carry evidence.
+// `counters_` is the reporting object's EventCounters: with it, a counter
+// costs one atomic add.
 //
 // Cost model, as for metrics/trace/security: with every sink detached,
 // emit() loads three atomics and returns — it builds no strings and
 // allocates nothing (pinned by obs_test's allocation-counting case).
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <string_view>
 
 #include "obs/metrics.h"
@@ -132,9 +137,27 @@ struct EventRow {
 
 const EventRow& event_row(Event event);
 
+/// The counter cells one reporting object's events bump: filled lazily
+/// while a metrics sink is attached, refilled when the registry generation
+/// or the counter's (group, agent) changes. Not shared between threads.
+class EventCounters {
+ public:
+  void bump(Event event, std::string_view group, std::string_view agent);
+
+ private:
+  std::uint64_t generation_ = 0;
+  MetricsRegistry* registry_ = nullptr;
+  std::string group_, agent_;
+  std::array<std::atomic<std::uint64_t>*, kEventCount> cells_{};
+};
+
+/// The table of sites that have no reporting object: one per thread.
+EventCounters& thread_event_counters();
+
 /// Writes `event` to every attached sink; called only when one is attached.
-void emit_attached(Event event, std::optional<EvidenceKind> evidence,
-                   Tick tick, std::string_view group, std::string_view agent,
+void emit_attached(EventCounters& counters, Event event,
+                   std::optional<EvidenceKind> evidence, Tick tick,
+                   std::string_view group, std::string_view agent,
                    std::string_view peer, std::string_view detail,
                    std::uint64_t value);
 
@@ -143,21 +166,29 @@ inline bool any_sink_attached() {
          security_sink() != nullptr;
 }
 
-inline void emit(Event event, Tick tick, std::string_view group,
-                 std::string_view agent, std::string_view peer = {},
-                 std::string_view detail = {}, std::uint64_t value = 0) {
-  if (any_sink_attached())
-    emit_attached(event, std::nullopt, tick, group, agent, peer, detail,
-                  value);
-}
-
-/// As above, with the evidence kind chosen by the site (from an error code).
-inline void emit(Event event, EvidenceKind evidence, Tick tick,
+inline void emit(EventCounters& counters, Event event, Tick tick,
                  std::string_view group, std::string_view agent,
                  std::string_view peer = {}, std::string_view detail = {},
                  std::uint64_t value = 0) {
   if (any_sink_attached())
-    emit_attached(event, evidence, tick, group, agent, peer, detail, value);
+    emit_attached(counters, event, std::nullopt, tick, group, agent, peer,
+                  detail, value);
+}
+
+/// As above, with the evidence kind chosen by the site (from an error code).
+inline void emit(EventCounters& counters, Event event, EvidenceKind evidence,
+                 Tick tick, std::string_view group, std::string_view agent,
+                 std::string_view peer = {}, std::string_view detail = {},
+                 std::uint64_t value = 0) {
+  if (any_sink_attached())
+    emit_attached(counters, event, evidence, tick, group, agent, peer, detail,
+                  value);
+}
+
+/// Either form without a table: the calling thread's.
+template <typename... Args>
+void emit(Event event, const Args&... args) {
+  if (any_sink_attached()) emit(thread_event_counters(), event, args...);
 }
 
 }  // namespace enclaves::obs

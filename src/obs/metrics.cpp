@@ -1,7 +1,9 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <sstream>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 
 #include "obs/json_escape.h"
 #include "obs/json_reader.h"
@@ -10,10 +12,38 @@ namespace enclaves::obs {
 
 namespace detail {
 std::atomic<MetricsRegistry*> g_metrics_sink{nullptr};
+std::atomic<std::uint64_t> g_metrics_generation{1};
+
+MetricsRegistry* resolving_sink(std::uint64_t& generation) {
+  generation = g_metrics_generation.load(std::memory_order_acquire);
+  return metrics_sink();
 }
+
+template <typename Cell>
+Cell* MetricHandle<Cell>::resolve() {
+  // One resolver at a time, so a handle's (cell, generation) pair comes
+  // from one resolution.
+  static std::mutex resolving;
+  std::lock_guard lock(resolving);
+  std::uint64_t generation;
+  MetricsRegistry* r = resolving_sink(generation);
+  if (!r) return nullptr;
+  Cell* c;
+  if constexpr (std::is_same_v<Cell, HistogramCell>)
+    c = &r->histogram_cell(group_, agent_, name_);
+  else
+    c = &r->counter_cell(group_, agent_, name_);
+  cell_.store(c, std::memory_order_relaxed);
+  generation_.store(generation, std::memory_order_release);
+  return c;
+}
+template class MetricHandle<std::atomic<std::uint64_t>>;
+template class MetricHandle<HistogramCell>;
+}  // namespace detail
 
 void set_metrics_sink(MetricsRegistry* registry) {
   detail::g_metrics_sink.store(registry, std::memory_order_release);
+  detail::g_metrics_generation.fetch_add(1, std::memory_order_acq_rel);
 }
 
 const std::vector<std::uint64_t>& default_histogram_bounds() {
@@ -26,30 +56,13 @@ const std::vector<std::uint64_t>& default_histogram_bounds() {
   return bounds;
 }
 
-namespace {
-
-MetricKey make_key(std::string_view group, std::string_view agent,
-                   std::string_view name) {
-  return MetricKey{std::string(group), std::string(agent), std::string(name)};
+void HistogramCell::observe(std::uint64_t value) {
+  const auto at = std::lower_bound(bounds.begin(), bounds.end(), value);
+  auto& bucket = buckets[static_cast<std::size_t>(at - bounds.begin())];
+  bucket.fetch_add(1, std::memory_order_relaxed);
+  count.fetch_add(1, std::memory_order_relaxed);
+  sum.fetch_add(value, std::memory_order_relaxed);
 }
-
-void observe_into(HistogramData& h, std::uint64_t value,
-                  const std::vector<std::uint64_t>& bounds) {
-  if (h.bounds.empty()) {
-    h.bounds = bounds;
-    h.counts.assign(h.bounds.size(), 0);
-  }
-  ++h.count;
-  h.sum += value;
-  auto it = std::lower_bound(h.bounds.begin(), h.bounds.end(), value);
-  if (it == h.bounds.end()) {
-    ++h.overflow;
-  } else {
-    ++h.counts[static_cast<std::size_t>(it - h.bounds.begin())];
-  }
-}
-
-}  // namespace
 
 double HistogramData::quantile(double q) const {
   if (count == 0) return 0.0;
@@ -73,76 +86,146 @@ double HistogramData::quantile(double q) const {
   return bounds.empty() ? 0.0 : static_cast<double>(bounds.back());
 }
 
+namespace {
+
+// Cells are keyed like MetricKey but found by string_view triples, so a
+// lookup of an existing key builds no strings. Map nodes never move.
+using KeyView = std::tuple<std::string_view, std::string_view,
+                           std::string_view>;
+struct KeyLess {
+  using is_transparent = void;
+  static KeyView view(const MetricKey& k) { return {k.group, k.agent, k.name}; }
+  static const KeyView& view(const KeyView& k) { return k; }
+  bool operator()(const auto& a, const auto& b) const {
+    return view(a) < view(b);
+  }
+};
+template <typename V>
+using CellMap = std::map<MetricKey, V, KeyLess>;
+
+template <typename V, typename... Args>
+V& cell(CellMap<V>& map, const KeyView& key, const Args&... args) {
+  auto it = map.find(key);
+  if (it == map.end()) {
+    const auto& [group, agent, name] = key;
+    MetricKey k{std::string(group), std::string(agent), std::string(name)};
+    it = map.try_emplace(std::move(k), args...).first;
+  }
+  return it->second;
+}
+
+std::uint64_t load(const std::atomic<std::uint64_t>& a) {
+  return a.load(std::memory_order_relaxed);
+}
+
+HistogramData load(const HistogramCell& h) {
+  HistogramData out{h.bounds, {}, load(h.buckets.back()), load(h.count),
+                    load(h.sum)};
+  for (std::size_t i = 0; i < h.bounds.size(); ++i)
+    out.counts.push_back(load(h.buckets[i]));
+  return out;
+}
+
+}  // namespace
+
+struct MetricsRegistry::Cells {
+  CellMap<std::atomic<std::uint64_t>> counters;
+  CellMap<std::atomic<std::int64_t>> gauges;
+  CellMap<HistogramCell> histograms;
+};
+
+MetricsRegistry::MetricsRegistry() : cells_(std::make_unique<Cells>()) {}
+MetricsRegistry::~MetricsRegistry() = default;
+
 void MetricsRegistry::add(std::string_view group, std::string_view agent,
                           std::string_view name, std::uint64_t delta) {
-  std::lock_guard lock(mutex_);
-  data_.counters[make_key(group, agent, name)] += delta;
+  counter_cell(group, agent, name).fetch_add(delta, std::memory_order_relaxed);
 }
 
 void MetricsRegistry::set_gauge(std::string_view group, std::string_view agent,
                                 std::string_view name, std::int64_t value) {
   std::lock_guard lock(mutex_);
-  data_.gauges[make_key(group, agent, name)] = value;
+  cell(cells_->gauges, {group, agent, name}).store(value);
 }
 
 void MetricsRegistry::add_gauge(std::string_view group, std::string_view agent,
                                 std::string_view name, std::int64_t delta) {
   std::lock_guard lock(mutex_);
-  data_.gauges[make_key(group, agent, name)] += delta;
+  cell(cells_->gauges, {group, agent, name}).fetch_add(delta);
 }
 
 void MetricsRegistry::observe(std::string_view group, std::string_view agent,
                               std::string_view name, std::uint64_t value) {
-  observe(group, agent, name, value, default_histogram_bounds());
+  histogram_cell(group, agent, name).observe(value);
 }
 
 void MetricsRegistry::observe(std::string_view group, std::string_view agent,
                               std::string_view name, std::uint64_t value,
                               const std::vector<std::uint64_t>& bounds) {
+  histogram_cell(group, agent, name, bounds).observe(value);
+}
+
+std::atomic<std::uint64_t>& MetricsRegistry::counter_cell(
+    std::string_view group, std::string_view agent, std::string_view name) {
   std::lock_guard lock(mutex_);
-  observe_into(data_.histograms[make_key(group, agent, name)], value, bounds);
+  return cell(cells_->counters, {group, agent, name});
+}
+
+HistogramCell& MetricsRegistry::histogram_cell(
+    std::string_view group, std::string_view agent, std::string_view name,
+    const std::vector<std::uint64_t>& bounds) {
+  std::lock_guard lock(mutex_);
+  return cell(cells_->histograms, {group, agent, name}, bounds);
 }
 
 std::uint64_t MetricsRegistry::counter(std::string_view group,
                                        std::string_view agent,
                                        std::string_view name) const {
   std::lock_guard lock(mutex_);
-  auto it = data_.counters.find(make_key(group, agent, name));
-  return it == data_.counters.end() ? 0 : it->second;
+  auto it = cells_->counters.find(KeyView{group, agent, name});
+  return it == cells_->counters.end() ? 0 : load(it->second);
 }
 
 std::int64_t MetricsRegistry::gauge(std::string_view group,
                                     std::string_view agent,
                                     std::string_view name) const {
   std::lock_guard lock(mutex_);
-  auto it = data_.gauges.find(make_key(group, agent, name));
-  return it == data_.gauges.end() ? 0 : it->second;
+  auto it = cells_->gauges.find(KeyView{group, agent, name});
+  return it == cells_->gauges.end() ? 0 : it->second.load();
 }
 
 HistogramData MetricsRegistry::histogram(std::string_view group,
                                          std::string_view agent,
                                          std::string_view name) const {
   std::lock_guard lock(mutex_);
-  auto it = data_.histograms.find(make_key(group, agent, name));
-  return it == data_.histograms.end() ? HistogramData{} : it->second;
+  auto it = cells_->histograms.find(KeyView{group, agent, name});
+  return it == cells_->histograms.end() ? HistogramData{} : load(it->second);
 }
 
 std::uint64_t MetricsRegistry::counter_total(std::string_view name) const {
   std::lock_guard lock(mutex_);
   std::uint64_t total = 0;
-  for (const auto& [key, value] : data_.counters)
-    if (key.name == name) total += value;
+  for (const auto& [key, value] : cells_->counters)
+    if (key.name == name) total += load(value);
   return total;
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   std::lock_guard lock(mutex_);
-  return data_;
+  MetricsSnapshot out;
+  for (const auto& [key, c] : cells_->counters)
+    out.counters.emplace_hint(out.counters.end(), key, load(c));
+  for (const auto& [key, g] : cells_->gauges)
+    out.gauges.emplace_hint(out.gauges.end(), key, g.load());
+  for (const auto& [key, h] : cells_->histograms)
+    out.histograms.emplace_hint(out.histograms.end(), key, load(h));
+  return out;
 }
 
 void MetricsRegistry::reset() {
   std::lock_guard lock(mutex_);
-  data_ = MetricsSnapshot{};
+  retired_.push_back(std::exchange(cells_, std::make_unique<Cells>()));
+  detail::g_metrics_generation.fetch_add(1, std::memory_order_acq_rel);
 }
 
 // ---------------------------------------------------------------------------

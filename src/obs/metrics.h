@@ -8,17 +8,20 @@
 // drops) first-class and machine-readable: tests cross-check counters
 // against fault schedules, and benchmarks export them alongside ns/op.
 //
-// Cost model: the library records nothing unless a sink is attached.
-// Instrumentation sites call the inline helpers below, which reduce to one
-// relaxed atomic load and a branch when no MetricsRegistry is installed —
-// no allocation, no locking, no formatting. With a sink attached, updates
-// take a mutex (the registry is shared mutable state and must be
-// thread-safe; simulation workloads are single-threaded and uncontended).
+// Cost model (docs/OBSERVABILITY.md): the library records nothing unless a
+// sink is attached. Every site reduces to one atomic load and a branch when
+// no MetricsRegistry is installed — no allocation, no locking, no
+// formatting. The registry stores each key once, as atomic cells whose
+// addresses never move. A handle (Counter, Histogram, obs::EventCounters)
+// resolves its cell once under the registry mutex and afterwards bumps it
+// with one relaxed atomic add: no string, no lock, no map lookup. The
+// string-keyed helpers resolve on every call and suit cold sites.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -82,8 +85,22 @@ struct MetricsSnapshot {
 /// both payload sizes in bytes and latencies in ticks.
 const std::vector<std::uint64_t>& default_histogram_bounds();
 
+/// A histogram's live cells, laid out at creation: one bucket per edge
+/// plus a last overflow bucket.
+struct HistogramCell {
+  explicit HistogramCell(const std::vector<std::uint64_t>& edges)
+      : bounds(edges), buckets(edges.size() + 1) {}
+  void observe(std::uint64_t value);
+  const std::vector<std::uint64_t> bounds;
+  std::vector<std::atomic<std::uint64_t>> buckets;
+  std::atomic<std::uint64_t> count{0}, sum{0};
+};
+
 class MetricsRegistry {
  public:
+  MetricsRegistry();
+  ~MetricsRegistry();
+
   /// Monotonic counter increment (creates the counter at 0 on first use).
   void add(std::string_view group, std::string_view agent,
            std::string_view name, std::uint64_t delta = 1);
@@ -104,6 +121,16 @@ class MetricsRegistry {
                std::string_view name, std::uint64_t value,
                const std::vector<std::uint64_t>& bounds);
 
+  /// The cell behind a key, created at zero on first use. Its address is
+  /// valid for the registry's lifetime: reset() retires cells, never frees
+  /// them, so a handle racing a reset cannot write into freed memory.
+  std::atomic<std::uint64_t>& counter_cell(std::string_view group,
+                                           std::string_view agent,
+                                           std::string_view name);
+  HistogramCell& histogram_cell(
+      std::string_view group, std::string_view agent, std::string_view name,
+      const std::vector<std::uint64_t>& bounds = default_histogram_bounds());
+
   /// Point reads (0 / empty when the metric does not exist).
   std::uint64_t counter(std::string_view group, std::string_view agent,
                         std::string_view name) const;
@@ -115,15 +142,19 @@ class MetricsRegistry {
   /// Sum of one counter name across every (group, agent) — fleet totals.
   std::uint64_t counter_total(std::string_view name) const;
 
-  /// Consistent copy of everything (isolated from later mutation).
+  /// Copy of everything (isolated from later mutation); each cell is read
+  /// atomically, updates racing the copy land in it or in the next one.
   MetricsSnapshot snapshot() const;
   std::string to_json() const { return snapshot().to_json(); }
 
+  /// Empties the registry; every handle resolves its cell again.
   void reset();
 
  private:
+  struct Cells;
   mutable std::mutex mutex_;
-  MetricsSnapshot data_;
+  std::unique_ptr<Cells> cells_;
+  std::vector<std::unique_ptr<Cells>> retired_;  // by reset()
 };
 
 // ---------------------------------------------------------------------------
@@ -132,10 +163,15 @@ class MetricsRegistry {
 
 namespace detail {
 extern std::atomic<MetricsRegistry*> g_metrics_sink;
-}
+// Bumped by set_metrics_sink() and MetricsRegistry::reset().
+extern std::atomic<std::uint64_t> g_metrics_generation;
+// The sink to resolve a cell in, and (read first, so a sink swapped in
+// between leaves the caller stale) the generation the cell belongs to.
+MetricsRegistry* resolving_sink(std::uint64_t& generation);
+}  // namespace detail
 
-/// Currently installed sink (nullptr = disabled). Relaxed load: attaching a
-/// sink mid-run may miss a handful of in-flight updates, never corrupts.
+/// Currently installed sink (nullptr = disabled). Attaching a sink mid-run
+/// may miss a handful of in-flight updates, never corrupts.
 inline MetricsRegistry* metrics_sink() {
   return detail::g_metrics_sink.load(std::memory_order_acquire);
 }
@@ -155,7 +191,50 @@ class ScopedMetricsSink {
   ScopedMetricsSink& operator=(const ScopedMetricsSink&) = delete;
 };
 
-// Instrumentation helpers: free when no sink is attached.
+// Handles, for sites with a fixed key (usually `static constinit`; the key
+// strings must outlive the handle). A handle caches its cell with the
+// generation it was resolved under and resolves again once that moved on.
+namespace detail {
+template <typename Cell>
+class MetricHandle {
+ public:
+  constexpr MetricHandle(std::string_view group, std::string_view agent,
+                         std::string_view name)
+      : group_(group), agent_(agent), name_(name) {}
+
+ protected:
+  Cell* cell() {  // nullptr when detached
+    if (!metrics_sink()) return nullptr;
+    if (generation_.load(std::memory_order_acquire) ==
+        g_metrics_generation.load(std::memory_order_acquire))
+      return cell_.load(std::memory_order_relaxed);
+    return resolve();
+  }
+
+ private:
+  Cell* resolve();
+  std::string_view group_, agent_, name_;
+  std::atomic<std::uint64_t> generation_{0};  // stored after cell_
+  std::atomic<Cell*> cell_{nullptr};
+};
+}  // namespace detail
+
+struct Counter : detail::MetricHandle<std::atomic<std::uint64_t>> {
+  using MetricHandle::MetricHandle;
+  void add(std::uint64_t delta = 1) {
+    if (auto* c = cell()) c->fetch_add(delta, std::memory_order_relaxed);
+  }
+};
+
+struct Histogram : detail::MetricHandle<HistogramCell> {  // default bounds
+  using MetricHandle::MetricHandle;
+  void observe(std::uint64_t value) {
+    if (HistogramCell* c = cell()) c->observe(value);
+  }
+};
+
+// String-keyed helpers: free when no sink is attached, otherwise one
+// registry lookup per call (cold sites).
 
 inline void count(std::string_view group, std::string_view agent,
                   std::string_view name, std::uint64_t delta = 1) {

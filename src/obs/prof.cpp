@@ -10,10 +10,6 @@
 
 namespace enclaves::obs {
 
-namespace detail {
-
-std::atomic<Profiler*> g_prof_sink{nullptr};
-
 namespace {
 
 std::uint64_t now_ns() {
@@ -23,101 +19,156 @@ std::uint64_t now_ns() {
           .count());
 }
 
-struct Frame {
-  std::size_t path_len = 0;     // length of the shared path up to this frame
-  std::uint64_t start_ns = 0;
-  std::uint64_t child_ns = 0;   // wall time of directly nested scopes
-  std::uint64_t bytes = 0;
-};
+// Bumped by set_prof_sink() and Profiler::reset().
+std::atomic<std::uint64_t> g_prof_generation{1};
 
-// One stack per thread. The call path is kept as a single string that
-// frames extend on push and truncate on pop, so entry does at most one
-// amortised append and no joins.
-struct ThreadStack {
-  std::string path;
-  std::vector<Frame> frames;
-};
-
-ThreadStack& stack() {
-  thread_local ThreadStack s;
-  return s;
+// A node's aggregates have one writer, so plain relaxed loads and stores
+// suffice; atomics only let snapshot() read them from another thread.
+std::uint64_t get(const std::atomic<std::uint64_t>& a) {
+  return a.load(std::memory_order_relaxed);
+}
+void put(std::atomic<std::uint64_t>& a, std::uint64_t v) {
+  a.store(v, std::memory_order_relaxed);
 }
 
 }  // namespace
 
-void prof_push(std::string_view name) {
-  ThreadStack& s = stack();
-  if (!s.frames.empty()) s.path += ';';
-  for (char c : name) {
-    // Keep every path one folded-stack token: ';' is the frame separator
-    // and whitespace/control bytes are line/field structure in the folded
-    // format, so hostile names are sanitised here, once, for all exports.
-    if (c == ';') s.path += ':';
-    else if (static_cast<unsigned char>(c) <= 0x20) s.path += '_';
-    else s.path += c;
+/// One call path on one thread. Links change under the profiler mutex;
+/// the aggregates are written by the owning thread only.
+struct ProfNode {
+  ProfNode(const ProfSite* s, ProfNode* p) : site(s), parent(p) {}
+  const ProfSite* const site;  // nullptr for a thread's root
+  ProfNode* const parent;
+  ProfNode* first_child = nullptr;
+  ProfNode* next_sibling = nullptr;
+  std::atomic<std::uint64_t> count{0}, total_ns{0}, self_ns{0}, min_ns{0},
+      max_ns{0}, bytes{0};
+  std::uint64_t start_ns = 0, child_ns = 0, open_bytes = 0;  // open scope
+};
+
+namespace detail {
+
+std::atomic<Profiler*> g_prof_sink{nullptr};
+
+namespace {
+// The calling thread's innermost open node; generation 0 means unbound.
+struct Binding {
+  std::uint64_t generation = 0;
+  Profiler* profiler = nullptr;
+  ProfNode* node = nullptr;
+};
+constinit thread_local Binding t_binding;
+}  // namespace
+
+std::uint64_t prof_push(const ProfSite& site) {
+  Binding& b = t_binding;
+  // Generation before sink: a sink swapped in between leaves this thread
+  // stale (it rebinds next time), never bound to the old sink.
+  const auto generation = g_prof_generation.load(std::memory_order_acquire);
+  if (b.generation != generation) {
+    Profiler* p = prof_sink();
+    if (!p) return 0;
+    b = Binding{generation, p, &p->add_node(nullptr, nullptr)};
   }
-  s.frames.push_back(Frame{s.path.size(), now_ns(), 0, 0});
+  ProfNode* child = b.node->first_child;
+  while (child && child->site != &site) child = child->next_sibling;
+  if (!child) child = &b.profiler->add_node(&site, b.node);
+  child->child_ns = child->open_bytes = 0;
+  b.node = child;
+  child->start_ns = now_ns();
+  return generation;
 }
 
-void prof_pop() {
-  ThreadStack& s = stack();
-  Frame frame = s.frames.back();
+void prof_pop(std::uint64_t generation) {
+  Binding& b = t_binding;
+  if (generation != b.generation) return;  // opened under an older binding
+  // The sink changed mid-scope: drop the sample (the other sinks' "may
+  // miss in-flight updates" contract) and unbind without touching a node
+  // whose profiler may be gone.
+  if (generation != g_prof_generation.load(std::memory_order_acquire)) {
+    b = Binding{};
+    return;
+  }
+  ProfNode& n = *b.node;
   const std::uint64_t end = now_ns();
-  const std::uint64_t wall = end >= frame.start_ns ? end - frame.start_ns : 0;
-  const std::uint64_t self =
-      wall >= frame.child_ns ? wall - frame.child_ns : 0;
-  // The sink is re-checked at exit: detaching mid-scope loses this sample
-  // (matching the other sinks' "may miss in-flight updates" contract) but
-  // never corrupts the stack.
-  if (Profiler* p = prof_sink()) {
-    p->record(std::string_view(s.path.data(), frame.path_len), wall, self,
-              frame.bytes);
-  }
-  s.frames.pop_back();
-  if (s.frames.empty()) {
-    s.path.clear();
-  } else {
-    s.frames.back().child_ns += wall;
-    s.path.resize(s.frames.back().path_len);
-  }
+  const std::uint64_t wall = end >= n.start_ns ? end - n.start_ns : 0;
+  if (get(n.count) == 0 || wall < get(n.min_ns)) put(n.min_ns, wall);
+  if (wall > get(n.max_ns)) put(n.max_ns, wall);
+  put(n.count, get(n.count) + 1);
+  put(n.total_ns, get(n.total_ns) + wall);
+  put(n.self_ns, get(n.self_ns) + (wall >= n.child_ns ? wall - n.child_ns : 0));
+  put(n.bytes, get(n.bytes) + n.open_bytes);
+  b.node = n.parent;
+  b.node->child_ns += wall;
 }
 
 void prof_add_bytes(std::uint64_t n) {
-  ThreadStack& s = stack();
-  if (!s.frames.empty()) s.frames.back().bytes += n;
+  const Binding& b = t_binding;
+  if (b.generation == g_prof_generation.load(std::memory_order_relaxed) &&
+      b.node->parent)
+    b.node->open_bytes += n;
 }
 
 }  // namespace detail
 
 void set_prof_sink(Profiler* profiler) {
   detail::g_prof_sink.store(profiler, std::memory_order_release);
+  g_prof_generation.fetch_add(1, std::memory_order_acq_rel);
 }
 
-void Profiler::record(std::string_view path, std::uint64_t wall_ns,
-                      std::uint64_t self_ns, std::uint64_t bytes) {
+Profiler::Profiler() = default;
+Profiler::~Profiler() = default;
+
+ProfNode& Profiler::add_node(const ProfSite* site, ProfNode* parent) {
   std::lock_guard lock(mutex_);
-  auto it = scopes_.find(path);
-  if (it == scopes_.end())
-    it = scopes_.emplace(std::string(path), ProfStat{}).first;
-  ProfStat& s = it->second;
-  if (s.count == 0 || wall_ns < s.min_ns) s.min_ns = wall_ns;
-  if (wall_ns > s.max_ns) s.max_ns = wall_ns;
-  ++s.count;
-  s.total_ns += wall_ns;
-  s.self_ns += self_ns;
-  s.bytes += bytes;
+  ProfNode& n = *nodes_.emplace_back(std::make_unique<ProfNode>(site, parent));
+  if (!parent) {
+    roots_.push_back(&n);
+  } else {
+    n.next_sibling = parent->first_child;
+    parent->first_child = &n;
+  }
+  return n;
 }
 
 ProfSnapshot Profiler::snapshot() const {
   std::lock_guard lock(mutex_);
   ProfSnapshot out;
-  out.scopes.insert(scopes_.begin(), scopes_.end());
+  std::string path;  // of the node being visited
+  auto visit = [&](auto& self, const ProfNode& parent) -> void {
+    for (const ProfNode* n = parent.first_child; n; n = n->next_sibling) {
+      const std::size_t len = path.size();
+      if (len) path += ';';
+      // Keep every path one folded-stack token: ';' is the frame separator
+      // and whitespace/control bytes are line/field structure in the folded
+      // format, so hostile names are sanitised here for all exports.
+      for (const char c : n->site->name) {
+        if (c == ';') path += ':';
+        else if (static_cast<unsigned char>(c) <= 0x20) path += '_';
+        else path += c;
+      }
+      if (const std::uint64_t count = get(n->count)) {
+        ProfStat& s = out.scopes[path];
+        const std::uint64_t min = get(n->min_ns);
+        if (s.count == 0 || min < s.min_ns) s.min_ns = min;
+        s.max_ns = std::max(s.max_ns, get(n->max_ns));
+        s.count += count;
+        s.total_ns += get(n->total_ns);
+        s.self_ns += get(n->self_ns);
+        s.bytes += get(n->bytes);
+      }
+      self(self, *n);
+      path.resize(len);
+    }
+  };
+  for (const ProfNode* root : roots_) visit(visit, *root);
   return out;
 }
 
 void Profiler::reset() {
   std::lock_guard lock(mutex_);
-  scopes_.clear();
+  roots_.clear();  // nodes stay allocated: a thread mid-scope may hold one
+  g_prof_generation.fetch_add(1, std::memory_order_acq_rel);
 }
 
 // ---------------------------------------------------------------------------

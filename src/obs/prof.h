@@ -13,20 +13,23 @@
 // lines consumable by flamegraph.pl.
 //
 // Cost model (docs/OBSERVABILITY.md): identical to the other sinks. With
-// no Profiler installed, PROF_SCOPE is one relaxed atomic load and a
-// branch — no clock read, no allocation, no locking. With a sink attached,
-// scope entry reads the steady clock and extends the thread-local path
-// string; scope exit reads the clock again and folds the sample into the
-// registry under a mutex. The scope *stack* is thread-local, so threads
-// profile independently and never contend except on the final record().
+// no Profiler installed, PROF_SCOPE is one atomic load and a branch — no
+// clock read, no allocation, no locking. With a sink attached, each thread
+// keeps its own call tree of nodes, owned by the Profiler; a PROF_SCOPE
+// site's node is the child of the current node with that site's address.
+// Entry is one pointer step plus a clock read; exit is a clock
+// read plus plain adds into a node only that thread writes. No lock, no
+// string: snapshot() builds the paths and merges the threads.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "util/result.h"
 
@@ -47,7 +50,7 @@ struct ProfStat {
 };
 
 /// An immutable copy of a profiler's contents, keyed by call path
-/// ("outer;inner;leaf"). Scope names are sanitised at path-build time —
+/// ("outer;inner;leaf"). Scope names are sanitised into paths —
 /// ';' becomes ':' and bytes <= 0x20 become '_' — so a path is always one
 /// folded-stack token; everything else (quotes, backslashes, UTF-8) passes
 /// through raw and is escaped by the JSON layer, so hostile names survive
@@ -73,22 +76,35 @@ struct ProfSnapshot {
   friend bool operator==(const ProfSnapshot&, const ProfSnapshot&) = default;
 };
 
-/// Thread-safe aggregation registry; the process-wide sink target.
+/// One PROF_SCOPE call site; its address is the id its nodes are found by.
+struct ProfSite {
+  std::string_view name;
+};
+
+struct ProfNode;  // prof.cpp
+
+/// Aggregation registry; the process-wide sink target. It holds one call
+/// tree per thread that profiled into it.
 class Profiler {
  public:
-  /// Folds one completed scope sample into `path`'s aggregate.
-  void record(std::string_view path, std::uint64_t wall_ns,
-              std::uint64_t self_ns, std::uint64_t bytes);
+  Profiler();
+  ~Profiler();
 
-  /// Consistent copy of everything (isolated from later mutation).
+  /// Merges the threads' trees into one copy (isolated from later
+  /// mutation); scopes still open are not in it yet.
   ProfSnapshot snapshot() const;
   std::string to_json() const { return snapshot().to_json(); }
 
+  /// Empties the profiler; scopes open across the reset drop their sample.
   void reset();
+
+  /// Adds a child of `parent`, or a thread's root when `parent` is null.
+  ProfNode& add_node(const ProfSite* site, ProfNode* parent);
 
  private:
   mutable std::mutex mutex_;
-  std::map<std::string, ProfStat, std::less<>> scopes_;
+  std::vector<std::unique_ptr<ProfNode>> nodes_;  // until destruction
+  std::vector<ProfNode*> roots_;
 };
 
 // ---------------------------------------------------------------------------
@@ -97,11 +113,12 @@ class Profiler {
 namespace detail {
 extern std::atomic<Profiler*> g_prof_sink;
 
-// Thread-local scope machinery (prof.cpp): pushes build the sanitised call
-// path incrementally; pops read the clock, attribute child time to the
-// parent frame, and record into whatever sink is attached at exit.
-void prof_push(std::string_view name);
-void prof_pop();
+// Thread-local scope machinery (prof.cpp). prof_push steps into the
+// site's child of the current node and returns the profiler generation it
+// ran under (0 when the sink went away); prof_pop, given that generation,
+// reads the clock, folds the sample into the node and steps back out.
+std::uint64_t prof_push(const ProfSite& site);
+void prof_pop(std::uint64_t generation);
 void prof_add_bytes(std::uint64_t n);
 }  // namespace detail
 
@@ -125,24 +142,22 @@ class ScopedProfSink {
 
 /// One timed scope. Scopes opened while the sink was detached stay inert
 /// for their whole lifetime (attaching mid-scope never unbalances the
-/// stack); scopes opened while attached record at exit if a sink is still
-/// there. Use via PROF_SCOPE, not directly.
+/// stack); a scope opened while attached records at exit unless the sink
+/// was changed (attached, detached or reset) in between. Use via
+/// PROF_SCOPE, not directly.
 class ProfScope {
  public:
-  explicit ProfScope(std::string_view name) {
-    if (prof_sink()) {
-      active_ = true;
-      detail::prof_push(name);
-    }
+  explicit ProfScope(const ProfSite& site) {
+    if (prof_sink()) generation_ = detail::prof_push(site);
   }
   ~ProfScope() {
-    if (active_) detail::prof_pop();
+    if (generation_) detail::prof_pop(generation_);
   }
   ProfScope(const ProfScope&) = delete;
   ProfScope& operator=(const ProfScope&) = delete;
 
  private:
-  bool active_ = false;
+  std::uint64_t generation_ = 0;
 };
 
 /// Adds `n` to the bytes dimension of the innermost open scope on this
@@ -157,10 +172,13 @@ inline void prof_bytes(std::uint64_t n) {
 #define ENCLAVES_PROF_CONCAT2(a, b) a##b
 #define ENCLAVES_PROF_CONCAT(a, b) ENCLAVES_PROF_CONCAT2(a, b)
 
-/// Opens a profiled scope for the rest of the enclosing block. Name
-/// convention (docs/OBSERVABILITY.md): "layer/area/op", e.g.
-/// "leader/rekey/mint" — '/' structures one scope's name, ';' is reserved
-/// for joining nested scopes into call paths.
-#define PROF_SCOPE(name)                                      \
-  ::enclaves::obs::ProfScope ENCLAVES_PROF_CONCAT(            \
-      enclaves_prof_scope_, __LINE__)(name)
+/// Opens a profiled scope for the rest of the enclosing block. `name` must
+/// be a string literal. Name convention (docs/OBSERVABILITY.md):
+/// "layer/area/op", e.g. "leader/rekey/mint" — '/' structures one scope's
+/// name, ';' is reserved for joining nested scopes into call paths.
+#define PROF_SCOPE(name)                                                 \
+  static constexpr ::enclaves::obs::ProfSite ENCLAVES_PROF_CONCAT(       \
+      enclaves_prof_site_, __LINE__){name};                              \
+  ::enclaves::obs::ProfScope ENCLAVES_PROF_CONCAT(enclaves_prof_scope_,  \
+                                                  __LINE__)(             \
+      ENCLAVES_PROF_CONCAT(enclaves_prof_site_, __LINE__))

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "tools/bench_diff_lib.h"
 
@@ -242,6 +244,93 @@ TEST(BenchDiff, NewProfileScopeIsANote) {
   ASSERT_EQ(report.notes.size(), 1u);
   EXPECT_NE(report.notes[0].find("new profile scope: member/handle"),
             std::string::npos);
+}
+
+
+// --- --max-ratio: one row's real_time over another's inside the candidate.
+
+// A blob with one row per (name, real_time) pair, timed in `unit`.
+BenchBlob rows_blob(
+    const std::vector<std::pair<std::string, double>>& rows,
+    const std::string& unit = "ns") {
+  std::string results;
+  for (const auto& [name, t] : rows) {
+    if (!results.empty()) results += ',';
+    results += "{\"name\":\"" + name + "\",\"iterations\":10,"
+               "\"real_time\":" + std::to_string(t) +
+               ",\"cpu_time\":" + std::to_string(t) +
+               ",\"time_unit\":\"" + unit + "\"}";
+  }
+  auto blob = BenchBlob::parse(
+      "{\"bench\":\"t\",\"metrics_attached\":true,\"results\":[" +
+      results +
+      "],\"metrics\":{\"counters\":[],\"gauges\":[],"
+      "\"histograms\":[]}}");
+  EXPECT_TRUE(blob.ok());
+  return blob.ok() ? *std::move(blob) : BenchBlob{};
+}
+
+RatioGate admin_gate(double limit) {
+  return RatioGate{"BM_AdminRoundTrip", "BM_AdminRoundTripUninstrumented",
+                   limit};
+}
+
+TEST(BenchDiffRatio, ParsesTheSpecAndRejectsBadLimits) {
+  auto gate = RatioGate::parse("BM_A/BM_B:1.15");
+  ASSERT_TRUE(gate.ok());
+  EXPECT_EQ(gate->num, "BM_A");
+  EXPECT_EQ(gate->den, "BM_B");
+  EXPECT_DOUBLE_EQ(gate->limit, 1.15);
+  EXPECT_FALSE(RatioGate::parse("BM_A/BM_B").ok());
+  EXPECT_FALSE(RatioGate::parse("BM_A:1.1").ok());
+  EXPECT_FALSE(RatioGate::parse("BM_A/BM_B/BM_C:1.1").ok());
+  EXPECT_FALSE(RatioGate::parse("BM_A/BM_B:").ok());
+  EXPECT_FALSE(RatioGate::parse("BM_A/BM_B:fast").ok());
+  EXPECT_FALSE(RatioGate::parse("BM_A/BM_B:0").ok());
+}
+
+TEST(BenchDiffRatio, WithinLimitPassesAndReportsTheRatio) {
+  const BenchBlob blob = rows_blob(
+      {{"BM_AdminRoundTrip", 2800}, {"BM_AdminRoundTripUninstrumented", 2600}});
+  DiffReport report;
+  ASSERT_TRUE(check_ratio(blob, admin_gate(1.15), report).ok());
+  EXPECT_FALSE(report.failed());
+  ASSERT_EQ(report.notes.size(), 1u);
+  EXPECT_NE(report.notes[0].find("= 1.077"), std::string::npos)
+      << report.notes[0];
+}
+
+TEST(BenchDiffRatio, OverLimitFails) {
+  const BenchBlob blob = rows_blob(
+      {{"BM_AdminRoundTrip", 3490}, {"BM_AdminRoundTripUninstrumented", 2600}});
+  DiffReport report;
+  ASSERT_TRUE(check_ratio(blob, admin_gate(1.15), report).ok());
+  ASSERT_TRUE(report.failed());
+  EXPECT_NE(report.failures[0].find("= 1.342"), std::string::npos)
+      << report.failures[0];
+}
+
+// A gate naming a row the blob lacks is a usage error (bench_diff exits 2),
+// not a pass and not a regression.
+TEST(BenchDiffRatio, MissingRowIsAnError) {
+  const BenchBlob blob = rows_blob({{"BM_AdminRoundTrip", 2800}});
+  DiffReport report;
+  EXPECT_FALSE(check_ratio(blob, admin_gate(1.15), report).ok());
+  EXPECT_FALSE(report.failed());
+  EXPECT_TRUE(report.notes.empty());
+}
+
+// Rows timed in different units (ns vs us) cannot be divided as they
+// stand: an error, not a ratio off by 1000x.
+TEST(BenchDiffRatio, MixedTimeUnitsAreAnError) {
+  BenchBlob blob = rows_blob({{"BM_AdminRoundTrip", 2800}});
+  blob.results.push_back(
+      rows_blob({{"BM_AdminRoundTripUninstrumented", 2.6}}, "us")
+          .results[0]);
+  DiffReport report;
+  EXPECT_FALSE(check_ratio(blob, admin_gate(1.15), report).ok());
+  EXPECT_FALSE(report.failed());
+  EXPECT_TRUE(report.notes.empty());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <new>
 #include <set>
 #include <string>
@@ -695,6 +696,172 @@ TEST(EmitTable, FreeWhenEverySinkDetached) {
   emit(Event::join, 1, long_text, long_text, long_text, long_text, 2);
   g_count_allocations = false;
   EXPECT_GT(g_allocations, 0u);
+}
+
+
+// --- Interned handles: Counter / Histogram, EventCounters, PROF_SCOPE sites
+
+// Once every site has resolved its cell or interned its scope name, the
+// attached hot path builds no strings and allocates nothing.
+TEST(InternedHandles, AttachedHotPathAllocatesNothing) {
+  MetricsRegistry metrics;
+  Profiler prof;
+  ScopedMetricsSink metrics_sink(metrics);
+  ScopedProfSink prof_sink(prof);
+  static constinit Counter counter{"g", "a", "handle_total"};
+  static constinit Histogram histogram{"g", "a", "handle_bytes"};
+  EventCounters counters;
+  // Longer than any small-string buffer, so building a key would allocate.
+  const std::string_view group = "a group name long enough to need the heap";
+  const std::string_view agent = "an agent name long enough to need the heap";
+  auto hot_path = [&] {
+    counter.add();
+    histogram.observe(40);
+    count(group, agent, "ops_total");
+    gauge_set(group, agent, "depth", 3);
+    observe(group, agent, "lat", 7);
+    emit(counters, Event::join, 1, group, agent, "P");
+    emit(Event::join, 1, group, agent, "P");
+    PROF_SCOPE("alloc/outer");
+    prof_bytes(1);
+    PROF_SCOPE("alloc/middle");
+    PROF_SCOPE("alloc/inner");
+    prof_bytes(2);
+  };
+  hot_path();  // resolves every cell, interns every name, grows the tree
+
+  g_allocations = 0;
+  g_count_allocations = true;
+  for (int i = 0; i < 10; ++i) hot_path();
+  g_count_allocations = false;
+  EXPECT_EQ(g_allocations, 0u);
+
+  // Nothing was skipped to get there.
+  EXPECT_EQ(metrics.counter("g", "a", "handle_total"), 11u);
+  EXPECT_EQ(metrics.histogram("g", "a", "handle_bytes").sum, 440u);
+  EXPECT_EQ(metrics.counter(group, agent, "ops_total"), 11u);
+  EXPECT_EQ(metrics.gauge(group, agent, "depth"), 3);
+  EXPECT_EQ(metrics.histogram(group, agent, "lat").count, 11u);
+  EXPECT_EQ(metrics.counter(group, agent, "joins_total"), 22u);
+  const ProfSnapshot snap = prof.snapshot();
+  EXPECT_EQ(snap.scopes.at("alloc/outer").bytes, 11u);
+  EXPECT_EQ(snap.scopes.at("alloc/outer;alloc/middle;alloc/inner").count,
+            11u);
+  EXPECT_EQ(snap.scopes.at("alloc/outer;alloc/middle;alloc/inner").bytes,
+            22u);
+}
+
+// A handle resolved against registry A, with A detached and destroyed,
+// bumps the next registry (ASan would catch a write into A's freed cells).
+// The same holds for an EventCounters table and a thread's profiler tree.
+TEST(InternedHandles, HandlesFollowTheSinkToTheNextRegistry) {
+  static constinit Counter counter{"g", "a", "lifetime_total"};
+  EventCounters counters;
+  auto a = std::make_unique<MetricsRegistry>();
+  auto pa = std::make_unique<Profiler>();
+  set_metrics_sink(a.get());
+  set_prof_sink(pa.get());
+  counter.add(5);
+  emit(counters, Event::join, 1, "G", "A");
+  { PROF_SCOPE("lifetime"); }
+  EXPECT_EQ(a->counter("g", "a", "lifetime_total"), 5u);
+  EXPECT_EQ(a->counter("G", "A", "joins_total"), 1u);
+  set_prof_sink(nullptr);
+  set_metrics_sink(nullptr);
+  a.reset();
+  pa.reset();
+
+  MetricsRegistry b;
+  Profiler pb;
+  {
+    ScopedMetricsSink metrics_sink(b);
+    ScopedProfSink prof_sink(pb);
+    counter.add();
+    emit(counters, Event::join, 2, "G", "A");
+    PROF_SCOPE("lifetime");
+  }
+  EXPECT_EQ(b.counter("g", "a", "lifetime_total"), 1u);
+  EXPECT_EQ(b.counter("G", "A", "joins_total"), 1u);
+  EXPECT_EQ(pb.snapshot().scopes.at("lifetime").count, 1u);
+}
+
+TEST(InternedHandles, ResetEmptiesTheSinkAndHandlesStartOver) {
+  static constinit Counter counter{"g", "a", "reset_total"};
+  MetricsRegistry metrics;
+  Profiler prof;
+  ScopedMetricsSink metrics_sink(metrics);
+  ScopedProfSink prof_sink(prof);
+  for (int i = 0; i < 3; ++i) {
+    counter.add();
+    PROF_SCOPE("reset");
+  }
+  metrics.reset();
+  prof.reset();
+  EXPECT_EQ(metrics.snapshot(), MetricsSnapshot{});
+  EXPECT_TRUE(prof.snapshot().scopes.empty());
+
+  counter.add();
+  { PROF_SCOPE("reset"); }
+  EXPECT_EQ(metrics.counter("g", "a", "reset_total"), 1u);
+  EXPECT_EQ(prof.snapshot().scopes.at("reset").count, 1u);
+}
+
+// Eight threads share one handle and one scope path while the main thread
+// snapshots; the final sums are exact (the TSan job is the real check).
+TEST(InternedHandles, ConcurrentBumpsAndScopesSumExactly) {
+  static constinit Counter counter{"g", "a", "mt_total"};
+  MetricsRegistry metrics;
+  Profiler prof;
+  constexpr int kThreads = 8;
+  constexpr int kIters = 1000;
+  {
+    ScopedMetricsSink metrics_sink(metrics);
+    ScopedProfSink prof_sink(prof);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([] {
+        for (int i = 0; i < kIters; ++i) {
+          PROF_SCOPE("mt/handle");
+          counter.add();
+        }
+      });
+    }
+    for (int i = 0; i < 20; ++i) {
+      (void)metrics.snapshot();
+      (void)prof.snapshot();
+    }
+    for (auto& th : threads) th.join();
+  }
+  constexpr auto kTotal = static_cast<std::uint64_t>(kThreads) * kIters;
+  EXPECT_EQ(metrics.counter("g", "a", "mt_total"), kTotal);
+  const ProfSnapshot snap = prof.snapshot();
+  ASSERT_EQ(snap.scopes.size(), 1u);
+  EXPECT_EQ(snap.scopes.at("mt/handle").count, kTotal);
+}
+
+TEST(ProfSnapshot, ThreadsSharingAPathMergeIntoOneEntry) {
+  Profiler prof;
+  {
+    ScopedProfSink sink(prof);
+    auto work = [](int n) {
+      for (int i = 0; i < n; ++i) {
+        PROF_SCOPE("shared/outer");
+        PROF_SCOPE("shared/inner");
+        prof_bytes(4);
+      }
+    };
+    std::thread t1(work, 3);
+    std::thread t2(work, 5);
+    t1.join();
+    t2.join();
+  }
+  const ProfSnapshot snap = prof.snapshot();
+  ASSERT_EQ(snap.scopes.size(), 2u);
+  const ProfStat& inner = snap.scopes.at("shared/outer;shared/inner");
+  EXPECT_EQ(inner.count, 8u);
+  EXPECT_EQ(inner.bytes, 32u);
+  EXPECT_LE(inner.min_ns, inner.max_ns);
+  EXPECT_EQ(snap.scopes.at("shared/outer").count, 8u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 //   bench_diff <baseline.json> <candidate.json>
 //              [--time-tolerance=0.30] [--counters=presence|exact]
 //              [--fail-on-time] [--self-time-tolerance=0.50]
+//              [--max-ratio=NUM/DEN:LIMIT]...
 //
 // Exit codes: 0 clean (warnings allowed), 1 regression, 2 usage/parse error.
 // See docs/OBSERVABILITY.md for how CI wires this against the committed
@@ -12,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "tools/bench_diff_lib.h"
 
@@ -22,7 +24,8 @@ int usage() {
       stderr,
       "usage: bench_diff <baseline.json> <candidate.json>\n"
       "       [--time-tolerance=FRACTION] [--counters=presence|exact]\n"
-      "       [--fail-on-time] [--self-time-tolerance=FRACTION]\n");
+      "       [--fail-on-time] [--self-time-tolerance=FRACTION]\n"
+      "       [--max-ratio=NUM/DEN:LIMIT]...\n");
   return 2;
 }
 
@@ -42,6 +45,7 @@ int main(int argc, char** argv) {
   const char* paths[2] = {nullptr, nullptr};
   int n_paths = 0;
   DiffOptions opts;
+  std::vector<RatioGate> ratios;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--time-tolerance=", 17) == 0) {
@@ -56,6 +60,14 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(arg, "--self-time-tolerance=", 22) == 0) {
       opts.self_time_tolerance = std::atof(arg + 22);
       if (opts.self_time_tolerance < 0) return usage();
+    } else if (std::strncmp(arg, "--max-ratio=", 12) == 0) {
+      auto gate = RatioGate::parse(arg + 12);
+      if (!gate.ok()) {
+        std::fprintf(stderr, "bench_diff: %s: %s\n", arg,
+                     gate.error().to_string().c_str());
+        return usage();
+      }
+      ratios.push_back(*std::move(gate));
     } else if (arg[0] == '-') {
       return usage();
     } else if (n_paths < 2) {
@@ -89,7 +101,14 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const DiffReport report = diff_blobs(*baseline, *candidate, opts);
+  DiffReport report = diff_blobs(*baseline, *candidate, opts);
+  for (const RatioGate& gate : ratios) {
+    if (auto s = check_ratio(*candidate, gate, report); !s) {
+      std::fprintf(stderr, "bench_diff: %s: %s\n", paths[1],
+                   s.error().to_string().c_str());
+      return 2;
+    }
+  }
   std::printf("bench_diff %s: %s vs %s\n", baseline->bench.c_str(), paths[0],
               paths[1]);
   std::fputs(report.to_string().c_str(), stdout);

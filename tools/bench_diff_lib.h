@@ -17,12 +17,17 @@
 //     candidate fails (PROF_SCOPE silently lost, or the path stopped
 //     firing). Per-call self-time drift beyond the tolerance warns, like
 //     ns/op: wall-clock attribution, not wall-clock gating.
+// Plus ratio gates (--max-ratio) inside the candidate alone: the real_time
+// of one row over another's, both from the same run on the same machine,
+// so the gate can fail hard where a cross-machine ns/op comparison cannot.
 //
 // Header-only so the unit tests exercise exactly what the binary runs.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -295,6 +300,61 @@ inline DiffReport diff_blobs(const BenchBlob& baseline,
       report.notes.push_back("new profile scope: " + path);
   }
   return report;
+}
+
+/// A --max-ratio gate: "NUM/DEN:LIMIT" holds the candidate's real_time of
+/// row NUM over row DEN to at most LIMIT (e.g. instrumented over bare).
+struct RatioGate {
+  std::string num, den;
+  double limit = 0;
+
+  static Result<RatioGate> parse(std::string_view spec) {
+    const std::size_t colon = spec.rfind(':');
+    const std::size_t slash = spec.find('/');
+    if (colon == spec.npos || slash > colon ||
+        spec.find('/', slash + 1) < colon)
+      return make_error(Errc::malformed, "want NUM/DEN:LIMIT");
+    const std::string limit(spec.substr(colon + 1));
+    char* end = nullptr;
+    RatioGate gate{std::string(spec.substr(0, slash)),
+                   std::string(spec.substr(slash + 1, colon - slash - 1)),
+                   std::strtod(limit.c_str(), &end)};
+    if (limit.empty() || *end != '\0' || !(gate.limit > 0))
+      return make_error(Errc::malformed, "bad ratio limit: " + limit);
+    return gate;
+  }
+};
+
+/// Checks one ratio gate against `candidate`: a failure in `report` when
+/// the ratio exceeds the limit, a note with the measured ratio otherwise.
+/// An error (a usage error, not a regression) when a row is missing or the
+/// two rows are timed in different units.
+inline Status check_ratio(const BenchBlob& candidate, const RatioGate& gate,
+                          DiffReport& report) {
+  auto row = [&candidate](const std::string& name) -> const BenchResult* {
+    for (const BenchResult& r : candidate.results)
+      if (r.name == name) return &r;
+    return nullptr;
+  };
+  const BenchResult* num = row(gate.num);
+  const BenchResult* den = row(gate.den);
+  if (!num || !den) {
+    const std::string& missing = num ? gate.den : gate.num;
+    return make_error(Errc::malformed, "row not in the candidate: " + missing);
+  }
+  if (num->time_unit != den->time_unit) {
+    return make_error(Errc::malformed, "rows timed in different units: " +
+                                           num->time_unit + ", " +
+                                           den->time_unit);
+  }
+  if (den->real_time <= 0)
+    return make_error(Errc::malformed, "zero time in row " + den->name);
+  const double ratio = num->real_time / den->real_time;
+  char buf[512];
+  std::snprintf(buf, sizeof buf, "ratio %s / %s = %.3f (limit %.3f)",
+                num->name.c_str(), den->name.c_str(), ratio, gate.limit);
+  (ratio > gate.limit ? report.failures : report.notes).push_back(buf);
+  return Status::success();
 }
 
 }  // namespace enclaves::tools
