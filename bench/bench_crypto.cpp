@@ -7,6 +7,7 @@
 #include "crypto/hmac.h"
 #include "crypto/pbkdf2.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_kernels.h"
 #include "crypto/x25519.h"
 #include "util/rng.h"
 
@@ -30,6 +31,23 @@ void BM_Sha256(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(16384)->Arg(1 << 20);
+
+// One 64-byte block per call, the shape of the short HMAC/HKDF inputs that
+// dominate key-tree churn. Both rows run in the same process, so their ratio
+// is this CPU's SHA-NI gain ("dispatched" is the portable kernel again on a
+// CPU without SHA-NI; the blob's "sha256_kernel" says which).
+void BM_Sha256Compress(benchmark::State& state, decltype(&sha256_blocks) kernel) {
+  Bytes block = make_data(Sha256::kBlockSize);
+  std::uint32_t h[8] = {};
+  for (auto _ : state) {
+    kernel(h, block.data(), 1);
+    benchmark::DoNotOptimize(h);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(Sha256::kBlockSize));
+}
+BENCHMARK_CAPTURE(BM_Sha256Compress, portable, &sha256_blocks_portable);
+BENCHMARK_CAPTURE(BM_Sha256Compress, dispatched, &sha256_blocks);
 
 void BM_HmacSha256(benchmark::State& state) {
   Bytes key = make_data(32);
@@ -132,4 +150,8 @@ BENCHMARK(BM_AeadRejectForgery);
 
 #include "bench_json.h"
 
-ENCLAVES_BENCH_JSON_MAIN("crypto")
+int main(int argc, char** argv) {
+  return enclaves::benchjson::run_bench_main(
+      "crypto", argc, argv,
+      {{"sha256_kernel", enclaves::crypto::sha256_kernel_name()}});
+}

@@ -69,7 +69,15 @@ inline void append_escaped(std::string& out, const std::string& s) {
   out += '"';
 }
 
-inline int run_bench_main(const char* tag, int argc, char** argv) {
+/// A top-level string field a binary adds to its blob, next to
+/// "metrics_attached" (bench_crypto: which SHA-256 kernel ran).
+struct BlobField {
+  std::string key;
+  std::string value;
+};
+
+inline int run_bench_main(const char* tag, int argc, char** argv,
+                          const std::vector<BlobField>& fields = {}) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
 
@@ -91,6 +99,12 @@ inline int run_bench_main(const char* tag, int argc, char** argv) {
   append_escaped(out, tag);
   out += ",\n  \"metrics_attached\": ";
   out += attach ? "true" : "false";
+  for (const BlobField& field : fields) {
+    out += ",\n  ";
+    append_escaped(out, field.key);
+    out += ": ";
+    append_escaped(out, field.value);
+  }
   out += ",\n  \"results\": [";
   for (std::size_t i = 0; i < reporter.rows().size(); ++i) {
     const RunRow& row = reporter.rows()[i];

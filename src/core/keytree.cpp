@@ -32,17 +32,21 @@ bool is_ancestor(std::uint32_t node, std::uint32_t leaf) {
 
 }  // namespace
 
+// Both derivations extract under a constant salt, so each keeps the salt's
+// keyed HMAC (built once, thread-safe, read-only after) and copies it.
 crypto::GroupKey derive_leaf_kek(const crypto::SessionKey& ka,
                                  std::string_view member_id) {
-  Bytes okm = crypto::hkdf(to_bytes(kLeafSalt), ka.view(),
-                           to_bytes(member_id), crypto::kKeyBytes);
+  static const crypto::HmacSha256 extract(to_bytes(kLeafSalt));
+  Bytes okm = crypto::hkdf(extract, ka.view(), to_bytes(member_id),
+                           crypto::kKeyBytes);
   return crypto::GroupKey::from_bytes(okm);
 }
 
 crypto::GroupKey derive_group_key(const crypto::GroupKey& root_kek,
                                   std::uint64_t epoch) {
-  Bytes okm = crypto::hkdf(to_bytes(kKgSalt), root_kek.view(), be64(epoch),
-                           crypto::kKeyBytes);
+  static const crypto::HmacSha256 extract(to_bytes(kKgSalt));
+  Bytes okm =
+      crypto::hkdf(extract, root_kek.view(), be64(epoch), crypto::kKeyBytes);
   return crypto::GroupKey::from_bytes(okm);
 }
 

@@ -2,13 +2,20 @@
 
 #include <cassert>
 
-#include "crypto/hmac.h"
-
 namespace enclaves::crypto {
 
-Bytes hkdf_extract(BytesView salt, BytesView ikm) {
-  auto tag = HmacSha256::mac(salt, ikm);
+namespace {
+
+Bytes extract(HmacSha256 keyed_salt, BytesView ikm) {
+  keyed_salt.update(ikm);
+  auto tag = keyed_salt.finish();
   return Bytes(tag.begin(), tag.end());
+}
+
+}  // namespace
+
+Bytes hkdf_extract(BytesView salt, BytesView ikm) {
+  return extract(HmacSha256(salt), ikm);
 }
 
 Bytes hkdf_expand(BytesView prk, BytesView info, std::size_t length) {
@@ -17,8 +24,9 @@ Bytes hkdf_expand(BytesView prk, BytesView info, std::size_t length) {
   okm.reserve(length);
   Bytes block;  // T(i-1)
   std::uint8_t counter = 1;
+  HmacSha256 h(prk);  // keyed once; reset() starts each T(i)
   while (okm.size() < length) {
-    HmacSha256 h(prk);
+    h.reset();
     h.update(block);
     h.update(info);
     h.update({&counter, 1});
@@ -32,7 +40,12 @@ Bytes hkdf_expand(BytesView prk, BytesView info, std::size_t length) {
 }
 
 Bytes hkdf(BytesView salt, BytesView ikm, BytesView info, std::size_t length) {
-  return hkdf_expand(hkdf_extract(salt, ikm), info, length);
+  return hkdf(HmacSha256(salt), ikm, info, length);
+}
+
+Bytes hkdf(const HmacSha256& keyed_salt, BytesView ikm, BytesView info,
+           std::size_t length) {
+  return hkdf_expand(extract(keyed_salt, ikm), info, length);
 }
 
 }  // namespace enclaves::crypto

@@ -14,24 +14,21 @@ HmacSha256::HmacSha256(BytesView key) {
   } else if (!key.empty()) {  // an empty key's data() may be null
     std::memcpy(k.data(), key.data(), key.size());
   }
-  for (std::size_t i = 0; i < k.size(); ++i) {
-    ipad_[i] = k[i] ^ 0x36;
-    opad_[i] = k[i] ^ 0x5c;
-  }
-  reset();
+  std::array<std::uint8_t, Sha256::kBlockSize> pad;
+  for (std::size_t i = 0; i < k.size(); ++i) pad[i] = k[i] ^ 0x36;
+  keyed_inner_.update(pad);
+  for (std::size_t i = 0; i < k.size(); ++i) pad[i] = k[i] ^ 0x5c;
+  keyed_outer_.update(pad);
+  inner_ = keyed_inner_;
 }
 
-void HmacSha256::reset() {
-  inner_.reset();
-  inner_.update(ipad_);
-}
+void HmacSha256::reset() { inner_ = keyed_inner_; }
 
 void HmacSha256::update(BytesView data) { inner_.update(data); }
 
 HmacSha256::Tag HmacSha256::finish() {
   auto inner_digest = inner_.finish();
-  Sha256 outer;
-  outer.update(opad_);
+  Sha256 outer = keyed_outer_;
   outer.update(inner_digest);
   return outer.finish();
 }

@@ -1,4 +1,12 @@
 // HMAC-SHA256 (RFC 2104), built on the local SHA-256.
+//
+// The key is absorbed once: the constructor keeps the SHA-256 states after
+// the ipad and opad blocks (the keyed midstates), so reset() and finish()
+// copy a state instead of compressing a pad again. A keyed object is a
+// value: copy it to reuse one key for many MACs (HKDF with a fixed salt,
+// PBKDF2). SHA-256 underneath follows sha256.h's dispatch rule (one probe,
+// at most one ISA variant, the portable kernel always tested); HMAC adds
+// no kernel of its own.
 #pragma once
 
 #include "crypto/sha256.h"
@@ -16,15 +24,15 @@ class HmacSha256 {
   void update(BytesView data);
   Tag finish();
 
-  /// Re-keys with the same key for a fresh computation.
+  /// Starts a fresh computation under the same key (no pad recompression).
   void reset();
 
   /// One-shot convenience.
   static Tag mac(BytesView key, BytesView data);
 
  private:
-  std::array<std::uint8_t, Sha256::kBlockSize> ipad_;
-  std::array<std::uint8_t, Sha256::kBlockSize> opad_;
+  Sha256 keyed_inner_;  // state after the ipad block
+  Sha256 keyed_outer_;  // state after the opad block
   Sha256 inner_;
 };
 

@@ -9,6 +9,9 @@ namespace enclaves::crypto {
 Bytes pbkdf2_hmac_sha256(BytesView password, BytesView salt,
                          std::uint32_t iterations, std::size_t length) {
   assert(iterations >= 1);
+  // Keyed once: each iteration copies the password's HMAC midstates, so it
+  // costs two compressions instead of four.
+  HmacSha256 h(password);
   Bytes out;
   out.reserve(length);
   std::uint32_t block_index = 1;
@@ -19,13 +22,15 @@ Bytes pbkdf2_hmac_sha256(BytesView password, BytesView salt,
         static_cast<std::uint8_t>(block_index >> 8),
         static_cast<std::uint8_t>(block_index)};
 
-    HmacSha256 h(password);
+    h.reset();
     h.update(salt);
     h.update({idx_be, 4});
     auto u = h.finish();
     auto acc = u;
     for (std::uint32_t i = 1; i < iterations; ++i) {
-      u = HmacSha256::mac(password, u);
+      h.reset();
+      h.update(u);
+      u = h.finish();
       for (std::size_t j = 0; j < acc.size(); ++j) acc[j] ^= u[j];
     }
     std::size_t take = std::min(acc.size(), length - out.size());

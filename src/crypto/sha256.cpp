@@ -2,22 +2,12 @@
 
 #include <cstring>
 
+#include "crypto/cpu.h"
+#include "crypto/sha256_kernels.h"
+
 namespace enclaves::crypto {
 
 namespace {
-
-constexpr std::uint32_t kK[64] = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
 constexpr std::array<std::uint32_t, 8> kInit = {
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
@@ -41,45 +31,60 @@ void store_be32(std::uint8_t* p, std::uint32_t v) {
 
 }  // namespace
 
+void sha256_blocks_portable(std::uint32_t state[8], const std::uint8_t* data,
+                            std::size_t nblocks) {
+  for (; nblocks > 0; --nblocks, data += Sha256::kBlockSize) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) w[i] = load_be32(data + 4 * i);
+    for (int i = 16; i < 64; ++i) {
+      std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      std::uint32_t ch = (e & f) ^ (~e & g);
+      std::uint32_t t1 = h + s1 + ch + kSha256K[i] + w[i];
+      std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      std::uint32_t t2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+
+    state[0] += a; state[1] += b; state[2] += c; state[3] += d;
+    state[4] += e; state[5] += f; state[6] += g; state[7] += h;
+  }
+}
+
+void sha256_blocks(std::uint32_t state[8], const std::uint8_t* data,
+                   std::size_t nblocks) {
+  if (cpu_has_sha_ni())
+    sha256_blocks_shani(state, data, nblocks);
+  else
+    sha256_blocks_portable(state, data, nblocks);
+}
+
+const char* sha256_kernel_name() {
+  return cpu_has_sha_ni() ? "shani" : "portable";
+}
+
 Sha256::Sha256() { reset(); }
 
 void Sha256::reset() {
   h_ = kInit;
   buf_len_ = 0;
   total_len_ = 0;
-}
-
-void Sha256::compress(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
-  for (int i = 16; i < 64; ++i) {
-    std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  std::uint32_t e = h_[4], f = h_[5], g = h_[6], h = h_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    std::uint32_t ch = (e & f) ^ (~e & g);
-    std::uint32_t t1 = h + s1 + ch + kK[i] + w[i];
-    std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    std::uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-
-  h_[0] += a; h_[1] += b; h_[2] += c; h_[3] += d;
-  h_[4] += e; h_[5] += f; h_[6] += g; h_[7] += h;
 }
 
 void Sha256::update(BytesView data) {
@@ -91,14 +96,14 @@ void Sha256::update(BytesView data) {
     std::memcpy(buf_.data() + buf_len_, data.data(), take);
     buf_len_ += take;
     off = take;
-    if (buf_len_ == kBlockSize) {
-      compress(buf_.data());
-      buf_len_ = 0;
-    }
+    if (buf_len_ < kBlockSize) return;
+    sha256_blocks(h_.data(), buf_.data(), 1);
+    buf_len_ = 0;
   }
-  while (off + kBlockSize <= data.size()) {
-    compress(data.data() + off);
-    off += kBlockSize;
+  const std::size_t whole = (data.size() - off) / kBlockSize;
+  if (whole > 0) {
+    sha256_blocks(h_.data(), data.data() + off, whole);
+    off += whole * kBlockSize;
   }
   if (off < data.size()) {
     std::memcpy(buf_.data(), data.data() + off, data.size() - off);
@@ -107,16 +112,20 @@ void Sha256::update(BytesView data) {
 }
 
 Sha256::Digest Sha256::finish() {
+  // Pads in place: 0x80, zeros up to byte 56, the 64-bit big-endian bit
+  // length. A tail past byte 55 leaves no room for the length, so it takes
+  // a block of its own.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_one = 0x80;
-  update({&pad_one, 1});
-  const std::uint8_t zero = 0;
-  while (buf_len_ != 56) update({&zero, 1});
-
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i)
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  update({len_be, 8});
+  buf_[buf_len_++] = 0x80;
+  if (buf_len_ > kBlockSize - 8) {
+    std::memset(buf_.data() + buf_len_, 0, kBlockSize - buf_len_);
+    sha256_blocks(h_.data(), buf_.data(), 1);
+    buf_len_ = 0;
+  }
+  std::memset(buf_.data() + buf_len_, 0, kBlockSize - 8 - buf_len_);
+  store_be32(buf_.data() + 56, static_cast<std::uint32_t>(bit_len >> 32));
+  store_be32(buf_.data() + 60, static_cast<std::uint32_t>(bit_len));
+  sha256_blocks(h_.data(), buf_.data(), 1);
 
   Digest out;
   for (int i = 0; i < 8; ++i) store_be32(out.data() + 4 * i, h_[i]);

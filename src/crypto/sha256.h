@@ -2,6 +2,13 @@
 //
 // Incremental interface plus a one-shot helper. Verified in tests against
 // the NIST CAVP short-message vectors and cross-checked against OpenSSL.
+//
+// Dispatch rule (crypto/sha256_kernels.h): the block function has one
+// portable kernel and at most one ISA variant (SHA-NI). One probe,
+// crypto/cpu.h, picks between them once per process; there is no build flag
+// or environment switch. The portable kernel is the oracle: the tests run
+// it on every host and diff the SHA-NI kernel against it where the CPU has
+// the extensions.
 #pragma once
 
 #include <array>
@@ -34,8 +41,6 @@ class Sha256 {
   static Digest hash(BytesView data);
 
  private:
-  void compress(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> h_;
   std::array<std::uint8_t, kBlockSize> buf_;
   std::size_t buf_len_ = 0;

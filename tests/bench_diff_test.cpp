@@ -173,6 +173,29 @@ TEST(BenchDiff, NewCounterAndNewBenchmarkAreNotes) {
   EXPECT_NE(report.notes[0].find("new counter"), std::string::npos);
 }
 
+// bench_crypto records which SHA-256 kernel ran; a baseline taken on the
+// other kernel is worth a note (its SHA-256 rows time different code), not
+// a failure.
+TEST(BenchDiff, Sha256KernelIsParsedAndAChangeIsANote) {
+  auto with_kernel = [](const std::string& kernel) {
+    std::string json = blob_json("crypto", 100, 5);
+    const std::string anchor = "\"metrics_attached\":true,";
+    json.insert(json.find(anchor) + anchor.size(),
+                "\"sha256_kernel\":\"" + kernel + "\",");
+    return BenchBlob::parse(json);
+  };
+  auto base = with_kernel("portable");
+  auto cand = with_kernel("shani");
+  ASSERT_TRUE(base.ok()) << base.error().to_string();
+  ASSERT_TRUE(cand.ok()) << cand.error().to_string();
+  EXPECT_EQ(base->sha256_kernel, "portable");
+  EXPECT_TRUE(diff_blobs(*base, *base).notes.empty());
+  auto report = diff_blobs(*base, *cand);
+  EXPECT_FALSE(report.failed());
+  ASSERT_EQ(report.notes.size(), 1u);
+  EXPECT_NE(report.notes[0].find("sha256_kernel"), std::string::npos);
+}
+
 // --- profiled scopes (the tentpole gate: ISSUE 9 acceptance criteria).
 
 TEST(BenchBlobParse, ProfileSectionIsOptionalAndRoundTrips) {

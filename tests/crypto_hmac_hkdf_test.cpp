@@ -2,6 +2,7 @@
 // OpenSSL cross-check), and the password->Pa derivation.
 #include <gtest/gtest.h>
 #include <openssl/evp.h>
+#include <openssl/hmac.h>
 
 #include "crypto/hkdf.h"
 #include "crypto/hmac.h"
@@ -60,6 +61,46 @@ TEST(HmacSha256, ResetProducesSameTag) {
   h.update(to_bytes("first"));
   EXPECT_EQ(h.finish(), t1);
 }
+
+// A keyed object is a value: a copy carries the key's midstates, and each
+// copy (or reset) starts a computation no earlier one leaks into.
+TEST(HmacSha256, CopiedKeyedObjectMatchesFreshOnes) {
+  const HmacSha256 keyed(to_bytes("copied-key"));
+  HmacSha256 copy = keyed;
+  copy.update(to_bytes("first message"));
+  EXPECT_EQ(copy.finish(),
+            HmacSha256::mac(to_bytes("copied-key"), to_bytes("first message")));
+  copy = keyed;
+  copy.update(to_bytes("second"));
+  EXPECT_EQ(copy.finish(),
+            HmacSha256::mac(to_bytes("copied-key"), to_bytes("second")));
+  copy.reset();
+  EXPECT_EQ(copy.finish(), HmacSha256::mac(to_bytes("copied-key"), {}));
+}
+
+class HmacCross : public ::testing::TestWithParam<std::size_t> {};
+
+// Key lengths straddle the block size (64): shorter keys are zero-padded,
+// longer ones hashed first. Data lengths are random, 0-300 bytes.
+TEST_P(HmacCross, MatchesOpenSsl) {
+  const std::size_t key_len = GetParam();
+  DeterministicRng rng(4231 + key_len);
+  const Bytes key = rng.bytes(key_len);
+  for (int trial = 0; trial < 32; ++trial) {
+    const Bytes data = rng.bytes(static_cast<std::size_t>(rng.below(301)));
+    std::uint8_t ref[EVP_MAX_MD_SIZE];
+    unsigned int ref_len = 0;
+    ASSERT_NE(nullptr, HMAC(EVP_sha256(), key.data(), static_cast<int>(key.size()),
+                            data.data(), data.size(), ref, &ref_len));
+    auto mine = HmacSha256::mac(key, data);
+    ASSERT_EQ(ref_len, mine.size());
+    EXPECT_TRUE(std::equal(mine.begin(), mine.end(), ref))
+        << "key_len=" << key_len << " data_len=" << data.size();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(KeyLengths, HmacCross,
+                         ::testing::Values(0u, 1u, 32u, 63u, 64u, 65u, 200u));
 
 TEST(HmacSha256, VerifyAcceptsAndRejects) {
   Bytes key = to_bytes("verify-key");

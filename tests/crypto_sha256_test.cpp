@@ -1,9 +1,14 @@
 // SHA-256 against FIPS 180-4 / NIST CAVP vectors plus incremental-update
-// behaviour and a cross-check against OpenSSL.
+// behaviour, a cross-check against OpenSSL, and the SHA-NI kernel diffed
+// against the portable one.
 #include <gtest/gtest.h>
 #include <openssl/sha.h>
 
+#include <array>
+
+#include "crypto/cpu.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_kernels.h"
 #include "util/hex.h"
 #include "util/rng.h"
 
@@ -90,6 +95,49 @@ TEST_P(Sha256RandomCross, MatchesOpenSsl) {
 
 INSTANTIATE_TEST_SUITE_P(RandomLengths, Sha256RandomCross,
                          ::testing::Range(0, 24));
+
+// The portable kernel is the oracle: from random midstates (not just the
+// IV), over runs of 1-8 blocks, SHA-NI must land on the same state.
+TEST(Sha256Kernels, ShaNiMatchesPortable) {
+  if (!cpu_has_sha_ni()) GTEST_SKIP() << "CPU lacks SHA-NI";
+  DeterministicRng rng(180);
+  for (int trial = 0; trial < 10000; ++trial) {
+    std::array<std::uint32_t, 8> portable;
+    for (auto& word : portable)
+      word = static_cast<std::uint32_t>(rng.below(std::uint64_t{1} << 32));
+    auto shani = portable;
+    const std::size_t nblocks = 1 + static_cast<std::size_t>(rng.below(8));
+    const Bytes data = rng.bytes(nblocks * Sha256::kBlockSize);
+    sha256_blocks_portable(portable.data(), data.data(), nblocks);
+    sha256_blocks_shani(shani.data(), data.data(), nblocks);
+    ASSERT_EQ(portable, shani) << "trial " << trial << ", " << nblocks
+                               << " blocks";
+  }
+}
+
+// Runs on every host, whichever kernel Sha256 dispatches to: "abc" padded
+// by hand to one block, from the FIPS 180-4 IV.
+TEST(Sha256Kernels, PortableKernelHashesAbc) {
+  std::array<std::uint32_t, 8> state = {
+      0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+      0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  std::array<std::uint8_t, Sha256::kBlockSize> block{};
+  block[0] = 'a';
+  block[1] = 'b';
+  block[2] = 'c';
+  block[3] = 0x80;
+  block[63] = 24;  // bit length
+  sha256_blocks_portable(state.data(), block.data(), 1);
+  const std::array<std::uint32_t, 8> expect = {
+      0xba7816bf, 0x8f01cfea, 0x414140de, 0x5dae2223,
+      0xb00361a3, 0x96177a9c, 0xb410ff61, 0xf20015ad};
+  EXPECT_EQ(state, expect);
+}
+
+TEST(Sha256Kernels, DispatchFollowsTheProbe) {
+  EXPECT_STREQ(sha256_kernel_name(),
+               cpu_has_sha_ni() ? "shani" : "portable");
+}
 
 }  // namespace
 }  // namespace enclaves::crypto

@@ -3,6 +3,9 @@
 // (atomic install, stale/forged/unreachable refusal, path recovery) —
 // exercised directly on the classes, below the Leader/Member protocol glue.
 #include <gtest/gtest.h>
+#include <openssl/evp.h>
+#include <openssl/hmac.h>
+#include <openssl/kdf.h>
 
 #include <map>
 #include <set>
@@ -32,6 +35,72 @@ TEST(KeyTreeSchedule, GroupKeyBindsEpochToRoot) {
   EXPECT_EQ(derive_group_key(root, 7), derive_group_key(root, 7));
   EXPECT_NE(derive_group_key(root, 7), derive_group_key(root, 8));
   EXPECT_NE(derive_group_key(root, 7), derive_group_key(other, 7));
+}
+
+// Known answers from OpenSSL, with the salts and contexts spelled out here:
+// a cached keyed extractor (or any other shortcut) that changed a key
+// would fail these, not just the determinism checks above.
+Bytes openssl_hkdf(std::string_view salt, BytesView ikm, BytesView info) {
+  Bytes out(crypto::kKeyBytes);
+  std::size_t out_len = out.size();
+  EVP_PKEY_CTX* ctx = EVP_PKEY_CTX_new_id(EVP_PKEY_HKDF, nullptr);
+  const bool ok =
+      ctx && EVP_PKEY_derive_init(ctx) == 1 &&
+      EVP_PKEY_CTX_set_hkdf_md(ctx, EVP_sha256()) == 1 &&
+      EVP_PKEY_CTX_set1_hkdf_salt(
+          ctx, reinterpret_cast<const unsigned char*>(salt.data()),
+          static_cast<int>(salt.size())) == 1 &&
+      EVP_PKEY_CTX_set1_hkdf_key(ctx, ikm.data(),
+                                 static_cast<int>(ikm.size())) == 1 &&
+      EVP_PKEY_CTX_add1_hkdf_info(ctx, info.data(),
+                                  static_cast<int>(info.size())) == 1 &&
+      EVP_PKEY_derive(ctx, out.data(), &out_len) == 1;
+  EVP_PKEY_CTX_free(ctx);
+  EXPECT_TRUE(ok);
+  return out;
+}
+
+Bytes be64(std::uint64_t v) {
+  Bytes b(8);
+  for (int i = 7; i >= 0; --i, v >>= 8)
+    b[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v);
+  return b;
+}
+
+TEST(KeyTreeSchedule, LeafKekMatchesOpenSslHkdf) {
+  DeterministicRng rng(3);
+  for (const char* id : {"alice", "bob", ""}) {
+    auto ka = crypto::SessionKey::random(rng);
+    EXPECT_EQ(derive_leaf_kek(ka, id).to_bytes(),
+              openssl_hkdf("enclaves keytree leaf v1", ka.view(), to_bytes(id)))
+        << "member '" << id << "'";
+  }
+}
+
+TEST(KeyTreeSchedule, GroupKeyMatchesOpenSslHkdf) {
+  DeterministicRng rng(4);
+  for (std::uint64_t epoch : {0ull, 1ull, 7ull, 0x0102030405060708ull}) {
+    auto root = crypto::GroupKey::random(rng);
+    EXPECT_EQ(derive_group_key(root, epoch).to_bytes(),
+              openssl_hkdf("enclaves keytree kg v1", root.view(), be64(epoch)))
+        << "epoch " << epoch;
+  }
+}
+
+TEST(KeyTreeSchedule, ConfirmTagMatchesOpenSslHmac) {
+  DeterministicRng rng(5);
+  for (std::uint64_t epoch : {1ull, 42ull}) {
+    auto kg = crypto::GroupKey::random(rng);
+    Bytes data = concat({to_bytes("enclaves keytree confirm v1"), be64(epoch)});
+    std::uint8_t ref[EVP_MAX_MD_SIZE];
+    unsigned int ref_len = 0;
+    ASSERT_NE(nullptr, HMAC(EVP_sha256(), kg.view().data(),
+                            static_cast<int>(kg.view().size()), data.data(),
+                            data.size(), ref, &ref_len));
+    auto tag = keytree_confirm_tag(kg, epoch);
+    EXPECT_EQ(Bytes(tag.begin(), tag.end()), Bytes(ref, ref + ref_len))
+        << "epoch " << epoch;
+  }
 }
 
 // Leader tree + member views wired together without any network: the

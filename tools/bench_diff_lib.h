@@ -53,6 +53,7 @@ struct BenchResult {
 struct BenchBlob {
   std::string bench;
   bool metrics_attached = false;
+  std::string sha256_kernel;  // bench_crypto only: "shani" or "portable"
   std::vector<BenchResult> results;
   obs::MetricsSnapshot metrics;
   obs::ProfSnapshot profile;
@@ -119,6 +120,10 @@ inline Result<BenchBlob> BenchBlob::parse(std::string_view json) {
         auto v = c.parse_bool();
         if (!v.ok()) return v.error();
         blob.metrics_attached = *v;
+      } else if (*key == "sha256_kernel") {
+        auto v = c.parse_string();
+        if (!v.ok()) return v.error();
+        blob.sha256_kernel = *std::move(v);
       } else if (*key == "results") {
         if (!c.consume('[')) return Errc::malformed;
         if (!c.peek(']')) {
@@ -203,6 +208,11 @@ inline DiffReport diff_blobs(const BenchBlob& baseline,
     report.failures.push_back(
         "baseline recorded metrics but the candidate ran with the sink "
         "detached (ENCLAVES_BENCH_NO_METRICS?)");
+  if (baseline.sha256_kernel != candidate.sha256_kernel)
+    report.notes.push_back("sha256_kernel: baseline \"" +
+                           baseline.sha256_kernel + "\", candidate \"" +
+                           candidate.sha256_kernel +
+                           "\" (SHA-256 ns/op compare different kernels)");
 
   // --- ns/op, per benchmark name.
   for (const BenchResult& base : baseline.results) {
