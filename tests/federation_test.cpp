@@ -14,10 +14,12 @@
 #include "core/member.h"
 #include "fed/federation.h"
 #include "net/sim_network.h"
+#include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/security.h"
 #include "obs/span.h"
 #include "obs/trace.h"
+#include "tests/flight_dumps.h"
 #include "util/rng.h"
 #include "wire/seal.h"
 
@@ -296,18 +298,38 @@ TEST(Federation, ResurrectedSourceIsFencedWithLedgerAttribution) {
 
   // It re-creates "its" group (the ring does place it there) and broadcasts
   // an ownership claim at version 1 — which every healthy shard's directory
-  // already superseded.
+  // already superseded. s2's refusal is an incident: one flight dump.
+  testing_support::FlightDumpDir claim_dumps;
+  obs::FlightRecorder claim_recorder("s2", claim_dumps.path());
+  claim_recorder.set_local_agents({"s2"});
+  ASSERT_TRUE(claim_recorder.attach());
   ASSERT_TRUE(zombie.create_group(g).ok());
   w.settle(4);
+  claim_recorder.detach();
+  const auto claim_blobs = claim_dumps.dumps();
+  ASSERT_EQ(claim_blobs.size(), 1u);
+  EXPECT_EQ(claim_blobs[0].header.reason, "stale_dir_claim");
+  EXPECT_TRUE(testing_support::has_ledger_line(
+      claim_blobs[0], "fenced_migration", "s2", "s1", "stale directory claim"));
   EXPECT_EQ(w.node("s2").owner(g), "s2");
   EXPECT_EQ(w.node("s3").owner(g), "s2");
   EXPECT_GE(metrics.counter("fed", "s2", "dir_stale_claims_total"), 1u);
 
   // It then offers to migrate the group it thinks it owns. The offer's
   // directory version is behind: refused, with the source named in the
-  // ledger, and the zombie's migration aborts.
+  // ledger, and the zombie's migration aborts — another incident dump.
+  testing_support::FlightDumpDir offer_dumps;
+  obs::FlightRecorder offer_recorder("s2", offer_dumps.path());
+  offer_recorder.set_local_agents({"s2"});
+  ASSERT_TRUE(offer_recorder.attach());
   ASSERT_TRUE(zombie.migrate_out(g, "s2").ok());
   w.settle(8);
+  offer_recorder.detach();
+  const auto offer_blobs = offer_dumps.dumps();
+  ASSERT_EQ(offer_blobs.size(), 1u);
+  EXPECT_EQ(offer_blobs[0].header.reason, "fenced_migration");
+  EXPECT_TRUE(testing_support::has_ledger_line(
+      offer_blobs[0], "fenced_migration", "s2", "s1", "stale migration offer"));
   EXPECT_EQ(zombie.migrator().inflight(), 0u);
   EXPECT_EQ(zombie.migrator().completed(), 0u);
   EXPECT_TRUE(w.node("s2").owns(g));

@@ -16,7 +16,10 @@
 #include "ha/replicator.h"
 #include "ha/standby.h"
 #include "net/sim_network.h"
+#include "obs/flight.h"
 #include "obs/metrics.h"
+#include "obs/security.h"
+#include "tests/flight_dumps.h"
 #include "util/rng.h"
 #include "wire/repl.h"
 #include "wire/seal.h"
@@ -338,6 +341,11 @@ TEST(Replication, PeriodicSnapshotCompaction) {
 
 TEST(Failover, PromotionFencesEpochAndInstallsCredentials) {
   ReplWorld w(20);
+  obs::SecurityLedger ledger;
+  obs::ScopedSecurityLedger ledger_sink(ledger);
+  testing_support::FlightDumpDir dumps;
+  obs::FlightRecorder recorder("L", dumps.path());
+  ASSERT_TRUE(recorder.attach());
   w.replicator->start();
   w.net.run();
 
@@ -400,6 +408,15 @@ TEST(Failover, PromotionFencesEpochAndInstallsCredentials) {
   EXPECT_TRUE(w.replicator->deposed());
   EXPECT_EQ(deposed_epoch, 1u + 1024u);
   EXPECT_EQ(w.metrics.counter("ha", "L", "deposed_total"), 1u);
+
+  // The deposition is an incident: one flight dump, holding the evidence
+  // the deposed incarnation filed against itself.
+  recorder.detach();
+  const auto blobs = dumps.dumps();
+  ASSERT_EQ(blobs.size(), 1u);
+  EXPECT_EQ(blobs[0].header.reason, "deposed_by_fence");
+  EXPECT_TRUE(testing_support::has_ledger_line(blobs[0], "fenced_repl", "L",
+                                               "L"));
 
   // Deposed means silent: no further replication traffic.
   const std::uint64_t sent_before = w.net.packets_sent();
@@ -475,6 +492,11 @@ TEST(MemberSessionRetarget, OnlyWhileNotConnected) {
 TEST(MemberFence, RejectsStaleEpochFromDeposedLeader) {
   DeterministicRng rng(31);
   net::SimNetwork net;
+  obs::SecurityLedger ledger;
+  obs::ScopedSecurityLedger ledger_sink(ledger);
+  testing_support::FlightDumpDir dumps;
+  obs::FlightRecorder recorder("alice", dumps.path());
+  ASSERT_TRUE(recorder.attach());
   auto pa = crypto::LongTermKey::random(rng);
 
   Leader high(LeaderConfig{"Lhigh", RekeyPolicy::strict()}, rng);
@@ -525,6 +547,15 @@ TEST(MemberFence, RejectsStaleEpochFromDeposedLeader) {
     EXPECT_LT(accepted_epochs[i - 1], accepted_epochs[i])
         << "an accepted epoch regressed: split brain";
   for (std::uint64_t e : accepted_epochs) EXPECT_GE(high_epoch, e);
+
+  // The fenced key is an incident: one flight dump, holding the evidence
+  // that accuses the stale leader.
+  recorder.detach();
+  const auto blobs = dumps.dumps();
+  ASSERT_EQ(blobs.size(), 1u);
+  EXPECT_EQ(blobs[0].header.reason, "epoch_fenced");
+  EXPECT_TRUE(testing_support::has_ledger_line(blobs[0], "epoch_fenced",
+                                               "alice", "Llow"));
 }
 
 }  // namespace

@@ -361,6 +361,15 @@ TEST(SecurityLedgerUnit, RecordsSuspicionAndExportsJsonl) {
   const std::string jsonl = ledger.to_jsonl();
   EXPECT_NE(jsonl.find("\"kind\":\"stale_nonce\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"accused\":\"mallory\""), std::string::npos);
+  EXPECT_EQ(jsonl,
+            "{\"tick\":1,\"kind\":\"stale_nonce\",\"group\":\"G\","
+            "\"observer\":\"alice\",\"accused\":\"mallory\","
+            "\"detail\":\"old nonce\"}\n"
+            "{\"tick\":2,\"kind\":\"relay_reject\",\"group\":\"G\","
+            "\"observer\":\"L\",\"accused\":\"mallory\","
+            "\"detail\":\"not a member\"}\n"
+            "{\"tick\":3,\"kind\":\"aead_open_failure\",\"group\":\"crypto\","
+            "\"observer\":\"aes-gcm\",\"detail\":\"tag mismatch\"}\n");
 
   ledger.clear();
   EXPECT_EQ(ledger.size(), 0u);

@@ -17,10 +17,12 @@
 #include "net/fault.h"
 #include "net/sim_network.h"
 #include "net/trace_chart.h"
+#include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/security.h"
 #include "obs/span.h"
 #include "obs/trace.h"
+#include "tests/flight_dumps.h"
 #include "util/rng.h"
 #include "wire/reconcile.h"
 #include "wire/seal.h"
@@ -529,6 +531,9 @@ TEST(Reconcile, StaleEpochOfferIsQuarantined) {
 // further replay.
 TEST(Reconcile, ForgedOpReplayFlagsIntrusion) {
   PartitionWorld w(51);
+  testing_support::FlightDumpDir dumps;
+  obs::FlightRecorder recorder("L", dumps.path());
+  ASSERT_TRUE(recorder.attach());
   auto& mallory = w.add("mallory");
   w.join(mallory);
   // Steal the session key while connected (the paper's Oops(Ka) threat).
@@ -570,6 +575,14 @@ TEST(Reconcile, ForgedOpReplayFlagsIntrusion) {
       ledgered = true;
   }
   EXPECT_TRUE(ledgered) << "forged replay must be ledgered as intrusion";
+
+  // The broken chain is an incident: one flight dump, holding the evidence.
+  recorder.detach();
+  const auto blobs = dumps.dumps();
+  ASSERT_EQ(blobs.size(), 1u);
+  EXPECT_EQ(blobs[0].header.reason, "forged_oplog");
+  EXPECT_TRUE(testing_support::has_ledger_line(blobs[0], "forged_oplog", "L",
+                                               "mallory"));
 
   // The parole is no longer replayable: a (now honest) retry is refused.
   wire::OpReplayPayload honest{"mallory", 1, fence,
