@@ -202,8 +202,8 @@ void BM_AdminRoundTripRecording(benchmark::State& state) {
   obs::TraceLog trace_log;
   trace_log.set_capacity(1024);  // memory stays flat across iterations
   obs::SecurityLedger ledger;
-  obs::set_trace_sink(&trace_log);
-  obs::set_security_sink(&ledger);
+  obs::set_sink(&trace_log);
+  obs::set_sink(&ledger);
   obs::FlightRecorder recorder("bench", "/tmp");
   recorder.attach();
 
@@ -224,8 +224,8 @@ void BM_AdminRoundTripRecording(benchmark::State& state) {
   }
 
   recorder.detach();
-  obs::set_security_sink(nullptr);
-  obs::set_trace_sink(nullptr);
+  obs::set_sink<obs::SecurityLedger>(nullptr);
+  obs::set_sink<obs::TraceLog>(nullptr);
 }
 BENCHMARK(BM_AdminRoundTripRecording);
 

@@ -750,10 +750,6 @@ void Leader::handle_op_replay(const wire::Envelope& e) {
                                             std::uint64_t seq) {
     obs::emit(counters_, obs::Event::reconcile_intrusion, clock_.now(),
               config_.id, config_.id, e.sender, why, seq);
-    // Flight-recorder incident hook: a broken op-log HMAC chain is direct
-    // intrusion evidence, not noise — dump the window around it.
-    obs::flight_incident(clock_.now(), "forged_oplog", config_.id,
-                         config_.id);
     parole.active = false;
     send_reconcile_verdict(e.sender, parole,
                            wire::ReconcileVerdictKind::intrusion,

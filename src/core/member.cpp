@@ -245,10 +245,6 @@ bool Member::apply_admin(const wire::AdminBody& body) {
             obs::emit(counters_, obs::Event::key_below_floor, clock_.now(),
                       leader_id_, id_, leader_id_, "NewGroupKey below floor",
                       b.epoch);
-            // Flight-recorder incident hook: a fenced key is the member-side
-            // signature of a resurrected leader — worth a black-box dump.
-            obs::flight_incident(clock_.now(), "epoch_fenced", leader_id_,
-                                 id_);
             session_.close_local();
             drop_group_state();
             if (auto_rejoin_ && want_membership_)

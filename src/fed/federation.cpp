@@ -48,10 +48,6 @@ FedNode::FedNode(FedNodeConfig config, Rng& rng, const crypto::Aead& aead)
       obs::emit(counters_, obs::Event::stale_offer, clock_.now(), o.group,
                 config_.shard_id, o.source_shard, "stale migration offer",
                 o.dir_version);
-      // Flight-recorder incident hook: a resurrected source shard is the
-      // federation-plane intrusion signature (dump-on-resurrection).
-      obs::flight_incident(clock_.now(), "fenced_migration", o.group,
-                           config_.shard_id);
     }
     return fresh;
   };
@@ -264,8 +260,6 @@ void FedNode::handle_fed(const wire::Envelope& e) {
         obs::emit(counters_, obs::Event::stale_dir_claim, clock_.now(),
                   p->group, config_.shard_id, e.sender, "stale directory claim",
                   p->version);
-        obs::flight_incident(clock_.now(), "stale_dir_claim", p->group,
-                             config_.shard_id);
       } else if (claim == Directory::Claim::installed) {
         obs::count("fed", config_.shard_id, "dir_updates_total");
       }

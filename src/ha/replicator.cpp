@@ -149,17 +149,14 @@ void LeaderReplicator::handle(const wire::Envelope& e) {
       deposed_ = true;
       ENCLAVES_LOG(info) << leader_.id() << ": deposed by "
                          << config_.standby_id << " at epoch " << ack->epoch;
-      obs::emit(counters_, obs::Event::deposed, clock_.now(), kHaGroup,
-                leader_.id(), config_.standby_id, "deposed", ack->epoch);
       // Evidence against ourselves: this incarnation kept distributing
       // after a failover — exactly what a resurrected leader looks like.
+      // Filed before `deposed`, whose incident dump should carry it.
       obs::emit(counters_, obs::Event::repl_fenced, clock_.now(), kHaGroup,
                 leader_.id(), leader_.id(), "deposed by fenced ack",
                 ack->epoch);
-      // Flight-recorder incident hook: capture the deposed incarnation's
-      // window before it stops mattering (dump-on-fence).
-      obs::flight_incident(clock_.now(), "deposed_by_fence", kHaGroup,
-                           leader_.id());
+      obs::emit(counters_, obs::Event::deposed, clock_.now(), kHaGroup,
+                leader_.id(), config_.standby_id, "deposed", ack->epoch);
       retry_.disarm();
       if (on_deposed) on_deposed(ack->epoch);
     }

@@ -17,7 +17,8 @@ struct Row {
 };
 
 // One row per Event, in enum order (checked below). Columns: name, counter,
-// trace kind, evidence kind, fixed counter group, fixed counter agent.
+// trace kind, evidence kind, fixed counter group, fixed counter agent,
+// flight incident reason.
 constexpr std::array<Row, kEventCount> kTable{{
     {E::leader_phase, {"leader_phase", {}, T::leader_phase, {}}},
     {E::member_phase, {"member_phase", {}, T::member_phase, {}}},
@@ -44,7 +45,8 @@ constexpr std::array<Row, kEventCount> kTable{{
     {E::rekey_applied,
      {"rekey_applied", "rekeys_applied_total", T::rekey, {}}},
     {E::epoch_fenced, {"epoch_fenced", "epoch_fenced_total", T::fence, {}}},
-    {E::key_below_floor, {"key_below_floor", {}, {}, V::epoch_fenced}},
+    {E::key_below_floor,
+     {"key_below_floor", {}, {}, V::epoch_fenced, {}, {}, "epoch_fenced"}},
     {E::keytree_level, {"keytree_level", {}, T::keytree_level, {}}},
     {E::keytree_reject,
      {"keytree_reject", "keytree_rejects_total", {}, V::forged_keytree}},
@@ -77,7 +79,7 @@ constexpr std::array<Row, kEventCount> kTable{{
      {"reconcile_verdict", {}, T::reconcile_verdict, {}}},
     {E::reconcile_intrusion,
      {"reconcile_intrusion", "reconcile_intrusions_total", {},
-      V::forged_oplog}},
+      V::forged_oplog, {}, {}, "forged_oplog"}},
     {E::op_replay,
      {"op_replay", "reconcile_ops_replayed_total", T::op_replay, {}}},
     {E::fast_rejoin,
@@ -86,7 +88,8 @@ constexpr std::array<Row, kEventCount> kTable{{
     {E::repl_snapshot,
      {"repl_snapshot", "repl_snapshots_total", T::repl_snapshot, {}}},
     {E::repl_gap, {"repl_gap", "repl_gaps_total", T::repl_gap, {}}},
-    {E::deposed, {"deposed", "deposed_total", T::fence, {}}},
+    {E::deposed,
+     {"deposed", "deposed_total", T::fence, {}, {}, {}, "deposed_by_fence"}},
     {E::repl_fence, {"repl_fence", {}, T::fence, {}}},
     {E::repl_fenced, {"repl_fenced", {}, {}, V::fenced_repl}},
     {E::promote, {"promote", "promotions_total", T::promote, {}}},
@@ -102,8 +105,10 @@ constexpr std::array<Row, kEventCount> kTable{{
     {E::dir_claim, {"dir_claim", {}, T::fed_dir, {}}},
     {E::stale_dir_claim,
      {"stale_dir_claim", "dir_stale_claims_total", {}, V::fenced_migration,
-      "fed"}},
-    {E::stale_offer, {"stale_offer", {}, {}, V::fenced_migration}},
+      "fed", {}, "stale_dir_claim"}},
+    {E::stale_offer,
+     {"stale_offer", {}, {}, V::fenced_migration, {}, {},
+      "fenced_migration"}},
     {E::migrate_offer,
      {"migrate_offer", "migrations_started_total", T::fed_migrate, {},
       "fed"}},
@@ -192,6 +197,8 @@ void emit_attached(EventCounters& counters, Event event,
     security_event(tick, evidence.value_or(*row.evidence), group, agent, peer,
                    detail, value);
   }
+  if (!row.incident.empty() && flight_active())
+    detail::flight_incident(tick, row.incident, agent);
 }
 
 }  // namespace enclaves::obs

@@ -12,18 +12,19 @@
 // The fields map onto each channel the same way: the counter is keyed by
 // (group, agent) unless the row fixes its own scope, the trace event carries
 // (tick, group, agent, peer, detail, value), and the ledger entry carries
-// (tick, group, observer=agent, accused=peer, detail, value) plus the
-// `security.*` refusal metrics. Within one emit the channels are written in
-// that order: counter, trace event, evidence.
+// the same fields (agent = observer, peer = accused) plus the `security.*`
+// refusal metrics. Within one emit the channels are written in
+// that order: counter, trace event, evidence, flight incident.
 //
 // A site whose evidence kind comes from an error code passes it in with the
 // overload that takes an EvidenceKind; the row must already carry evidence.
 // `counters_` is the reporting object's EventCounters: with it, a counter
 // costs one atomic add.
 //
-// Cost model, as for metrics/trace/security: with every sink detached,
-// emit() loads three atomics and returns — it builds no strings and
-// allocates nothing (pinned by obs_test's allocation-counting case).
+// Cost model, as for metrics/trace/security: with every sink and flight
+// recorder detached, emit() loads four atomics and returns — it builds no
+// strings and allocates nothing (pinned by obs_test's allocation-counting
+// case).
 #pragma once
 
 #include <array>
@@ -126,6 +127,9 @@ inline constexpr std::size_t kEventCount =
 
 /// What one event produces. Empty `counter` means no counter; an empty
 /// `counter_group` / `counter_agent` means the event's own group / agent.
+/// A non-empty `incident` makes every attached FlightRecorder that covers
+/// the event's agent dump its window with that reason (debounced per
+/// recorder), after the counter, trace event and evidence are written.
 struct EventRow {
   std::string_view name;
   std::string_view counter;
@@ -133,6 +137,7 @@ struct EventRow {
   std::optional<EvidenceKind> evidence;
   std::string_view counter_group = {};
   std::string_view counter_agent = {};
+  std::string_view incident = {};
 };
 
 const EventRow& event_row(Event event);
@@ -163,7 +168,7 @@ void emit_attached(EventCounters& counters, Event event,
 
 inline bool any_sink_attached() {
   return metrics_sink() != nullptr || trace_sink() != nullptr ||
-         security_sink() != nullptr;
+         security_sink() != nullptr || flight_active();
 }
 
 inline void emit(EventCounters& counters, Event event, Tick tick,

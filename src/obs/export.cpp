@@ -118,13 +118,11 @@ by_family(const std::map<MetricKey, Value>& metrics) {
 
 }  // namespace
 
-std::string render_prometheus(const MetricsSnapshot& snapshot,
-                              const PromOptions& options) {
+std::string render_prometheus(const MetricsSnapshot& snapshot) {
   std::string out;
 
   for (const auto& [name, entries] : by_family(snapshot.counters)) {
-    const std::string family =
-        options.prefix + prom_sanitize_name(name);
+    const std::string family = "enclaves_" + prom_sanitize_name(name);
     append_header(out, family, "counter",
                   "enclaves counter " + prom_sanitize_name(name));
     for (const auto& [key, value] : entries) {
@@ -134,8 +132,7 @@ std::string render_prometheus(const MetricsSnapshot& snapshot,
   }
 
   for (const auto& [name, entries] : by_family(snapshot.gauges)) {
-    const std::string family =
-        options.prefix + prom_sanitize_name(name);
+    const std::string family = "enclaves_" + prom_sanitize_name(name);
     append_header(out, family, "gauge",
                   "enclaves gauge " + prom_sanitize_name(name));
     for (const auto& [key, value] : entries) {
@@ -145,8 +142,7 @@ std::string render_prometheus(const MetricsSnapshot& snapshot,
   }
 
   for (const auto& [name, entries] : by_family(snapshot.histograms)) {
-    const std::string family =
-        options.prefix + prom_sanitize_name(name);
+    const std::string family = "enclaves_" + prom_sanitize_name(name);
     append_header(out, family, "histogram",
                   "enclaves histogram " + prom_sanitize_name(name));
     for (const auto& [key, h] : entries) {
@@ -164,20 +160,18 @@ std::string render_prometheus(const MetricsSnapshot& snapshot,
       append_sample_start(out, family + "_count", *key);
       out += "} " + std::to_string(h->count) + "\n";
     }
-    if (options.emit_quantiles) {
-      const std::string qfamily = family + "_quantile";
-      append_header(out, qfamily, "gauge",
-                    "enclaves histogram " + prom_sanitize_name(name) +
-                        " interpolated quantiles");
-      for (const auto& [key, h] : entries) {
-        for (double q : {0.5, 0.9, 0.99}) {
-          append_sample_start(out, qfamily, *key);
-          out += ",quantile=\"";
-          append_double(out, q);
-          out += "\"} ";
-          append_double(out, h->quantile(q));
-          out += '\n';
-        }
+    const std::string qfamily = family + "_quantile";
+    append_header(out, qfamily, "gauge",
+                  "enclaves histogram " + prom_sanitize_name(name) +
+                      " interpolated quantiles");
+    for (const auto& [key, h] : entries) {
+      for (double q : {0.5, 0.9, 0.99}) {
+        append_sample_start(out, qfamily, *key);
+        out += ",quantile=\"";
+        append_double(out, q);
+        out += "\"} ";
+        append_double(out, h->quantile(q));
+        out += '\n';
       }
     }
   }

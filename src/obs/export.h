@@ -50,20 +50,15 @@ std::string prom_sanitize_name(std::string_view name);
 // ---------------------------------------------------------------------------
 // Rendering.
 
-struct PromOptions {
-  std::string prefix = "enclaves_";  // prepended to every family name
-  bool emit_quantiles = true;  // per-histogram p50/p90/p99 gauge family
-};
-
 /// Renders a snapshot in the Prometheus text exposition format (version
-/// 0.0.4): one `# HELP` + `# TYPE` header per family, samples labeled
-/// {group="...",agent="..."}. Counters render as `counter`, gauges as
-/// `gauge`, histograms as `histogram` with cumulative `_bucket{le="..."}`
-/// series, `+Inf`, `_sum` and `_count` — plus, when emit_quantiles is set,
-/// a companion `<name>_quantile{quantile="0.5"|"0.9"|"0.99"}` gauge family
-/// interpolated from the buckets (HistogramData::quantile).
-std::string render_prometheus(const MetricsSnapshot& snapshot,
-                              const PromOptions& options = {});
+/// 0.0.4): one `# HELP` + `# TYPE` header per family, every family name
+/// prefixed `enclaves_`, samples labeled {group="...",agent="..."}.
+/// Counters render as `counter`, gauges as `gauge`, histograms as
+/// `histogram` with cumulative `_bucket{le="..."}` series, `+Inf`, `_sum`
+/// and `_count` — plus a companion
+/// `<name>_quantile{quantile="0.5"|"0.9"|"0.99"}` gauge family interpolated
+/// from the buckets (HistogramData::quantile).
+std::string render_prometheus(const MetricsSnapshot& snapshot);
 
 // ---------------------------------------------------------------------------
 // Parsing — the verification half of the exposition contract. enclaves_top
@@ -115,7 +110,6 @@ class Aggregator {
 
   std::size_t samples() const { return window_.size(); }
   bool empty() const { return window_.empty(); }
-  Tick latest_tick() const { return window_.empty() ? 0 : window_.back().tick; }
   /// Ticks spanned by the retained window (0 with fewer than two samples).
   Tick window_ticks() const;
   const MetricsSnapshot& latest() const;

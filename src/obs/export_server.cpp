@@ -23,7 +23,7 @@ net::HttpResponse ExpositionServer::respond(
   net::HttpResponse response;
   if (request.target == "/metrics") {
     response.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    response.body = render_prometheus(registry_.snapshot(), options_.prom);
+    response.body = render_prometheus(registry_.snapshot());
     return response;
   }
   if (request.target == "/health") {

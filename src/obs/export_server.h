@@ -46,7 +46,6 @@ class ExpositionServer {
   struct Options {
     std::uint16_t port = 0;  // 0 = ephemeral
     std::size_t max_connections = 8;
-    PromOptions prom;
   };
 
   /// `registry` must outlive the server. `monitor` may be nullptr (then

@@ -7,16 +7,35 @@
 
 #include <cerrno>
 #include <cstring>
+#include <type_traits>
 
 #include "obs/health.h"
 #include "obs/json_escape.h"
+#include "obs/prof.h"
+#include "obs/security.h"
+#include "obs/trace.h"
 
 namespace enclaves::obs {
 
+namespace {
+
+// The fixed window (see flight.h): FlightRecorder::rings_ in dump order.
+struct RingShape {
+  const char* name;
+  std::size_t slots;
+  std::size_t slot_bytes;
+};
+constexpr RingShape kRings[] = {
+    {"trace", 256, 512}, {"ledger", 128, 512}, {"delta", 256, 256}};
+enum RingIndex { kTrace, kLedger, kDelta };
+constexpr std::size_t kSnapshotBytes = 256 * 1024;
+constexpr std::uint64_t kTickNs = 1'000'000;  // wall ns per virtual tick
+constexpr Tick kRedumpTicks = 64;  // debounce for automatic triggers
+constexpr std::size_t kMaxDumps = 16;
+constexpr std::size_t kPathBytes = 512;
+
 // ---------------------------------------------------------------------------
 // Async-signal-safe primitives: integer formatting, buffered write(2).
-
-namespace {
 
 std::size_t u64_to_chars(char* out, std::uint64_t v) {
   char tmp[20];
@@ -82,7 +101,8 @@ struct Emitter {
   }
 };
 
-bool filename_safe(char c) {
+// The bytes file names, incident ids and dump reasons keep as they are.
+bool safe_char(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
          (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
 }
@@ -90,11 +110,26 @@ bool filename_safe(char c) {
 std::string sanitize_for_filename(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) out += filename_safe(c) ? c : '_';
+  for (char c : s) out += safe_char(c) ? c : '_';
   if (out.empty()) out = "node";
   if (out.size() > 64) out.resize(64);
   return out;
 }
+
+// A dump reason as the header carries it: unsafe bytes (but '/') become
+// '_', at most 63 bytes, never empty.
+struct Reason {
+  char text[64];
+  explicit Reason(std::string_view reason) {
+    std::size_t n = 0;
+    for (char c : reason) {
+      if (n + 1 >= sizeof text) break;
+      text[n++] = (safe_char(c) || c == '/') ? c : '_';
+    }
+    if (n == 0) text[n++] = 'x';
+    text[n] = '\0';
+  }
+};
 
 // ---------------------------------------------------------------------------
 // Wall clock seam (deterministic in tests, CLOCK_REALTIME otherwise).
@@ -117,11 +152,6 @@ std::uint64_t wall_now() {
 
 std::atomic<int> g_incident_state{0};
 char g_incident_id[40] = {0};
-
-bool incident_safe(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-         (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
-}
 
 const char* ensure_incident() {
   if (g_incident_state.load(std::memory_order_acquire) == 2)
@@ -159,23 +189,20 @@ namespace detail {
 
 std::atomic<int> g_flight_recorder_count{0};
 
-void flight_note_trace(const TraceEvent& event) {
+template <class Kind>
+void flight_note(const Record<Kind>& record) {
   for (auto& slot : g_recorders)
     if (FlightRecorder* r = slot.load(std::memory_order_acquire))
-      r->note_trace(event);
+      r->note(record);
 }
+template void flight_note(const Record<TraceKind>&);
+template void flight_note(const Record<EvidenceKind>&);
 
-void flight_note_security(const SecurityEvidence& evidence) {
+void flight_incident(Tick tick, std::string_view reason,
+                     std::string_view agent) {
   for (auto& slot : g_recorders)
     if (FlightRecorder* r = slot.load(std::memory_order_acquire))
-      r->note_security(evidence);
-}
-
-void flight_note_incident(std::uint64_t tick, std::string_view reason,
-                          std::string_view group, std::string_view agent) {
-  for (auto& slot : g_recorders)
-    if (FlightRecorder* r = slot.load(std::memory_order_acquire))
-      r->note_incident(tick, reason, group, agent);
+      r->note_incident(tick, reason, agent);
 }
 
 }  // namespace detail
@@ -282,41 +309,28 @@ bool PublishedLine::write_to(int fd) const {
 
 namespace {
 
-void append_kind_field(std::string& out, std::string_view kind) {
-  out += "\"kind\":\"";
-  out += kind;  // enum names are trusted static strings
-  out += '"';
-}
-
-void append_u64_field(std::string& out, const char* name, std::uint64_t v) {
-  out += '"';
-  out += name;
-  out += "\":";
-  char tmp[20];
-  out.append(tmp, u64_to_chars(tmp, v));
-}
-
-void append_str_field(std::string& out, const char* name,
-                      std::string_view value) {
-  out += '"';
-  out += name;
-  out += "\":";
-  append_json_string(out, value);
+// `{"k":"<tag>","json":"<escaped snapshot JSON>"}`.
+std::string snapshot_line(std::string_view tag, const std::string& json) {
+  std::string line = "{\"k\":\"";
+  line += tag;
+  line += "\",\"json\":";
+  append_json_string(line, json);
+  return line += '}';
 }
 
 }  // namespace
 
-FlightRecorder::FlightRecorder(std::string node, std::string dir,
-                               FlightConfig config)
-    : node_(std::move(node)), dir_(std::move(dir)), config_(config) {
-  trace_ring_.init(config_.trace_slots, config_.trace_slot_bytes);
-  ledger_ring_.init(config_.ledger_slots, config_.ledger_slot_bytes);
-  delta_ring_.init(config_.delta_slots, config_.delta_slot_bytes);
-  metrics_line_.init(config_.snapshot_bytes);
-  profile_line_.init(config_.snapshot_bytes);
-  path_prefix_ = dir_;
+FlightRecorder::FlightRecorder(std::string node, std::string dir)
+    : node_(std::move(node)) {
+  for (int i : {kTrace, kLedger, kDelta})
+    rings_[i].init(kRings[i].slots, kRings[i].slot_bytes);
+  metrics_line_.init(kSnapshotBytes);
+  profile_line_.init(kSnapshotBytes);
+  path_prefix_ = std::move(dir);
   if (!path_prefix_.empty() && path_prefix_.back() != '/') path_prefix_ += '/';
   path_prefix_ += "flight_" + sanitize_for_filename(node_) + "_";
+  // Room for the longest seq (20 digits), ".jsonl" and the terminator.
+  path_fits_ = path_prefix_.size() + 20 + 6 + 1 <= kPathBytes;
   append_json_string(node_json_, node_);
 }
 
@@ -361,93 +375,48 @@ bool FlightRecorder::covers(std::string_view agent) const {
   return false;
 }
 
-void FlightRecorder::note_trace(const TraceEvent& event) {
-  std::lock_guard lock(mutex_);
-  if (!covers(event.agent)) return;
-  std::uint64_t seen = clock_tick_.load(std::memory_order_relaxed);
-  if (event.tick > seen)
-    clock_tick_.store(event.tick, std::memory_order_release);
-
-  std::string line;
-  line.reserve(160);
-  line += "{\"k\":\"trace\",";
-  append_u64_field(line, "tick", event.tick);
-  line += ',';
-  append_kind_field(line, trace_kind_name(event.kind));
-  line += ',';
-  append_str_field(line, "group", event.group);
-  line += ',';
-  append_str_field(line, "agent", event.agent);
-  if (!event.peer.empty()) {
-    line += ',';
-    append_str_field(line, "peer", event.peer);
-  }
-  if (!event.detail.empty()) {
-    line += ',';
-    append_str_field(line, "detail", event.detail);
-  }
-  line += ',';
-  append_u64_field(line, "value", event.value);
-  line += '}';
-  trace_ring_.push(line);
-
-  if (config_.dump_on_health && event.kind == TraceKind::health &&
-      event.value >= static_cast<std::uint64_t>(HealthState::partitioned)) {
-    const char* reason =
-        event.value >= static_cast<std::uint64_t>(HealthState::under_attack)
-            ? "health_under_attack"
-            : "health_partitioned";
-    auto_trigger_locked(event.tick, reason);
-  }
+void FlightRecorder::advance_clock(Tick tick) {
+  if (tick > clock_tick_.load(std::memory_order_relaxed))
+    clock_tick_.store(tick, std::memory_order_release);
 }
 
-void FlightRecorder::note_security(const SecurityEvidence& evidence) {
+template <class Kind>
+void FlightRecorder::note(const Record<Kind>& record) {
   std::lock_guard lock(mutex_);
-  if (!covers(evidence.observer)) return;
+  if (!covers(record.agent)) return;
   std::string line;
   line.reserve(160);
-  line += "{\"k\":\"ledger\",";
-  append_u64_field(line, "tick", evidence.tick);
-  line += ',';
-  append_kind_field(line, evidence_kind_name(evidence.kind));
-  line += ',';
-  append_str_field(line, "group", evidence.group);
-  line += ',';
-  append_str_field(line, "observer", evidence.observer);
-  if (!evidence.accused.empty()) {
-    line += ',';
-    append_str_field(line, "accused", evidence.accused);
-  }
-  if (!evidence.detail.empty()) {
-    line += ',';
-    append_str_field(line, "detail", evidence.detail);
-  }
-  line += ',';
-  append_u64_field(line, "value", evidence.value);
+  line += "{\"k\":\"";
+  line += record_format(record.kind).tag;
+  line += "\",";
+  append_record_fields(line, record);
   line += '}';
-  ledger_ring_.push(line);
+  if constexpr (std::is_same_v<Kind, EvidenceKind>) {
+    rings_[kLedger].push(line);
+  } else {
+    advance_clock(record.tick);
+    rings_[kTrace].push(line);
+    if (record.kind == TraceKind::health &&
+        record.value >= static_cast<std::uint64_t>(HealthState::partitioned)) {
+      const bool attack = record.value >= static_cast<std::uint64_t>(
+                                              HealthState::under_attack);
+      auto_trigger_locked(record.tick, attack ? "health_under_attack"
+                                              : "health_partitioned");
+    }
+  }
 }
+template void FlightRecorder::note(const Record<TraceKind>&);
+template void FlightRecorder::note(const Record<EvidenceKind>&);
 
-void FlightRecorder::note_incident(std::uint64_t tick, std::string_view reason,
-                                   std::string_view group,
+void FlightRecorder::note_incident(Tick tick, std::string_view reason,
                                    std::string_view agent) {
-  (void)group;
   std::lock_guard lock(mutex_);
-  if (!covers(agent)) return;
-  char sanitized[64];
-  std::size_t n = 0;
-  for (char c : reason) {
-    if (n + 1 >= sizeof sanitized) break;
-    sanitized[n++] = (incident_safe(c) || c == '/') ? c : '_';
-  }
-  if (n == 0) sanitized[n++] = 'x';
-  sanitized[n] = '\0';
-  auto_trigger_locked(tick, sanitized);
+  if (covers(agent)) auto_trigger_locked(tick, Reason(reason).text);
 }
 
 bool FlightRecorder::auto_trigger_locked(Tick now, const char* reason) {
   if (auto_dumped_once_ && now >= last_auto_dump_tick_ &&
-      now - last_auto_dump_tick_ < config_.redump_ticks) {
+      now - last_auto_dump_tick_ < kRedumpTicks) {
     stats_suppressed_.fetch_add(1, std::memory_order_acq_rel);
     return false;
   }
@@ -461,11 +430,9 @@ bool FlightRecorder::auto_trigger_locked(Tick now, const char* reason) {
 
 void FlightRecorder::observe(Tick now) {
   std::lock_guard lock(mutex_);
-  std::uint64_t seen = clock_tick_.load(std::memory_order_relaxed);
-  if (now > seen) clock_tick_.store(now, std::memory_order_release);
+  advance_clock(now);
 
-  const MetricsRegistry* reg = registry_ ? registry_ : metrics_sink();
-  if (reg != nullptr) {
+  if (const MetricsRegistry* reg = metrics_sink()) {
     MetricsSnapshot cur = reg->snapshot();
     if (observed_once_) {
       for (const auto& [key, total] : cur.counters) {
@@ -475,60 +442,32 @@ void FlightRecorder::observe(Tick now) {
         if (total == before) continue;
         std::string line;
         line.reserve(128);
-        line += "{\"k\":\"delta\",";
-        append_u64_field(line, "tick", now);
-        line += ',';
-        append_str_field(line, "group", key.group);
-        line += ',';
-        append_str_field(line, "agent", key.agent);
-        line += ',';
-        append_str_field(line, "name", key.name);
-        line += ',';
-        append_u64_field(line, "delta", total - before);
-        line += ',';
-        append_u64_field(line, "total", total);
+        line += "{\"k\":\"delta\"";
+        append_json_field(line, "tick", now);
+        append_json_field(line, "group", key.group);
+        append_json_field(line, "agent", key.agent);
+        append_json_field(line, "name", key.name);
+        append_json_field(line, "delta", total - before);
+        append_json_field(line, "total", total);
         line += '}';
-        delta_ring_.push(line);
+        rings_[kDelta].push(line);
       }
     }
-    std::string metrics_json = cur.to_json();
-    std::string line;
-    line.reserve(metrics_json.size() + 32);
-    line += "{\"k\":\"metrics\",\"json\":";
-    append_json_string(line, metrics_json);
-    line += '}';
-    metrics_line_.publish(line);
+    metrics_line_.publish(snapshot_line("metrics", cur.to_json()));
     prev_counters_.counters = std::move(cur.counters);
     observed_once_ = true;
   }
 
-  const Profiler* prof = profiler_ ? profiler_ : prof_sink();
-  if (prof != nullptr) {
-    std::string prof_json = prof->snapshot().to_json();
-    std::string line;
-    line.reserve(prof_json.size() + 32);
-    line += "{\"k\":\"profile\",\"json\":";
-    append_json_string(line, prof_json);
-    line += '}';
-    profile_line_.publish(line);
-  }
+  if (const Profiler* prof = prof_sink())
+    profile_line_.publish(snapshot_line("profile", prof->snapshot().to_json()));
 
   publish_gauges_locked();
 }
 
 bool FlightRecorder::trigger(Tick now, std::string_view reason) {
   std::lock_guard lock(mutex_);
-  std::uint64_t seen = clock_tick_.load(std::memory_order_relaxed);
-  if (now > seen) clock_tick_.store(now, std::memory_order_release);
-  char sanitized[64];
-  std::size_t n = 0;
-  for (char c : reason) {
-    if (n + 1 >= sizeof sanitized) break;
-    sanitized[n++] = (incident_safe(c) || c == '/') ? c : '_';
-  }
-  if (n == 0) sanitized[n++] = 'x';
-  sanitized[n] = '\0';
-  return dump_core(now, sanitized, /*fatal=*/false);
+  advance_clock(now);
+  return dump_core(now, Reason(reason).text, /*fatal=*/false);
 }
 
 bool FlightRecorder::dump_now(std::string_view reason) {
@@ -544,7 +483,7 @@ void FlightRecorder::dump_from_signal(const char* reason) {
 bool FlightRecorder::dump_core(std::uint64_t trigger_tick, const char* reason,
                                bool fatal) {
   std::uint64_t seq = stats_dumps_.load(std::memory_order_acquire);
-  if (!fatal && config_.max_dumps != 0 && seq >= config_.max_dumps) {
+  if (!path_fits_ || (!fatal && seq >= kMaxDumps)) {
     stats_suppressed_.fetch_add(1, std::memory_order_acq_rel);
     return false;
   }
@@ -554,9 +493,8 @@ bool FlightRecorder::dump_core(std::uint64_t trigger_tick, const char* reason,
 
   // Path: "<prefix><seq>.jsonl" into a fixed buffer (the prefix string is
   // immutable after construction, so .data() is stable and signal-safe).
-  char path[512];
+  char path[kPathBytes];
   std::size_t pn = path_prefix_.size();
-  if (pn > sizeof path - 32) pn = sizeof path - 32;
   std::memcpy(path, path_prefix_.data(), pn);
   pn += u64_to_chars(path + pn, seq);
   std::memcpy(path + pn, ".jsonl", 6);
@@ -579,29 +517,24 @@ bool FlightRecorder::dump_core(std::uint64_t trigger_tick, const char* reason,
     e.str(",\"wall_ns\":");
     e.u64(wall);
     e.str(",\"tick_ns\":");
-    e.u64(config_.tick_ns);
+    e.u64(kTickNs);
     e.str(",\"seq\":");
     e.u64(seq);
     e.str("}\n");
 
-    e.str("{\"k\":\"stats\",\"trace_seen\":");
-    e.u64(trace_ring_.seen());
-    e.str(",\"trace_dropped\":");
-    e.u64(trace_ring_.dropped());
-    e.str(",\"trace_oversize\":");
-    e.u64(trace_ring_.oversize());
-    e.str(",\"ledger_seen\":");
-    e.u64(ledger_ring_.seen());
-    e.str(",\"ledger_dropped\":");
-    e.u64(ledger_ring_.dropped());
-    e.str(",\"ledger_oversize\":");
-    e.u64(ledger_ring_.oversize());
-    e.str(",\"delta_seen\":");
-    e.u64(delta_ring_.seen());
-    e.str(",\"delta_dropped\":");
-    e.u64(delta_ring_.dropped());
-    e.str(",\"delta_oversize\":");
-    e.u64(delta_ring_.oversize());
+    e.str("{\"k\":\"stats\"");
+    const auto stat = [&e](const char* ring, const char* name,
+                           std::uint64_t v) {
+      e.str(",\"");
+      e.str(ring);
+      e.str(name);
+      e.u64(v);
+    };
+    for (int i : {kTrace, kLedger, kDelta}) {
+      stat(kRings[i].name, "_seen\":", rings_[i].seen());
+      stat(kRings[i].name, "_dropped\":", rings_[i].dropped());
+      stat(kRings[i].name, "_oversize\":", rings_[i].oversize());
+    }
     e.str(",\"snapshot_oversize\":");
     e.u64(metrics_line_.oversize() + profile_line_.oversize());
     e.str(",\"dumps\":");
@@ -609,9 +542,7 @@ bool FlightRecorder::dump_core(std::uint64_t trigger_tick, const char* reason,
     e.str("}\n");
     e.flush();
 
-    trace_ring_.write_to(fd);
-    ledger_ring_.write_to(fd);
-    delta_ring_.write_to(fd);
+    for (const flight_detail::SlotRing& ring : rings_) ring.write_to(fd);
     metrics_line_.write_to(fd);
     profile_line_.write_to(fd);
 
@@ -639,12 +570,10 @@ void FlightRecorder::publish_gauges_locked() {
   auto g = [this](std::string_view name, std::uint64_t v) {
     gauge_set("flight", node_, name, static_cast<std::int64_t>(v));
   };
-  g("trace_dropped", trace_ring_.dropped());
-  g("trace_oversize", trace_ring_.oversize());
-  g("ledger_dropped", ledger_ring_.dropped());
-  g("ledger_oversize", ledger_ring_.oversize());
-  g("delta_dropped", delta_ring_.dropped());
-  g("delta_oversize", delta_ring_.oversize());
+  for (int i : {kTrace, kLedger, kDelta}) {
+    g(std::string(kRings[i].name) + "_dropped", rings_[i].dropped());
+    g(std::string(kRings[i].name) + "_oversize", rings_[i].oversize());
+  }
   g("snapshot_oversize", metrics_line_.oversize() + profile_line_.oversize());
   g("dumps_written", stats_dumps_.load(std::memory_order_acquire));
   g("dumps_suppressed", stats_suppressed_.load(std::memory_order_acquire));
@@ -652,20 +581,13 @@ void FlightRecorder::publish_gauges_locked() {
 
 FlightStats FlightRecorder::stats() const {
   std::lock_guard lock(mutex_);
-  FlightStats s;
-  s.trace_seen = trace_ring_.seen();
-  s.trace_dropped = trace_ring_.dropped();
-  s.trace_oversize = trace_ring_.oversize();
-  s.ledger_seen = ledger_ring_.seen();
-  s.ledger_dropped = ledger_ring_.dropped();
-  s.ledger_oversize = ledger_ring_.oversize();
-  s.delta_seen = delta_ring_.seen();
-  s.delta_dropped = delta_ring_.dropped();
-  s.delta_oversize = delta_ring_.oversize();
-  s.snapshot_oversize = metrics_line_.oversize() + profile_line_.oversize();
-  s.dumps_written = stats_dumps_.load(std::memory_order_acquire);
-  s.dumps_suppressed = stats_suppressed_.load(std::memory_order_acquire);
-  return s;
+  const auto& [t, l, d] = rings_;
+  return {t.seen(), t.dropped(), t.oversize(),
+          l.seen(), l.dropped(), l.oversize(),
+          d.seen(), d.dropped(), d.oversize(),
+          metrics_line_.oversize() + profile_line_.oversize(),
+          stats_dumps_.load(std::memory_order_acquire),
+          stats_suppressed_.load(std::memory_order_acquire)};
 }
 
 std::string FlightRecorder::status_json() const {
@@ -674,26 +596,16 @@ std::string FlightRecorder::status_json() const {
   out.reserve(256);
   out += "{\"node\":";
   append_json_string(out, node_);
-  out += ",\"incident\":";
-  append_json_string(out, current_incident());
-  out += ',';
-  append_u64_field(out, "dumps", stats_dumps_.load(std::memory_order_acquire));
-  out += ',';
-  append_str_field(out, "last_reason", last_reason_);
-  out += ',';
-  append_u64_field(out, "last_trigger_tick", last_trigger_tick_);
-  out += ',';
-  append_u64_field(out, "last_wall_ns", last_wall_ns_);
-  out += ',';
-  append_str_field(out, "last_path", last_path_);
-  out += ',';
-  append_u64_field(out, "trace_dropped", trace_ring_.dropped());
-  out += ',';
-  append_u64_field(out, "ledger_dropped", ledger_ring_.dropped());
-  out += ',';
-  append_u64_field(out, "delta_dropped", delta_ring_.dropped());
-  out += ',';
-  append_u64_field(out, "dumps_suppressed",
+  append_json_field(out, "incident", current_incident());
+  append_json_field(out, "dumps", stats_dumps_.load(std::memory_order_acquire));
+  append_json_field(out, "last_reason", last_reason_);
+  append_json_field(out, "last_trigger_tick", last_trigger_tick_);
+  append_json_field(out, "last_wall_ns", last_wall_ns_);
+  append_json_field(out, "last_path", last_path_);
+  for (int i : {kTrace, kLedger, kDelta})
+    append_json_field(out, std::string(kRings[i].name) + "_dropped",
+                     rings_[i].dropped());
+  append_json_field(out, "dumps_suppressed",
                    stats_suppressed_.load(std::memory_order_acquire));
   out += '}';
   return out;
@@ -716,7 +628,7 @@ void FlightRecorder::adopt_incident(std::string_view id) {
   std::size_t n = 0;
   for (char c : id) {
     if (n + 1 >= sizeof g_incident_id) break;
-    g_incident_id[n++] = incident_safe(c) ? c : '_';
+    g_incident_id[n++] = safe_char(c) ? c : '_';
   }
   if (n == 0) {
     std::memcpy(g_incident_id, "inc-adopted", 12);

@@ -10,9 +10,9 @@
 // buffers. Dumping the window is therefore a sequence of write(2) calls:
 //
 //   (a) automatic — a HealthMonitor transition to partitioned/under_attack
-//       (seen as a TraceKind::health event) or a protocol incident hook
-//       (flight_incident(): epoch fence, resurrected leader, forged op-log)
-//       triggers a dump, debounced per recorder;
+//       (a TraceKind::health event) or an event-table incident (EventRow::
+//       incident: epoch fence, deposed leader, forged op-log, stale
+//       migration offer or directory claim), debounced per recorder;
 //   (b) fatal — install_signal_handlers() arms SIGSEGV/SIGABRT/SIGBUS/
 //       SIGFPE handlers that walk the rings with nothing but write(2):
 //       no allocation, no locks, no formatting beyond integer itoa into
@@ -27,19 +27,25 @@
 // dumps on a leader, its standby and its members correlate into one
 // incident.
 //
+// The window is fixed (flight.cpp): 256 trace, 128 ledger and 256 delta
+// lines, one snapshot line each for metrics and profile, a 64-tick debounce
+// for automatic triggers and at most 16 dumps per recorder (the fatal path
+// ignores the cap). A recorder whose dump path would overflow its 512-byte
+// buffer refuses every dump and counts it as suppressed.
+//
 // Cost model: attaching a recorder costs nothing on the no-sink hot path
-// (see flight_fwd.h — the hooks live inside TraceLog/SecurityLedger record,
-// behind the existing sink check). The instrumented-vs-recording parity row
-// in bench/bench_protocol_perf.cpp pins the with-sink overhead under the
-// bench_diff gate.
+// (the tee lives inside RecordLog::record, obs/record.h, behind the sink
+// check). bench/bench_protocol_perf.cpp pins the with-sink overhead.
 //
 // Dump blob format (one JSON object per line; unknown/torn lines are
-// skipped by the parser, so a partially written fatal dump still loads):
+// skipped by the parser, so a partially written fatal dump still loads).
+// Trace and ledger lines are `{"k":<tag>,` plus append_record_fields — the
+// JSONL exports' fields (a zero value is omitted; postmortem reads 0):
 //   {"enclaves_flight":1,"node":..,"incident":..,"reason":..,
 //    "trigger_tick":..,"tick":..,"wall_ns":..,"tick_ns":..,"seq":..}
-//   {"k":"stats","trace_dropped":..,"trace_oversize":..,...}
+//   {"k":"stats","trace_seen":..,"trace_dropped":..,...}
 //   {"k":"trace","tick":..,"kind":..,"group":..,"agent":..,...}    (oldest first)
-//   {"k":"ledger","tick":..,"kind":..,"observer":..,"accused":..,...}
+//   {"k":"ledger","tick":..,"kind":..,"group":..,"observer":..,...}
 //   {"k":"delta","tick":..,"group":..,"agent":..,"name":..,"delta":..,"total":..}
 //   {"k":"metrics","json":"<escaped MetricsSnapshot::to_json()>"}
 //   {"k":"profile","json":"<escaped ProfSnapshot::to_json()>"}
@@ -54,43 +60,11 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/flight_fwd.h"
 #include "obs/metrics.h"
-#include "obs/prof.h"
-#include "obs/security.h"
-#include "obs/trace.h"
+#include "obs/record.h"
 #include "util/clock.h"
 
 namespace enclaves::obs {
-
-struct FlightConfig {
-  // Ring geometry: `*_slots` preserialized lines of at most `*_slot_bytes`
-  // bytes each (lines over the slot size are dropped and counted, never
-  // truncated — a torn JSON line is worse than a missing one).
-  std::size_t trace_slots = 256;
-  std::size_t trace_slot_bytes = 512;
-  std::size_t ledger_slots = 128;
-  std::size_t ledger_slot_bytes = 512;
-  std::size_t delta_slots = 256;
-  std::size_t delta_slot_bytes = 256;
-  /// Capacity of each published metrics/profile snapshot line (snapshots
-  /// over this are dropped and counted).
-  std::size_t snapshot_bytes = 256 * 1024;
-  /// Wall nanoseconds one VirtualClock tick represents; written into every
-  /// dump header so enclaves_postmortem can align nodes whose wall clocks
-  /// were sampled at different virtual ticks.
-  std::uint64_t tick_ns = 1'000'000;
-  /// Debounce for *automatic* triggers (health escalation, incident hooks):
-  /// a recorder that dumped less than `redump_ticks` ago stays quiet.
-  /// Explicit trigger()/dump_now() calls ignore it.
-  Tick redump_ticks = 64;
-  /// Hard cap on dump files one recorder writes (0 = unlimited). The fatal
-  /// signal path ignores the cap — a crash always leaves a blob.
-  std::size_t max_dumps = 16;
-  /// Auto-dump when a TraceKind::health event escalates a group to
-  /// partitioned or under_attack.
-  bool dump_on_health = true;
-};
 
 struct FlightStats {
   std::uint64_t trace_seen = 0;
@@ -104,7 +78,7 @@ struct FlightStats {
   std::uint64_t delta_oversize = 0;
   std::uint64_t snapshot_oversize = 0;
   std::uint64_t dumps_written = 0;
-  std::uint64_t dumps_suppressed = 0;  // debounce / max_dumps refusals
+  std::uint64_t dumps_suppressed = 0;  // debounce / dump-cap refusals
 
   friend bool operator==(const FlightStats&, const FlightStats&) = default;
 };
@@ -186,7 +160,7 @@ class FlightRecorder {
   /// where dump files land (flight_<node>_<seq>.jsonl, node sanitized for
   /// the filename, raw-but-JSON-escaped in the blob header). The recorder
   /// allocates all ring storage here — nothing allocates after attach().
-  FlightRecorder(std::string node, std::string dir, FlightConfig config = {});
+  FlightRecorder(std::string node, std::string dir);
   ~FlightRecorder();
 
   FlightRecorder(const FlightRecorder&) = delete;
@@ -198,7 +172,6 @@ class FlightRecorder {
   /// signal handlers.
   bool attach();
   void detach();
-  bool attached() const { return attached_.load(std::memory_order_acquire); }
 
   /// Restricts capture to events whose agent (trace) / observer (ledger)
   /// is one of `agents` — how several in-process nodes each keep their own
@@ -206,25 +179,20 @@ class FlightRecorder {
   /// empty agent (process-wide planes) always pass.
   void set_local_agents(std::vector<std::string> agents);
 
-  /// Optional richer snapshot sources for observe(): defaults are the
-  /// process-wide metrics/prof sinks at observe time.
-  void set_profiler(const Profiler* profiler) { profiler_ = profiler; }
-  void set_registry(const MetricsRegistry* registry) { registry_ = registry; }
-
   /// Periodic pump (call it like HealthMonitor::observe — once per tick or
-  /// window): diffs the registry's counters against the previous observe,
+  /// window): diffs the metrics sink's counters against the previous observe,
   /// pushes one preserialized delta line per changed counter, republishes
   /// the full metrics/profile snapshot lines, and refreshes the flight/*
   /// gauges that make drop accounting first-class.
   void observe(Tick now);
 
-  /// Automatic-trigger entry (debounced, respects max_dumps): mints or
-  /// adopts the process incident id, then dumps. Returns true if a blob
-  /// was written.
+  /// Explicit dump at `now` (no debounce; still respects the dump cap):
+  /// mints or adopts the process incident id, then dumps. Returns true if a
+  /// blob was written.
   bool trigger(Tick now, std::string_view reason);
 
-  /// Explicit dump (no debounce; still respects max_dumps). Used by the
-  /// /dump route, SIGUSR1 drain, and examples at exit.
+  /// trigger() at the freshest tick seen. Used by the /dump route, SIGUSR1
+  /// drain, and examples at exit.
   bool dump_now(std::string_view reason);
 
   FlightStats stats() const;
@@ -235,7 +203,6 @@ class FlightRecorder {
   /// enclaves_top incident banner source. Stable field order.
   std::string status_json() const;
 
-  const std::string& node() const { return node_; }
   std::string last_dump_path() const;
   std::uint64_t dumps_written() const {
     return stats_dumps_.load(std::memory_order_acquire);
@@ -259,17 +226,18 @@ class FlightRecorder {
   /// continue). Idempotent.
   static void install_signal_handlers();
 
-  // -- registry-internal (called by the flight_fwd.h hooks / handlers) --
-  void note_trace(const TraceEvent& event);
-  void note_security(const SecurityEvidence& evidence);
-  void note_incident(std::uint64_t tick, std::string_view reason,
-                     std::string_view group, std::string_view agent);
+  // -- registry-internal (called by the obs/record.h hooks / handlers) --
+  template <class Kind>
+  void note(const Record<Kind>& record);
+  void note_incident(Tick tick, std::string_view reason,
+                     std::string_view agent);
   /// Async-signal-safe dump used by the signal handlers. `reason` must be
   /// a static/preformatted sanitized string.
   void dump_from_signal(const char* reason);
 
  private:
   bool covers(std::string_view agent) const;  // caller holds mutex_
+  void advance_clock(Tick tick);
   bool auto_trigger_locked(Tick now, const char* reason);
   /// Shared dump core. Non-fatal callers hold mutex_; the fatal path calls
   /// it lock-free (rings and counters are atomics, strings it touches are
@@ -278,10 +246,6 @@ class FlightRecorder {
   void publish_gauges_locked();
 
   const std::string node_;
-  const std::string dir_;
-  const FlightConfig config_;
-  const Profiler* profiler_ = nullptr;
-  const MetricsRegistry* registry_ = nullptr;
 
   mutable std::mutex mutex_;
   std::vector<std::string> local_agents_;
@@ -290,18 +254,18 @@ class FlightRecorder {
   Tick last_auto_dump_tick_ = 0;
   bool auto_dumped_once_ = false;
 
-  // Freshest virtual tick this recorder has seen (observe()/note_trace);
+  // Freshest virtual tick this recorder has seen (observe()/trace records);
   // the signal path pairs it with the wall clock in the dump header.
   std::atomic<std::uint64_t> clock_tick_{0};
 
   // Preformatted at construction so the fatal path never formats strings:
   // dump path prefix ("<dir>/flight_<sanitized>_"), JSON-escaped node.
   std::string path_prefix_;
+  bool path_fits_ = false;  // prefix + seq + ".jsonl" fits the path buffer
   std::string node_json_;  // includes surrounding quotes
 
-  flight_detail::SlotRing trace_ring_;
-  flight_detail::SlotRing ledger_ring_;
-  flight_detail::SlotRing delta_ring_;
+  // Trace, ledger and delta lines, in dump order (kRings in flight.cpp).
+  flight_detail::SlotRing rings_[3];
   flight_detail::PublishedLine metrics_line_;
   flight_detail::PublishedLine profile_line_;
 

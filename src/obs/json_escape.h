@@ -1,9 +1,11 @@
-// Shared JSON string escaping for every obs export surface (metrics JSON,
-// trace/span/ledger JSONL). One definition so a hostile detail string —
-// quotes, backslashes, newlines, raw control bytes — escapes identically
-// everywhere and survives MetricsSnapshot::from_json round-trips.
+// Shared JSON string escaping and field writing for every obs export
+// surface (metrics JSON, trace/span/ledger JSONL, flight dumps). One
+// definition so a hostile detail string — quotes, backslashes, newlines,
+// raw control bytes — escapes identically everywhere and survives
+// MetricsSnapshot::from_json round-trips.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <string_view>
@@ -34,6 +36,24 @@ inline void append_json_string(std::string& out, std::string_view s) {
     }
   }
   out += '"';
+}
+
+/// Appends `,"key":"value"` (escaped) — a field after an earlier one.
+inline void append_json_field(std::string& out, std::string_view key,
+                              std::string_view value) {
+  out += ",\"";
+  out += key;
+  out += "\":";
+  append_json_string(out, value);
+}
+
+/// Appends `,"key":v`.
+inline void append_json_field(std::string& out, std::string_view key,
+                              std::uint64_t v) {
+  out += ",\"";
+  out += key;
+  out += "\":";
+  out += std::to_string(v);
 }
 
 }  // namespace enclaves::obs

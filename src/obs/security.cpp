@@ -1,62 +1,36 @@
 #include "obs/security.h"
 
-#include "obs/json_escape.h"
+#include <array>
+#include <iterator>
 
 namespace enclaves::obs {
 
-namespace detail {
-std::atomic<SecurityLedger*> g_security_sink{nullptr};
-}
-
-void set_security_sink(SecurityLedger* ledger) {
-  detail::g_security_sink.store(ledger, std::memory_order_release);
-}
+// One name per kind, in enum order: each kind's own identifier.
+constexpr std::string_view kEvidenceNames[] = {
+    "aead_open_failure", "stale_nonce", "replayed_seq", "stale_epoch",
+    "epoch_fenced", "relay_reject", "fenced_repl", "identity_mismatch",
+    "unknown_sender", "join_denied", "bad_label", "malformed", "forged_oplog",
+    "forged_keytree", "wrong_shard", "fenced_migration",
+};
+static_assert(std::size(kEvidenceNames) ==
+              static_cast<std::size_t>(EvidenceKind::fenced_migration) + 1);
 
 std::string_view evidence_kind_name(EvidenceKind kind) {
-  switch (kind) {
-    case EvidenceKind::aead_open_failure: return "aead_open_failure";
-    case EvidenceKind::stale_nonce: return "stale_nonce";
-    case EvidenceKind::replayed_seq: return "replayed_seq";
-    case EvidenceKind::stale_epoch: return "stale_epoch";
-    case EvidenceKind::epoch_fenced: return "epoch_fenced";
-    case EvidenceKind::relay_reject: return "relay_reject";
-    case EvidenceKind::fenced_repl: return "fenced_repl";
-    case EvidenceKind::identity_mismatch: return "identity_mismatch";
-    case EvidenceKind::unknown_sender: return "unknown_sender";
-    case EvidenceKind::join_denied: return "join_denied";
-    case EvidenceKind::bad_label: return "bad_label";
-    case EvidenceKind::malformed: return "malformed";
-    case EvidenceKind::forged_oplog: return "forged_oplog";
-    case EvidenceKind::forged_keytree: return "forged_keytree";
-    case EvidenceKind::wrong_shard: return "wrong_shard";
-    case EvidenceKind::fenced_migration: return "fenced_migration";
-  }
-  return "unknown";
+  const auto i = static_cast<std::size_t>(kind);
+  return i < std::size(kEvidenceNames) ? kEvidenceNames[i] : "unknown";
 }
 
 std::string_view evidence_metric_name(EvidenceKind kind) {
-  switch (kind) {
-    case EvidenceKind::aead_open_failure:
-      return "refusals_aead_open_failure_total";
-    case EvidenceKind::stale_nonce: return "refusals_stale_nonce_total";
-    case EvidenceKind::replayed_seq: return "refusals_replayed_seq_total";
-    case EvidenceKind::stale_epoch: return "refusals_stale_epoch_total";
-    case EvidenceKind::epoch_fenced: return "refusals_epoch_fenced_total";
-    case EvidenceKind::relay_reject: return "refusals_relay_reject_total";
-    case EvidenceKind::fenced_repl: return "refusals_fenced_repl_total";
-    case EvidenceKind::identity_mismatch:
-      return "refusals_identity_mismatch_total";
-    case EvidenceKind::unknown_sender: return "refusals_unknown_sender_total";
-    case EvidenceKind::join_denied: return "refusals_join_denied_total";
-    case EvidenceKind::bad_label: return "refusals_bad_label_total";
-    case EvidenceKind::malformed: return "refusals_malformed_total";
-    case EvidenceKind::forged_oplog: return "refusals_forged_oplog_total";
-    case EvidenceKind::forged_keytree: return "refusals_forged_keytree_total";
-    case EvidenceKind::wrong_shard: return "refusals_wrong_shard_total";
-    case EvidenceKind::fenced_migration:
-      return "refusals_fenced_migration_total";
-  }
-  return "refusals_unknown_total";
+  constexpr std::size_t kKinds = std::size(kEvidenceNames);
+  static const std::array<std::string, kKinds> kMetricNames = [] {
+    std::array<std::string, kKinds> names;
+    for (std::size_t i = 0; i < kKinds; ++i)
+      names[i] = "refusals_" + std::string(kEvidenceNames[i]) + "_total";
+    return names;
+  }();
+  const auto i = static_cast<std::size_t>(kind);
+  return i < kKinds ? std::string_view(kMetricNames[i])
+                    : "refusals_unknown_total";
 }
 
 EvidenceKind evidence_kind_for(Errc code) {
@@ -73,36 +47,26 @@ EvidenceKind evidence_kind_for(Errc code) {
   }
 }
 
+RecordFormat record_format(EvidenceKind kind) {
+  return {evidence_kind_name(kind), "observer", "accused", "ledger"};
+}
+
 void SecurityLedger::record(SecurityEvidence evidence) {
   std::lock_guard lock(mutex_);
-  // Flight-recorder tee: only runs when a ledger sink is attached (this
-  // method is behind security_event()'s sink check), preserving the
-  // one-atomic-load no-sink cost model.
-  if (flight_active()) detail::flight_note_security(evidence);
-  if (!evidence.accused.empty()) {
-    const std::uint64_t count = ++suspicion_[evidence.accused];
+  if (!evidence.peer.empty()) {
+    const std::uint64_t count = ++suspicion_[evidence.peer];
     // First-class gauge so per-peer suspicion appears on /metrics without
     // bespoke glue (distinct from the monotonic suspicion_total counter the
     // security_event helper bumps).
-    gauge_set("security", evidence.accused, "suspicion",
+    gauge_set("security", evidence.peer, "suspicion",
               static_cast<std::int64_t>(count));
   }
-  entries_.push_back(std::move(evidence));
-}
-
-std::vector<SecurityEvidence> SecurityLedger::entries() const {
-  std::lock_guard lock(mutex_);
-  return entries_;
-}
-
-std::size_t SecurityLedger::size() const {
-  std::lock_guard lock(mutex_);
-  return entries_.size();
+  append_locked(std::move(evidence));
 }
 
 void SecurityLedger::clear() {
   std::lock_guard lock(mutex_);
-  entries_.clear();
+  clear_locked();
   suspicion_.clear();
 }
 
@@ -116,31 +80,6 @@ std::map<std::string, std::uint64_t> SecurityLedger::suspicion_counts()
     const {
   std::lock_guard lock(mutex_);
   return {suspicion_.begin(), suspicion_.end()};
-}
-
-std::string SecurityLedger::to_jsonl() const {
-  std::vector<SecurityEvidence> copy = entries();
-  std::string out;
-  for (const SecurityEvidence& e : copy) {
-    out += "{\"tick\":" + std::to_string(e.tick);
-    out += ",\"kind\":";
-    append_json_string(out, evidence_kind_name(e.kind));
-    out += ",\"group\":";
-    append_json_string(out, e.group);
-    out += ",\"observer\":";
-    append_json_string(out, e.observer);
-    if (!e.accused.empty()) {
-      out += ",\"accused\":";
-      append_json_string(out, e.accused);
-    }
-    if (!e.detail.empty()) {
-      out += ",\"detail\":";
-      append_json_string(out, e.detail);
-    }
-    if (e.value != 0) out += ",\"value\":" + std::to_string(e.value);
-    out += "}\n";
-  }
-  return out;
 }
 
 }  // namespace enclaves::obs

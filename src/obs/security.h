@@ -24,16 +24,13 @@
 // reports refusals through obs::emit (obs/event.h), which records them.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "obs/flight_fwd.h"
 #include "obs/metrics.h"
+#include "obs/record.h"
 #include "util/clock.h"
 #include "util/result.h"
 
@@ -74,27 +71,18 @@ std::string_view evidence_metric_name(EvidenceKind kind);
 /// evidence kinds, so Leader/Member instrumentation stays one line per site.
 EvidenceKind evidence_kind_for(Errc code);
 
-struct SecurityEvidence {
-  Tick tick = 0;  // observer's VirtualClock at refusal time (0 if clockless)
-  EvidenceKind kind = EvidenceKind::aead_open_failure;
-  std::string group;     // protocol group, or fixed plane ("crypto", "ha")
-  std::string observer;  // agent that refused the input
-  std::string accused;   // attributed origin (envelope sender; may be empty)
-  std::string detail;    // refusal-site annotation (label, reason)
-  std::uint64_t value = 0;  // kind-specific number (epoch, seq)
+/// The ledger's JSON keys are "observer"/"accused"; its log tag is
+/// "ledger".
+RecordFormat record_format(EvidenceKind kind);
 
-  friend bool operator==(const SecurityEvidence&, const SecurityEvidence&) =
-      default;
-};
+/// `agent` is the observer that refused the input; `peer` is the accused
+/// (attributed origin — the envelope sender; may be empty).
+using SecurityEvidence = Record<EvidenceKind>;
 
-class SecurityLedger {
+class SecurityLedger : public RecordLog<EvidenceKind> {
  public:
+  /// RecordLog::record plus one suspicion count against a non-empty peer.
   void record(SecurityEvidence evidence);
-
-  /// Copy of the recorded entries, in record order.
-  std::vector<SecurityEvidence> entries() const;
-
-  std::size_t size() const;
   void clear();
 
   /// Rolling per-peer suspicion: how many refusals attributed bytes to
@@ -104,40 +92,13 @@ class SecurityLedger {
   /// All non-zero suspicion counters, keyed by accused peer.
   std::map<std::string, std::uint64_t> suspicion_counts() const;
 
-  /// One JSON object per line, fields in declaration order; empty
-  /// accused/detail fields are omitted.
-  std::string to_jsonl() const;
-
  private:
-  mutable std::mutex mutex_;
-  std::vector<SecurityEvidence> entries_;
   std::map<std::string, std::uint64_t, std::less<>> suspicion_;
 };
 
-// ---------------------------------------------------------------------------
-// Global sink, mirroring the metrics/trace sinks.
+using ScopedSecurityLedger = ScopedSink<SecurityLedger>;
 
-namespace detail {
-extern std::atomic<SecurityLedger*> g_security_sink;
-}
-
-inline SecurityLedger* security_sink() {
-  return detail::g_security_sink.load(std::memory_order_acquire);
-}
-
-/// Installs `ledger` as the process-wide evidence sink (nullptr detaches).
-/// The ledger must outlive its installation; the sink does not own it.
-void set_security_sink(SecurityLedger* ledger);
-
-class ScopedSecurityLedger {
- public:
-  explicit ScopedSecurityLedger(SecurityLedger& ledger) {
-    set_security_sink(&ledger);
-  }
-  ~ScopedSecurityLedger() { set_security_sink(nullptr); }
-  ScopedSecurityLedger(const ScopedSecurityLedger&) = delete;
-  ScopedSecurityLedger& operator=(const ScopedSecurityLedger&) = delete;
-};
+inline SecurityLedger* security_sink() { return sink<SecurityLedger>(); }
 
 /// Records a refusal iff a ledger is attached, and bumps the `security.*`
 /// metrics iff a metrics sink is attached; free when both are detached.

@@ -469,8 +469,8 @@ std::size_t attach_evidence(std::vector<Span>& spans,
   for (const SecurityEvidence& e : evidence) {
     Span* target = nullptr;
     for (Span& s : spans) {
-      const bool involves = s.agent == e.observer || s.peer == e.observer ||
-                            s.group == e.observer;
+      const bool involves = s.agent == e.agent || s.peer == e.agent ||
+                            s.group == e.agent;
       if (!involves) continue;
       if (e.tick < s.start) continue;
       if (s.complete && e.tick > s.end) continue;
@@ -479,7 +479,7 @@ std::size_t attach_evidence(std::vector<Span>& spans,
     if (!target) continue;
     target->annotations.push_back(
         {e.tick, "evidence:" + std::string(evidence_kind_name(e.kind)),
-         e.accused.empty() ? e.detail : e.accused + ": " + e.detail,
+         e.peer.empty() ? e.detail : e.peer + ": " + e.detail,
          e.value});
     ++attached;
   }

@@ -1,80 +1,29 @@
 #include "obs/trace.h"
 
-#include "obs/json_escape.h"
+#include <iterator>
 
 namespace enclaves::obs {
 
-namespace detail {
-std::atomic<TraceLog*> g_trace_sink{nullptr};
-}
-
-void set_trace_sink(TraceLog* log) {
-  detail::g_trace_sink.store(log, std::memory_order_release);
-}
+// One name per kind, in enum order: each kind's own identifier.
+constexpr std::string_view kTraceNames[] = {
+    "leader_phase", "member_phase", "admin_send", "admin_ack", "retransmit",
+    "reanswer", "suspect", "expel", "rejoin", "rekey", "join", "leave",
+    "data_deliver", "data_reject", "fault_drop", "fault_duplicate",
+    "fault_delay", "repl_delta", "repl_snapshot", "repl_gap", "promote",
+    "fence", "health", "disconnect", "oplog_append", "reconcile_offer",
+    "reconcile_verdict", "op_replay", "fault_partition", "keytree_level",
+    "keytree_recover", "fed_redirect", "fed_migrate", "fed_dir",
+};
+static_assert(std::size(kTraceNames) ==
+              static_cast<std::size_t>(TraceKind::fed_dir) + 1);
 
 std::string_view trace_kind_name(TraceKind kind) {
-  switch (kind) {
-    case TraceKind::leader_phase: return "leader_phase";
-    case TraceKind::member_phase: return "member_phase";
-    case TraceKind::admin_send: return "admin_send";
-    case TraceKind::admin_ack: return "admin_ack";
-    case TraceKind::retransmit: return "retransmit";
-    case TraceKind::reanswer: return "reanswer";
-    case TraceKind::suspect: return "suspect";
-    case TraceKind::expel: return "expel";
-    case TraceKind::rejoin: return "rejoin";
-    case TraceKind::rekey: return "rekey";
-    case TraceKind::join: return "join";
-    case TraceKind::leave: return "leave";
-    case TraceKind::data_deliver: return "data_deliver";
-    case TraceKind::data_reject: return "data_reject";
-    case TraceKind::fault_drop: return "fault_drop";
-    case TraceKind::fault_duplicate: return "fault_duplicate";
-    case TraceKind::fault_delay: return "fault_delay";
-    case TraceKind::repl_delta: return "repl_delta";
-    case TraceKind::repl_snapshot: return "repl_snapshot";
-    case TraceKind::repl_gap: return "repl_gap";
-    case TraceKind::promote: return "promote";
-    case TraceKind::fence: return "fence";
-    case TraceKind::health: return "health";
-    case TraceKind::disconnect: return "disconnect";
-    case TraceKind::oplog_append: return "oplog_append";
-    case TraceKind::reconcile_offer: return "reconcile_offer";
-    case TraceKind::reconcile_verdict: return "reconcile_verdict";
-    case TraceKind::op_replay: return "op_replay";
-    case TraceKind::fault_partition: return "fault_partition";
-    case TraceKind::keytree_level: return "keytree_level";
-    case TraceKind::keytree_recover: return "keytree_recover";
-    case TraceKind::fed_redirect: return "fed_redirect";
-    case TraceKind::fed_migrate: return "fed_migrate";
-    case TraceKind::fed_dir: return "fed_dir";
-  }
-  return "unknown";
+  const auto i = static_cast<std::size_t>(kind);
+  return i < std::size(kTraceNames) ? kTraceNames[i] : "unknown";
 }
 
-std::string TraceLog::to_jsonl() const {
-  std::vector<TraceEvent> copy = events();
-  std::string out;
-  for (const TraceEvent& e : copy) {
-    out += "{\"tick\":" + std::to_string(e.tick);
-    out += ",\"kind\":";
-    append_json_string(out, trace_kind_name(e.kind));
-    out += ",\"group\":";
-    append_json_string(out, e.group);
-    out += ",\"agent\":";
-    append_json_string(out, e.agent);
-    if (!e.peer.empty()) {
-      out += ",\"peer\":";
-      append_json_string(out, e.peer);
-    }
-    if (!e.detail.empty()) {
-      out += ",\"detail\":";
-      append_json_string(out, e.detail);
-    }
-    if (e.value != 0) out += ",\"value\":" + std::to_string(e.value);
-    out += "}\n";
-  }
-  return out;
+RecordFormat record_format(TraceKind kind) {
+  return {trace_kind_name(kind), "agent", "peer", "trace"};
 }
 
 }  // namespace enclaves::obs

@@ -13,16 +13,12 @@
 // through obs::emit (obs/event.h), which records these events.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "obs/flight_fwd.h"
-#include "obs/metrics.h"
+#include "obs/record.h"
 #include "util/clock.h"
 
 namespace enclaves::obs {
@@ -89,119 +85,24 @@ enum class TraceKind : std::uint8_t {
 /// Stable lowercase name for JSONL export and chart rendering.
 std::string_view trace_kind_name(TraceKind kind);
 
-struct TraceEvent {
-  Tick tick = 0;
-  TraceKind kind = TraceKind::leader_phase;
-  std::string group;
-  std::string agent;   // who recorded the event
-  std::string peer;    // counterparty, if any
-  std::string detail;  // kind-specific annotation (see enum comments)
-  std::uint64_t value = 0;  // kind-specific number (epoch, seq, steps)
+/// The trace's JSON keys are "agent"/"peer"; its log tag is "trace".
+RecordFormat record_format(TraceKind kind);
 
-  friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
-};
+using TraceEvent = Record<TraceKind>;
 
-class TraceLog {
+class TraceLog : public RecordLog<TraceKind> {
  public:
-  void record(TraceEvent event) {
-    std::lock_guard lock(mutex_);
-    // Flight-recorder tee: only reachable when a trace sink is attached
-    // (record() is behind trace()'s sink check), so the no-sink hot path
-    // stays one atomic load. Recorders take only their own locks.
-    if (flight_active()) detail::flight_note_trace(event);
-    if (capacity_ != 0 && events_.size() == capacity_) {
-      events_.pop_front();
-      ++dropped_;
-      publish_dropped();
-    }
-    events_.push_back(std::move(event));
-  }
+  std::vector<TraceEvent> events() const { return entries(); }
 
-  /// Bounds the log to the most recent `capacity` events (ring buffer);
-  /// 0 restores the default unbounded behaviour. Shrinking below the
-  /// current size evicts the oldest events immediately (they count as
-  /// dropped). Long 50-seed sweeps set this so memory stays flat.
-  void set_capacity(std::size_t capacity) {
-    std::lock_guard lock(mutex_);
-    capacity_ = capacity;
-    bool evicted = false;
-    while (capacity_ != 0 && events_.size() > capacity_) {
-      events_.pop_front();
-      ++dropped_;
-      evicted = true;
-    }
-    if (evicted) publish_dropped();
-  }
-
-  std::size_t capacity() const {
-    std::lock_guard lock(mutex_);
-    return capacity_;
-  }
-
-  /// Events evicted by the ring buffer since construction / clear().
-  std::uint64_t dropped_events() const {
-    std::lock_guard lock(mutex_);
-    return dropped_;
-  }
-
-  /// Copy of the recorded sequence, in record order.
-  std::vector<TraceEvent> events() const {
-    std::lock_guard lock(mutex_);
-    return std::vector<TraceEvent>(events_.begin(), events_.end());
-  }
-
-  std::size_t size() const {
-    std::lock_guard lock(mutex_);
-    return events_.size();
-  }
-
-  void clear() {
-    std::lock_guard lock(mutex_);
-    events_.clear();
-    dropped_ = 0;
-  }
-
-  /// One JSON object per line, fields in declaration order; empty
-  /// peer/detail fields are omitted. Suitable for jq / diffing.
-  std::string to_jsonl() const;
-
- private:
-  // Mirrors the eviction counter into the metrics plane so ring-buffer loss
-  // is visible on /metrics without bespoke glue (called under mutex_; the
-  // registry has its own lock and never calls back into the trace).
-  void publish_dropped() {
-    gauge_set("obs", "trace", "dropped_events",
-              static_cast<std::int64_t>(dropped_));
-  }
-
-  mutable std::mutex mutex_;
-  std::deque<TraceEvent> events_;
-  std::size_t capacity_ = 0;  // 0 = unbounded
-  std::uint64_t dropped_ = 0;
+  // Long 50-seed sweeps bound the log so memory stays flat; evictions are
+  // counted and published as the obs/trace/dropped_events gauge.
+  using RecordLog::dropped_events;
+  using RecordLog::set_capacity;
 };
 
-// ---------------------------------------------------------------------------
-// Global sink, mirroring the metrics sink.
+using ScopedTraceSink = ScopedSink<TraceLog>;
 
-namespace detail {
-extern std::atomic<TraceLog*> g_trace_sink;
-}
-
-inline TraceLog* trace_sink() {
-  return detail::g_trace_sink.load(std::memory_order_acquire);
-}
-
-/// Installs `log` as the process-wide trace sink (nullptr detaches). The
-/// log must outlive its installation; the sink does not own it.
-void set_trace_sink(TraceLog* log);
-
-class ScopedTraceSink {
- public:
-  explicit ScopedTraceSink(TraceLog& log) { set_trace_sink(&log); }
-  ~ScopedTraceSink() { set_trace_sink(nullptr); }
-  ScopedTraceSink(const ScopedTraceSink&) = delete;
-  ScopedTraceSink& operator=(const ScopedTraceSink&) = delete;
-};
+inline TraceLog* trace_sink() { return sink<TraceLog>(); }
 
 /// Records an event iff a sink is attached; otherwise free (no strings are
 /// built — the string_views are only copied after the sink check passes).

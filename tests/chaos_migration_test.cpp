@@ -241,7 +241,7 @@ TEST_P(ChaosMigration, ConvergesAndFencesTheResurrectedSource) {
     bool offer_fenced = false;
     for (const auto& ev : ledger.entries())
       if (ev.kind == obs::EvidenceKind::fenced_migration &&
-          ev.observer == "s2" && ev.accused == "s1")
+          ev.agent == "s2" && ev.peer == "s1")
         offer_fenced = true;
     EXPECT_TRUE(offer_fenced) << "stale offer left no ledger attribution";
   }
@@ -279,11 +279,11 @@ TEST_P(ChaosMigration, ConvergesAndFencesTheResurrectedSource) {
   for (const auto& ev : ledger.entries()) {
     if (ev.group == "crypto") continue;
     if (ev.kind == obs::EvidenceKind::wrong_shard) {
-      EXPECT_TRUE(ev.accused.empty());
+      EXPECT_TRUE(ev.peer.empty());
     } else if (ev.kind == obs::EvidenceKind::fenced_migration) {
-      EXPECT_EQ(ev.accused, "s1");
+      EXPECT_EQ(ev.peer, "s1");
     } else {
-      EXPECT_FALSE(ev.accused.empty())
+      EXPECT_FALSE(ev.peer.empty())
           << evidence_kind_name(ev.kind) << " entry lost its attribution";
     }
   }

@@ -641,10 +641,10 @@ TEST_P(ChaosCausality, SpanGraphAndLedgerReconcileWithTrace) {
       ++crypto_entries;
       continue;
     }
-    EXPECT_TRUE(agents.count(e.observer))
-        << "refusal observed by a stranger: " << e.observer;
-    EXPECT_TRUE(e.accused.empty() || agents.count(e.accused))
-        << "network faults can only replay group traffic, yet " << e.accused
+    EXPECT_TRUE(agents.count(e.agent))
+        << "refusal observed by a stranger: " << e.agent;
+    EXPECT_TRUE(e.peer.empty() || agents.count(e.peer))
+        << "network faults can only replay group traffic, yet " << e.peer
         << " was accused";
     EXPECT_NE(e.kind, obs::EvidenceKind::fenced_repl)
         << "no HA plane in this world";
@@ -653,7 +653,7 @@ TEST_P(ChaosCausality, SpanGraphAndLedgerReconcileWithTrace) {
             w.metrics.counter_total("open_failures_total"));
   std::uint64_t attributed = 0;
   for (const auto& e : w.ledger.entries())
-    if (!e.accused.empty()) ++attributed;
+    if (!e.peer.empty()) ++attributed;
   std::uint64_t suspicion_total = 0;
   for (const auto& [accused, n] : w.ledger.suspicion_counts())
     suspicion_total += n;

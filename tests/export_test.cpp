@@ -109,12 +109,6 @@ TEST(PromRender, HistogramBucketsAreCumulative) {
   EXPECT_NE(text.find("enclaves_join_latency_ticks_quantile{group=\"L\","
                       "agent=\"alice\",quantile=\"0.5\"}"),
             std::string::npos);
-
-  PromOptions no_quantiles;
-  no_quantiles.emit_quantiles = false;
-  EXPECT_EQ(render_prometheus(registry.snapshot(), no_quantiles)
-                .find("_quantile"),
-            std::string::npos);
 }
 
 // --------------------------------------------------------------------------

@@ -199,9 +199,9 @@ TEST(Federation, MemberJoinsThroughWrongShardViaRedirect) {
   for (const auto& ev : ledger.entries()) {
     if (ev.kind != obs::EvidenceKind::wrong_shard) continue;
     saw_wrong_shard = true;
-    EXPECT_EQ(ev.observer, "s2");
+    EXPECT_EQ(ev.agent, "s2");
     EXPECT_EQ(ev.group, g);
-    EXPECT_TRUE(ev.accused.empty());
+    EXPECT_TRUE(ev.peer.empty());
   }
   EXPECT_TRUE(saw_wrong_shard);
   EXPECT_EQ(ledger.suspicion("alice"), 0u);
@@ -339,8 +339,8 @@ TEST(Federation, ResurrectedSourceIsFencedWithLedgerAttribution) {
   bool offer_fenced = false;
   for (const auto& ev : ledger.entries()) {
     if (ev.kind != obs::EvidenceKind::fenced_migration) continue;
-    EXPECT_EQ(ev.accused, "s1");  // every fencing names the stale source
-    if (ev.observer == "s2" && ev.detail == "stale migration offer")
+    EXPECT_EQ(ev.peer, "s1");  // every fencing names the stale source
+    if (ev.agent == "s2" && ev.detail == "stale migration offer")
       offer_fenced = true;
   }
   EXPECT_TRUE(offer_fenced);
@@ -388,7 +388,7 @@ TEST(Federation, PreMigrationSealRefusedAtNewShard) {
   bool attributed = false;
   for (const auto& ev : ledger.entries()) {
     if (ev.kind == obs::EvidenceKind::relay_reject &&
-        ev.observer == "s2/" + g && ev.accused == "alice")
+        ev.agent == "s2/" + g && ev.peer == "alice")
       attributed = true;
   }
   EXPECT_TRUE(attributed);

@@ -5,12 +5,14 @@
 // debounced health auto-trigger, status_json for the enclaves_top banner,
 // and a death test proving a fatal signal leaves a parseable dump behind.
 #include <signal.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fcntl.h>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -193,13 +195,11 @@ TEST_F(FlightTest, DropAccountingIsFirstClassGauges) {
   TraceLog log;
   ScopedTraceSink trace_sink(log);
 
-  FlightConfig config;
-  config.trace_slots = 4;
-  FlightRecorder rec("n0", dir_.path, config);
+  FlightRecorder rec("n0", dir_.path);
   ASSERT_TRUE(rec.attach());
-  for (int i = 0; i < 10; ++i)
+  for (int i = 0; i < 262; ++i)  // the 256-slot trace ring, plus 6
     trace(static_cast<Tick>(i), TraceKind::join, "G", "a");
-  rec.observe(10);
+  rec.observe(262);
   rec.detach();
 
   EXPECT_EQ(registry.gauge("flight", "n0", "trace_dropped"), 6);
@@ -325,14 +325,28 @@ TEST_F(FlightTest, StatusJsonFeedsTheTopIncidentBanner) {
 }
 
 TEST_F(FlightTest, MaxDumpsCapsExplicitDumpsAndCountsRefusals) {
-  FlightConfig config;
-  config.max_dumps = 2;
-  FlightRecorder rec("n0", dir_.path, config);
-  EXPECT_TRUE(rec.dump_now("a"));
-  EXPECT_TRUE(rec.dump_now("b"));
-  EXPECT_FALSE(rec.dump_now("c"));
-  EXPECT_EQ(rec.dumps_written(), 2u);
+  FlightRecorder rec("n0", dir_.path);
+  for (int i = 0; i < 16; ++i)  // the cap
+    EXPECT_TRUE(rec.dump_now("d" + std::to_string(i)));
+  EXPECT_FALSE(rec.dump_now("over"));
+  EXPECT_EQ(rec.dumps_written(), 16u);
   EXPECT_EQ(rec.stats().dumps_suppressed, 1u);
+}
+
+// A dump path longer than the recorder's path buffer must not be cut short:
+// the truncated path would name a file outside the dump directory.
+TEST_F(FlightTest, OverlongDumpDirectoryRefusesEveryDump) {
+  const std::string a = dir_.path + "/" + std::string(200, 'a');
+  const std::string b = a + "/" + std::string(200, 'b');
+  ASSERT_EQ(::mkdir(a.c_str(), 0700), 0);
+  ASSERT_EQ(::mkdir(b.c_str(), 0700), 0);
+  const std::string dir = b + "/" + std::string(600 - b.size() - 1, 'c');
+  ASSERT_EQ(dir.size(), 600u);
+  FlightRecorder rec("n0", dir);
+  EXPECT_FALSE(rec.dump_now("long"));
+  EXPECT_EQ(rec.stats().dumps_suppressed, 1u);
+  for (const auto& entry : std::filesystem::directory_iterator(b))
+    EXPECT_NE(entry.path().extension(), ".jsonl") << entry.path();
 }
 
 TEST_F(FlightTest, ReasonBytesAreSanitizedIntoTheHeader) {

@@ -164,8 +164,8 @@ TEST(KeyTreeAttacks, SiblingKekReuseSpliceIsForged) {
   auto core = core_entries(w.ledger);
   ASSERT_EQ(core.size(), 1u);
   EXPECT_EQ(core[0].kind, EvidenceKind::forged_keytree);
-  EXPECT_EQ(core[0].observer, "m0");
-  EXPECT_EQ(core[0].accused, "mallory");
+  EXPECT_EQ(core[0].agent, "m0");
+  EXPECT_EQ(core[0].peer, "mallory");
   EXPECT_EQ(core[0].group, "L");
   EXPECT_EQ(w.ledger.suspicion("mallory"), 1u);
   // Refusal is not eviction: m0 keeps its session and honest epoch, and the
@@ -204,8 +204,8 @@ TEST(KeyTreeAttacks, StalePathReplayAfterExpelIsStaleEpoch) {
   auto core = core_entries(w.ledger);
   ASSERT_EQ(core.size(), 1u);
   EXPECT_EQ(core[0].kind, EvidenceKind::stale_epoch);
-  EXPECT_EQ(core[0].observer, "m0");
-  EXPECT_EQ(core[0].accused, "mallory");
+  EXPECT_EQ(core[0].agent, "m0");
+  EXPECT_EQ(core[0].peer, "mallory");
   auto old_p = wire::decode_keytree_update(pre_expel.body);
   ASSERT_TRUE(old_p.ok());
   EXPECT_EQ(core[0].value, old_p->epoch);
@@ -239,10 +239,10 @@ TEST(KeyTreeAttacks, NonLeaderUpdateIsIdentityMismatch) {
   auto core = core_entries(w.ledger);
   ASSERT_EQ(core.size(), 2u);
   EXPECT_EQ(core[0].kind, EvidenceKind::identity_mismatch);
-  EXPECT_EQ(core[0].observer, "m0");
-  EXPECT_EQ(core[0].accused, "mallory");
+  EXPECT_EQ(core[0].agent, "m0");
+  EXPECT_EQ(core[0].peer, "mallory");
   EXPECT_EQ(core[1].kind, EvidenceKind::malformed);
-  EXPECT_EQ(core[1].accused, "mallory");
+  EXPECT_EQ(core[1].peer, "mallory");
   EXPECT_EQ(w.ledger.suspicion("mallory"), 2u);
   EXPECT_EQ(w.m("m0").epoch(), honest_epoch);
 }
@@ -287,8 +287,8 @@ TEST(KeyTreeAttacks, QuarantinedMemberRevokedKeysAreUseless) {
     auto core = core_entries(w.ledger);
     ASSERT_EQ(core.size(), 1u);
     EXPECT_EQ(core[0].kind, EvidenceKind::bad_label);
-    EXPECT_EQ(core[0].observer, "L");
-    EXPECT_EQ(core[0].accused, "m3");
+    EXPECT_EQ(core[0].agent, "L");
+    EXPECT_EQ(core[0].peer, "m3");
     EXPECT_EQ(core[0].detail, "keytree recover without a leaf");
   }
   w.ledger.clear();
@@ -304,8 +304,8 @@ TEST(KeyTreeAttacks, QuarantinedMemberRevokedKeysAreUseless) {
     auto core = core_entries(w.ledger);
     ASSERT_EQ(core.size(), 1u);
     EXPECT_EQ(core[0].kind, EvidenceKind::relay_reject);
-    EXPECT_EQ(core[0].observer, "L");
-    EXPECT_EQ(core[0].accused, "m3");
+    EXPECT_EQ(core[0].agent, "L");
+    EXPECT_EQ(core[0].peer, "m3");
   }
   w.ledger.clear();
 
@@ -327,8 +327,8 @@ TEST(KeyTreeAttacks, QuarantinedMemberRevokedKeysAreUseless) {
     auto core = core_entries(w.ledger);
     ASSERT_GE(core.size(), 1u);
     EXPECT_EQ(core[0].kind, EvidenceKind::aead_open_failure);
-    EXPECT_EQ(core[0].observer, "m0");
-    EXPECT_EQ(core[0].accused, "m3");
+    EXPECT_EQ(core[0].agent, "m0");
+    EXPECT_EQ(core[0].peer, "m3");
   }
 
   // The group is unharmed: everyone still converges and chats.

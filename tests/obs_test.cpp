@@ -14,10 +14,12 @@
 #include <vector>
 
 #include "obs/event.h"
+#include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
 #include "obs/security.h"
 #include "obs/trace.h"
+#include "tests/flight_dumps.h"
 #include "util/clock.h"
 
 // Counts heap allocations made on the current thread while armed, so a test
@@ -652,6 +654,22 @@ TEST(EmitTable, EachEventProducesExactlyItsRow) {
                 (SecurityEvidence{7, *row.evidence, "G", "A", "P", "why", 3}));
     } else {
       EXPECT_TRUE(entries.empty());
+    }
+
+    // With only a flight recorder attached, an incident row dumps once with
+    // its reason and every other row dumps nothing.
+    testing_support::FlightDumpDir dumps;
+    {
+      FlightRecorder recorder("A", dumps.path());
+      ASSERT_TRUE(recorder.attach());
+      emit(event_at(i), 7, "G", "A", "P", "why", 3);
+    }
+    const auto blobs = dumps.dumps();
+    if (row.incident.empty()) {
+      EXPECT_TRUE(blobs.empty());
+    } else {
+      ASSERT_EQ(blobs.size(), 1u);
+      EXPECT_EQ(blobs[0].header.reason, row.incident);
     }
   }
 }

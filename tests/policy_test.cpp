@@ -114,7 +114,7 @@ TEST(LeaderPolicy, DeniedMemberIsSilentlyIgnored) {
   EXPECT_EQ(w.leader_counter("join_denials_total"), 1u);
   ASSERT_EQ(w.ledger.size(), 1u);
   EXPECT_EQ(w.ledger.entries()[0].kind, obs::EvidenceKind::join_denied);
-  EXPECT_EQ(w.ledger.entries()[0].accused, "mallory");
+  EXPECT_EQ(w.ledger.entries()[0].peer, "mallory");
 
   ASSERT_TRUE(alice.join().ok());
   w.net.run();

@@ -507,8 +507,8 @@ TEST(Reconcile, StaleEpochOfferIsQuarantined) {
 
   bool ledgered = false;
   for (const auto& e : w.ledger.entries()) {
-    if (e.kind == obs::EvidenceKind::stale_epoch && e.accused == "alice" &&
-        e.observer == "L")
+    if (e.kind == obs::EvidenceKind::stale_epoch && e.peer == "alice" &&
+        e.agent == "L")
       ledgered = true;
   }
   EXPECT_TRUE(ledgered) << "quarantine leaves stale_epoch evidence";
@@ -570,8 +570,8 @@ TEST(Reconcile, ForgedOpReplayFlagsIntrusion) {
   EXPECT_EQ(w.metrics.counter("L", "L", "reconcile_intrusions_total"), 1u);
   bool ledgered = false;
   for (const auto& e : w.ledger.entries()) {
-    if (e.kind == obs::EvidenceKind::forged_oplog && e.accused == "mallory" &&
-        e.observer == "L")
+    if (e.kind == obs::EvidenceKind::forged_oplog && e.peer == "mallory" &&
+        e.agent == "L")
       ledgered = true;
   }
   EXPECT_TRUE(ledgered) << "forged replay must be ledgered as intrusion";

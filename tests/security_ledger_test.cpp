@@ -92,8 +92,8 @@ TEST(SecurityLedger, ForgedAdminMsgYieldsExactlyOneCoreEntry) {
   ASSERT_EQ(core.size(), 1u);
   EXPECT_EQ(core[0].kind, EvidenceKind::aead_open_failure);
   EXPECT_EQ(core[0].group, "L");
-  EXPECT_EQ(core[0].observer, "alice");
-  EXPECT_EQ(core[0].accused, "L");
+  EXPECT_EQ(core[0].agent, "alice");
+  EXPECT_EQ(core[0].peer, "L");
   // The crypto plane independently filed the tag mismatch.
   EXPECT_GE(w.ledger.size(), 2u);
   EXPECT_EQ(w.ledger.suspicion("L"), 1u);
@@ -113,8 +113,8 @@ TEST(SecurityLedger, UnknownSenderAttributedAtLeader) {
   auto core = core_entries(w.ledger);
   ASSERT_EQ(core.size(), 1u);
   EXPECT_EQ(core[0].kind, EvidenceKind::unknown_sender);
-  EXPECT_EQ(core[0].observer, "L");
-  EXPECT_EQ(core[0].accused, "mallory");
+  EXPECT_EQ(core[0].agent, "L");
+  EXPECT_EQ(core[0].peer, "mallory");
   EXPECT_EQ(core[0].detail, "AuthInitReq");
   EXPECT_EQ(w.ledger.suspicion("mallory"), 1u);
 }
@@ -139,8 +139,8 @@ TEST(SecurityLedger, NonMemberGroupDataRelayRejected) {
   auto core = core_entries(w.ledger);
   ASSERT_EQ(core.size(), 1u);
   EXPECT_EQ(core[0].kind, EvidenceKind::relay_reject);
-  EXPECT_EQ(core[0].observer, "L");
-  EXPECT_EQ(core[0].accused, "eve");
+  EXPECT_EQ(core[0].agent, "L");
+  EXPECT_EQ(core[0].peer, "eve");
   EXPECT_EQ(core[0].detail, "not a member");
 }
 
@@ -170,8 +170,8 @@ TEST(SecurityLedger, ReplayedSequenceAccusesTheClaimedOrigin) {
   auto core = core_entries(w.ledger);
   ASSERT_EQ(core.size(), 1u);
   EXPECT_EQ(core[0].kind, EvidenceKind::replayed_seq);
-  EXPECT_EQ(core[0].observer, "bob");
-  EXPECT_EQ(core[0].accused, "alice");
+  EXPECT_EQ(core[0].agent, "bob");
+  EXPECT_EQ(core[0].peer, "alice");
   EXPECT_EQ(w.ledger.suspicion("alice"), 1u);
 }
 
@@ -198,8 +198,8 @@ TEST(SecurityLedger, WrongEpochNumberIsStaleEpochEvidence) {
   auto core = core_entries(w.ledger);
   ASSERT_EQ(core.size(), 1u);
   EXPECT_EQ(core[0].kind, EvidenceKind::stale_epoch);
-  EXPECT_EQ(core[0].observer, "bob");
-  EXPECT_EQ(core[0].accused, "alice");
+  EXPECT_EQ(core[0].agent, "bob");
+  EXPECT_EQ(core[0].peer, "alice");
 }
 
 // The stop-and-wait channel absorbs a byte-identical retransmission of the
@@ -243,8 +243,8 @@ TEST(SecurityLedger, DuplicateOfLatestAbsorbedOlderReplayLedgered) {
   auto core = core_entries(w.ledger);
   ASSERT_EQ(core.size(), 1u);
   EXPECT_EQ(core[0].kind, EvidenceKind::stale_nonce);
-  EXPECT_EQ(core[0].observer, "alice");
-  EXPECT_EQ(core[0].accused, "L");
+  EXPECT_EQ(core[0].agent, "alice");
+  EXPECT_EQ(core[0].peer, "L");
 }
 
 // Every ledger entry bumps the security.* metrics through the same sink
@@ -303,7 +303,7 @@ TEST(SecurityLedger, AttackMatrixProducesAttributedEvidence) {
   EXPECT_EQ(metrics.counter_total("refusals_total"), ledger.size());
   for (const auto& e : ledger.entries()) {
     EXPECT_FALSE(e.group.empty());
-    EXPECT_FALSE(e.observer.empty());
+    EXPECT_FALSE(e.agent.empty());
     EXPECT_NE(std::string_view(obs::evidence_kind_name(e.kind)), "");
   }
   EXPECT_FALSE(ledger.suspicion_counts().empty());
