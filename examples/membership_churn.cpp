@@ -131,7 +131,7 @@ int main() {
         auto attempt = wire::open_sealed(crypto::default_aead(),
                                          d.old_key.view(), p.envelope);
         if (attempt.ok()) {
-          auto payload = wire::decode_group_data(*attempt);
+          auto payload = wire::decode<wire::GroupDataPayload>(*attempt);
           if (payload && payload->epoch == leader.epoch())
             ++stale_key_openings;
         }

@@ -305,7 +305,7 @@ KeyTreeView::ApplyResult KeyTreeView::apply_update(
                                    wire::Label::KeyTreeUpdate, p.l,
                                    wire::kGroupRecipient, e.sealed);
       if (!plain) continue;  // sealed under a KEK version we do not hold
-      auto kek = wire::decode_keytree_node_kek(*plain);
+      auto kek = wire::decode<wire::KeyTreeNodeKek>(*plain);
       if (!kek || kek->node != e.node || kek->epoch != p.epoch)
         return {Outcome::forged, {}, 0};  // spliced from another update
       learned[e.node] = kek->kek;

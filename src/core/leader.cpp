@@ -85,7 +85,7 @@ void Leader::handle(const wire::Envelope& e) {
     ++relay_rejects_;
     obs::emit(counters_, obs::Event::auth_reject,
               obs::EvidenceKind::unknown_sender, clock_.now(), config_.id,
-              config_.id, e.sender, wire::label_name(e.label));
+              config_.id, e.sender, wire::enum_name(e.label));
     return;
   }
   LeaderSession& session = *it->second;
@@ -97,7 +97,7 @@ void Leader::handle(const wire::Envelope& e) {
     // Rejected input: already tallied by the session.
     obs::emit(counters_, obs::Event::auth_reject,
               obs::evidence_kind_for(outcome.error().code), clock_.now(),
-              config_.id, config_.id, e.sender, wire::label_name(e.label));
+              config_.id, config_.id, e.sender, wire::enum_name(e.label));
     return;
   }
 
@@ -119,7 +119,7 @@ void Leader::handle(const wire::Envelope& e) {
   }
   if (outcome->duplicate_retransmit) {
     obs::emit(counters_, obs::Event::reanswer, clock_.now(), config_.id,
-              config_.id, member_id, wire::label_name(e.label));
+              config_.id, member_id, wire::enum_name(e.label));
   }
   if (outcome->acked) {
     obs::emit(counters_, obs::Event::admin_ack, clock_.now(), config_.id,
@@ -265,7 +265,7 @@ void Leader::handle_group_data(const wire::Envelope& e) {
     relay_reject("does not open under current Kg");
     return;
   }
-  auto payload = wire::decode_group_data(*plain);
+  auto payload = wire::decode<wire::GroupDataPayload>(*plain);
   if (!payload || payload->epoch != epoch_ || payload->origin != e.sender) {
     relay_reject("stale epoch or origin mismatch");
     return;
@@ -461,7 +461,7 @@ void Leader::handle_keytree_recover(const wire::Envelope& e) {
            "recover does not open under the leaf KEK");
     return;
   }
-  auto p = wire::decode_keytree_recover(*plain);
+  auto p = wire::decode<wire::KeyTreeRecoverPayload>(*plain);
   if (!p) {
     reject(obs::EvidenceKind::malformed, "malformed keytree recover");
     return;
@@ -605,7 +605,7 @@ void Leader::send_reconcile_verdict(const std::string& member_id,
                         wire::encode(body));
   parole.last_verdict = env;
   obs::emit(counters_, obs::Event::reconcile_verdict, clock_.now(), config_.id,
-            config_.id, member_id, wire::reconcile_verdict_kind_name(verdict),
+            config_.id, member_id, wire::enum_name(verdict),
             ack_seq);
   send(member_id, std::move(env));
 }
@@ -629,7 +629,7 @@ void Leader::handle_reconcile_offer(const wire::Envelope& e) {
            "offer does not open under parole Kr");
     return;
   }
-  auto p = wire::decode_reconcile_offer(*plain);
+  auto p = wire::decode<wire::ReconcileOfferPayload>(*plain);
   if (!p) {
     reject(obs::EvidenceKind::malformed, "malformed reconcile offer");
     return;
@@ -718,7 +718,7 @@ void Leader::handle_op_replay(const wire::Envelope& e) {
            "op does not open under parole Kr");
     return;
   }
-  auto p = wire::decode_op_replay(*plain);
+  auto p = wire::decode<wire::OpReplayPayload>(*plain);
   if (!p) {
     reject(obs::EvidenceKind::malformed, "malformed op replay");
     return;
@@ -835,7 +835,7 @@ std::size_t Leader::tick() {
     }
     if (sr.state.due(now, config_.retry)) {
       obs::emit(counters_, obs::Event::retransmit, now, config_.id, config_.id,
-                id, wire::label_name(env->label));
+                id, wire::enum_name(env->label));
       send(id, *std::move(env));
       sr.state.record_attempt(now, config_.retry);
       ++sent;

@@ -54,7 +54,7 @@ Result<LeaderSession::HandleOutcome> LeaderSession::handle(
         // them all. Only the member can mint a FRESH AuthInitReq under
         // Pa; a replayed opener carries an N1 we already consumed.
         if (auto plain = wire::open_sealed(aead_, pa_.view(), e)) {
-          auto payload = wire::decode_auth_init(*plain);
+          auto payload = wire::decode<wire::AuthInitPayload>(*plain);
           if (payload && payload->a == member_id_ &&
               payload->l == leader_id_) {
             if (seen_init_n1_.count(payload->n1))
@@ -118,7 +118,7 @@ Result<LeaderSession::HandleOutcome> LeaderSession::on_auth_init(
   if (!plain)
     return reject(Errc::auth_failed, "AuthInitReq does not open under Pa",
                   &RejectStats::undecryptable);
-  auto payload = wire::decode_auth_init(*plain);
+  auto payload = wire::decode<wire::AuthInitPayload>(*plain);
   if (!payload)
     return reject(Errc::malformed, "AuthInitReq payload malformed",
                   &RejectStats::undecryptable);
@@ -162,7 +162,7 @@ Result<LeaderSession::HandleOutcome> LeaderSession::on_auth_ack_key(
   if (!plain)
     return reject(Errc::auth_failed, "AuthAckKey does not open under Ka",
                   &RejectStats::undecryptable);
-  auto payload = wire::decode_auth_ack(*plain);
+  auto payload = wire::decode<wire::AuthAckPayload>(*plain);
   if (!payload)
     return reject(Errc::malformed, "AuthAckKey payload malformed",
                   &RejectStats::undecryptable);
@@ -206,7 +206,7 @@ Result<LeaderSession::HandleOutcome> LeaderSession::on_ack(
   if (!plain)
     return reject(Errc::auth_failed, "Ack does not open under Ka",
                   &RejectStats::undecryptable);
-  auto payload = wire::decode_ack(*plain);
+  auto payload = wire::decode<wire::AckPayload>(*plain);
   if (!payload)
     return reject(Errc::malformed, "Ack payload malformed",
                   &RejectStats::undecryptable);
@@ -240,7 +240,7 @@ Result<LeaderSession::HandleOutcome> LeaderSession::on_req_close(
   if (!plain)
     return reject(Errc::auth_failed, "ReqClose does not open under Ka",
                   &RejectStats::undecryptable);
-  auto payload = wire::decode_req_close(*plain);
+  auto payload = wire::decode<wire::ReqClosePayload>(*plain);
   if (!payload)
     return reject(Errc::malformed, "ReqClose payload malformed",
                   &RejectStats::undecryptable);

@@ -123,7 +123,7 @@ void Member::handle(const wire::Envelope& e) {
   if (!outcome) {
     obs::emit(counters_, obs::Event::auth_reject,
               obs::evidence_kind_for(outcome.error().code), clock_.now(),
-              leader_id_, id_, e.sender, wire::label_name(e.label));
+              leader_id_, id_, e.sender, wire::enum_name(e.label));
     return;  // rejected; tallied inside the session
   }
 
@@ -133,7 +133,7 @@ void Member::handle(const wire::Envelope& e) {
 
   if (outcome->duplicate_retransmit) {
     obs::emit(counters_, obs::Event::reanswer, clock_.now(), leader_id_, id_,
-              leader_id_, wire::label_name(e.label));
+              leader_id_, wire::enum_name(e.label));
   }
   // An Expelled notice ends the session on BOTH sides: the leader discarded
   // Ka before this message was delivered, so the stop-and-wait Ack has no
@@ -195,7 +195,7 @@ void Member::handle_fed_redirect(const wire::Envelope& e) {
   static constexpr std::uint32_t kMaxRedirectHops = 4;
   if (connected()) return;
   if (e.recipient != id_) return;
-  auto payload = wire::decode_fed_redirect(e.body);
+  auto payload = wire::decode<wire::FedRedirectPayload>(e.body);
   if (!payload) return;
   if (payload->stale_leader != leader_id_) return;  // stale or cross hint
   if (payload->owner_leader.empty() || payload->owner_leader == leader_id_)
@@ -338,7 +338,7 @@ void Member::handle_group_data(const wire::Envelope& e) {
       request_keytree_recovery();
     return;
   }
-  auto payload = wire::decode_group_data(*plain);
+  auto payload = wire::decode<wire::GroupDataPayload>(*plain);
   if (!payload || payload->epoch != epoch_ || payload->origin != e.sender) {
     data_reject(obs::EvidenceKind::stale_epoch,
                 "stale epoch or origin mismatch");
@@ -459,7 +459,7 @@ void Member::handle_reconcile_verdict(const wire::Envelope& e) {
            "verdict does not open under Kr");
     return;
   }
-  auto p = wire::decode_reconcile_verdict(*plain);
+  auto p = wire::decode<wire::ReconcileVerdictPayload>(*plain);
   if (!p) {
     reject(obs::EvidenceKind::malformed, "malformed reconcile verdict");
     return;
@@ -543,7 +543,7 @@ void Member::handle_keytree_update(const wire::Envelope& e) {
     obs::count(leader_id_, id_, "keytree_unapplied_total");
     return;
   }
-  auto p = wire::decode_keytree_update(e.body);
+  auto p = wire::decode<wire::KeyTreeUpdatePayload>(e.body);
   if (!p) {
     reject(obs::EvidenceKind::malformed, "malformed keytree update");
     return;
@@ -611,7 +611,7 @@ void Member::handle_keytree_path(const wire::Envelope& e) {
            "keytree path does not open under leaf KEK");
     return;
   }
-  auto p = wire::decode_keytree_path(*plain);
+  auto p = wire::decode<wire::KeyTreePathPayload>(*plain);
   if (!p) {
     reject(obs::EvidenceKind::malformed, "malformed keytree path");
     return;
@@ -679,7 +679,7 @@ std::size_t Member::tick() {
     if (!join_retry_.armed()) join_retry_.arm(now, stable_salt(id_));
     if (join_retry_.due(now, retry_policy_) && send_) {
       obs::emit(counters_, obs::Event::retransmit, now, leader_id_, id_,
-                leader_id_, wire::label_name(env->label));
+                leader_id_, wire::enum_name(env->label));
       send_(leader_id_, *std::move(env));
       join_retry_.record_attempt(now, retry_policy_);
       ++sent;
@@ -707,7 +707,7 @@ std::size_t Member::tick() {
     } else if (close_retry_.due(now, close_retry_policy_)) {
       if (session_.state() == MemberSession::State::not_connected && send_) {
         obs::emit(counters_, obs::Event::retransmit, now, leader_id_, id_,
-                  leader_id_, wire::label_name(close_request_->label));
+                  leader_id_, wire::enum_name(close_request_->label));
         send_(leader_id_, *close_request_);
         ++sent;
       }
@@ -751,7 +751,7 @@ std::size_t Member::tick() {
         build_reconcile_offer();
       if (reconcile_retry_.attempts() > 0) {
         obs::emit(counters_, obs::Event::retransmit, now, leader_id_, id_,
-                  leader_id_, wire::label_name(reconcile_env_->label));
+                  leader_id_, wire::enum_name(reconcile_env_->label));
       }
       if (send_) send_(leader_id_, *reconcile_env_);
       reconcile_retry_.record_attempt(now, reconcile_policy_);
@@ -772,7 +772,7 @@ std::size_t Member::tick() {
       obs::count(leader_id_, id_, "exchanges_abandoned_total");
     } else if (keytree_retry_.due(now, keytree_retry_policy_)) {
       obs::emit(counters_, obs::Event::retransmit, now, leader_id_, id_,
-                leader_id_, wire::label_name(keytree_recover_env_->label));
+                leader_id_, wire::enum_name(keytree_recover_env_->label));
       if (send_) send_(leader_id_, *keytree_recover_env_);
       keytree_retry_.record_attempt(now, keytree_retry_policy_);
       ++sent;

@@ -85,7 +85,7 @@ Result<MemberSession::HandleOutcome> MemberSession::on_auth_key_dist(
   if (!plain)
     return reject(Errc::auth_failed, "AuthKeyDist does not open under Pa",
                   &RejectStats::undecryptable);
-  auto payload = wire::decode_auth_key_dist(*plain);
+  auto payload = wire::decode<wire::AuthKeyDistPayload>(*plain);
   if (!payload)
     return reject(Errc::malformed, "AuthKeyDist payload malformed",
                   &RejectStats::undecryptable);
@@ -137,7 +137,7 @@ Result<MemberSession::HandleOutcome> MemberSession::on_admin_msg(
   if (!plain)
     return reject(Errc::auth_failed, "AdminMsg does not open under Ka",
                   &RejectStats::undecryptable);
-  auto payload = wire::decode_admin(*plain);
+  auto payload = wire::decode<wire::AdminPayload>(*plain);
   if (!payload)
     return reject(Errc::malformed, "AdminMsg payload malformed",
                   &RejectStats::undecryptable);

@@ -214,14 +214,14 @@ void FedNode::handle_fed(const wire::Envelope& e) {
   if (e.label != Label::FedMigrateOffer && e.label != Label::FedMigrateAck &&
       e.label != Label::FedMigrateCommit && e.label != Label::FedDirSync) {
     obs::emit(counters_, obs::Event::fed_label_refused, clock_.now(), "fed",
-              config_.shard_id, e.sender, wire::label_name(e.label));
+              config_.shard_id, e.sender, wire::enum_name(e.label));
     return;
   }
   if (e.sender.empty() || e.sender == config_.shard_id) return;
   auto plain = wire::open_sealed(aead_, pair_key(e.sender), e);
   if (!plain) {
     obs::emit(counters_, obs::Event::fed_seal_refused, clock_.now(), "fed",
-              config_.shard_id, e.sender, wire::label_name(e.label));
+              config_.shard_id, e.sender, wire::enum_name(e.label));
     return;
   }
   auto malformed = [&](const Error& err) {
@@ -230,25 +230,25 @@ void FedNode::handle_fed(const wire::Envelope& e) {
   };
   switch (e.label) {
     case Label::FedMigrateOffer: {
-      auto p = wire::decode_fed_migrate_offer(*plain);
+      auto p = wire::decode<wire::FedMigrateOfferPayload>(*plain);
       if (!p) return malformed(p.error());
       migrator_.handle_offer(*p);
       return;
     }
     case Label::FedMigrateAck: {
-      auto p = wire::decode_fed_migrate_ack(*plain);
+      auto p = wire::decode<wire::FedMigrateAckPayload>(*plain);
       if (!p) return malformed(p.error());
       migrator_.handle_ack(*p);
       return;
     }
     case Label::FedMigrateCommit: {
-      auto p = wire::decode_fed_migrate_commit(*plain);
+      auto p = wire::decode<wire::FedMigrateCommitPayload>(*plain);
       if (!p) return malformed(p.error());
       migrator_.handle_commit(*p);
       return;
     }
     case Label::FedDirSync: {
-      auto p = wire::decode_fed_dir_sync(*plain);
+      auto p = wire::decode<wire::FedDirSyncPayload>(*plain);
       if (!p) return malformed(p.error());
       const Directory::Claim claim =
           directory_.claim(p->group, p->owner_shard, p->version);

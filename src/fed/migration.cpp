@@ -49,7 +49,7 @@ void Migrator::send_ack(const std::string& to_shard, const std::string& group,
   if (hooks_.send)
     hooks_.send(to_shard, wire::Label::FedMigrateAck, wire::encode(ack));
   obs::emit(counters_, obs::Event::migrate_step, clock_.now(), group,
-            config_.shard_id, to_shard, wire::fed_migrate_verdict_name(verdict),
+            config_.shard_id, to_shard, wire::enum_name(verdict),
             id);
 }
 

@@ -96,7 +96,7 @@ void LeaderReplicator::send_delta(const wire::ReplDeltaPayload& delta) {
                  static_cast<std::int64_t>(lag()));
   obs::emit(counters_, obs::Event::repl_delta, clock_.now(), kHaGroup,
             leader_.id(), config_.standby_id,
-            wire::repl_delta_kind_name(delta.kind), delta.seq);
+            wire::enum_name(delta.kind), delta.seq);
   if (!send_) return;
   send_(config_.standby_id,
         wire::make_sealed(aead_, config_.repl_key.view(), rng_,
@@ -137,7 +137,7 @@ void LeaderReplicator::handle(const wire::Envelope& e) {
   if (e.label != wire::Label::ReplAck) return;
   auto plain = wire::open_sealed(aead_, config_.repl_key.view(), e);
   if (!plain) return;  // forged or mis-keyed: ignore
-  auto ack = wire::decode_repl_ack(*plain);
+  auto ack = wire::decode<wire::ReplAckPayload>(*plain);
   if (!ack) return;
 
   if (ack->fenced) {

@@ -45,7 +45,7 @@ void StandbyLeader::handle(const wire::Envelope& e) {
 
   switch (e.label) {
     case wire::Label::ReplSnapshot: {
-      auto payload = wire::decode_repl_snapshot(*plain);
+      auto payload = wire::decode<wire::ReplSnapshotPayload>(*plain);
       if (!payload) {
         ++stats_.rejects;
         return;
@@ -74,7 +74,7 @@ void StandbyLeader::handle(const wire::Envelope& e) {
       return;
     }
     case wire::Label::ReplDelta: {
-      auto payload = wire::decode_repl_delta(*plain);
+      auto payload = wire::decode<wire::ReplDeltaPayload>(*plain);
       if (!payload) {
         ++stats_.rejects;
         return;
@@ -102,7 +102,7 @@ void StandbyLeader::handle(const wire::Envelope& e) {
       return;
     }
     case wire::Label::ReplHeartbeat: {
-      auto payload = wire::decode_repl_heartbeat(*plain);
+      auto payload = wire::decode<wire::ReplHeartbeatPayload>(*plain);
       if (!payload) {
         ++stats_.rejects;
         return;
@@ -147,7 +147,7 @@ void StandbyLeader::apply(const wire::ReplDeltaPayload& delta) {
   applied_ = delta.seq;
   ++stats_.deltas_applied;
   obs::emit(counters_, obs::Event::repl_delta, now_, kHaGroup, config_.id,
-            config_.active_id, wire::repl_delta_kind_name(delta.kind),
+            config_.active_id, wire::enum_name(delta.kind),
             delta.seq);
 }
 

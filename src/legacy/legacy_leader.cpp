@@ -54,7 +54,7 @@ void LegacyLeader::handle(const wire::Envelope& e) {
       Session& s = it->second;
       auto plain = wire::open_sealed(aead_, s.pa.view(), e);
       if (!plain) return;
-      auto payload = wire::decode_legacy_auth_init(*plain);
+      auto payload = wire::decode<wire::LegacyAuthInitPayload>(*plain);
       if (!payload) return;
       if (payload->a != it->first || payload->l != config_.id) return;
 
@@ -86,7 +86,7 @@ void LegacyLeader::handle(const wire::Envelope& e) {
       Session& s = it->second;
       auto plain = wire::open_sealed(aead_, s.ka.view(), e);
       if (!plain) return;
-      auto payload = wire::decode_legacy_auth_ack(*plain);
+      auto payload = wire::decode<wire::LegacyAuthAckPayload>(*plain);
       if (!payload) return;
       if (payload->n2 != s.n2) return;
 

@@ -101,7 +101,7 @@ void LegacyMember::handle(const wire::Envelope& e) {
       if (state_ != State::waiting_reply) return;
       auto plain = wire::open_sealed(aead_, pa_.view(), e);
       if (!plain) return;
-      auto payload = wire::decode_legacy_auth_reply(*plain);
+      auto payload = wire::decode<wire::LegacyAuthReplyPayload>(*plain);
       if (!payload) return;
       if (payload->l != leader_id_ || payload->a != id_) return;
       if (payload->n1 != n1_) return;
@@ -124,7 +124,7 @@ void LegacyMember::handle(const wire::Envelope& e) {
       if (state_ != State::connected) return;
       auto plain = wire::open_sealed(aead_, ka_.view(), e);
       if (!plain) return;
-      auto payload = wire::decode_legacy_new_key(*plain);
+      auto payload = wire::decode<wire::LegacyNewKeyPayload>(*plain);
       if (!payload) return;
       // VULNERABILITY V2: no freshness check whatsoever. A replayed old
       // new_key is indistinguishable from a genuine one, so the member
@@ -149,7 +149,7 @@ void LegacyMember::handle(const wire::Envelope& e) {
       // membership notices (Section 2.3).
       auto plain = wire::open_sealed(aead_, kg_.view(), e);
       if (!plain) return;
-      auto payload = wire::decode_legacy_membership(*plain);
+      auto payload = wire::decode<wire::LegacyMembershipPayload>(*plain);
       if (!payload) return;
       if (e.label == wire::Label::LegacyMemAdded)
         view_.insert(payload->member);
@@ -169,7 +169,7 @@ void LegacyMember::handle(const wire::Envelope& e) {
       if (state_ != State::connected || !have_kg_) return;
       auto plain = wire::open_sealed(aead_, kg_.view(), e);
       if (!plain) return;
-      auto payload = wire::decode_group_data(*plain);
+      auto payload = wire::decode<wire::GroupDataPayload>(*plain);
       if (!payload) return;
       // VULNERABILITY V4: no sequence/epoch enforcement.
       emit(core::DataReceived{payload->origin, payload->payload});

@@ -61,7 +61,7 @@ TapDecision FaultInjector::decide(const Packet& p) {
   if (crosses_partition(p, n)) {
     ++stats_.partition_dropped;
     obs::emit(counters_, obs::Event::partition_drop, n, "net",
-              p.envelope.sender, p.to, wire::label_name(p.envelope.label));
+              p.envelope.sender, p.to, wire::enum_name(p.envelope.label));
     return TapVerdict::drop;
   }
 
@@ -69,13 +69,13 @@ TapDecision FaultInjector::decide(const Packet& p) {
   if (roll < f.drop_pct) {
     ++stats_.dropped;
     obs::emit(counters_, obs::Event::fault_drop, n, "net", p.envelope.sender,
-              p.to, wire::label_name(p.envelope.label));
+              p.to, wire::enum_name(p.envelope.label));
     return TapVerdict::drop;
   }
   if (roll < f.drop_pct + f.duplicate_pct) {
     ++stats_.duplicated;
     obs::emit(counters_, obs::Event::fault_duplicate, n, "net",
-              p.envelope.sender, p.to, wire::label_name(p.envelope.label));
+              p.envelope.sender, p.to, wire::enum_name(p.envelope.label));
     return TapVerdict::duplicate;
   }
   if (roll < f.drop_pct + f.duplicate_pct + f.delay_pct) {
@@ -84,7 +84,7 @@ TapDecision FaultInjector::decide(const Packet& p) {
     const std::uint32_t steps =
         1 + static_cast<std::uint32_t>(rng_.below(max));
     obs::emit(counters_, obs::Event::fault_delay, n, "net", p.envelope.sender,
-              p.to, wire::label_name(p.envelope.label), steps);
+              p.to, wire::enum_name(p.envelope.label), steps);
     return {TapVerdict::delay, steps};
   }
   return TapVerdict::deliver;

@@ -167,7 +167,7 @@ bool TcpNode::read_from(ConnId fd) {
     if (again == conns_.end()) break;
     auto f = again->second.decoder.next();
     if (!f) break;
-    auto env = wire::decode_envelope(*f);
+    auto env = wire::decode<wire::Envelope>(*f);
     if (!env) {
       ENCLAVES_LOG(warn) << "undecodable envelope from fd " << fd
                          << " (" << env.error().to_string() << ")";

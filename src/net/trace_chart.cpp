@@ -26,7 +26,7 @@ std::string format_sequence_chart(const std::vector<Packet>& log,
     out << p.envelope.sender << " -> ";
     out.width(10);
     out << p.to;
-    out << " " << wire::label_name(p.envelope.label) << " ("
+    out << " " << wire::enum_name(p.envelope.label) << " ("
         << p.envelope.body.size() << "B)";
     if (p.envelope.recipient != p.to &&
         p.envelope.recipient != wire::kGroupRecipient) {

@@ -415,15 +415,20 @@ void FlightRecorder::note_incident(Tick tick, std::string_view reason,
 }
 
 bool FlightRecorder::auto_trigger_locked(Tick now, const char* reason) {
-  if (auto_dumped_once_ && now >= last_auto_dump_tick_ &&
-      now - last_auto_dump_tick_ < kRedumpTicks) {
+  // Debounce on the recorder's own monotone clock: `now` is the triggering
+  // agent's tick, and a recorder covering several agents sees their clocks
+  // interleaved, so a lower tick from another agent must not reopen the
+  // window.
+  advance_clock(now);
+  const Tick clock = clock_tick_.load(std::memory_order_relaxed);
+  if (auto_dumped_once_ && clock - last_auto_dump_tick_ < kRedumpTicks) {
     stats_suppressed_.fetch_add(1, std::memory_order_acq_rel);
     return false;
   }
   bool wrote = dump_core(now, reason, /*fatal=*/false);
   if (wrote) {
     auto_dumped_once_ = true;
-    last_auto_dump_tick_ = now;
+    last_auto_dump_tick_ = clock;
   }
   return wrote;
 }

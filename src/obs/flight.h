@@ -251,7 +251,7 @@ class FlightRecorder {
   std::vector<std::string> local_agents_;
   MetricsSnapshot prev_counters_;
   bool observed_once_ = false;
-  Tick last_auto_dump_tick_ = 0;
+  Tick last_auto_dump_tick_ = 0;  // clock_tick_ at the last automatic dump
   bool auto_dumped_once_ = false;
 
   // Freshest virtual tick this recorder has seen (observe()/trace records);

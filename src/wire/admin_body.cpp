@@ -1,125 +1,6 @@
 #include "wire/admin_body.h"
 
-#include "wire/codec.h"
-
 namespace enclaves::wire {
-
-namespace {
-
-enum class Tag : std::uint8_t {
-  new_group_key = 1,
-  member_joined = 2,
-  member_left = 3,
-  member_list = 4,
-  notice = 5,
-  expelled = 6,
-  keytree_assign = 7,
-};
-
-constexpr std::uint32_t kMaxMembers = 1 << 16;
-
-}  // namespace
-
-Bytes encode(const AdminBody& body) {
-  Writer w;
-  std::visit(
-      [&w](const auto& b) {
-        using T = std::decay_t<decltype(b)>;
-        if constexpr (std::is_same_v<T, NewGroupKey>) {
-          w.u8(static_cast<std::uint8_t>(Tag::new_group_key));
-          w.raw(b.key.view());
-          w.u64(b.epoch);
-        } else if constexpr (std::is_same_v<T, MemberJoined>) {
-          w.u8(static_cast<std::uint8_t>(Tag::member_joined));
-          w.str(b.member);
-        } else if constexpr (std::is_same_v<T, MemberLeft>) {
-          w.u8(static_cast<std::uint8_t>(Tag::member_left));
-          w.str(b.member);
-        } else if constexpr (std::is_same_v<T, MemberList>) {
-          w.u8(static_cast<std::uint8_t>(Tag::member_list));
-          w.u32(static_cast<std::uint32_t>(b.members.size()));
-          for (const auto& m : b.members) w.str(m);
-        } else if constexpr (std::is_same_v<T, Notice>) {
-          w.u8(static_cast<std::uint8_t>(Tag::notice));
-          w.str(b.text);
-        } else if constexpr (std::is_same_v<T, Expelled>) {
-          w.u8(static_cast<std::uint8_t>(Tag::expelled));
-          w.str(b.reason);
-        } else if constexpr (std::is_same_v<T, KeyTreeAssign>) {
-          w.u8(static_cast<std::uint8_t>(Tag::keytree_assign));
-          w.u32(b.leaf);
-          w.u32(b.depth);
-        }
-      },
-      body);
-  return std::move(w).take();
-}
-
-Result<AdminBody> decode_admin_body(BytesView raw) {
-  Reader r(raw);
-  auto tag = r.u8();
-  if (!tag) return tag.error();
-
-  switch (static_cast<Tag>(*tag)) {
-    case Tag::new_group_key: {
-      auto key = r.raw(crypto::kKeyBytes);
-      if (!key) return key.error();
-      auto epoch = r.u64();
-      if (!epoch) return epoch.error();
-      if (auto end = r.expect_end(); !end) return end.error();
-      return AdminBody(
-          NewGroupKey{crypto::GroupKey::from_bytes(*key), *epoch});
-    }
-    case Tag::member_joined: {
-      auto m = r.str();
-      if (!m) return m.error();
-      if (auto end = r.expect_end(); !end) return end.error();
-      return AdminBody(MemberJoined{*std::move(m)});
-    }
-    case Tag::member_left: {
-      auto m = r.str();
-      if (!m) return m.error();
-      if (auto end = r.expect_end(); !end) return end.error();
-      return AdminBody(MemberLeft{*std::move(m)});
-    }
-    case Tag::member_list: {
-      auto count = r.u32();
-      if (!count) return count.error();
-      if (*count > kMaxMembers)
-        return make_error(Errc::oversized, "member list");
-      MemberList list;
-      list.members.reserve(*count);
-      for (std::uint32_t i = 0; i < *count; ++i) {
-        auto m = r.str();
-        if (!m) return m.error();
-        list.members.push_back(*std::move(m));
-      }
-      if (auto end = r.expect_end(); !end) return end.error();
-      return AdminBody(std::move(list));
-    }
-    case Tag::notice: {
-      auto t = r.str();
-      if (!t) return t.error();
-      if (auto end = r.expect_end(); !end) return end.error();
-      return AdminBody(Notice{*std::move(t)});
-    }
-    case Tag::expelled: {
-      auto t = r.str();
-      if (!t) return t.error();
-      if (auto end = r.expect_end(); !end) return end.error();
-      return AdminBody(Expelled{*std::move(t)});
-    }
-    case Tag::keytree_assign: {
-      auto leaf = r.u32();
-      if (!leaf) return leaf.error();
-      auto depth = r.u32();
-      if (!depth) return depth.error();
-      if (auto end = r.expect_end(); !end) return end.error();
-      return AdminBody(KeyTreeAssign{*leaf, *depth});
-    }
-  }
-  return make_error(Errc::malformed, "unknown admin body tag");
-}
 
 std::string describe(const AdminBody& body) {
   return std::visit(

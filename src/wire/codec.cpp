@@ -1,5 +1,8 @@
 #include "wire/codec.h"
 
+// Compiles the distinct-type-octet check over every payload family.
+#include "wire/all_payloads.h"
+
 namespace enclaves::wire {
 
 void Writer::u8(std::uint8_t v) { out_.push_back(v); }
@@ -60,23 +63,34 @@ Result<std::uint64_t> Reader::u64() {
   return v;
 }
 
-Result<Bytes> Reader::raw(std::size_t n) {
+Result<BytesView> Reader::view(std::size_t n) {
   if (remaining() < n) return make_error(Errc::truncated, "raw");
-  Bytes out(in_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            in_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  BytesView out = in_.subspan(pos_, n);
   pos_ += n;
   return out;
 }
 
-Result<Bytes> Reader::var_bytes() {
+Result<BytesView> Reader::var_view() {
   auto len = u32();
   if (!len) return len.error();
   if (*len > kMaxFieldLen) return make_error(Errc::oversized, "var_bytes");
-  return raw(*len);
+  return view(*len);
+}
+
+Result<Bytes> Reader::raw(std::size_t n) {
+  auto b = view(n);
+  if (!b) return b.error();
+  return Bytes(b->begin(), b->end());
+}
+
+Result<Bytes> Reader::var_bytes() {
+  auto b = var_view();
+  if (!b) return b.error();
+  return Bytes(b->begin(), b->end());
 }
 
 Result<std::string> Reader::str() {
-  auto b = var_bytes();
+  auto b = var_view();
   if (!b) return b.error();
   return std::string(b->begin(), b->end());
 }

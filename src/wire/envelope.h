@@ -9,9 +9,11 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
+#include <utility>
 
 #include "util/bytes.h"
-#include "util/result.h"
+#include "wire/codec.h"
 
 namespace enclaves::wire {
 
@@ -77,9 +79,48 @@ enum class Label : std::uint8_t {
   FedDirSync = 132,        // shard -> shard: versioned ownership claim
 };
 
-/// Stable label name for logs and attack narration.
-const char* label_name(Label label);
-bool is_known_label(std::uint8_t raw);
+/// Stable label names for logs and attack narration (enum_name); the
+/// envelope decoder refuses any label octet not listed here.
+template <>
+struct EnumNames<Label> {
+  static constexpr std::pair<Label, const char*> names[] = {
+      {Label::AuthInitReq, "AuthInitReq"},
+      {Label::AuthKeyDist, "AuthKeyDist"},
+      {Label::AuthAckKey, "AuthAckKey"},
+      {Label::AdminMsg, "AdminMsg"},
+      {Label::Ack, "Ack"},
+      {Label::ReqClose, "ReqClose"},
+      {Label::LegacyReqOpen, "LegacyReqOpen"},
+      {Label::LegacyAckOpen, "LegacyAckOpen"},
+      {Label::LegacyConnectionDenied, "LegacyConnectionDenied"},
+      {Label::LegacyAuthInit, "LegacyAuthInit"},
+      {Label::LegacyAuthReply, "LegacyAuthReply"},
+      {Label::LegacyAuthAck, "LegacyAuthAck"},
+      {Label::LegacyNewKey, "LegacyNewKey"},
+      {Label::LegacyNewKeyAck, "LegacyNewKeyAck"},
+      {Label::LegacyMemRemoved, "LegacyMemRemoved"},
+      {Label::LegacyMemAdded, "LegacyMemAdded"},
+      {Label::LegacyReqClose, "LegacyReqClose"},
+      {Label::LegacyCloseConnection, "LegacyCloseConnection"},
+      {Label::GroupData, "GroupData"},
+      {Label::ReplDelta, "ReplDelta"},
+      {Label::ReplSnapshot, "ReplSnapshot"},
+      {Label::ReplAck, "ReplAck"},
+      {Label::ReplHeartbeat, "ReplHeartbeat"},
+      {Label::ReconcileOffer, "ReconcileOffer"},
+      {Label::ReconcileVerdict, "ReconcileVerdict"},
+      {Label::OpReplay, "OpReplay"},
+      {Label::KeyTreeUpdate, "KeyTreeUpdate"},
+      {Label::KeyTreeRecover, "KeyTreeRecover"},
+      {Label::KeyTreePath, "KeyTreePath"},
+      {Label::FedRedirect, "FedRedirect"},
+      {Label::FedMigrateOffer, "FedMigrateOffer"},
+      {Label::FedMigrateAck, "FedMigrateAck"},
+      {Label::FedMigrateCommit, "FedMigrateCommit"},
+      {Label::FedDirSync, "FedDirSync"},
+  };
+};
+static_assert(std::size(EnumNames<Label>::names) == 34);
 
 /// Recipient value used for messages addressed to the whole group.
 inline constexpr const char* kGroupRecipient = "*";
@@ -90,14 +131,13 @@ struct Envelope {
   std::string recipient;  // intended recipient — untrusted
   Bytes body;             // label-specific content
 
+  auto fields() { return std::tie(label, sender, recipient, body); }
   friend bool operator==(const Envelope&, const Envelope&) = default;
 };
 
-Bytes encode(const Envelope& e);
 /// frame(encode(e)) built in one buffer: the u32 length prefix, then the
 /// encoding.
 Bytes encode_framed(const Envelope& e);
-Result<Envelope> decode_envelope(BytesView raw);
 
 /// Short one-line description for narration, e.g. "AdminMsg L->A (52B)".
 std::string describe(const Envelope& e);

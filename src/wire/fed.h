@@ -22,24 +22,30 @@
 //                   ledger evidence rather than rolling the directory back.
 //
 // Like payloads.h/repl.h, every payload starts with a distinct type octet
-// (0xC0 range) and decoders reject trailing bytes.
+// (0xF0 range) and wire::decode<T> refuses trailing bytes (codec.h).
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <tuple>
+#include <utility>
 
 #include "util/bytes.h"
-#include "util/result.h"
+#include "wire/codec.h"
 
 namespace enclaves::wire {
 
 /// Shard -> member routing hint: "the group behind `stale_leader` is served
 /// by `owner_leader`". Unsealed and advisory (see the header comment).
 struct FedRedirectPayload {
+  static constexpr std::uint8_t kType = 0xF1;
   std::string group;         // bare group name, e.g. "research"
   std::string stale_leader;  // the leader id the member targeted
   std::string owner_leader;  // where the group actually lives ("shard/g")
   std::uint64_t dir_version = 0;  // sender's directory version for the group
+  auto fields() {
+    return std::tie(group, stale_leader, owner_leader, dir_version);
+  }
   friend bool operator==(const FedRedirectPayload&,
                          const FedRedirectPayload&) = default;
 };
@@ -48,6 +54,7 @@ struct FedRedirectPayload {
 /// LeaderSnapshot::serialize under the SAME pairwise key that seals this
 /// payload's envelope.
 struct FedMigrateOfferPayload {
+  static constexpr std::uint8_t kType = 0xF2;
   std::string group;
   std::string source_shard;
   std::string target_shard;
@@ -55,6 +62,10 @@ struct FedMigrateOfferPayload {
   std::uint64_t epoch = 0;         // source's epoch at freeze
   std::uint64_t dir_version = 0;   // source's ownership version for `group`
   Bytes snapshot;                  // sealed LeaderSnapshot blob
+  auto fields() {
+    return std::tie(group, source_shard, target_shard, migration_id, epoch,
+                    dir_version, snapshot);
+  }
   friend bool operator==(const FedMigrateOfferPayload&,
                          const FedMigrateOfferPayload&) = default;
 };
@@ -65,18 +76,27 @@ enum class FedMigrateVerdict : std::uint8_t {
                 //   group at higher epoch — the resurrected-source case)
 };
 
-const char* fed_migrate_verdict_name(FedMigrateVerdict verdict);
-bool is_known_fed_migrate_verdict(std::uint8_t raw);
+template <>
+struct EnumNames<FedMigrateVerdict> {
+  static constexpr std::pair<FedMigrateVerdict, const char*> names[] = {
+      {FedMigrateVerdict::accept, "accept"},
+      {FedMigrateVerdict::refuse, "refuse"},
+  };
+};
+static_assert(std::size(EnumNames<FedMigrateVerdict>::names) ==
+              static_cast<std::size_t>(FedMigrateVerdict::refuse));
 
 /// Target -> source: answer to an offer. On accept, `fenced_epoch` is the
 /// epoch floor the target installed (offer epoch + fence jump) — everything
 /// the target ever distributes for the group exceeds it, so members' epoch
 /// floors depose the source if it resurfaces.
 struct FedMigrateAckPayload {
+  static constexpr std::uint8_t kType = 0xF3;
   std::string group;
   std::uint64_t migration_id = 0;
   FedMigrateVerdict verdict = FedMigrateVerdict::refuse;
   std::uint64_t fenced_epoch = 0;  // 0 on refuse
+  auto fields() { return std::tie(group, migration_id, verdict, fenced_epoch); }
   friend bool operator==(const FedMigrateAckPayload&,
                          const FedMigrateAckPayload&) = default;
 };
@@ -84,32 +104,24 @@ struct FedMigrateAckPayload {
 /// Source -> target: the source dropped the group and tombstoned its
 /// directory entry; ownership is the target's alone from here.
 struct FedMigrateCommitPayload {
+  static constexpr std::uint8_t kType = 0xF4;
   std::string group;
   std::uint64_t migration_id = 0;
   std::uint64_t dir_version = 0;  // the version the new ownership carries
+  auto fields() { return std::tie(group, migration_id, dir_version); }
   friend bool operator==(const FedMigrateCommitPayload&,
                          const FedMigrateCommitPayload&) = default;
 };
 
 /// Shard -> shard: one versioned ownership claim for the directory.
 struct FedDirSyncPayload {
+  static constexpr std::uint8_t kType = 0xF5;
   std::string group;
   std::string owner_shard;
   std::uint64_t version = 0;
+  auto fields() { return std::tie(group, owner_shard, version); }
   friend bool operator==(const FedDirSyncPayload&,
                          const FedDirSyncPayload&) = default;
 };
-
-Bytes encode(const FedRedirectPayload& p);
-Bytes encode(const FedMigrateOfferPayload& p);
-Bytes encode(const FedMigrateAckPayload& p);
-Bytes encode(const FedMigrateCommitPayload& p);
-Bytes encode(const FedDirSyncPayload& p);
-
-Result<FedRedirectPayload> decode_fed_redirect(BytesView raw);
-Result<FedMigrateOfferPayload> decode_fed_migrate_offer(BytesView raw);
-Result<FedMigrateAckPayload> decode_fed_migrate_ack(BytesView raw);
-Result<FedMigrateCommitPayload> decode_fed_migrate_commit(BytesView raw);
-Result<FedDirSyncPayload> decode_fed_dir_sync(BytesView raw);
 
 }  // namespace enclaves::wire

@@ -29,17 +29,19 @@
 // path re-sealed under the same leaf KEK with the nonce echoed.
 //
 // Like payloads.h, every payload starts with a distinct type octet and
-// decoders reject trailing bytes.
+// wire::decode<T> refuses trailing bytes (codec.h).
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "crypto/hmac.h"
 #include "crypto/keys.h"
 #include "util/bytes.h"
-#include "util/result.h"
+#include "wire/codec.h"
 
 namespace enclaves::wire {
 
@@ -52,8 +54,24 @@ enum class KeyTreeReason : std::uint8_t {
   rebuild = 4, // capacity growth: whole tree re-minted
 };
 
-const char* keytree_reason_name(KeyTreeReason reason);
-bool is_known_keytree_reason(std::uint8_t raw);
+template <>
+struct EnumNames<KeyTreeReason> {
+  static constexpr std::pair<KeyTreeReason, const char*> names[] = {
+      {KeyTreeReason::join, "join"},
+      {KeyTreeReason::leave, "leave"},
+      {KeyTreeReason::manual, "manual"},
+      {KeyTreeReason::rebuild, "rebuild"},
+  };
+};
+static_assert(std::size(EnumNames<KeyTreeReason>::names) ==
+              static_cast<std::size_t>(KeyTreeReason::rebuild));
+
+// A tree of depth 20 holds 1M leaves; anything deeper is a forged header.
+constexpr std::uint32_t kMaxKeyTreeDepth = 20;
+// An update rotates at most one path (2 entries/level) or rebuilds the tree
+// (one entry per occupied child); cap well above both for 2^20 leaves.
+constexpr std::uint32_t kMaxKeyTreeEntries = 1 << 21;
+constexpr std::uint32_t kMaxKeyTreePathLen = kMaxKeyTreeDepth + 1;
 
 /// One rotated node: the node's NEW KEK, sealed under the current KEK of
 /// `carrier` (one of the node's children, or a leaf). The sealed blob is a
@@ -62,6 +80,7 @@ struct KeyTreeEntry {
   std::uint32_t node = 0;     // heap index of the rotated node (1 = root)
   std::uint32_t carrier = 0;  // heap index whose current KEK seals this entry
   Bytes sealed;               // aead_nonce || ciphertext || tag
+  auto fields() { return std::tie(node, carrier, sealed); }
   friend bool operator==(const KeyTreeEntry&, const KeyTreeEntry&) = default;
 };
 
@@ -69,9 +88,11 @@ struct KeyTreeEntry {
 /// entry from being spliced into a different update or onto a different
 /// node; the KEK itself is 32 raw bytes.
 struct KeyTreeNodeKek {
+  static constexpr std::uint8_t kType = 0x60;
   std::uint32_t node = 0;
   std::uint64_t epoch = 0;
   crypto::GroupKey kek;  // 32-byte KEK (GroupKey wrapper reused for size)
+  auto fields() { return std::tie(node, epoch, kek); }
   friend bool operator==(const KeyTreeNodeKek&,
                          const KeyTreeNodeKek&) = default;
 };
@@ -81,12 +102,17 @@ struct KeyTreeNodeKek {
 /// leader (and members who faithfully reach the new root) can compute it,
 /// so a forged or spliced entry set fails confirmation atomically.
 struct KeyTreeUpdatePayload {
+  static constexpr std::uint8_t kType = 0x61;
   std::string l;              // leader id
   std::uint64_t epoch = 0;    // the NEW epoch this update establishes
   KeyTreeReason reason = KeyTreeReason::manual;
   std::uint32_t depth = 0;    // tree depth (leaves live at heap level depth)
   std::vector<KeyTreeEntry> entries;
   crypto::HmacSha256::Tag confirm = {};
+  auto fields() {
+    return tie_fields(l, epoch, reason, capped<kMaxKeyTreeDepth>(depth),
+                      capped<kMaxKeyTreeEntries>(entries), confirm);
+  }
   friend bool operator==(const KeyTreeUpdatePayload&,
                          const KeyTreeUpdatePayload&) = default;
 };
@@ -95,10 +121,12 @@ struct KeyTreeUpdatePayload {
 /// missed epoch). Sealed under the member's leaf KEK; `have_epoch` is the
 /// newest epoch the member did apply, `nr` is echoed in the answer.
 struct KeyTreeRecoverPayload {
+  static constexpr std::uint8_t kType = 0x62;
   std::string a;                 // member id
   std::string l;                 // leader id
   crypto::ProtocolNonce nr;      // freshness nonce, echoed in KEY_TREE_PATH
   std::uint64_t have_epoch = 0;  // newest epoch the member holds
+  auto fields() { return std::tie(a, l, nr, have_epoch); }
   friend bool operator==(const KeyTreeRecoverPayload&,
                          const KeyTreeRecoverPayload&) = default;
 };
@@ -108,6 +136,7 @@ struct KeyTreeRecoverPayload {
 /// Also used unsolicited (zero nonce) to hand a joiner its initial path
 /// when the rekey policy does not rotate on join.
 struct KeyTreePathPayload {
+  static constexpr std::uint8_t kType = 0x63;
   std::string l;             // leader id
   std::string a;             // member id
   crypto::ProtocolNonce nr;  // echo of the recover nonce (zero if unsolicited)
@@ -119,18 +148,12 @@ struct KeyTreePathPayload {
   // a tampered entry is refused at install instead of surfacing later as
   // an undecryptable subtree.
   crypto::HmacSha256::Tag confirm = {};
+  auto fields() {
+    return tie_fields(l, a, nr, epoch, leaf, capped<kMaxKeyTreePathLen>(path),
+                      confirm);
+  }
   friend bool operator==(const KeyTreePathPayload&,
                          const KeyTreePathPayload&) = default;
 };
-
-Bytes encode(const KeyTreeNodeKek& p);
-Bytes encode(const KeyTreeUpdatePayload& p);
-Bytes encode(const KeyTreeRecoverPayload& p);
-Bytes encode(const KeyTreePathPayload& p);
-
-Result<KeyTreeNodeKek> decode_keytree_node_kek(BytesView raw);
-Result<KeyTreeUpdatePayload> decode_keytree_update(BytesView raw);
-Result<KeyTreeRecoverPayload> decode_keytree_recover(BytesView raw);
-Result<KeyTreePathPayload> decode_keytree_path(BytesView raw);
 
 }  // namespace enclaves::wire

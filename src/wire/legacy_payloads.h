@@ -10,25 +10,31 @@
 #pragma once
 
 #include <string>
-#include <vector>
+#include <tuple>
 
 #include "crypto/keys.h"
 #include "util/bytes.h"
-#include "util/result.h"
+#include "wire/codec.h"
 
 namespace enclaves::wire {
 
+/// The paper's initialization vector length; any other is malformed.
+constexpr std::size_t kLegacyIvLen = 16;
+
 /// {A, L, N1}_Pa — legacy auth message 1 content.
 struct LegacyAuthInitPayload {
+  static constexpr std::uint8_t kType = 0xB1;
   std::string a;
   std::string l;
   crypto::ProtocolNonce n1;
+  auto fields() { return std::tie(a, l, n1); }
   friend bool operator==(const LegacyAuthInitPayload&,
                          const LegacyAuthInitPayload&) = default;
 };
 
 /// {L, A, N1, N2, Ka, IV, Kg}_Pa — legacy auth message 2 content.
 struct LegacyAuthReplyPayload {
+  static constexpr std::uint8_t kType = 0xB2;
   std::string l;
   std::string a;
   crypto::ProtocolNonce n1;
@@ -37,13 +43,18 @@ struct LegacyAuthReplyPayload {
   Bytes iv;  // 16-byte initialization vector, faithful to the paper
   crypto::GroupKey kg;
   std::uint64_t epoch = 0;  // implementation detail: identifies Kg versions
+  auto fields() {
+    return tie_fields(l, a, n1, n2, ka, exact<kLegacyIvLen>(iv), kg, epoch);
+  }
   friend bool operator==(const LegacyAuthReplyPayload&,
                          const LegacyAuthReplyPayload&) = default;
 };
 
 /// {N2}_Ka — legacy auth message 3 content.
 struct LegacyAuthAckPayload {
+  static constexpr std::uint8_t kType = 0xB3;
   crypto::ProtocolNonce n2;
+  auto fields() { return std::tie(n2); }
   friend bool operator==(const LegacyAuthAckPayload&,
                          const LegacyAuthAckPayload&) = default;
 };
@@ -51,16 +62,20 @@ struct LegacyAuthAckPayload {
 /// {Kg', IV}_Ka — legacy rekey content. NO freshness field: this is the
 /// replay vulnerability of Section 2.3.
 struct LegacyNewKeyPayload {
+  static constexpr std::uint8_t kType = 0xB4;
   crypto::GroupKey kg;
   Bytes iv;
   std::uint64_t epoch = 0;
+  auto fields() { return tie_fields(kg, exact<kLegacyIvLen>(iv), epoch); }
   friend bool operator==(const LegacyNewKeyPayload&,
                          const LegacyNewKeyPayload&) = default;
 };
 
 /// {Kg'}_Kg' — legacy rekey acknowledgment content.
 struct LegacyNewKeyAckPayload {
+  static constexpr std::uint8_t kType = 0xB5;
   crypto::GroupKey kg;
+  auto fields() { return std::tie(kg); }
   friend bool operator==(const LegacyNewKeyAckPayload&,
                          const LegacyNewKeyAckPayload&) = default;
 };
@@ -68,23 +83,11 @@ struct LegacyNewKeyAckPayload {
 /// {A}_Kg — membership notice content (mem_removed / mem_added). Encrypted
 /// under the SHARED group key: any member can forge it (Section 2.3).
 struct LegacyMembershipPayload {
+  static constexpr std::uint8_t kType = 0xB6;
   std::string member;
+  auto fields() { return std::tie(member); }
   friend bool operator==(const LegacyMembershipPayload&,
                          const LegacyMembershipPayload&) = default;
 };
-
-Bytes encode(const LegacyAuthInitPayload& p);
-Bytes encode(const LegacyAuthReplyPayload& p);
-Bytes encode(const LegacyAuthAckPayload& p);
-Bytes encode(const LegacyNewKeyPayload& p);
-Bytes encode(const LegacyNewKeyAckPayload& p);
-Bytes encode(const LegacyMembershipPayload& p);
-
-Result<LegacyAuthInitPayload> decode_legacy_auth_init(BytesView raw);
-Result<LegacyAuthReplyPayload> decode_legacy_auth_reply(BytesView raw);
-Result<LegacyAuthAckPayload> decode_legacy_auth_ack(BytesView raw);
-Result<LegacyNewKeyPayload> decode_legacy_new_key(BytesView raw);
-Result<LegacyNewKeyAckPayload> decode_legacy_new_key_ack(BytesView raw);
-Result<LegacyMembershipPayload> decode_legacy_membership(BytesView raw);
 
 }  // namespace enclaves::wire

@@ -17,17 +17,19 @@
 // bind each replayed op to its predecessor so the leader can tell a faithful
 // replay from a forged or reordered one.
 //
-// Like payloads.h, every payload starts with a distinct type octet and
-// decoders reject trailing bytes.
+// Like payloads.h, every payload starts with a distinct type octet (0xC0
+// range) and wire::decode<T> refuses trailing bytes (codec.h).
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <tuple>
+#include <utility>
 
 #include "crypto/hmac.h"
 #include "crypto/keys.h"
 #include "util/bytes.h"
-#include "util/result.h"
+#include "wire/codec.h"
 
 namespace enclaves::wire {
 
@@ -38,20 +40,32 @@ enum class ReconcileVerdictKind : std::uint8_t {
   intrusion = 3,   // chain or epoch forgery: evidence ledgered, parole revoked
 };
 
-/// Stable snake_case name for traces and logs.
-const char* reconcile_verdict_kind_name(ReconcileVerdictKind kind);
-bool is_known_reconcile_verdict_kind(std::uint8_t raw);
+/// Stable snake_case names for traces and logs (enum_name).
+template <>
+struct EnumNames<ReconcileVerdictKind> {
+  static constexpr std::pair<ReconcileVerdictKind, const char*> names[] = {
+      {ReconcileVerdictKind::admit, "admit"},
+      {ReconcileVerdictKind::quarantine, "quarantine"},
+      {ReconcileVerdictKind::intrusion, "intrusion"},
+  };
+};
+static_assert(std::size(EnumNames<ReconcileVerdictKind>::names) ==
+              static_cast<std::size_t>(ReconcileVerdictKind::intrusion));
 
 /// Member -> leader: "I survived a partition under `fence_epoch` and hold
 /// `oplog_len` queued ops whose chain head is `chain_head`." Rebuilt (with a
 /// fresh nonce) whenever the log grows; byte-identical between rebuilds.
 struct ReconcileOfferPayload {
+  static constexpr std::uint8_t kType = 0xC1;
   std::string a;                    // member id
   std::string l;                    // leader id
   crypto::ProtocolNonce nr;         // freshness nonce, echoed in verdicts
   std::uint64_t fence_epoch = 0;    // epoch held when the partition began
   std::uint64_t oplog_len = 0;      // queued ops awaiting replay
   crypto::HmacSha256::Tag chain_head = {};  // MAC of the last queued op
+  auto fields() {
+    return std::tie(a, l, nr, fence_epoch, oplog_len, chain_head);
+  }
   friend bool operator==(const ReconcileOfferPayload&,
                          const ReconcileOfferPayload&) = default;
 };
@@ -59,12 +73,14 @@ struct ReconcileOfferPayload {
 /// Leader -> member: verdict on the offer, and on admit the cumulative
 /// replay acknowledgement (`ack_seq` = highest contiguously accepted op).
 struct ReconcileVerdictPayload {
+  static constexpr std::uint8_t kType = 0xC2;
   std::string l;                    // leader id
   std::string a;                    // member id
   crypto::ProtocolNonce nr;         // echo of the offer nonce
   ReconcileVerdictKind verdict = ReconcileVerdictKind::quarantine;
   std::uint64_t epoch = 0;          // leader's current epoch
   std::uint64_t ack_seq = 0;        // replay floor (0 = send op 1)
+  auto fields() { return std::tie(l, a, nr, verdict, epoch, ack_seq); }
   friend bool operator==(const ReconcileVerdictPayload&,
                          const ReconcileVerdictPayload&) = default;
 };
@@ -73,21 +89,15 @@ struct ReconcileVerdictPayload {
 /// HMAC chain link (core/oplog.h chain_next), verified by the leader against
 /// its own running chain under Kr.
 struct OpReplayPayload {
+  static constexpr std::uint8_t kType = 0xC3;
   std::string a;                    // member id (origin)
   std::uint64_t seq = 0;            // 1-based position in the op-log
   std::uint64_t epoch = 0;          // epoch the op was queued under
   crypto::HmacSha256::Tag mac = {}; // chain MAC over (prev, seq, epoch, payload)
   Bytes payload;                    // the application bytes
+  auto fields() { return std::tie(a, seq, epoch, mac, payload); }
   friend bool operator==(const OpReplayPayload&,
                          const OpReplayPayload&) = default;
 };
-
-Bytes encode(const ReconcileOfferPayload& p);
-Bytes encode(const ReconcileVerdictPayload& p);
-Bytes encode(const OpReplayPayload& p);
-
-Result<ReconcileOfferPayload> decode_reconcile_offer(BytesView raw);
-Result<ReconcileVerdictPayload> decode_reconcile_verdict(BytesView raw);
-Result<OpReplayPayload> decode_op_replay(BytesView raw);
 
 }  // namespace enclaves::wire

@@ -294,19 +294,17 @@ BenchBlob rows_blob(
 }
 
 RatioGate admin_gate(double limit) {
-  return RatioGate{"BM_AdminRoundTrip", "BM_AdminRoundTripUninstrumented",
+  return RatioGate{"BM_AdminRoundTrip/BM_AdminRoundTripUninstrumented",
                    limit};
 }
 
 TEST(BenchDiffRatio, ParsesTheSpecAndRejectsBadLimits) {
   auto gate = RatioGate::parse("BM_A/BM_B:1.15");
   ASSERT_TRUE(gate.ok());
-  EXPECT_EQ(gate->num, "BM_A");
-  EXPECT_EQ(gate->den, "BM_B");
+  EXPECT_EQ(gate->rows, "BM_A/BM_B");
   EXPECT_DOUBLE_EQ(gate->limit, 1.15);
   EXPECT_FALSE(RatioGate::parse("BM_A/BM_B").ok());
   EXPECT_FALSE(RatioGate::parse("BM_A:1.1").ok());
-  EXPECT_FALSE(RatioGate::parse("BM_A/BM_B/BM_C:1.1").ok());
   EXPECT_FALSE(RatioGate::parse("BM_A/BM_B:").ok());
   EXPECT_FALSE(RatioGate::parse("BM_A/BM_B:fast").ok());
   EXPECT_FALSE(RatioGate::parse("BM_A/BM_B:0").ok());
@@ -341,6 +339,42 @@ TEST(BenchDiffRatio, MissingRowIsAnError) {
   EXPECT_FALSE(check_ratio(blob, admin_gate(1.15), report).ok());
   EXPECT_FALSE(report.failed());
   EXPECT_TRUE(report.notes.empty());
+}
+
+// Row names with '/' of their own: the pair splits at the one '/' where
+// both halves are rows of the blob.
+TEST(BenchDiffRatio, RowNamesWithSlashesSplitWhereBothHalvesAreRows) {
+  const BenchBlob blob = rows_blob({{"BM_RekeyGroupOfN/1024_mean", 43},
+                                    {"BM_RekeyFlatGroupOfN/1024_mean", 2150},
+                                    {"BM_RekeyGroupOfN", 1}});
+  auto gate = RatioGate::parse(
+      "BM_RekeyGroupOfN/1024_mean/BM_RekeyFlatGroupOfN/1024_mean:0.05");
+  ASSERT_TRUE(gate.ok());
+  DiffReport report;
+  ASSERT_TRUE(check_ratio(blob, *gate, report).ok());
+  EXPECT_FALSE(report.failed());
+  ASSERT_EQ(report.notes.size(), 1u);
+  EXPECT_NE(report.notes[0].find("BM_RekeyGroupOfN/1024_mean / "
+                                 "BM_RekeyFlatGroupOfN/1024_mean = 0.020"),
+            std::string::npos)
+      << report.notes[0];
+}
+
+// "A/B/C" over a blob holding A, B/C, A/B and C reads as A over B/C or as
+// A/B over C: a usage error, not a guess.
+TEST(BenchDiffRatio, AmbiguousSplitIsAnError) {
+  const BenchBlob blob =
+      rows_blob({{"A", 1}, {"B/C", 2}, {"A/B", 3}, {"C", 4}});
+  DiffReport report;
+  EXPECT_FALSE(check_ratio(blob, RatioGate{"A/B/C", 1.0}, report).ok());
+  EXPECT_TRUE(report.notes.empty());
+  EXPECT_FALSE(report.failed());
+  // Without the A/B row only one split is left.
+  const BenchBlob unique = rows_blob({{"A", 1}, {"B/C", 2}, {"C", 4}});
+  ASSERT_TRUE(check_ratio(unique, RatioGate{"A/B/C", 1.0}, report).ok());
+  ASSERT_EQ(report.notes.size(), 1u);
+  EXPECT_NE(report.notes[0].find("A / B/C = 0.500"), std::string::npos)
+      << report.notes[0];
 }
 
 // Rows timed in different units (ns vs us) cannot be divided as they

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "obs/event.h"
 #include "obs/flight.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
@@ -262,6 +263,22 @@ TEST_F(FlightTest, HealthEscalationAutoDumpsWithDebounce) {
   ASSERT_TRUE(dump.ok());
   EXPECT_EQ(dump->header.reason, "health_partitioned");
   EXPECT_EQ(dump->header.trigger_tick, 100u);
+}
+
+// One recorder covering two agents sees their clocks interleaved: s3's
+// ticks 40 and 41 fall inside the window s2 opened at 100 and must not
+// reopen it (the debounce runs on the recorder's monotone clock).
+TEST_F(FlightTest, IncidentDebounceIgnoresAnotherAgentsLowerClock) {
+  FlightRecorder rec("n0", dir_.path);
+  ASSERT_TRUE(rec.attach());
+  for (const auto& [agent, tick] :
+       {std::pair{"s2", 100}, {"s2", 101}, {"s3", 40}, {"s3", 41}}) {
+    emit(Event::stale_dir_claim, static_cast<Tick>(tick), "g", agent, "s1",
+         "stale claim", 1);
+  }
+  rec.detach();
+  EXPECT_EQ(rec.dumps_written(), 1u);
+  EXPECT_EQ(rec.stats().dumps_suppressed, 3u);
 }
 
 TEST_F(FlightTest, DegradedHealthDoesNotTrigger) {

@@ -1,38 +1,44 @@
 // Decoder robustness sweep: every decoder in the system is fed random byte
 // soup, truncated real messages, and bit-flipped real messages. None may
 // crash; every failure must be a clean Result error. This is the
-// deterministic stand-in for a fuzzing campaign.
+// deterministic stand-in for a fuzzing campaign. The wire decoders come
+// from wire::AllPayloads, so a new payload type is swept as soon as it is
+// listed there.
 #include <gtest/gtest.h>
+
+#include <tuple>
+#include <type_traits>
+#include <typeinfo>
 
 #include "app/group_chat.h"
 #include "core/registry.h"
+#include "tests/wire_samples.h"
 #include "util/rng.h"
-#include "wire/admin_body.h"
-#include "wire/envelope.h"
-#include "wire/legacy_payloads.h"
-#include "wire/payloads.h"
+#include "wire/all_payloads.h"
 
 namespace enclaves {
 namespace {
 
+// Every type wire::decode<T> takes: all payloads, the AdminMsg X field and
+// the envelope.
+using Decodable = decltype(std::tuple_cat(
+    std::declval<wire::AllPayloads>(),
+    std::declval<std::tuple<wire::AdminBody, wire::Envelope>>()));
+
+// wire_samples.h holds one instance of each, in the same order.
+static_assert(std::is_same_v<decltype(wire_samples::payloads()), Decodable>);
+
+template <class... T, class F>
+void for_each_type(std::tuple<T...>*, F&& f) {
+  (f(std::type_identity<T>{}), ...);
+}
+
 // Runs every decoder on the given bytes; result values are irrelevant, the
 // point is no crash/UB and clean error paths.
 void sweep_all_decoders(BytesView soup) {
-  (void)wire::decode_envelope(soup);
-  (void)wire::decode_admin_body(soup);
-  (void)wire::decode_auth_init(soup);
-  (void)wire::decode_auth_key_dist(soup);
-  (void)wire::decode_auth_ack(soup);
-  (void)wire::decode_admin(soup);
-  (void)wire::decode_ack(soup);
-  (void)wire::decode_req_close(soup);
-  (void)wire::decode_group_data(soup);
-  (void)wire::decode_legacy_auth_init(soup);
-  (void)wire::decode_legacy_auth_reply(soup);
-  (void)wire::decode_legacy_auth_ack(soup);
-  (void)wire::decode_legacy_new_key(soup);
-  (void)wire::decode_legacy_new_key_ack(soup);
-  (void)wire::decode_legacy_membership(soup);
+  for_each_type(static_cast<Decodable*>(nullptr), [soup](auto type) {
+    (void)wire::decode<typename decltype(type)::type>(soup);
+  });
   (void)app::decode_chat_message(soup);
   (void)core::Registry::deserialize(soup, to_bytes("k"));
 }
@@ -52,20 +58,18 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzishSoup, ::testing::Range<std::uint64_t>(1, 
 
 TEST(FuzzishStructured, MutatedRealMessagesNeverCrash) {
   DeterministicRng rng(99);
-  // Build one real instance of each message type, then mutate heavily.
+  // One real instance of every message type, then mutate heavily.
   std::vector<Bytes> corpus;
-  auto n = [&] { return crypto::ProtocolNonce::random(rng); };
-  corpus.push_back(wire::encode(wire::Envelope{wire::Label::AdminMsg, "L",
-                                               "alice", rng.bytes(64)}));
-  corpus.push_back(wire::encode(wire::AuthInitPayload{"alice", "L", n()}));
-  corpus.push_back(wire::encode(wire::AuthKeyDistPayload{
-      "L", "alice", n(), n(), crypto::SessionKey::random(rng)}));
-  corpus.push_back(wire::encode(
-      wire::AdminPayload{"L", "alice", n(), n(),
-                         wire::AdminBody(wire::MemberList{{"a", "b"}})}));
-  corpus.push_back(wire::encode(wire::LegacyAuthReplyPayload{
-      "L", "alice", n(), n(), crypto::SessionKey::random(rng),
-      rng.bytes(16), crypto::GroupKey::random(rng), 3}));
+  std::apply(
+      [&corpus](const auto&... sample) {
+        (corpus.push_back(wire::encode(sample)), ...);
+      },
+      wire_samples::payloads());
+  std::apply(
+      [&corpus](const auto&... body) {
+        (corpus.push_back(wire::encode(wire::AdminBody(body))), ...);
+      },
+      wire_samples::admin_bodies());
   corpus.push_back(
       app::encode(app::ChatMessage{app::ChatKind::text, "a", "hi", 1}));
   {
@@ -92,13 +96,38 @@ TEST(FuzzishStructured, MutatedRealMessagesNeverCrash) {
   SUCCEED();
 }
 
+// PROTOCOL.md §4: no two payload types cross-decode. Every sample
+// round-trips through its own decoder and fails every other one.
+TEST(FuzzishStructured, NoTypeDecodesAsAnother) {
+  std::size_t pairs = 0;
+  const auto row = [&pairs](const auto& sample) {
+    using T = std::decay_t<decltype(sample)>;
+    const Bytes raw = wire::encode(sample);
+    auto back = wire::decode<T>(raw);
+    ASSERT_TRUE(back.ok()) << typeid(T).name();
+    EXPECT_TRUE(*back == sample) << typeid(T).name();
+    for_each_type(static_cast<Decodable*>(nullptr), [&](auto type) {
+      using U = typename decltype(type)::type;
+      if constexpr (!std::is_same_v<T, U>) {
+        EXPECT_FALSE(wire::decode<U>(raw).ok())
+            << typeid(T).name() << " decoded as " << typeid(U).name();
+        ++pairs;
+      }
+    });
+  };
+  std::apply([&row](const auto&... sample) { (row(sample), ...); },
+             wire_samples::payloads());
+  constexpr std::size_t n = std::tuple_size_v<Decodable>;
+  EXPECT_EQ(pairs, n * (n - 1));
+}
+
 TEST(FuzzishStructured, HugeLengthClaimsBounded) {
   // Length prefixes claiming enormous sizes must fail fast without large
   // allocations (kMaxFieldLen guard).
   Bytes evil;
   evil.push_back(0x04);  // label AdminMsg
   for (int i = 0; i < 4; ++i) evil.push_back(0xFF);  // sender len = 4 GiB
-  auto r = wire::decode_envelope(evil);
+  auto r = wire::decode<wire::Envelope>(evil);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.code(), Errc::oversized);
 }

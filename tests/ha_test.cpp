@@ -40,22 +40,22 @@ TEST(ReplCodec, RoundTrips) {
   DeterministicRng rng(1);
   wire::ReplDeltaPayload delta{7, 42, wire::ReplDeltaKind::credential_add,
                                "alice", crypto::LongTermKey::random(rng)};
-  auto d = wire::decode_repl_delta(wire::encode(delta));
+  auto d = wire::decode<wire::ReplDeltaPayload>(wire::encode(delta));
   ASSERT_TRUE(d.ok());
   EXPECT_EQ(*d, delta);
 
   wire::ReplSnapshotPayload snap{3, 9, to_bytes("blob")};
-  auto s = wire::decode_repl_snapshot(wire::encode(snap));
+  auto s = wire::decode<wire::ReplSnapshotPayload>(wire::encode(snap));
   ASSERT_TRUE(s.ok());
   EXPECT_EQ(*s, snap);
 
   wire::ReplAckPayload ack{5, 2, true, false};
-  auto a = wire::decode_repl_ack(wire::encode(ack));
+  auto a = wire::decode<wire::ReplAckPayload>(wire::encode(ack));
   ASSERT_TRUE(a.ok());
   EXPECT_EQ(*a, ack);
 
   wire::ReplHeartbeatPayload hb{11, 13};
-  auto h = wire::decode_repl_heartbeat(wire::encode(hb));
+  auto h = wire::decode<wire::ReplHeartbeatPayload>(wire::encode(hb));
   ASSERT_TRUE(h.ok());
   EXPECT_EQ(*h, hb);
 }
@@ -69,29 +69,29 @@ TEST(ReplCodec, RejectsTrailingBytes) {
   for (Bytes raw : {wire::encode(delta), wire::encode(snap),
                     wire::encode(ack), wire::encode(hb)}) {
     raw.push_back(0x00);
-    EXPECT_FALSE(wire::decode_repl_delta(raw).ok());
-    EXPECT_FALSE(wire::decode_repl_snapshot(raw).ok());
-    EXPECT_FALSE(wire::decode_repl_ack(raw).ok());
-    EXPECT_FALSE(wire::decode_repl_heartbeat(raw).ok());
+    EXPECT_FALSE(wire::decode<wire::ReplDeltaPayload>(raw).ok());
+    EXPECT_FALSE(wire::decode<wire::ReplSnapshotPayload>(raw).ok());
+    EXPECT_FALSE(wire::decode<wire::ReplAckPayload>(raw).ok());
+    EXPECT_FALSE(wire::decode<wire::ReplHeartbeatPayload>(raw).ok());
   }
 }
 
 TEST(ReplCodec, RejectsUnknownDeltaKind) {
   wire::ReplDeltaPayload delta{1, 1, static_cast<wire::ReplDeltaKind>(9),
                                "", {}};
-  EXPECT_FALSE(wire::decode_repl_delta(wire::encode(delta)).ok());
-  EXPECT_FALSE(wire::is_known_repl_delta_kind(0));
-  EXPECT_FALSE(wire::is_known_repl_delta_kind(7));
-  EXPECT_TRUE(wire::is_known_repl_delta_kind(1));
-  EXPECT_TRUE(wire::is_known_repl_delta_kind(6));
+  EXPECT_FALSE(wire::decode<wire::ReplDeltaPayload>(wire::encode(delta)).ok());
+  EXPECT_FALSE(wire::is_known<wire::ReplDeltaKind>(0));
+  EXPECT_FALSE(wire::is_known<wire::ReplDeltaKind>(7));
+  EXPECT_TRUE(wire::is_known<wire::ReplDeltaKind>(1));
+  EXPECT_TRUE(wire::is_known<wire::ReplDeltaKind>(6));
 }
 
 TEST(ReplCodec, CrossDecodeRejected) {
   // Each payload family carries a distinct type octet; feeding one family's
   // bytes to another family's decoder must fail, not mis-parse.
   wire::ReplAckPayload ack{1, 1, false, false};
-  EXPECT_FALSE(wire::decode_repl_delta(wire::encode(ack)).ok());
-  EXPECT_FALSE(wire::decode_repl_heartbeat(wire::encode(ack)).ok());
+  EXPECT_FALSE(wire::decode<wire::ReplDeltaPayload>(wire::encode(ack)).ok());
+  EXPECT_FALSE(wire::decode<wire::ReplHeartbeatPayload>(wire::encode(ack)).ok());
 }
 
 // ---------------------------------------------------------------------------

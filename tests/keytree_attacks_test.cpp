@@ -141,7 +141,7 @@ TEST(KeyTreeAttacks, SiblingKekReuseSpliceIsForged) {
   const std::uint64_t honest_epoch = w.m("m0").epoch();
   std::optional<wire::KeyTreeUpdatePayload> old_p, new_p;
   for (const auto& env : w.captured_updates) {
-    auto p = wire::decode_keytree_update(env.body);
+    auto p = wire::decode<wire::KeyTreeUpdatePayload>(env.body);
     ASSERT_TRUE(p.ok());
     if (p->epoch == honest_epoch) new_p = *p;
     if (p->epoch == honest_epoch - 1) old_p = *p;
@@ -206,7 +206,7 @@ TEST(KeyTreeAttacks, StalePathReplayAfterExpelIsStaleEpoch) {
   EXPECT_EQ(core[0].kind, EvidenceKind::stale_epoch);
   EXPECT_EQ(core[0].agent, "m0");
   EXPECT_EQ(core[0].peer, "mallory");
-  auto old_p = wire::decode_keytree_update(pre_expel.body);
+  auto old_p = wire::decode<wire::KeyTreeUpdatePayload>(pre_expel.body);
   ASSERT_TRUE(old_p.ok());
   EXPECT_EQ(core[0].value, old_p->epoch);
   EXPECT_TRUE(w.m("m0").connected());
@@ -220,7 +220,7 @@ TEST(KeyTreeAttacks, NonLeaderUpdateIsIdentityMismatch) {
   TreeWorld w(3);
   w.join_all();
   ASSERT_FALSE(w.captured_updates.empty());
-  auto p = wire::decode_keytree_update(w.captured_updates.back().body);
+  auto p = wire::decode<wire::KeyTreeUpdatePayload>(w.captured_updates.back().body);
   ASSERT_TRUE(p.ok());
   const std::uint64_t honest_epoch = w.m("m0").epoch();
   w.ledger.clear();

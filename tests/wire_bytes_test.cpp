@@ -78,27 +78,27 @@ constexpr Pinned kPayloads[] = {
     {"LegacyMembershipPayload",
      "b600000003626f62"},
     {"FedRedirectPayload",
-     "c100000001670000000473312f670000000473322f67000000000000"
+     "f100000001670000000473312f670000000473322f67000000000000"
      "0003"},
     {"FedMigrateOfferPayload",
-     "c20000000167000000027331000000027332000000000000000b0000"
+     "f20000000167000000027331000000027332000000000000000b0000"
      "00000000000c000000000000000d0000000404050607"},
     {"FedMigrateAckPayload",
-     "c30000000167000000000000000b0100000000000003f4"},
+     "f30000000167000000000000000b0100000000000003f4"},
     {"FedMigrateCommitPayload",
-     "c40000000167000000000000000b000000000000000e"},
+     "f40000000167000000000000000b000000000000000e"},
     {"FedDirSyncPayload",
-     "c50000000167000000027332000000000000000e"},
+     "f50000000167000000027332000000000000000e"},
     {"ReplDeltaPayload",
-     "b1000000000000000800000000000000150100000004646176650506"
+     "e1000000000000000800000000000000150100000004646176650506"
      "0708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f202122"
      "2324"},
     {"ReplSnapshotPayload",
-     "b2000000000000000800000000000000150000000425262728"},
+     "e2000000000000000800000000000000150000000425262728"},
     {"ReplAckPayload",
-     "b3000000000000001500000000000000080001"},
+     "e3000000000000001500000000000000080001"},
     {"ReplHeartbeatPayload",
-     "b400000000000000080000000000000016"},
+     "e400000000000000080000000000000016"},
     {"ReconcileOfferPayload",
      "c100000005616c696365000000014c060708090a0b0c0d0e0f101112"
      "13141500000000000000030000000000000002161718191a1b1c1d1e"

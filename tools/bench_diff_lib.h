@@ -314,20 +314,20 @@ inline DiffReport diff_blobs(const BenchBlob& baseline,
 
 /// A --max-ratio gate: "NUM/DEN:LIMIT" holds the candidate's real_time of
 /// row NUM over row DEN to at most LIMIT (e.g. instrumented over bare).
+/// Row names may contain '/' themselves (BM_RekeyGroupOfN/1024), so the
+/// pair is split against the candidate: at the one '/' where both halves
+/// name rows of the blob.
 struct RatioGate {
-  std::string num, den;
+  std::string rows;  // "NUM/DEN", not yet split
   double limit = 0;
 
   static Result<RatioGate> parse(std::string_view spec) {
     const std::size_t colon = spec.rfind(':');
-    const std::size_t slash = spec.find('/');
-    if (colon == spec.npos || slash > colon ||
-        spec.find('/', slash + 1) < colon)
+    if (colon == spec.npos || spec.substr(0, colon).find('/') == spec.npos)
       return make_error(Errc::malformed, "want NUM/DEN:LIMIT");
     const std::string limit(spec.substr(colon + 1));
     char* end = nullptr;
-    RatioGate gate{std::string(spec.substr(0, slash)),
-                   std::string(spec.substr(slash + 1, colon - slash - 1)),
+    RatioGate gate{std::string(spec.substr(0, colon)),
                    std::strtod(limit.c_str(), &end)};
     if (limit.empty() || *end != '\0' || !(gate.limit > 0))
       return make_error(Errc::malformed, "bad ratio limit: " + limit);
@@ -337,20 +337,32 @@ struct RatioGate {
 
 /// Checks one ratio gate against `candidate`: a failure in `report` when
 /// the ratio exceeds the limit, a note with the measured ratio otherwise.
-/// An error (a usage error, not a regression) when a row is missing or the
-/// two rows are timed in different units.
+/// An error (a usage error, not a regression) when no split of the pair, or
+/// more than one, names two rows, or the two rows are timed in different
+/// units.
 inline Status check_ratio(const BenchBlob& candidate, const RatioGate& gate,
                           DiffReport& report) {
-  auto row = [&candidate](const std::string& name) -> const BenchResult* {
+  auto row = [&candidate](std::string_view name) -> const BenchResult* {
     for (const BenchResult& r : candidate.results)
       if (r.name == name) return &r;
     return nullptr;
   };
-  const BenchResult* num = row(gate.num);
-  const BenchResult* den = row(gate.den);
-  if (!num || !den) {
-    const std::string& missing = num ? gate.den : gate.num;
-    return make_error(Errc::malformed, "row not in the candidate: " + missing);
+  const std::string_view rows = gate.rows;
+  const BenchResult* num = nullptr;
+  const BenchResult* den = nullptr;
+  for (std::size_t slash = rows.find('/'); slash != rows.npos;
+       slash = rows.find('/', slash + 1)) {
+    const BenchResult* n = row(rows.substr(0, slash));
+    const BenchResult* d = row(rows.substr(slash + 1));
+    if (!n || !d) continue;
+    if (num)
+      return make_error(Errc::malformed, "ambiguous row pair: " + gate.rows);
+    num = n;
+    den = d;
+  }
+  if (!num) {
+    return make_error(Errc::malformed,
+                      "no split of " + gate.rows + " names two candidate rows");
   }
   if (num->time_unit != den->time_unit) {
     return make_error(Errc::malformed, "rows timed in different units: " +
