@@ -15,8 +15,7 @@
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
-#include "obs/security.h"
-#include "obs/trace.h"
+#include "obs/record.h"
 #include "util/rng.h"
 #include "wire/seal.h"
 
@@ -192,18 +191,16 @@ void BM_AdminRoundTripUninstrumented(benchmark::State& state) {
 BENCHMARK(BM_AdminRoundTripUninstrumented);
 
 // Flight-recorder parity guard (the other side of the cost model): the
-// same admin round-trip with the trace AND ledger sinks attached and a
-// FlightRecorder teeing every event into its preserialized rings. The
+// same admin round-trip with the event store attached and a
+// FlightRecorder taking every event record into its preserialized ring. The
 // bench_diff gate holds this row to the same tolerance as BM_AdminRoundTrip
 // against its committed baseline — if recording drifts, the tee stopped
 // being cheap. (BM_AdminRoundTripUninstrumented anchors the other end:
 // no sinks at all.)
 void BM_AdminRoundTripRecording(benchmark::State& state) {
-  obs::TraceLog trace_log;
-  trace_log.set_capacity(1024);  // memory stays flat across iterations
-  obs::SecurityLedger ledger;
-  obs::set_sink(&trace_log);
-  obs::set_sink(&ledger);
+  obs::EventStore store;
+  store.set_capacity(1024);  // memory stays flat across iterations
+  obs::set_event_sink(&store);
   obs::FlightRecorder recorder("bench", "/tmp");
   recorder.attach();
 
@@ -224,8 +221,7 @@ void BM_AdminRoundTripRecording(benchmark::State& state) {
   }
 
   recorder.detach();
-  obs::set_sink<obs::SecurityLedger>(nullptr);
-  obs::set_sink<obs::TraceLog>(nullptr);
+  obs::set_event_sink(nullptr);
 }
 BENCHMARK(BM_AdminRoundTripRecording);
 

@@ -39,9 +39,8 @@
 #include "net/trace_chart.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "obs/security.h"
+#include "obs/record.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "tools/enclaves_postmortem_lib.h"
 #include "util/rng.h"
 
@@ -64,12 +63,10 @@ int main() {
 
   net::SimNetwork net;
   DeterministicRng rng(20010701);
-  obs::TraceLog trace;
-  obs::ScopedTraceSink trace_sink(trace);
+  obs::EventStore store;
+  obs::ScopedEventSink event_sink(store);
   obs::MetricsRegistry metrics;
   obs::ScopedMetricsSink metrics_sink(metrics);
-  obs::SecurityLedger ledger;
-  obs::ScopedSecurityLedger ledger_sink(ledger);
   auto send = [&net](const std::string& to, wire::Envelope e) {
     net.send(to, std::move(e));
   };
@@ -191,7 +188,7 @@ int main() {
 
   // --- Phase 2: the active leader crashes.
   std::printf("\ncrashing active leader \"L\"...\n");
-  trace.clear();  // chart only the failover itself
+  store.clear();  // chart and ledger only the failover itself
   net.detach("L");
   active_alive = false;
   steps = 0;
@@ -228,7 +225,7 @@ int main() {
 
   // --- The post-incident display: promotion trace tail + ha.* counters.
   std::printf("\nfailover trace tail (last 14 events):\n%s\n",
-              net::format_event_chart_tail(trace.events(), 14).c_str());
+              net::format_event_chart_tail(store.events(), 14).c_str());
 
   const auto hist =
       metrics.histogram("ha", "L2", "time_to_recovery_ticks");
@@ -258,15 +255,16 @@ int main() {
   // The failover itself as a causal span graph: the failover root with its
   // suspect/promote/rejoin milestones and every post-crash handshake, plus
   // the fencing refusals the dead leader's resurrection provoked.
-  auto spans = obs::SpanTracker::build(trace.events());
-  (void)obs::attach_evidence(spans, ledger.entries());
+  auto spans = obs::SpanTracker::build(store.events());
+  const auto evidence = store.entries();
+  (void)obs::attach_evidence(spans, evidence);
   std::printf("\nfailover span graph:\n%s", obs::format_span_tree(spans).c_str());
   std::size_t fenced = 0;
-  for (const auto& e : ledger.entries())
+  for (const auto& e : evidence)
     if (e.kind == obs::EvidenceKind::fenced_repl) ++fenced;
   std::printf("\nsecurity ledger: %zu refusal(s), %zu of them fencing "
               "refusals against the\ndeposed incarnation of \"L\".\n",
-              ledger.size(), fenced);
+              evidence.size(), fenced);
 
   // --- Two-node postmortem: dump both black boxes and merge the blobs.
   // Each dump carries the shared incident id plus its own virtual/wall

@@ -31,9 +31,8 @@
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
-#include "obs/security.h"
+#include "obs/record.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "util/rng.h"
 
 using namespace enclaves;
@@ -59,18 +58,17 @@ int main() {
   std::printf("=============================\n\n");
 
   // Observability (docs/OBSERVABILITY.md): attach a metrics registry and an
-  // event trace for the whole run; both are dumped at the end.
+  // event store (trace + ledger) for the whole run; both are dumped at the
+  // end.
   obs::MetricsRegistry metrics;
   obs::Profiler prof;
-  obs::TraceLog trace;
-  obs::SecurityLedger ledger;
+  obs::EventStore store;
   obs::ScopedMetricsSink metrics_sink(metrics);
   obs::ScopedProfSink prof_sink(prof);
-  obs::ScopedTraceSink trace_sink(trace);
-  obs::ScopedSecurityLedger ledger_sink(ledger);
+  obs::ScopedEventSink event_sink(store);
 
-  // Black-box flight recorder (docs/OBSERVABILITY.md): tees the trace /
-  // ledger / metrics window into bounded rings, dumps on health escalation
+  // Black-box flight recorder (docs/OBSERVABILITY.md): keeps the event /
+  // metrics window in bounded rings, dumps on health escalation
   // or on a fatal signal (try `kill -SEGV` or `kill -USR1` mid-run), and
   // feeds the /flight + /dump routes below. Blobs land next to the other
   // artifacts; `enclaves_postmortem <dir>/flight_*.jsonl` renders them.
@@ -226,7 +224,7 @@ int main() {
               joined.quantile(0.5), joined.quantile(0.99),
               static_cast<unsigned long long>(joined.count));
 
-  auto events = trace.events();
+  auto events = store.events();
   const std::size_t tail = events.size() > 12 ? events.size() - 12 : 0;
   std::printf("\nlast %zu protocol events:\n%s", events.size() - tail,
               net::format_event_chart({events.begin() +
@@ -238,12 +236,12 @@ int main() {
   // its retries, each fault verdict attached to the exchange it hit, and
   // every refusal the duplicates provoked linked in as evidence.
   auto spans = obs::SpanTracker::build(events);
-  (void)obs::attach_evidence(spans, ledger.entries());
+  (void)obs::attach_evidence(spans, store.entries());
   std::printf("\nexchange spans:\n%s", obs::format_span_tree(spans).c_str());
   std::printf("\nsecurity ledger: %zu refusal(s) recorded — duplicates the "
               "liveness layer\nabsorbed are NOT here; only traffic that "
               "failed authentication or freshness.\n",
-              ledger.size());
+              store.entries().size());
 
   // The whole run judged as one health window: cumulative totals against
   // the thresholds. This is what /health serves and what the dump records —
@@ -257,9 +255,11 @@ int main() {
 
   if (const char* dir = obs_dir) {
     std::printf("\ndumping observability artifacts to %s:\n", dir);
-    dump_artifact(dir, "lossy_link_trace.jsonl", trace.to_jsonl());
+    dump_artifact(dir, "lossy_link_trace.jsonl",
+                  store.to_jsonl(obs::View::trace));
     dump_artifact(dir, "lossy_link_spans.jsonl", obs::spans_to_jsonl(spans));
-    dump_artifact(dir, "lossy_link_ledger.jsonl", ledger.to_jsonl());
+    dump_artifact(dir, "lossy_link_ledger.jsonl",
+                  store.to_jsonl(obs::View::ledger));
     dump_artifact(dir, "lossy_link_metrics.json", metrics.to_json() + "\n");
     dump_artifact(dir, "lossy_link_profile.json", prof.to_json());
     dump_artifact(dir, "lossy_link_health.json",

@@ -20,7 +20,7 @@
 #include "core/registry.h"
 #include "crypto/x25519.h"
 #include "net/sim_network.h"
-#include "obs/trace.h"
+#include "obs/record.h"
 #include "util/rng.h"
 
 using namespace enclaves;
@@ -45,8 +45,8 @@ int main() {
   OsRng rng;
   net::SimNetwork net;
   // The leader's membership and key changes, as typed trace events.
-  obs::TraceLog trace;
-  obs::ScopedTraceSink trace_sink(trace);
+  obs::EventStore trace;
+  obs::ScopedEventSink trace_sink(trace);
 
   // --- Key pairs. In a deployment each party generates its own and shares
   // only the PUBLIC half with the leader; no password ever exists.

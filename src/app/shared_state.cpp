@@ -81,7 +81,9 @@ Result<StateMessage> decode_state_message(BytesView raw) {
       if (*count > kMaxSnapshotEntries)
         return make_error(Errc::oversized, "snapshot entries");
       SnapshotReply reply;
-      reply.entries.reserve(*count);
+      // Every entry takes at least one octet: never reserve more entries
+      // than the bytes left could hold.
+      reply.entries.reserve(std::min<std::size_t>(*count, r.remaining()));
       for (std::uint32_t i = 0; i < *count; ++i) {
         auto u = read_update(r);
         if (!u) return u.error();

@@ -110,7 +110,7 @@ void Leader::handle(const wire::Envelope& e) {
        pre == LeaderSession::State::waiting_for_key_ack ||
        post == LeaderSession::State::not_connected ||
        post == LeaderSession::State::waiting_for_key_ack)) {
-    if (obs::trace_sink()) {
+    if (obs::records_attached()) {
       std::string detail =
           std::string(to_string(pre)) + "->" + to_string(post);
       obs::emit(counters_, obs::Event::leader_phase, clock_.now(), config_.id,
@@ -413,7 +413,7 @@ void Leader::keytree_grow_and_rebuild() {
 }
 
 void Leader::emit_keytree_levels(const wire::KeyTreeUpdatePayload& payload) {
-  if (!obs::trace_sink()) return;
+  if (!obs::records_attached()) return;
   // One span child per rotated tree level, deepest first (rotation order).
   std::vector<std::uint32_t> levels;
   for (const auto& e : payload.entries)

@@ -356,9 +356,10 @@ void Member::handle_group_data(const wire::Envelope& e) {
   note_activity();  // data relayed by the leader also proves it alive
   // The (origin, epoch, seq) triple uniquely names one application
   // delivery; chaos tests assert no triple is ever delivered twice. Only the
-  // trace reads the detail, so it is built only for a trace sink.
+  // event record reads the detail, so it is built only when one is taken.
   std::string detail;
-  if (obs::trace_sink()) detail = "epoch=" + std::to_string(payload->epoch);
+  if (obs::records_attached())
+    detail = "epoch=" + std::to_string(payload->epoch);
   obs::emit(counters_, obs::Event::data_deliver, clock_.now(), leader_id_, id_,
             payload->origin, detail, payload->seq);
   emit(DataReceived{payload->origin, payload->payload});

@@ -11,7 +11,7 @@
 #include <string>
 
 #include "net/sim_network.h"
-#include "obs/trace.h"
+#include "obs/record.h"
 
 namespace enclaves::net {
 

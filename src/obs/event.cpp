@@ -144,6 +144,12 @@ constexpr std::array<Row, kEventCount> kTable{{
       "fault"}},
     {E::aead_open_failure,
      {"aead_open_failure", "open_failures_total", {}, V::aead_open_failure}},
+    {E::health, {"health", {}, T::health, {}}},
+    {E::health_partitioned,
+     {"health_partitioned", {}, T::health, {}, {}, {}, "health_partitioned"}},
+    {E::health_under_attack,
+     {"health_under_attack", {}, T::health, {}, {}, {},
+      "health_under_attack"}},
 }};
 
 constexpr bool table_in_enum_order() {
@@ -192,13 +198,12 @@ void emit_attached(EventCounters& counters, Event event,
     counters.bump(event, row.counter_group.empty() ? group : row.counter_group,
                   row.counter_agent.empty() ? agent : row.counter_agent);
   }
-  if (row.trace) trace(tick, *row.trace, group, agent, peer, detail, value);
-  if (row.evidence) {
-    security_event(tick, evidence.value_or(*row.evidence), group, agent, peer,
-                   detail, value);
-  }
-  if (!row.incident.empty() && flight_active())
-    detail::flight_incident(tick, row.incident, agent);
+  if (!evidence) evidence = row.evidence;
+  // With only a metrics sink attached, a record without evidence has
+  // nothing left to write.
+  if (evidence || records_attached())
+    record_attached(tick, row.trace, evidence, group, agent, peer, detail,
+                    value, row.incident);
 }
 
 }  // namespace enclaves::obs

@@ -2,29 +2,28 @@
 //
 // Every membership change, key change, retransmission and refused input is
 // reported through emit(). The per-event table (event.cpp) decides what the
-// event produces — which counter it bumps, which TraceKind it records, and
-// which EvidenceKind it leaves in the SecurityLedger — so a call site only
-// says *what happened* and with which fields:
+// event produces — which counter it bumps, which TraceKind and which
+// EvidenceKind its record carries, and which incident it dumps — so a call
+// site only says *what happened* and with which fields:
 //
 //   obs::emit(counters_, obs::Event::relay_reject, clock_.now(), group,
 //             agent, /*peer=*/sender, /*detail=*/why);
 //
-// The fields map onto each channel the same way: the counter is keyed by
-// (group, agent) unless the row fixes its own scope, the trace event carries
-// (tick, group, agent, peer, detail, value), and the ledger entry carries
-// the same fields (agent = observer, peer = accused) plus the `security.*`
-// refusal metrics. Within one emit the channels are written in
-// that order: counter, trace event, evidence, flight incident.
+// The counter is keyed by (group, agent) unless the row fixes its own
+// scope. The event is then one Record (obs/record.h) of (tick, group, agent,
+// peer, detail, value): with evidence it bumps the `security.*` refusal
+// metrics (agent = observer, peer = accused), and it reaches every attached
+// flight recorder — which dumps when the row names an incident — and the
+// event store, once each, in that order.
 //
 // A site whose evidence kind comes from an error code passes it in with the
 // overload that takes an EvidenceKind; the row must already carry evidence.
 // `counters_` is the reporting object's EventCounters: with it, a counter
 // costs one atomic add.
 //
-// Cost model, as for metrics/trace/security: with every sink and flight
-// recorder detached, emit() loads four atomics and returns — it builds no
-// strings and allocates nothing (pinned by obs_test's allocation-counting
-// case).
+// Cost model: with every sink and flight recorder detached, emit() loads
+// three atomics and returns — it builds no strings and allocates nothing
+// (pinned by obs_test's allocation-counting case).
 #pragma once
 
 #include <array>
@@ -36,8 +35,7 @@
 #include <string_view>
 
 #include "obs/metrics.h"
-#include "obs/security.h"
-#include "obs/trace.h"
+#include "obs/record.h"
 #include "util/clock.h"
 
 namespace enclaves::obs {
@@ -120,16 +118,21 @@ enum class Event : std::uint8_t {
   fault_duplicate,
   fault_delay,
   aead_open_failure,
+  // Telemetry plane (obs/health.h): a HealthMonitor verdict changed state
+  // (detail: old->new, value: the new HealthState).
+  health,               // to healthy, degraded or healing
+  health_partitioned,   // to partitioned
+  health_under_attack,  // to under_attack
 };
 
 inline constexpr std::size_t kEventCount =
-    static_cast<std::size_t>(Event::aead_open_failure) + 1;
+    static_cast<std::size_t>(Event::health_under_attack) + 1;
 
 /// What one event produces. Empty `counter` means no counter; an empty
 /// `counter_group` / `counter_agent` means the event's own group / agent.
 /// A non-empty `incident` makes every attached FlightRecorder that covers
 /// the event's agent dump its window with that reason (debounced per
-/// recorder), after the counter, trace event and evidence are written.
+/// recorder), right after the recorder takes the event's record.
 struct EventRow {
   std::string_view name;
   std::string_view counter;
@@ -165,11 +168,6 @@ void emit_attached(EventCounters& counters, Event event,
                    std::string_view group, std::string_view agent,
                    std::string_view peer, std::string_view detail,
                    std::uint64_t value);
-
-inline bool any_sink_attached() {
-  return metrics_sink() != nullptr || trace_sink() != nullptr ||
-         security_sink() != nullptr || flight_active();
-}
 
 inline void emit(EventCounters& counters, Event event, Tick tick,
                  std::string_view group, std::string_view agent,

@@ -7,13 +7,9 @@
 
 #include <cerrno>
 #include <cstring>
-#include <type_traits>
 
-#include "obs/health.h"
 #include "obs/json_escape.h"
 #include "obs/prof.h"
-#include "obs/security.h"
-#include "obs/trace.h"
 
 namespace enclaves::obs {
 
@@ -25,9 +21,8 @@ struct RingShape {
   std::size_t slots;
   std::size_t slot_bytes;
 };
-constexpr RingShape kRings[] = {
-    {"trace", 256, 512}, {"ledger", 128, 512}, {"delta", 256, 256}};
-enum RingIndex { kTrace, kLedger, kDelta };
+constexpr RingShape kRings[] = {{"events", 384, 512}, {"delta", 256, 256}};
+enum RingIndex { kEvents, kDelta };
 constexpr std::size_t kSnapshotBytes = 256 * 1024;
 constexpr std::uint64_t kTickNs = 1'000'000;  // wall ns per virtual tick
 constexpr Tick kRedumpTicks = 64;  // debounce for automatic triggers
@@ -189,20 +184,10 @@ namespace detail {
 
 std::atomic<int> g_flight_recorder_count{0};
 
-template <class Kind>
-void flight_note(const Record<Kind>& record) {
+void flight_note(const Record& record, std::string_view incident) {
   for (auto& slot : g_recorders)
     if (FlightRecorder* r = slot.load(std::memory_order_acquire))
-      r->note(record);
-}
-template void flight_note(const Record<TraceKind>&);
-template void flight_note(const Record<EvidenceKind>&);
-
-void flight_incident(Tick tick, std::string_view reason,
-                     std::string_view agent) {
-  for (auto& slot : g_recorders)
-    if (FlightRecorder* r = slot.load(std::memory_order_acquire))
-      r->note_incident(tick, reason, agent);
+      r->note(record, incident);
 }
 
 }  // namespace detail
@@ -322,7 +307,7 @@ std::string snapshot_line(std::string_view tag, const std::string& json) {
 
 FlightRecorder::FlightRecorder(std::string node, std::string dir)
     : node_(std::move(node)) {
-  for (int i : {kTrace, kLedger, kDelta})
+  for (int i : {kEvents, kDelta})
     rings_[i].init(kRings[i].slots, kRings[i].slot_bytes);
   metrics_line_.init(kSnapshotBytes);
   profile_line_.init(kSnapshotBytes);
@@ -380,38 +365,20 @@ void FlightRecorder::advance_clock(Tick tick) {
     clock_tick_.store(tick, std::memory_order_release);
 }
 
-template <class Kind>
-void FlightRecorder::note(const Record<Kind>& record) {
+void FlightRecorder::note(const Record& record, std::string_view incident) {
   std::lock_guard lock(mutex_);
   if (!covers(record.agent)) return;
+  advance_clock(record.tick);
   std::string line;
   line.reserve(160);
-  line += "{\"k\":\"";
-  line += record_format(record.kind).tag;
-  line += "\",";
-  append_record_fields(line, record);
-  line += '}';
-  if constexpr (std::is_same_v<Kind, EvidenceKind>) {
-    rings_[kLedger].push(line);
-  } else {
-    advance_clock(record.tick);
-    rings_[kTrace].push(line);
-    if (record.kind == TraceKind::health &&
-        record.value >= static_cast<std::uint64_t>(HealthState::partitioned)) {
-      const bool attack = record.value >= static_cast<std::uint64_t>(
-                                              HealthState::under_attack);
-      auto_trigger_locked(record.tick, attack ? "health_under_attack"
-                                              : "health_partitioned");
-    }
+  for (View view : {View::trace, View::ledger}) {
+    if (!in_view(record, view)) continue;
+    line.clear();
+    append_view_line(line, record, view, /*tagged=*/true);
+    rings_[kEvents].push(line);
   }
-}
-template void FlightRecorder::note(const Record<TraceKind>&);
-template void FlightRecorder::note(const Record<EvidenceKind>&);
-
-void FlightRecorder::note_incident(Tick tick, std::string_view reason,
-                                   std::string_view agent) {
-  std::lock_guard lock(mutex_);
-  if (covers(agent)) auto_trigger_locked(tick, Reason(reason).text);
+  if (!incident.empty())
+    auto_trigger_locked(record.tick, Reason(incident).text);
 }
 
 bool FlightRecorder::auto_trigger_locked(Tick now, const char* reason) {
@@ -535,7 +502,7 @@ bool FlightRecorder::dump_core(std::uint64_t trigger_tick, const char* reason,
       e.str(name);
       e.u64(v);
     };
-    for (int i : {kTrace, kLedger, kDelta}) {
+    for (int i : {kEvents, kDelta}) {
       stat(kRings[i].name, "_seen\":", rings_[i].seen());
       stat(kRings[i].name, "_dropped\":", rings_[i].dropped());
       stat(kRings[i].name, "_oversize\":", rings_[i].oversize());
@@ -575,7 +542,7 @@ void FlightRecorder::publish_gauges_locked() {
   auto g = [this](std::string_view name, std::uint64_t v) {
     gauge_set("flight", node_, name, static_cast<std::int64_t>(v));
   };
-  for (int i : {kTrace, kLedger, kDelta}) {
+  for (int i : {kEvents, kDelta}) {
     g(std::string(kRings[i].name) + "_dropped", rings_[i].dropped());
     g(std::string(kRings[i].name) + "_oversize", rings_[i].oversize());
   }
@@ -586,9 +553,8 @@ void FlightRecorder::publish_gauges_locked() {
 
 FlightStats FlightRecorder::stats() const {
   std::lock_guard lock(mutex_);
-  const auto& [t, l, d] = rings_;
-  return {t.seen(), t.dropped(), t.oversize(),
-          l.seen(), l.dropped(), l.oversize(),
+  const auto& [e, d] = rings_;
+  return {e.seen(), e.dropped(), e.oversize(),
           d.seen(), d.dropped(), d.oversize(),
           metrics_line_.oversize() + profile_line_.oversize(),
           stats_dumps_.load(std::memory_order_acquire),
@@ -607,7 +573,7 @@ std::string FlightRecorder::status_json() const {
   append_json_field(out, "last_trigger_tick", last_trigger_tick_);
   append_json_field(out, "last_wall_ns", last_wall_ns_);
   append_json_field(out, "last_path", last_path_);
-  for (int i : {kTrace, kLedger, kDelta})
+  for (int i : {kEvents, kDelta})
     append_json_field(out, std::string(kRings[i].name) + "_dropped",
                      rings_[i].dropped());
   append_json_field(out, "dumps_suppressed",

@@ -1,18 +1,18 @@
 // Black-box flight recorder: a bounded, preserialized window of the obs
 // plane that survives the process it describes.
 //
-// The rest of src/obs/ is rich but volatile — metrics, traces, spans, the
-// SecurityLedger and the profiler all live in heap structures that a crash
-// or an attack takes down with the node. The FlightRecorder continuously
-// tees the last-N window of trace events, SecurityLedger entries and
-// windowed metric deltas into fixed slot rings whose bytes are *already
+// The rest of src/obs/ is rich but volatile — metrics, the event store,
+// spans and the profiler all live in heap structures that a crash or an
+// attack takes down with the node. The FlightRecorder keeps the last-N
+// window of event records (trace and ledger lines, in emission order) and
+// windowed metric deltas in fixed slot rings whose bytes are *already
 // JSONL*, and keeps the latest full metrics/profile snapshots in published
 // buffers. Dumping the window is therefore a sequence of write(2) calls:
 //
-//   (a) automatic — a HealthMonitor transition to partitioned/under_attack
-//       (a TraceKind::health event) or an event-table incident (EventRow::
+//   (a) automatic — an event whose table row names an incident (EventRow::
 //       incident: epoch fence, deposed leader, forged op-log, stale
-//       migration offer or directory claim), debounced per recorder;
+//       migration offer or directory claim, a HealthMonitor transition to
+//       partitioned/under_attack), debounced per recorder;
 //   (b) fatal — install_signal_handlers() arms SIGSEGV/SIGABRT/SIGBUS/
 //       SIGFPE handlers that walk the rings with nothing but write(2):
 //       no allocation, no locks, no formatting beyond integer itoa into
@@ -27,23 +27,28 @@
 // dumps on a leader, its standby and its members correlate into one
 // incident.
 //
-// The window is fixed (flight.cpp): 256 trace, 128 ledger and 256 delta
-// lines, one snapshot line each for metrics and profile, a 64-tick debounce
-// for automatic triggers and at most 16 dumps per recorder (the fatal path
-// ignores the cap). A recorder whose dump path would overflow its 512-byte
-// buffer refuses every dump and counts it as suppressed.
+// The window is fixed (flight.cpp): 384 event and 256 delta lines, one
+// snapshot line each for metrics and profile, a 64-tick debounce for
+// automatic triggers and at most 16 dumps per recorder (the fatal path
+// ignores the cap). The delta ring is separate so that a burst of deltas
+// from observe() never evicts evidence. A recorder whose dump path would
+// overflow its 512-byte buffer refuses every dump and counts it as
+// suppressed.
 //
-// Cost model: attaching a recorder costs nothing on the no-sink hot path
-// (the tee lives inside RecordLog::record, obs/record.h, behind the sink
-// check). bench/bench_protocol_perf.cpp pins the with-sink overhead.
+// Cost model: an attached recorder takes every event record straight from
+// the record path (obs/record.h), whether or not an event store is
+// attached; with no recorder attached the hook is one atomic load behind
+// the sink check emit() already makes. bench/bench_protocol_perf.cpp pins
+// the with-sink overhead.
 //
 // Dump blob format (one JSON object per line; unknown/torn lines are
 // skipped by the parser, so a partially written fatal dump still loads).
-// Trace and ledger lines are `{"k":<tag>,` plus append_record_fields — the
-// JSONL exports' fields (a zero value is omitted; postmortem reads 0):
+// Event lines are `{"k":"trace"|"ledger",` plus the view's JSONL fields
+// (append_view_line; a zero value is omitted, postmortem reads 0), in
+// emission order — a record in both views writes its trace line first:
 //   {"enclaves_flight":1,"node":..,"incident":..,"reason":..,
 //    "trigger_tick":..,"tick":..,"wall_ns":..,"tick_ns":..,"seq":..}
-//   {"k":"stats","trace_seen":..,"trace_dropped":..,...}
+//   {"k":"stats","events_seen":..,"events_dropped":..,...}
 //   {"k":"trace","tick":..,"kind":..,"group":..,"agent":..,...}    (oldest first)
 //   {"k":"ledger","tick":..,"kind":..,"group":..,"observer":..,...}
 //   {"k":"delta","tick":..,"group":..,"agent":..,"name":..,"delta":..,"total":..}
@@ -67,12 +72,9 @@
 namespace enclaves::obs {
 
 struct FlightStats {
-  std::uint64_t trace_seen = 0;
-  std::uint64_t trace_dropped = 0;   // evicted by ring wrap
-  std::uint64_t trace_oversize = 0;  // line exceeded slot_bytes
-  std::uint64_t ledger_seen = 0;
-  std::uint64_t ledger_dropped = 0;
-  std::uint64_t ledger_oversize = 0;
+  std::uint64_t events_seen = 0;      // trace and ledger lines
+  std::uint64_t events_dropped = 0;   // evicted by ring wrap
+  std::uint64_t events_oversize = 0;  // line exceeded slot_bytes
   std::uint64_t delta_seen = 0;
   std::uint64_t delta_dropped = 0;
   std::uint64_t delta_oversize = 0;
@@ -167,16 +169,16 @@ class FlightRecorder {
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   /// Registers with the process-wide recorder registry (fixed capacity —
-  /// returns false when full). Attached recorders receive every trace /
-  /// ledger record that passes their agent filter, and are visited by the
-  /// signal handlers.
+  /// returns false when full). Attached recorders receive every event
+  /// record that passes their agent filter, and are visited by the signal
+  /// handlers.
   bool attach();
   void detach();
 
-  /// Restricts capture to events whose agent (trace) / observer (ledger)
-  /// is one of `agents` — how several in-process nodes each keep their own
-  /// perspective. Empty (the default) captures everything. Events with an
-  /// empty agent (process-wide planes) always pass.
+  /// Restricts capture (and incidents) to events whose agent (the ledger's
+  /// observer) is one of `agents` — how several in-process nodes each keep
+  /// their own perspective. Empty (the default) captures everything.
+  /// Events with an empty agent (process-wide planes) always pass.
   void set_local_agents(std::vector<std::string> agents);
 
   /// Periodic pump (call it like HealthMonitor::observe — once per tick or
@@ -199,7 +201,7 @@ class FlightRecorder {
 
   /// {"node":..,"incident":..,"dumps":..,"last_reason":..,
   ///  "last_trigger_tick":..,"last_wall_ns":..,"last_path":..,
-  ///  "trace_dropped":..,...} — the /flight route body and the
+  ///  "events_dropped":..,...} — the /flight route body and the
   /// enclaves_top incident banner source. Stable field order.
   std::string status_json() const;
 
@@ -226,11 +228,11 @@ class FlightRecorder {
   /// continue). Idempotent.
   static void install_signal_handlers();
 
-  // -- registry-internal (called by the obs/record.h hooks / handlers) --
-  template <class Kind>
-  void note(const Record<Kind>& record);
-  void note_incident(Tick tick, std::string_view reason,
-                     std::string_view agent);
+  // -- registry-internal (called by the obs/record.h hook / handlers) --
+  /// Takes `record` when it covers the record's agent: advances the clock,
+  /// pushes one ring line per view the record is in, then, for a non-empty
+  /// `incident`, dumps (debounced).
+  void note(const Record& record, std::string_view incident);
   /// Async-signal-safe dump used by the signal handlers. `reason` must be
   /// a static/preformatted sanitized string.
   void dump_from_signal(const char* reason);
@@ -254,7 +256,7 @@ class FlightRecorder {
   Tick last_auto_dump_tick_ = 0;  // clock_tick_ at the last automatic dump
   bool auto_dumped_once_ = false;
 
-  // Freshest virtual tick this recorder has seen (observe()/trace records);
+  // Freshest virtual tick this recorder has seen (observe()/event records);
   // the signal path pairs it with the wall clock in the dump header.
   std::atomic<std::uint64_t> clock_tick_{0};
 
@@ -264,8 +266,9 @@ class FlightRecorder {
   bool path_fits_ = false;  // prefix + seq + ".jsonl" fits the path buffer
   std::string node_json_;  // includes surrounding quotes
 
-  // Trace, ledger and delta lines, in dump order (kRings in flight.cpp).
-  flight_detail::SlotRing rings_[3];
+  // Event (trace and ledger) lines, then delta lines, in dump order
+  // (kRings in flight.cpp).
+  flight_detail::SlotRing rings_[2];
   flight_detail::PublishedLine metrics_line_;
   flight_detail::PublishedLine profile_line_;
 

@@ -2,8 +2,8 @@
 
 #include <set>
 
+#include "obs/event.h"
 #include "obs/json_escape.h"
-#include "obs/trace.h"
 
 namespace enclaves::obs {
 
@@ -56,6 +56,23 @@ std::uint64_t delta(const MetricsSnapshot& prev, const MetricsSnapshot& cur,
   const std::uint64_t before = counter_in(prev, group, agent, name);
   const std::uint64_t after = counter_in(cur, group, agent, name);
   return after > before ? after - before : 0;
+}
+
+// One health event per transition (detail old->new, value the new state);
+// the event rows make a transition to partitioned or under_attack an
+// incident.
+void emit_transition(Tick now, std::string_view group,
+                     std::string_view subject, HealthState from,
+                     HealthState to) {
+  const Event event = to == HealthState::under_attack
+                          ? Event::health_under_attack
+                      : to == HealthState::partitioned
+                          ? Event::health_partitioned
+                          : Event::health;
+  emit(event, now, group, subject, std::string_view{},
+       std::string(health_state_name(from)) + "->" +
+           std::string(health_state_name(to)),
+       static_cast<std::uint64_t>(to));
 }
 
 void append_json_field(std::string& out, const char* name,
@@ -150,7 +167,7 @@ HealthState HealthMonitor::apply_hysteresis(Hysteresis& h, HealthState raw) {
     // transition partitioned -> healing immediately rather than holding.
     h.state = raw;
     h.quiet = 0;
-  } else if (++h.quiet >= config_.clear_windows) {
+  } else if (++h.quiet >= kHealthClearWindows) {
     h.state = raw;
     h.quiet = 0;
   }
@@ -210,18 +227,18 @@ void HealthMonitor::evaluate(Tick now, const MetricsSnapshot& prev,
 
       HealthState raw = HealthState::healthy;
       std::string why;
-      if (ph.window_suspicion >= config_.attack_suspicion) {
+      if (ph.window_suspicion >= kHealthAttackSuspicion) {
         raw = HealthState::under_attack;
         why = std::to_string(ph.window_suspicion) +
               " refusals accuse this peer in window";
-      } else if (ph.window_reconcile_signals >= config_.healing_signals) {
+      } else if (ph.window_reconcile_signals >= kHealthHealingSignals) {
         // Checked ahead of the partition branch: a healing member's own
         // suspicion/rejoin evidence must not re-flag it partitioned while
         // its op-log is replaying.
         raw = HealthState::healing;
         why = std::to_string(ph.window_reconcile_signals) +
               " reconciliation signal(s) in window";
-      } else if (ph.window_partition_signals >= config_.partition_signals) {
+      } else if (ph.window_partition_signals >= kHealthPartitionSignals) {
         raw = HealthState::partitioned;
         why = std::to_string(ph.window_partition_signals) +
               " connectivity-loss signal(s) in window";
@@ -232,13 +249,13 @@ void HealthMonitor::evaluate(Tick now, const MetricsSnapshot& prev,
         raw = HealthState::partitioned;
         why = std::to_string(gauge_in(cur, group, peer, "oplog_depth")) +
               " op(s) queued offline awaiting reconciliation";
-      } else if (ph.window_retransmits >= config_.degraded_retransmits ||
-                 ph.window_refusals >= config_.degraded_refusals) {
+      } else if (ph.window_retransmits >= kHealthDegradedRetransmits ||
+                 ph.window_refusals >= kHealthDegradedRefusals) {
         raw = HealthState::degraded;
-        if (ph.window_retransmits >= config_.degraded_retransmits)
+        if (ph.window_retransmits >= kHealthDegradedRetransmits)
           why = std::to_string(ph.window_retransmits) +
                 " retransmits/reanswers in window";
-        if (ph.window_refusals >= config_.degraded_refusals) {
+        if (ph.window_refusals >= kHealthDegradedRefusals) {
           if (!why.empty()) why += ", ";
           why += std::to_string(ph.window_refusals) +
                  " refusals observed in window";
@@ -253,7 +270,7 @@ void HealthMonitor::evaluate(Tick now, const MetricsSnapshot& prev,
       } else {
         ph.why = "holding " + std::string(health_state_name(applied)) + " (" +
                  std::to_string(hyst.quiet) + "/" +
-                 std::to_string(config_.clear_windows) + " quiet windows)";
+                 std::to_string(kHealthClearWindows) + " quiet windows)";
       }
       if (static_cast<std::uint8_t>(applied) >
           static_cast<std::uint8_t>(group_raw)) {
@@ -266,14 +283,14 @@ void HealthMonitor::evaluate(Tick now, const MetricsSnapshot& prev,
     // Group-level evidence the per-peer view cannot attribute: the leader
     // abandoning exchanges / expelling means *someone* was unreachable, and
     // retransmits spread thinly across peers still mean a lossy window.
-    if (group_loss_signals >= config_.partition_signals &&
+    if (group_loss_signals >= kHealthPartitionSignals &&
         static_cast<std::uint8_t>(group_raw) <
             static_cast<std::uint8_t>(HealthState::partitioned)) {
       group_raw = HealthState::partitioned;
       group_why = std::to_string(group_loss_signals) +
                   " abandoned exchange(s)/expulsion(s) in window";
     }
-    if (group_retransmits >= config_.degraded_retransmits &&
+    if (group_retransmits >= kHealthDegradedRetransmits &&
         group_raw == HealthState::healthy) {
       group_raw = HealthState::degraded;
       group_why = std::to_string(group_retransmits) +
@@ -288,12 +305,12 @@ void HealthMonitor::evaluate(Tick now, const MetricsSnapshot& prev,
     } else {
       gh.why = "holding " + std::string(health_state_name(applied)) + " (" +
                std::to_string(hyst.quiet) + "/" +
-               std::to_string(config_.clear_windows) + " quiet windows)";
+               std::to_string(kHealthClearWindows) + " quiet windows)";
     }
     next.groups[group] = std::move(gh);
   }
 
-  // Emit: gauges for every subject, a trace event per state transition.
+  // Emit: gauges for every subject, a health event per state transition.
   for (const auto& [group, gh] : next.groups) {
     const auto old_it = verdict_.groups.find(group);
     const HealthState old_state = old_it == verdict_.groups.end()
@@ -302,10 +319,7 @@ void HealthMonitor::evaluate(Tick now, const MetricsSnapshot& prev,
     gauge_set("health", group, "group_state",
               static_cast<std::int64_t>(gh.state));
     if (gh.state != old_state) {
-      trace(now, TraceKind::health, group, "group", "",
-            std::string(health_state_name(old_state)) + "->" +
-                std::string(health_state_name(gh.state)),
-            static_cast<std::uint64_t>(gh.state));
+      emit_transition(now, group, "group", old_state, gh.state);
     }
     for (const auto& [peer, ph] : gh.peers) {
       HealthState old_peer = HealthState::healthy;
@@ -316,10 +330,7 @@ void HealthMonitor::evaluate(Tick now, const MetricsSnapshot& prev,
       gauge_set("health", group + "/" + peer, "peer_state",
                 static_cast<std::int64_t>(ph.state));
       if (ph.state != old_peer) {
-        trace(now, TraceKind::health, group, peer, "",
-              std::string(health_state_name(old_peer)) + "->" +
-                  std::string(health_state_name(ph.state)),
-              static_cast<std::uint64_t>(ph.state));
+        emit_transition(now, group, peer, old_peer, ph.state);
       }
     }
   }

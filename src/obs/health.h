@@ -1,5 +1,5 @@
 // Rolling-window health monitor: fuses the windowed `security.*` / `ha.*` /
-// retry metrics and per-peer SecurityLedger suspicion into one typed verdict
+// retry metrics and per-peer ledger suspicion into one typed verdict
 // per group and per peer — the live answer to "is this group healthy,
 // degraded, partitioned, or under attack, and because of whom?".
 //
@@ -7,7 +7,9 @@
 // never feeds back into protocol decisions (DESIGN rule: evidence informs
 // operators, the protocol's own refusal logic is the enforcement). Its
 // outputs are a verdict object (the /health body), per-subject gauges in
-// the metrics plane, and a `health` trace event on every state transition.
+// the metrics plane, and one health event (obs/event.h) per state
+// transition; a transition to partitioned or under_attack is an incident
+// row, so it dumps every attached flight recorder that covers the subject.
 //
 // Taxonomy and ranking (least to most severe):
 //   healthy      — nothing notable inside the window
@@ -31,8 +33,8 @@
 //
 // Hysteresis: escalation applies the moment a window's evidence crosses a
 // threshold (thresholds are set so one stray fault stays below them);
-// de-escalation requires `clear_windows` consecutive quieter windows, so a
-// verdict never flaps on the boundary of a fault burst.
+// de-escalation requires kHealthClearWindows consecutive quieter windows, so
+// a verdict never flaps on the boundary of a fault burst.
 #pragma once
 
 #include <cstdint>
@@ -61,28 +63,30 @@ inline HealthState worse(HealthState a, HealthState b) {
   return static_cast<std::uint8_t>(a) >= static_cast<std::uint8_t>(b) ? a : b;
 }
 
+// The verdict's thresholds, each on one window's evidence.
+/// Retransmits+reanswers at/above which a peer is degraded (above 2, so a
+/// single dropped packet and its repair never flap a state).
+inline constexpr std::uint64_t kHealthDegradedRetransmits = 3;
+/// Refusals observed by a peer at/above which it is degraded (it is seeing
+/// traffic that fails authentication or freshness).
+inline constexpr std::uint64_t kHealthDegradedRefusals = 1;
+/// Connectivity-loss signals (suspicions, rejoins, expulsions, failover
+/// retargets) at/above which a peer is partitioned.
+inline constexpr std::uint64_t kHealthPartitionSignals = 1;
+/// Answered reconciliation signals (admits, replayed ops — unanswered offer
+/// retries are not healing evidence) at/above which a peer reads `healing`
+/// instead of `partitioned`.
+inline constexpr std::uint64_t kHealthHealingSignals = 1;
+/// Ledger suspicion accusing one peer at/above which that peer is flagged
+/// under_attack.
+inline constexpr std::uint64_t kHealthAttackSuspicion = 5;
+/// Consecutive quieter windows required before a state de-escalates.
+inline constexpr int kHealthClearWindows = 2;
+
 struct HealthConfig {
   /// Minimum ticks between evaluated windows; observe() calls inside a
   /// window only refresh the pending snapshot.
   Tick window = 16;
-  /// Windowed retransmits+reanswers at/above which a peer is degraded (set
-  /// above 2 so a single dropped packet and its repair never flap a state).
-  std::uint64_t degraded_retransmits = 3;
-  /// Windowed refusals observed by a peer at/above which it is degraded
-  /// (it is seeing traffic that fails authentication or freshness).
-  std::uint64_t degraded_refusals = 1;
-  /// Windowed connectivity-loss signals (suspicions, rejoins, expulsions,
-  /// failover retargets) at/above which a peer is partitioned.
-  std::uint64_t partition_signals = 1;
-  /// Windowed answered reconciliation signals (admits, replayed ops —
-  /// unanswered offer retries are not healing evidence) at/above
-  /// which a peer reads `healing` instead of `partitioned`.
-  std::uint64_t healing_signals = 1;
-  /// Windowed ledger suspicion accusing one peer at/above which that peer
-  /// is flagged under_attack.
-  std::uint64_t attack_suspicion = 5;
-  /// Consecutive quieter windows required before a state de-escalates.
-  int clear_windows = 2;
 };
 
 /// Per-peer window evidence and the resulting (hysteresis-filtered) state.
@@ -126,7 +130,7 @@ class HealthMonitor {
   /// Feeds one sample. When at least `config.window` ticks have passed
   /// since the last evaluated window (or on the first call), diffs the
   /// snapshot against the previous window's, re-derives every state, emits
-  /// gauges (group "health") and a `health` trace event per transition, and
+  /// gauges (group "health") and a health event per transition, and
   /// returns true. Otherwise retains nothing and returns false.
   bool observe(Tick now, const MetricsSnapshot& snapshot);
 

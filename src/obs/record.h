@@ -1,31 +1,38 @@
-// One telemetry record, one bounded log, one sink, one JSON field writer.
+// One telemetry record per event, one bounded store, one sink.
 //
-// The TraceLog (obs/trace.h) holds Record<TraceKind> and the SecurityLedger
-// (obs/security.h) holds Record<EvidenceKind>; both are a RecordLog, whose
-// record() tees into every attached FlightRecorder (obs/flight.h) and then
-// appends. The JSONL exports and the flight ring lines all write a record
-// with append_record_fields. The tee costs one atomic load and runs behind
-// a sink check that already passed, so detached sinks stay free.
+// obs::emit (obs/event.h) appends one Record per protocol event. A record
+// carries the event's TraceKind when its row has one, its EvidenceKind when
+// it is a refusal, and the shared fields. The EventStore keeps the records in
+// emission order; the trace (events()) and the security ledger (entries(),
+// suspicion()) are filters over it, and each view writes its own JSONL with
+// append_view_line — the same writer the flight recorder's ring lines use.
+//
+// Cost model: without an attached store, flight recorder or metrics sink,
+// trace() and security_event() load three atomics and return — no strings
+// are built (pinned by obs_test's EmitTable.FreeWhenEverySinkDetached).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "obs/json_escape.h"
 #include "obs/metrics.h"
+#include "obs/security.h"
+#include "obs/trace.h"
 #include "util/clock.h"
 
 namespace enclaves::obs {
 
-template <class Kind>
 struct Record {
   Tick tick = 0;  // the recording agent's VirtualClock (0 if clockless)
-  Kind kind{};
+  std::optional<TraceKind> trace;        // set when the trace view shows it
+  std::optional<EvidenceKind> evidence;  // set when the ledger shows it
   std::string group;   // protocol group, or fixed plane ("crypto", "ha")
   std::string agent;   // who recorded the event (the ledger's observer)
   std::string peer;    // counterparty (the ledger's accused), if any
@@ -35,164 +42,162 @@ struct Record {
   friend bool operator==(const Record&, const Record&) = default;
 };
 
-/// How one Kind's records are written: the kind's name, the JSON keys of
-/// the agent and peer fields, and the log's tag (the flight ring line's
-/// "k", and the agent of its obs/<tag>/dropped_events gauge). trace.h and
-/// security.h each overload record_format() for their Kind.
-struct RecordFormat {
-  std::string_view kind;
-  std::string_view agent_key;
-  std::string_view peer_key;
-  std::string_view tag;
+/// A record as the trace view shows it.
+struct TraceEvent {
+  Tick tick = 0;
+  TraceKind kind{};
+  std::string group, agent, peer, detail;
+  std::uint64_t value = 0;
+
+  friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
 };
 
-/// Appends `"tick":..,"kind":..,"group":..,"<agent_key>":..` plus the peer
-/// and detail when non-empty and the value when non-zero, in that order
-/// (no braces).
-template <class Kind>
-void append_record_fields(std::string& out, const Record<Kind>& r) {
-  const RecordFormat f = record_format(r.kind);
-  out += "\"tick\":" + std::to_string(r.tick);
-  append_json_field(out, "kind", f.kind);
-  append_json_field(out, "group", r.group);
-  append_json_field(out, f.agent_key, r.agent);
-  if (!r.peer.empty()) append_json_field(out, f.peer_key, r.peer);
-  if (!r.detail.empty()) append_json_field(out, "detail", r.detail);
-  if (r.value != 0) append_json_field(out, "value", r.value);
+/// A record as the ledger view shows it: `agent` is the observer that
+/// refused the input, `peer` the accused (the envelope sender; may be empty).
+struct SecurityEvidence {
+  Tick tick = 0;
+  EvidenceKind kind{};
+  std::string group, agent, peer, detail;
+  std::uint64_t value = 0;
+
+  friend bool operator==(const SecurityEvidence&,
+                         const SecurityEvidence&) = default;
+};
+
+/// The store's two views. A record with both kinds (a refused relay) shows
+/// in both.
+enum class View : std::uint8_t { trace, ledger };
+
+inline bool in_view(const Record& r, View view) {
+  return view == View::trace ? r.trace.has_value() : r.evidence.has_value();
 }
+
+/// Appends `{"tick":..,"kind":..,"group":..,"agent":..}` plus the peer and
+/// detail when non-empty and the value when non-zero, as `view` names them:
+/// the ledger writes its kind and the keys "observer"/"accused". With
+/// `tagged`, the object opens with the flight ring's `"k":"trace"|"ledger"`.
+/// The record must be in the view.
+void append_view_line(std::string& out, const Record& r, View view,
+                      bool tagged = false);
+
+class EventStore {
+ public:
+  void append(Record r);
+
+  /// The trace view, in emission order.
+  std::vector<TraceEvent> events() const;
+  /// The ledger view, in emission order.
+  std::vector<SecurityEvidence> entries() const;
+
+  /// How many retained ledger records accuse `accused` (0 for a peer never
+  /// accused).
+  std::uint64_t suspicion(std::string_view accused) const;
+  /// All non-zero suspicion counts, keyed by accused peer.
+  std::map<std::string, std::uint64_t> suspicion_counts() const;
+
+  /// One JSON object per line of `view` (append_view_line), for jq/diffing.
+  std::string to_jsonl(View view) const;
+
+  /// Records retained, both views together.
+  std::size_t size() const;
+  void clear();
+
+  /// Bounds the store to the most recent `capacity` records (ring buffer);
+  /// 0 restores the default unbounded behaviour. Shrinking below the
+  /// current size evicts the oldest records immediately. Evictions count as
+  /// dropped and are published as the obs/events/dropped_events gauge, so
+  /// long seed sweeps keep memory flat and say what they lost.
+  void set_capacity(std::size_t capacity);
+  /// Records evicted since construction / clear().
+  std::uint64_t dropped_events() const;
+
+ private:
+  void evict_to(std::size_t keep);  // caller holds mutex_
+
+  mutable std::mutex mutex_;
+  std::deque<Record> records_;
+  std::size_t capacity_ = 0;  // 0 = unbounded
+  std::uint64_t dropped_ = 0;
+};
 
 namespace detail {
 
+inline std::atomic<EventStore*> g_event_sink{nullptr};
+
 // Number of FlightRecorders attached to the process-wide registry
-// (flight.h). Zero means every flight hook is a dead branch.
+// (flight.h). Zero means the flight hook is a dead branch.
 extern std::atomic<int> g_flight_recorder_count;
 
-// Out-of-line fan-out into the attached recorders (flight.cpp). The record
-// hook runs under the owning log's mutex; recorders take only their own.
-template <class Kind>
-void flight_note(const Record<Kind>& record);
-void flight_incident(Tick tick, std::string_view reason,
-                     std::string_view agent);
+// Feeds `record` to every attached recorder that covers its agent, with the
+// event row's incident reason (empty: none). Defined in flight.cpp.
+void flight_note(const Record& record, std::string_view incident);
 
 }  // namespace detail
+
+inline EventStore* event_sink() {
+  return detail::g_event_sink.load(std::memory_order_acquire);
+}
+
+/// Installs `store` as the process-wide sink (nullptr detaches). The store
+/// must outlive its installation; the sink does not own it.
+inline void set_event_sink(EventStore* store) {
+  detail::g_event_sink.store(store, std::memory_order_release);
+}
+
+class ScopedEventSink {
+ public:
+  explicit ScopedEventSink(EventStore& store) { set_event_sink(&store); }
+  ~ScopedEventSink() { set_event_sink(nullptr); }
+  ScopedEventSink(const ScopedEventSink&) = delete;
+  ScopedEventSink& operator=(const ScopedEventSink&) = delete;
+};
 
 inline bool flight_active() {
   return detail::g_flight_recorder_count.load(std::memory_order_acquire) != 0;
 }
 
-template <class Kind>
-class RecordLog {
- public:
-  void record(Record<Kind> r) {
-    std::lock_guard lock(mutex_);
-    append_locked(std::move(r));
-  }
-
-  /// Copy of the recorded sequence, in record order.
-  std::vector<Record<Kind>> entries() const {
-    std::lock_guard lock(mutex_);
-    return {records_.begin(), records_.end()};
-  }
-
-  std::size_t size() const {
-    std::lock_guard lock(mutex_);
-    return records_.size();
-  }
-
-  void clear() {
-    std::lock_guard lock(mutex_);
-    clear_locked();
-  }
-
-  /// One JSON object per line (append_record_fields). Suitable for jq /
-  /// diffing.
-  std::string to_jsonl() const {
-    std::string out;
-    for (const Record<Kind>& r : entries()) {
-      out += '{';
-      append_record_fields(out, r);
-      out += "}\n";
-    }
-    return out;
-  }
-
- protected:
-  /// Bounds the log to the most recent `capacity` records (ring buffer);
-  /// 0 restores the default unbounded behaviour. Shrinking below the
-  /// current size evicts the oldest records immediately (they count as
-  /// dropped).
-  void set_capacity(std::size_t capacity) {
-    std::lock_guard lock(mutex_);
-    capacity_ = capacity;
-    evict_to(capacity_);
-  }
-
-  /// Records evicted by the ring buffer since construction / clear().
-  std::uint64_t dropped_events() const {
-    std::lock_guard lock(mutex_);
-    return dropped_;
-  }
-
-  void append_locked(Record<Kind> r) {
-    if (flight_active()) detail::flight_note(r);
-    evict_to(capacity_ - 1);
-    records_.push_back(std::move(r));
-  }
-
-  void clear_locked() {
-    records_.clear();
-    dropped_ = 0;
-  }
-
-  mutable std::mutex mutex_;
-
- private:
-  // Evicts the oldest records until at most `keep` remain (bounded logs
-  // only) and mirrors the eviction counter into the metrics plane, so
-  // ring-buffer loss is visible on /metrics as obs/<tag>/dropped_events.
-  // Caller holds mutex_; the registry never calls back into a log.
-  void evict_to(std::size_t keep) {
-    if (capacity_ == 0 || records_.size() <= keep) return;
-    while (records_.size() > keep) {
-      records_.pop_front();
-      ++dropped_;
-    }
-    gauge_set("obs", record_format(Kind{}).tag, "dropped_events",
-              static_cast<std::int64_t>(dropped_));
-  }
-
-  std::deque<Record<Kind>> records_;
-  std::size_t capacity_ = 0;  // 0 = unbounded
-  std::uint64_t dropped_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Process-wide sinks, one per log type.
-
-namespace detail {
-template <class Log>
-inline std::atomic<Log*> g_sink{nullptr};
+/// True when a record would reach a store or a flight recorder: the guard
+/// for sites that build a detail string only for those.
+inline bool records_attached() {
+  return event_sink() != nullptr || flight_active();
 }
 
-template <class Log>
-Log* sink() {
-  return detail::g_sink<Log>.load(std::memory_order_acquire);
+inline bool any_sink_attached() {
+  return metrics_sink() != nullptr || records_attached();
 }
 
-/// Installs `log` as the process-wide sink of its type (nullptr detaches).
-/// The log must outlive its installation; the sink does not own it.
-template <class Log>
-void set_sink(Log* log) {
-  detail::g_sink<Log>.store(log, std::memory_order_release);
+/// The one record path, called only when a sink is attached: the
+/// `security.*` refusal metrics of an evidence record, then the record,
+/// once, to every attached flight recorder (with `incident`, the event row's
+/// dump reason) and to the store.
+void record_attached(Tick tick, std::optional<TraceKind> trace,
+                     std::optional<EvidenceKind> evidence,
+                     std::string_view group, std::string_view agent,
+                     std::string_view peer, std::string_view detail,
+                     std::uint64_t value, std::string_view incident);
+
+/// A trace record outside the event table (tests and tools); protocol code
+/// reports through obs::emit.
+inline void trace(Tick tick, TraceKind kind, std::string_view group,
+                  std::string_view agent, std::string_view peer = {},
+                  std::string_view detail = {}, std::uint64_t value = 0) {
+  if (any_sink_attached())
+    record_attached(tick, kind, std::nullopt, group, agent, peer, detail,
+                    value, {});
 }
 
-template <class Log>
-class ScopedSink {
- public:
-  explicit ScopedSink(Log& log) { set_sink(&log); }
-  ~ScopedSink() { set_sink<Log>(nullptr); }
-  ScopedSink(const ScopedSink&) = delete;
-  ScopedSink& operator=(const ScopedSink&) = delete;
-};
+/// A refusal outside the event table (tests and tools). Bumps, with a
+/// metrics sink, the per-observer `security/<observer>/refusals_total` and
+/// `refusals_<kind>_total` and, for an attributed origin, the per-accused
+/// `security/<accused>/suspicion_total`.
+inline void security_event(Tick tick, EvidenceKind kind,
+                           std::string_view group, std::string_view observer,
+                           std::string_view accused,
+                           std::string_view detail = {},
+                           std::uint64_t value = 0) {
+  if (any_sink_attached())
+    record_attached(tick, std::nullopt, kind, group, observer, accused,
+                    detail, value, {});
+}
 
 }  // namespace enclaves::obs

@@ -16,22 +16,16 @@
 // claimed to come from; per-peer suspicion counters are evidence for an
 // operator, not a verdict.
 //
-// Same cost model as metrics/trace: without an attached SecurityLedger the
-// inline security_event() helper is one atomic load and a branch (pinned by
-// obs_test's EmitTable.FreeWhenEverySinkDetached). With a sink, each refusal
-// also bumps `security.*` metrics (per-observer refusal counters,
-// per-accused rolling suspicion) through the metrics sink. Protocol code
-// reports refusals through obs::emit (obs/event.h), which records them.
+// The ledger is the evidence view of the event store (obs/record.h): every
+// record whose event row carries an EvidenceKind. With a metrics sink each
+// refusal also bumps the `security.*` counters (per-observer refusals,
+// per-accused suspicion). Protocol code reports refusals through obs::emit
+// (obs/event.h).
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <string_view>
 
-#include "obs/metrics.h"
-#include "obs/record.h"
-#include "util/clock.h"
 #include "util/result.h"
 
 namespace enclaves::obs {
@@ -70,57 +64,5 @@ std::string_view evidence_metric_name(EvidenceKind kind);
 /// Maps the protocol's rejection codes (session/crypto refusal paths) onto
 /// evidence kinds, so Leader/Member instrumentation stays one line per site.
 EvidenceKind evidence_kind_for(Errc code);
-
-/// The ledger's JSON keys are "observer"/"accused"; its log tag is
-/// "ledger".
-RecordFormat record_format(EvidenceKind kind);
-
-/// `agent` is the observer that refused the input; `peer` is the accused
-/// (attributed origin — the envelope sender; may be empty).
-using SecurityEvidence = Record<EvidenceKind>;
-
-class SecurityLedger : public RecordLog<EvidenceKind> {
- public:
-  /// RecordLog::record plus one suspicion count against a non-empty peer.
-  void record(SecurityEvidence evidence);
-  void clear();
-
-  /// Rolling per-peer suspicion: how many refusals attributed bytes to
-  /// `accused` (0 for a peer never accused).
-  std::uint64_t suspicion(std::string_view accused) const;
-
-  /// All non-zero suspicion counters, keyed by accused peer.
-  std::map<std::string, std::uint64_t> suspicion_counts() const;
-
- private:
-  std::map<std::string, std::uint64_t, std::less<>> suspicion_;
-};
-
-using ScopedSecurityLedger = ScopedSink<SecurityLedger>;
-
-inline SecurityLedger* security_sink() { return sink<SecurityLedger>(); }
-
-/// Records a refusal iff a ledger is attached, and bumps the `security.*`
-/// metrics iff a metrics sink is attached; free when both are detached.
-/// Metrics written (group "security"): per-observer
-/// `refusals_total` + `refusals_<kind>_total`, and per-accused
-/// `suspicion_total` when the origin is attributable.
-inline void security_event(Tick tick, EvidenceKind kind,
-                           std::string_view group, std::string_view observer,
-                           std::string_view accused,
-                           std::string_view detail = {},
-                           std::uint64_t value = 0) {
-  if (SecurityLedger* ledger = security_sink()) {
-    ledger->record(SecurityEvidence{tick, kind, std::string(group),
-                                    std::string(observer),
-                                    std::string(accused), std::string(detail),
-                                    value});
-  }
-  if (MetricsRegistry* r = metrics_sink()) {
-    r->add("security", observer, "refusals_total");
-    r->add("security", observer, evidence_metric_name(kind));
-    if (!accused.empty()) r->add("security", accused, "suspicion_total");
-  }
-}
 
 }  // namespace enclaves::obs

@@ -1,10 +1,10 @@
-// Causal exchange spans: the flat TraceLog stream stitched into the typed
+// Causal exchange spans: the flat trace stream stitched into the typed
 // protocol exchanges the DSN'01 argument is actually about.
 //
 // A TraceEvent says "a retransmit happened"; a Span says "the join handshake
 // between alice and L took 3 ticks and needed 2 retransmits, one of which
 // was caused by this injected drop". SpanTracker::build is a pure function
-// of a recorded event sequence — run it post-hoc over TraceLog::events()
+// of a recorded event sequence — run it post-hoc over EventStore::events()
 // (deterministic: same trace, same spans, same ids).
 //
 // Span kinds and their event anchors:
@@ -41,8 +41,7 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/security.h"
-#include "obs/trace.h"
+#include "obs/record.h"
 
 namespace enclaves::obs {
 

@@ -1,25 +1,16 @@
-// Structured protocol event trace: typed events recorded against
-// VirtualClock ticks.
+// Structured protocol event trace: the kinds of event the trace view of the
+// event store (obs/record.h) shows, recorded against VirtualClock ticks.
 //
 // Where metrics.h aggregates (how many retransmits), the trace preserves
 // order (which retransmit, when, between whom). The event taxonomy follows
 // the DSN'01 protocol surface: handshake phase transitions, AdminMsg
 // send/ack, retransmits, suspicion/expulsion/rejoin, rekeys, data-plane
-// delivery and rejection, and fault-injector verdicts.
-//
-// Same cost model as metrics: without an attached TraceLog the inline
-// trace() helper is one atomic load and a branch — no allocation (pinned by
-// obs_test's EmitTable.FreeWhenEverySinkDetached). Protocol code reports
-// through obs::emit (obs/event.h), which records these events.
+// delivery and rejection, and fault-injector verdicts. Protocol code reports
+// through obs::emit (obs/event.h), whose table row names the event's kind.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
-#include <vector>
-
-#include "obs/record.h"
-#include "util/clock.h"
 
 namespace enclaves::obs {
 
@@ -84,35 +75,5 @@ enum class TraceKind : std::uint8_t {
 
 /// Stable lowercase name for JSONL export and chart rendering.
 std::string_view trace_kind_name(TraceKind kind);
-
-/// The trace's JSON keys are "agent"/"peer"; its log tag is "trace".
-RecordFormat record_format(TraceKind kind);
-
-using TraceEvent = Record<TraceKind>;
-
-class TraceLog : public RecordLog<TraceKind> {
- public:
-  std::vector<TraceEvent> events() const { return entries(); }
-
-  // Long 50-seed sweeps bound the log so memory stays flat; evictions are
-  // counted and published as the obs/trace/dropped_events gauge.
-  using RecordLog::dropped_events;
-  using RecordLog::set_capacity;
-};
-
-using ScopedTraceSink = ScopedSink<TraceLog>;
-
-inline TraceLog* trace_sink() { return sink<TraceLog>(); }
-
-/// Records an event iff a sink is attached; otherwise free (no strings are
-/// built — the string_views are only copied after the sink check passes).
-inline void trace(Tick tick, TraceKind kind, std::string_view group,
-                  std::string_view agent, std::string_view peer = {},
-                  std::string_view detail = {}, std::uint64_t value = 0) {
-  if (TraceLog* log = trace_sink()) {
-    log->record(TraceEvent{tick, kind, std::string(group), std::string(agent),
-                           std::string(peer), std::string(detail), value});
-  }
-}
 
 }  // namespace enclaves::obs

@@ -20,7 +20,7 @@
 #include "net/fault.h"
 #include "net/sim_network.h"
 #include "obs/metrics.h"
-#include "obs/security.h"
+#include "obs/record.h"
 #include "util/rng.h"
 
 namespace enclaves::fed {
@@ -189,8 +189,8 @@ TEST_P(ChaosMigration, ConvergesAndFencesTheResurrectedSource) {
   SCOPED_TRACE("seed=" + std::to_string(seed));
   obs::MetricsRegistry metrics;
   obs::ScopedMetricsSink msink(metrics);
-  obs::SecurityLedger ledger;
-  obs::ScopedSecurityLedger lguard(ledger);
+  obs::EventStore ledger;
+  obs::ScopedEventSink lguard(ledger);
 
   MigrationChaosWorld w(seed, plan_for_seed(seed));
   w.create_group();

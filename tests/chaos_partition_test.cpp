@@ -20,9 +20,8 @@
 #include "net/fault.h"
 #include "net/sim_network.h"
 #include "obs/metrics.h"
-#include "obs/security.h"
+#include "obs/record.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "util/rng.h"
 
 namespace enclaves::core {
@@ -136,11 +135,9 @@ struct PartitionChaosWorld {
 
   // Sinks declared before the network so they attach first, detach last.
   obs::MetricsRegistry metrics;
-  obs::TraceLog trace;
-  obs::SecurityLedger ledger;
+  obs::EventStore store;
   obs::ScopedMetricsSink metrics_sink{metrics};
-  obs::ScopedTraceSink trace_sink{trace};
-  obs::ScopedSecurityLedger ledger_sink{ledger};
+  obs::ScopedEventSink event_sink{store};
 
   net::SimNetwork net;
   DeterministicRng rng;
@@ -259,7 +256,7 @@ TEST_P(ChaosPartitionHeal, SingleMemberHealReplaysExactlyOnce) {
   // Honest runs produce no reconcile-plane accusations, ever.
   EXPECT_EQ(w.metrics.counter("L", "L", "reconcile_intrusions_total"), 0u);
   EXPECT_EQ(w.metrics.counter("L", "L", "reconcile_quarantines_total"), 0u);
-  for (const auto& e : w.ledger.entries())
+  for (const auto& e : w.store.entries())
     EXPECT_NE(e.kind, obs::EvidenceKind::forged_oplog)
         << "honest replay accused of forgery, seed=" << seed;
 
@@ -293,7 +290,7 @@ TEST_P(ChaosPartitionHeal, SingleMemberHealReplaysExactlyOnce) {
       << "a partition that dropped nothing cannot have caused the expulsion";
 
   // And the span graph contains one completed reconcile span for the victim.
-  auto spans = obs::SpanTracker::build(w.trace.events());
+  auto spans = obs::SpanTracker::build(w.store.events());
   std::uint64_t complete_reconciles = 0;
   for (const auto& s : spans)
     if (s.kind == obs::SpanKind::reconcile && s.agent == victim && s.complete)

@@ -36,9 +36,8 @@
 #include "net/sim_network.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
-#include "obs/security.h"
+#include "obs/record.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "util/rng.h"
 #include "wire/payloads.h"
 #include "wire/seal.h"
@@ -252,11 +251,9 @@ struct ChaosWorld {
   // cross-check them against the injector's fault schedule. Declared first
   // so the RAII sinks attach before any traffic and detach last.
   obs::MetricsRegistry metrics;
-  obs::TraceLog trace;
-  obs::SecurityLedger ledger;
+  obs::EventStore store;
   obs::ScopedMetricsSink metrics_sink{metrics};
-  obs::ScopedTraceSink trace_sink{trace};
-  obs::ScopedSecurityLedger ledger_sink{ledger};
+  obs::ScopedEventSink event_sink{store};
 
   net::SimNetwork net;
   DeterministicRng rng;
@@ -298,7 +295,7 @@ TEST_P(ChaosLifecycle, InvariantsHoldUnderSeededFaultSchedule) {
   // Lifecycle runs only assert end-state invariants, never the raw trace,
   // so they double as coverage for the bounded ring-buffer mode: eviction
   // of old events must not disturb any protocol behaviour.
-  w.trace.set_capacity(4096);
+  w.store.set_capacity(4096);
 
   // Phase 1: everyone joins through the fault storm.
   for (auto& [id, m] : w.members) ASSERT_TRUE(m->join().ok());
@@ -384,9 +381,9 @@ TEST_P(ChaosLifecycle, InvariantsHoldUnderSeededFaultSchedule) {
   }
 
   // Ring-buffer accounting: the cap held, and every eviction was counted.
-  EXPECT_LE(w.trace.size(), 4096u);
-  if (w.trace.dropped_events() > 0) {
-    EXPECT_EQ(w.trace.size(), 4096u);
+  EXPECT_LE(w.store.size(), 4096u);
+  if (w.store.dropped_events() > 0) {
+    EXPECT_EQ(w.store.size(), 4096u);
   }
 }
 
@@ -432,7 +429,7 @@ TEST_P(ChaosMetricsInvariants, CountersReconcileWithFaultSchedule) {
   ASSERT_TRUE(w.settle(4000)) << "post-heal convergence failed, seed="
                               << seed;
 
-  const auto events = w.trace.events();
+  const auto events = w.store.events();
 
   // 1. The fault-injector's own statistics and its metrics/trace output are
   //    three views of one schedule; they must agree exactly.
@@ -537,7 +534,7 @@ TEST_P(ChaosCausality, SpanGraphAndLedgerReconcileWithTrace) {
   ASSERT_TRUE(w.settle(4000)) << "post-heal convergence failed, seed="
                               << seed;
 
-  const auto events = w.trace.events();
+  const auto events = w.store.events();
   auto spans = obs::SpanTracker::build(events);
 
   // Event census from the raw stream.
@@ -633,10 +630,11 @@ TEST_P(ChaosCausality, SpanGraphAndLedgerReconcileWithTrace) {
 
   // 4. Ledger/metrics agreement: every refusal in the run is one attributed
   //    ledger entry, crypto-plane tag failures included.
-  EXPECT_EQ(w.ledger.size(), w.metrics.counter_total("refusals_total"));
+  EXPECT_EQ(w.store.entries().size(),
+            w.metrics.counter_total("refusals_total"));
   std::uint64_t crypto_entries = 0;
   const std::set<std::string> agents = {"L", "m0", "m1", "m2", "m3"};
-  for (const auto& e : w.ledger.entries()) {
+  for (const auto& e : w.store.entries()) {
     if (e.group == "crypto") {
       ++crypto_entries;
       continue;
@@ -652,18 +650,18 @@ TEST_P(ChaosCausality, SpanGraphAndLedgerReconcileWithTrace) {
   EXPECT_EQ(crypto_entries,
             w.metrics.counter_total("open_failures_total"));
   std::uint64_t attributed = 0;
-  for (const auto& e : w.ledger.entries())
+  for (const auto& e : w.store.entries())
     if (!e.peer.empty()) ++attributed;
   std::uint64_t suspicion_total = 0;
-  for (const auto& [accused, n] : w.ledger.suspicion_counts())
+  for (const auto& [accused, n] : w.store.suspicion_counts())
     suspicion_total += n;
   EXPECT_EQ(suspicion_total, attributed);
 
   // 5. Evidence attaches into the span graph (an entry may miss only when
   //    its exchange closed before the refusal tick), and both artifacts
   //    export cleanly.
-  const std::size_t attached = obs::attach_evidence(spans, w.ledger.entries());
-  EXPECT_LE(attached, w.ledger.size());
+  const std::size_t attached = obs::attach_evidence(spans, w.store.entries());
+  EXPECT_LE(attached, w.store.entries().size());
   const std::string jsonl = obs::spans_to_jsonl(spans);
   std::size_t lines = 0;
   for (char c : jsonl) lines += c == '\n' ? 1 : 0;
@@ -850,7 +848,7 @@ TEST_P(ChaosHealth, VerdictTracksInjectedFaultsAndRecovery) {
   // delta may still be pending — and (ii) the hysteresis to clear.
   w.net.set_tap([](const net::Packet&) { return net::TapVerdict::deliver; });
   const int quiet_steps =
-      static_cast<int>((config.clear_windows + 3) * config.window) + 1;
+      static_cast<int>((obs::kHealthClearWindows + 3) * config.window) + 1;
   for (int t = 0; t < quiet_steps; ++t) {
     w.step();
     pump();
@@ -875,7 +873,7 @@ TEST_P(ChaosHealth, VerdictTracksInjectedFaultsAndRecovery) {
   // windowed suspicion.
   if (worst_seen == obs::HealthState::under_attack) {
     EXPECT_GE(w.metrics.counter_total("suspicion_total"),
-              static_cast<std::uint64_t>(config.attack_suspicion));
+              obs::kHealthAttackSuspicion);
   }
 
   // (c) Recovery: after the quiet windows the verdict must have walked

@@ -18,8 +18,7 @@
 #include "obs/export_server.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
-#include "obs/security.h"
-#include "obs/trace.h"
+#include "obs/record.h"
 
 namespace enclaves::obs {
 namespace {
@@ -206,37 +205,39 @@ TEST(Aggregator, ClampsOnCounterResetAndEvictsOldSamples) {
 }
 
 // --------------------------------------------------------------------------
-// Satellite gauges: TraceLog drops and ledger suspicion on /metrics.
+// Satellite metrics: event-store drops and ledger suspicion on /metrics.
 
 TEST(SatelliteGauges, TraceDroppedEventsIsExported) {
   MetricsRegistry registry;
   ScopedMetricsSink metrics_sink(registry);
-  TraceLog log;
+  EventStore log;
   log.set_capacity(2);
   for (int i = 0; i < 5; ++i)
-    log.record(TraceEvent{static_cast<Tick>(i), TraceKind::retransmit, "L",
-                          "alice", "", "", 0});
+    log.append(Record{static_cast<Tick>(i), TraceKind::retransmit, {}, "L",
+                      "alice", "", "", 0});
   EXPECT_EQ(log.dropped_events(), 3u);
-  EXPECT_EQ(registry.gauge("obs", "trace", "dropped_events"), 3);
+  EXPECT_EQ(registry.gauge("obs", "events", "dropped_events"), 3);
   EXPECT_NE(render_prometheus(registry.snapshot())
                 .find("enclaves_dropped_events{group=\"obs\","
-                      "agent=\"trace\"} 3"),
+                      "agent=\"events\"} 3"),
             std::string::npos);
 }
 
 TEST(SatelliteGauges, LedgerSuspicionIsExportedPerPeer) {
   MetricsRegistry registry;
   ScopedMetricsSink metrics_sink(registry);
-  SecurityLedger ledger;
-  ScopedSecurityLedger ledger_sink(ledger);
+  EventStore ledger;
+  ScopedEventSink ledger_sink(ledger);
   security_event(5, EvidenceKind::replayed_seq, "L", "alice", "mallory");
   security_event(6, EvidenceKind::stale_nonce, "L", "bob", "mallory");
   security_event(7, EvidenceKind::malformed, "L", "bob", "");  // unattributed
 
+  // One per-peer series: the suspicion_total counter HealthMonitor reads.
   EXPECT_EQ(ledger.suspicion("mallory"), 2u);
-  EXPECT_EQ(registry.gauge("security", "mallory", "suspicion"), 2);
+  EXPECT_EQ(registry.counter("security", "mallory", "suspicion_total"), 2u);
+  EXPECT_TRUE(registry.snapshot().gauges.empty());
   EXPECT_NE(render_prometheus(registry.snapshot())
-                .find("enclaves_suspicion{group=\"security\","
+                .find("enclaves_suspicion_total{group=\"security\","
                       "agent=\"mallory\"} 2"),
             std::string::npos);
 }

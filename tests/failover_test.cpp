@@ -37,7 +37,7 @@
 #include "net/fault.h"
 #include "net/sim_network.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/record.h"
 #include "util/rng.h"
 #include "wire/repl.h"
 
@@ -249,9 +249,9 @@ struct FailoverWorld {
 
   // Sinks first, so they attach before any traffic and detach last.
   obs::MetricsRegistry metrics;
-  obs::TraceLog trace;
+  obs::EventStore trace;
   obs::ScopedMetricsSink metrics_sink{metrics};
-  obs::ScopedTraceSink trace_sink{trace};
+  obs::ScopedEventSink trace_sink{trace};
 
   net::SimNetwork net;
   DeterministicRng rng;

@@ -16,9 +16,8 @@
 #include "net/sim_network.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "obs/security.h"
+#include "obs/record.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "tests/flight_dumps.h"
 #include "util/rng.h"
 #include "wire/seal.h"
@@ -177,8 +176,8 @@ TEST(Federation, CreateGroupRespectsPlacementAndSyncsDirectory) {
 TEST(Federation, MemberJoinsThroughWrongShardViaRedirect) {
   obs::MetricsRegistry metrics;
   obs::ScopedMetricsSink sink(metrics);
-  obs::SecurityLedger ledger;
-  obs::ScopedSecurityLedger guard(ledger);
+  obs::EventStore ledger;
+  obs::ScopedEventSink guard(ledger);
 
   FedWorld w(2, kShards);
   const std::string g = w.group_on("s1");
@@ -208,8 +207,8 @@ TEST(Federation, MemberJoinsThroughWrongShardViaRedirect) {
 }
 
 TEST(Federation, LiveMigrationMovesGroupMembersAndDirectory) {
-  obs::TraceLog trace;
-  obs::ScopedTraceSink tsink(trace);
+  obs::EventStore trace;
+  obs::ScopedEventSink tsink(trace);
 
   FedWorld w(3, kShards);
   const std::string g = w.group_on("s1");
@@ -278,8 +277,8 @@ TEST(Federation, LiveMigrationMovesGroupMembersAndDirectory) {
 TEST(Federation, ResurrectedSourceIsFencedWithLedgerAttribution) {
   obs::MetricsRegistry metrics;
   obs::ScopedMetricsSink sink(metrics);
-  obs::SecurityLedger ledger;
-  obs::ScopedSecurityLedger guard(ledger);
+  obs::EventStore ledger;
+  obs::ScopedEventSink guard(ledger);
 
   FedWorld w(4, kShards);
   const std::string g = w.group_on("s1");
@@ -351,8 +350,8 @@ TEST(Federation, ResurrectedSourceIsFencedWithLedgerAttribution) {
 // group's pre-migration key must not authenticate at the new shard — the
 // snapshot moves credentials and parole, never the session/group keys.
 TEST(Federation, PreMigrationSealRefusedAtNewShard) {
-  obs::SecurityLedger ledger;
-  obs::ScopedSecurityLedger guard(ledger);
+  obs::EventStore ledger;
+  obs::ScopedEventSink guard(ledger);
 
   FedWorld w(5, kShards);
   const std::string g = w.group_on("s1");

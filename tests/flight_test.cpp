@@ -23,8 +23,7 @@
 #include "obs/flight.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
-#include "obs/security.h"
-#include "obs/trace.h"
+#include "obs/record.h"
 #include "tools/enclaves_postmortem_lib.h"
 #include "tools/enclaves_top_lib.h"
 
@@ -136,10 +135,8 @@ TEST_F(FlightTest, PublishedLineKeepsLatestAndClearsOnOversize) {
 // Tee capture, filters, gauges
 
 TEST_F(FlightTest, TeesTraceAndLedgerThroughTheSinksIntoTheDump) {
-  TraceLog log;
-  SecurityLedger ledger;
-  ScopedTraceSink trace_sink(log);
-  ScopedSecurityLedger ledger_sink(ledger);
+  EventStore store;
+  ScopedEventSink event_sink(store);
 
   FlightRecorder rec("n0", dir_.path);
   ASSERT_TRUE(rec.attach());
@@ -150,8 +147,7 @@ TEST_F(FlightTest, TeesTraceAndLedgerThroughTheSinksIntoTheDump) {
   rec.detach();
 
   FlightStats stats = rec.stats();
-  EXPECT_EQ(stats.trace_seen, 2u);
-  EXPECT_EQ(stats.ledger_seen, 1u);
+  EXPECT_EQ(stats.events_seen, 3u);
 
   ASSERT_TRUE(rec.dump_now("unit"));
   auto dump = postmortem::FlightDump::parse(slurp(rec.last_dump_path()));
@@ -166,12 +162,41 @@ TEST_F(FlightTest, TeesTraceAndLedgerThroughTheSinksIntoTheDump) {
   EXPECT_EQ(dump->lines[1].value, 2u);
   EXPECT_EQ(dump->lines[2].src, "ledger");
   EXPECT_EQ(dump->lines[2].peer, "mallory");  // accused
-  EXPECT_EQ(dump->stats.at("trace_seen"), 2u);
+  EXPECT_EQ(dump->stats.at("events_seen"), 3u);
+}
+
+// The recorder takes records straight from the record path: with no event
+// store attached it still keeps both lines of a refused relay (its trace
+// and its evidence) and the next event, in emission order.
+TEST_F(FlightTest, CapturesTraceAndLedgerLinesWithoutAnyStore) {
+  ASSERT_EQ(event_sink(), nullptr);
+  FlightRecorder rec("L", dir_.path);
+  rec.set_local_agents({"L"});
+  ASSERT_TRUE(rec.attach());
+  emit(Event::relay_reject, 4, "G", "L", "mallory", "not a member");
+  emit(Event::join, 5, "G", "L", "alice");
+  emit(Event::join, 6, "G", "bob", "alice");  // another agent: not covered
+  rec.detach();
+
+  EXPECT_EQ(rec.stats().events_seen, 3u);
+  ASSERT_TRUE(rec.dump_now("unit"));
+  auto dump = postmortem::FlightDump::parse(slurp(rec.last_dump_path()));
+  ASSERT_TRUE(dump.ok());
+  ASSERT_EQ(dump->lines.size(), 3u);
+  EXPECT_EQ(dump->lines[0].src, "trace");
+  EXPECT_EQ(dump->lines[0].kind, "data_reject");
+  EXPECT_EQ(dump->lines[1].src, "ledger");
+  EXPECT_EQ(dump->lines[1].kind, "relay_reject");
+  EXPECT_EQ(dump->lines[1].agent, "L");  // the observer
+  EXPECT_EQ(dump->lines[1].peer, "mallory");  // the accused
+  EXPECT_EQ(dump->lines[2].src, "trace");
+  EXPECT_EQ(dump->lines[2].kind, "join");
+  EXPECT_EQ(dump->lines[2].tick, 5u);
 }
 
 TEST_F(FlightTest, LocalAgentFilterKeepsPerNodePerspectives) {
-  TraceLog log;
-  ScopedTraceSink trace_sink(log);
+  EventStore log;
+  ScopedEventSink event_sink(log);
 
   FlightRecorder alice("alice", dir_.path);
   FlightRecorder bob("bob", dir_.path);
@@ -184,8 +209,8 @@ TEST_F(FlightTest, LocalAgentFilterKeepsPerNodePerspectives) {
   trace(2, TraceKind::join, "G", "bob");
   trace(3, TraceKind::fault_drop, "G", "");  // process-wide: passes both
 
-  EXPECT_EQ(alice.stats().trace_seen, 2u);
-  EXPECT_EQ(bob.stats().trace_seen, 2u);
+  EXPECT_EQ(alice.stats().events_seen, 2u);
+  EXPECT_EQ(bob.stats().events_seen, 2u);
   alice.detach();
   bob.detach();
 }
@@ -193,18 +218,18 @@ TEST_F(FlightTest, LocalAgentFilterKeepsPerNodePerspectives) {
 TEST_F(FlightTest, DropAccountingIsFirstClassGauges) {
   MetricsRegistry registry;
   ScopedMetricsSink metrics_sink(registry);
-  TraceLog log;
-  ScopedTraceSink trace_sink(log);
+  EventStore log;
+  ScopedEventSink event_sink(log);
 
   FlightRecorder rec("n0", dir_.path);
   ASSERT_TRUE(rec.attach());
-  for (int i = 0; i < 262; ++i)  // the 256-slot trace ring, plus 6
+  for (int i = 0; i < 390; ++i)  // the 384-slot event ring, plus 6
     trace(static_cast<Tick>(i), TraceKind::join, "G", "a");
-  rec.observe(262);
+  rec.observe(390);
   rec.detach();
 
-  EXPECT_EQ(registry.gauge("flight", "n0", "trace_dropped"), 6);
-  EXPECT_EQ(registry.gauge("flight", "n0", "ledger_dropped"), 0);
+  EXPECT_EQ(registry.gauge("flight", "n0", "events_dropped"), 6);
+  EXPECT_EQ(registry.gauge("flight", "n0", "delta_dropped"), 0);
   ASSERT_TRUE(rec.dump_now("gauges"));
   EXPECT_EQ(registry.gauge("flight", "n0", "dumps_written"), 1);
 }
@@ -240,22 +265,21 @@ TEST_F(FlightTest, ObservePushesCounterDeltasBetweenWindows) {
 // Triggers, incident id, status
 
 TEST_F(FlightTest, HealthEscalationAutoDumpsWithDebounce) {
-  TraceLog log;
-  ScopedTraceSink trace_sink(log);
-
   FlightRecorder rec("n0", dir_.path);
   ASSERT_TRUE(rec.attach());
-  trace(10, TraceKind::health, "G", "mallory", "", "healthy->under_attack",
-        static_cast<std::uint64_t>(HealthState::under_attack));
+  emit(Event::health_under_attack, 10, "G", "mallory", "",
+       "healthy->under_attack",
+       static_cast<std::uint64_t>(HealthState::under_attack));
   EXPECT_EQ(rec.dumps_written(), 1u);
   // Inside the redump window: suppressed, counted.
-  trace(20, TraceKind::health, "G", "mallory", "", "healthy->under_attack",
-        static_cast<std::uint64_t>(HealthState::under_attack));
+  emit(Event::health_under_attack, 20, "G", "mallory", "",
+       "healthy->under_attack",
+       static_cast<std::uint64_t>(HealthState::under_attack));
   EXPECT_EQ(rec.dumps_written(), 1u);
   EXPECT_EQ(rec.stats().dumps_suppressed, 1u);
   // Past the window: a fresh dump, with the partitioned reason this time.
-  trace(100, TraceKind::health, "G", "m2", "", "healthy->partitioned",
-        static_cast<std::uint64_t>(HealthState::partitioned));
+  emit(Event::health_partitioned, 100, "G", "m2", "", "healthy->partitioned",
+       static_cast<std::uint64_t>(HealthState::partitioned));
   rec.detach();
   EXPECT_EQ(rec.dumps_written(), 2u);
 
@@ -282,12 +306,10 @@ TEST_F(FlightTest, IncidentDebounceIgnoresAnotherAgentsLowerClock) {
 }
 
 TEST_F(FlightTest, DegradedHealthDoesNotTrigger) {
-  TraceLog log;
-  ScopedTraceSink trace_sink(log);
   FlightRecorder rec("n0", dir_.path);
   ASSERT_TRUE(rec.attach());
-  trace(10, TraceKind::health, "G", "m1", "", "healthy->degraded",
-        static_cast<std::uint64_t>(HealthState::degraded));
+  emit(Event::health, 10, "G", "m1", "", "healthy->degraded",
+       static_cast<std::uint64_t>(HealthState::degraded));
   rec.detach();
   EXPECT_EQ(rec.dumps_written(), 0u);
 }
@@ -380,8 +402,8 @@ TEST_F(FlightTest, ReasonBytesAreSanitizedIntoTheHeader) {
 using FlightDeathTest = FlightTest;
 
 TEST_F(FlightDeathTest, FatalSignalLeavesAParseableDump) {
-  TraceLog log;
-  ScopedTraceSink trace_sink(log);
+  EventStore log;
+  ScopedEventSink event_sink(log);
   const std::string dir = dir_.path;
   // SIGABRT (not SIGSEGV) so sanitizer builds don't intercept the fault
   // before our handler runs.

@@ -23,7 +23,7 @@
 #include "ha/standby.h"
 #include "net/sim_network.h"
 #include "net/trace_chart.h"
-#include "obs/trace.h"
+#include "obs/record.h"
 #include "util/rng.h"
 
 namespace enclaves::core {
@@ -59,8 +59,8 @@ struct TracedWorld {
   net::SimNetwork net;
   DeterministicRng rng;
   Leader leader;
-  obs::TraceLog trace;
-  obs::ScopedTraceSink sink;
+  obs::EventStore trace;
+  obs::ScopedEventSink sink;
   std::map<std::string, std::unique_ptr<Member>> members;
 };
 
@@ -159,8 +159,8 @@ TEST(GoldenTrace, SecondJoinFansOutToIncumbent) {
 TEST(GoldenTrace, FailoverCrashSuspicionPromotionRejoin) {
   net::SimNetwork net;
   DeterministicRng rng(4242);
-  obs::TraceLog trace;
-  obs::ScopedTraceSink sink(trace);
+  obs::EventStore trace;
+  obs::ScopedEventSink sink(trace);
   auto send = [&net](const std::string& to, wire::Envelope e) {
     net.send(to, std::move(e));
   };
@@ -293,8 +293,8 @@ struct KeyTreeTracedWorld {
 
   net::SimNetwork net;
   DeterministicRng rng;
-  obs::TraceLog trace;
-  obs::ScopedTraceSink sink;
+  obs::EventStore trace;
+  obs::ScopedEventSink sink;
   std::unique_ptr<Leader> leader;
   std::map<std::string, std::unique_ptr<Member>> members;
 };

@@ -18,7 +18,7 @@
 #include "net/sim_network.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "obs/security.h"
+#include "obs/record.h"
 #include "tests/flight_dumps.h"
 #include "util/rng.h"
 #include "wire/repl.h"
@@ -341,8 +341,8 @@ TEST(Replication, PeriodicSnapshotCompaction) {
 
 TEST(Failover, PromotionFencesEpochAndInstallsCredentials) {
   ReplWorld w(20);
-  obs::SecurityLedger ledger;
-  obs::ScopedSecurityLedger ledger_sink(ledger);
+  obs::EventStore ledger;
+  obs::ScopedEventSink ledger_sink(ledger);
   testing_support::FlightDumpDir dumps;
   obs::FlightRecorder recorder("L", dumps.path());
   ASSERT_TRUE(recorder.attach());
@@ -492,8 +492,8 @@ TEST(MemberSessionRetarget, OnlyWhileNotConnected) {
 TEST(MemberFence, RejectsStaleEpochFromDeposedLeader) {
   DeterministicRng rng(31);
   net::SimNetwork net;
-  obs::SecurityLedger ledger;
-  obs::ScopedSecurityLedger ledger_sink(ledger);
+  obs::EventStore ledger;
+  obs::ScopedEventSink ledger_sink(ledger);
   testing_support::FlightDumpDir dumps;
   obs::FlightRecorder recorder("alice", dumps.path());
   ASSERT_TRUE(recorder.attach());

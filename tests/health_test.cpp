@@ -7,8 +7,7 @@
 #include "gtest/gtest.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
-#include "obs/security.h"
-#include "obs/trace.h"
+#include "obs/record.h"
 
 namespace enclaves::obs {
 namespace {
@@ -59,21 +58,22 @@ TEST(HealthMonitor, RetransmitsOverThresholdDegrade) {
 }
 
 TEST(HealthMonitor, DeltasNotTotalsDriveTheVerdict) {
-  HealthConfig config;
-  config.clear_windows = 1;  // de-escalate after one quiet window
-  HealthMonitor monitor(config);
+  HealthMonitor monitor;
   const MetricsSnapshot burst =
       snap({{{"L", "alice", "retransmits_total"}, 5}});
   monitor.observe(16, burst);
   EXPECT_EQ(monitor.peer_state("L", "alice"), HealthState::degraded);
-  // Same cumulative totals next window: zero delta, so the evidence is gone
-  // and (with clear_windows=1) the state returns to healthy.
+  // Same cumulative totals in the next windows: zero delta, so the evidence
+  // is gone and, after kHealthClearWindows (2) quiet windows, the state
+  // returns to healthy.
+  static_assert(kHealthClearWindows == 2);
   monitor.observe(32, burst);
+  monitor.observe(48, burst);
   EXPECT_EQ(monitor.peer_state("L", "alice"), HealthState::healthy);
 }
 
 TEST(HealthMonitor, HysteresisHoldsThenClears) {
-  HealthMonitor monitor;  // clear_windows = 2
+  HealthMonitor monitor;  // kHealthClearWindows = 2
   const MetricsSnapshot burst =
       snap({{{"L", "alice", "retransmits_total"}, 5}});
   monitor.observe(16, burst);
@@ -154,17 +154,17 @@ TEST(HealthMonitor, OfflineBacklogKeepsPeerPartitioned) {
 
 TEST(HealthMonitor, HealLadderReadsPartitionedHealingHealthy) {
   MetricsRegistry registry;
-  TraceLog trace_log;
+  EventStore trace_log;
   ScopedMetricsSink metrics_sink(registry);
-  ScopedTraceSink trace_sink(trace_log);
+  ScopedEventSink trace_sink(trace_log);
 
-  HealthMonitor monitor;  // clear_windows = 2
+  HealthMonitor monitor;  // kHealthClearWindows = 2
   // Window 1: the member is cut off — partitioned.
   monitor.observe(16, snap({{{"L", "m2", "suspicions_total"}, 1}}));
   EXPECT_EQ(monitor.peer_state("L", "m2"), HealthState::partitioned);
   // Window 2: its op-log is replaying. Healing ranks BELOW partitioned, but
   // reconciliation is the partition's resolution, not quiet — the monitor
-  // transitions immediately instead of holding for clear_windows.
+  // transitions immediately instead of holding for kHealthClearWindows.
   monitor.observe(32, snap({{{"L", "m2", "suspicions_total"}, 1},
                             {{"L", "m2", "reconcile_offers_total"}, 1},
                             {{"L", "m2", "reconcile_admits_total"}, 1}}));
@@ -202,9 +202,9 @@ TEST(HealthMonitor, LeaderAbandonsPartitionTheGroupNotThePeer) {
 
 TEST(HealthMonitor, WindowedSuspicionMeansUnderAttack) {
   MetricsRegistry registry;
-  TraceLog trace_log;
+  EventStore trace_log;
   ScopedMetricsSink metrics_sink(registry);
-  ScopedTraceSink trace_sink(trace_log);
+  ScopedEventSink trace_sink(trace_log);
 
   registry.add("L", "mallory", "data_rejects_total", 0);  // group presence
   for (int i = 0; i < 5; ++i)

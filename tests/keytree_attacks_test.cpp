@@ -35,7 +35,7 @@
 #include "crypto/aead.h"
 #include "net/sim_network.h"
 #include "obs/metrics.h"
-#include "obs/security.h"
+#include "obs/record.h"
 #include "util/rng.h"
 #include "wire/keytree.h"
 #include "wire/payloads.h"
@@ -47,7 +47,7 @@ namespace {
 using obs::EvidenceKind;
 using obs::SecurityEvidence;
 
-std::vector<SecurityEvidence> core_entries(const obs::SecurityLedger& ledger) {
+std::vector<SecurityEvidence> core_entries(const obs::EventStore& ledger) {
   std::vector<SecurityEvidence> out;
   for (const auto& e : ledger.entries())
     if (e.group != "crypto") out.push_back(e);
@@ -110,9 +110,9 @@ struct TreeWorld {
   Member& m(const std::string& id) { return *members.at(id); }
 
   obs::MetricsRegistry metrics;
-  obs::SecurityLedger ledger;
+  obs::EventStore ledger;
   obs::ScopedMetricsSink metrics_sink{metrics};
-  obs::ScopedSecurityLedger ledger_sink{ledger};
+  obs::ScopedEventSink ledger_sink{ledger};
 
   net::SimNetwork net;
   DeterministicRng rng;

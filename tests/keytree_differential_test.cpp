@@ -39,8 +39,7 @@
 #include "net/fault.h"
 #include "net/sim_network.h"
 #include "obs/metrics.h"
-#include "obs/security.h"
-#include "obs/trace.h"
+#include "obs/record.h"
 #include "util/rng.h"
 
 namespace enclaves::core {
@@ -152,9 +151,9 @@ struct DiffWorld {
   }
 
   obs::MetricsRegistry metrics;
-  obs::SecurityLedger ledger;
+  obs::EventStore ledger;
   obs::ScopedMetricsSink metrics_sink{metrics};
-  obs::ScopedSecurityLedger ledger_sink{ledger};
+  obs::ScopedEventSink ledger_sink{ledger};
 
   net::SimNetwork net;
   DeterministicRng rng;
@@ -261,8 +260,8 @@ RunResult run_schedule(std::uint64_t seed, RekeyAlgo algo,
   out.seen = w.seen;
   out.final_view = w.leader->members();
   out.final_epoch = w.leader->epoch();
-  out.ledger_size = w.ledger.size();
-  out.ledger_jsonl = w.ledger.to_jsonl();
+  out.ledger_size = w.ledger.entries().size();
+  out.ledger_jsonl = w.ledger.to_jsonl(obs::View::ledger);
   for (const auto& e : w.ledger.entries())
     if (e.kind == obs::EvidenceKind::forged_keytree)
       out.forged_keytree = true;

@@ -3,6 +3,7 @@
 // ordering against VirtualClock ticks, and the per-event emit table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -13,26 +14,30 @@
 #include <string_view>
 #include <vector>
 
+#include "app/shared_state.h"
 #include "obs/event.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
-#include "obs/security.h"
-#include "obs/trace.h"
+#include "obs/record.h"
 #include "tests/flight_dumps.h"
 #include "util/clock.h"
 
-// Counts heap allocations made on the current thread while armed, so a test
-// can prove a code path allocates nothing. Replacing the global operator
-// new/delete pair is the only way to see every allocation, including those
-// made inside the standard library.
+// Counts heap allocations made on the current thread while armed, and keeps
+// the largest request, so a test can prove a code path allocates nothing or
+// nothing big. Replacing the global operator new/delete pair is the only way
+// to see every allocation, including those made inside the standard library.
 namespace {
 thread_local bool g_count_allocations = false;
 thread_local std::size_t g_allocations = 0;
+thread_local std::size_t g_largest_allocation = 0;
 }  // namespace
 
 void* operator new(std::size_t size) {
-  if (g_count_allocations) ++g_allocations;
+  if (g_count_allocations) {
+    ++g_allocations;
+    g_largest_allocation = std::max(g_largest_allocation, size);
+  }
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -213,8 +218,8 @@ TEST(MetricsSink, ScopedAttachDetach) {
 
 TEST(TraceLog, OrderingUnderVirtualClock) {
   VirtualClock clock;
-  TraceLog log;
-  ScopedTraceSink sink(log);
+  EventStore log;
+  ScopedEventSink sink(log);
 
   trace(clock.now(), TraceKind::join, "G", "L", "alice");
   clock.advance();
@@ -239,11 +244,11 @@ TEST(TraceLog, OrderingUnderVirtualClock) {
 }
 
 TEST(TraceLog, QuietWithoutSink) {
-  ASSERT_EQ(trace_sink(), nullptr);
+  ASSERT_EQ(event_sink(), nullptr);
   trace(0, TraceKind::join, "G", "L", "alice");  // dropped, no crash
-  TraceLog log;
+  EventStore log;
   {
-    ScopedTraceSink sink(log);
+    ScopedEventSink sink(log);
     trace(1, TraceKind::join, "G", "L", "alice");
   }
   trace(2, TraceKind::leave, "G", "L", "alice");  // after detach: dropped
@@ -251,11 +256,11 @@ TEST(TraceLog, QuietWithoutSink) {
 }
 
 TEST(TraceLog, JsonlExport) {
-  TraceLog log;
-  log.record(TraceEvent{7, TraceKind::admin_send, "G", "L", "alice",
+  EventStore log;
+  log.append(Record{7, TraceKind::admin_send, {}, "G", "L", "alice",
                         "notice", 0});
-  log.record(TraceEvent{8, TraceKind::rekey, "G", "L", "", "", 3});
-  std::string jsonl = log.to_jsonl();
+  log.append(Record{8, TraceKind::rekey, {}, "G", "L", "", "", 3});
+  std::string jsonl = log.to_jsonl(View::trace);
   EXPECT_EQ(jsonl,
             "{\"tick\":7,\"kind\":\"admin_send\",\"group\":\"G\","
             "\"agent\":\"L\",\"peer\":\"alice\",\"detail\":\"notice\"}\n"
@@ -290,10 +295,10 @@ TEST(HistogramQuantile, OverflowClampsToLastEdgeAndEmptyIsZero) {
 }
 
 TEST(TraceLog, RingBufferCapacityCountsDrops) {
-  TraceLog log;
+  EventStore log;
   log.set_capacity(3);
   for (std::uint64_t t = 0; t < 5; ++t)
-    log.record(TraceEvent{t, TraceKind::join, "G", "L", "a", "", 0});
+    log.append(Record{t, TraceKind::join, {}, "G", "L", "a", "", 0});
   EXPECT_EQ(log.size(), 3u);
   EXPECT_EQ(log.dropped_events(), 2u);
   auto events = log.events();
@@ -309,7 +314,7 @@ TEST(TraceLog, RingBufferCapacityCountsDrops) {
   // Capacity 0 restores unbounded growth; clear() resets the counter.
   log.set_capacity(0);
   for (std::uint64_t t = 0; t < 10; ++t)
-    log.record(TraceEvent{t, TraceKind::join, "G", "L", "a", "", 0});
+    log.append(Record{t, TraceKind::join, {}, "G", "L", "a", "", 0});
   EXPECT_EQ(log.size(), 11u);
   log.clear();
   EXPECT_EQ(log.dropped_events(), 0u);
@@ -319,10 +324,10 @@ TEST(TraceLog, JsonlEscapesHostileStrings) {
   // Control characters, quotes, and backslashes in any string field must
   // stay inside their JSON string when exported.
   const std::string hostile = "evil\"\\\n\t\r\x01\x1f";
-  TraceLog log;
-  log.record(TraceEvent{1, TraceKind::admin_send, hostile, hostile, hostile,
+  EventStore log;
+  log.append(Record{1, TraceKind::admin_send, {}, hostile, hostile, hostile,
                         hostile, 0});
-  const std::string jsonl = log.to_jsonl();
+  const std::string jsonl = log.to_jsonl(View::trace);
   EXPECT_EQ(jsonl.find('\x01'), std::string::npos);
   EXPECT_EQ(jsonl.find('\t'), std::string::npos);
   EXPECT_NE(jsonl.find("evil\\\"\\\\\\n\\t\\r\\u0001\\u001f"),
@@ -346,21 +351,21 @@ TEST(MetricsSnapshot, HostileStringsSurviveJsonRoundTrip) {
 }
 
 TEST(SecurityLedgerUnit, RecordsSuspicionAndExportsJsonl) {
-  SecurityLedger ledger;
+  EventStore ledger;
   EXPECT_EQ(ledger.size(), 0u);
-  ledger.record({1, EvidenceKind::stale_nonce, "G", "alice", "mallory",
+  ledger.append({1, {}, EvidenceKind::stale_nonce, "G", "alice", "mallory",
                  "old nonce", 0});
-  ledger.record({2, EvidenceKind::relay_reject, "G", "L", "mallory",
+  ledger.append({2, {}, EvidenceKind::relay_reject, "G", "L", "mallory",
                  "not a member", 0});
-  ledger.record({3, EvidenceKind::aead_open_failure, "crypto", "aes-gcm", "",
-                 "tag mismatch", 0});
+  ledger.append({3, {}, EvidenceKind::aead_open_failure, "crypto", "aes-gcm",
+                 "", "tag mismatch", 0});
   EXPECT_EQ(ledger.size(), 3u);
   EXPECT_EQ(ledger.suspicion("mallory"), 2u);
   EXPECT_EQ(ledger.suspicion("nobody"), 0u);
   EXPECT_EQ(ledger.suspicion_counts().size(), 1u)
       << "unattributed evidence accrues no suspicion";
 
-  const std::string jsonl = ledger.to_jsonl();
+  const std::string jsonl = ledger.to_jsonl(View::ledger);
   EXPECT_NE(jsonl.find("\"kind\":\"stale_nonce\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"accused\":\"mallory\""), std::string::npos);
   EXPECT_EQ(jsonl,
@@ -379,18 +384,18 @@ TEST(SecurityLedgerUnit, RecordsSuspicionAndExportsJsonl) {
 }
 
 TEST(SecurityLedgerUnit, SinkGateAndMetricsCoupling) {
-  ASSERT_EQ(security_sink(), nullptr);
+  ASSERT_EQ(event_sink(), nullptr);
   security_event(0, EvidenceKind::malformed, "G", "L", "x");  // no crash
-  SecurityLedger ledger;
+  EventStore ledger;
   MetricsRegistry metrics;
   {
-    ScopedSecurityLedger sink(ledger);
+    ScopedEventSink sink(ledger);
     ScopedMetricsSink msink(metrics);
-    ASSERT_EQ(security_sink(), &ledger);
+    ASSERT_EQ(event_sink(), &ledger);
     security_event(5, EvidenceKind::replayed_seq, "G", "bob", "alice",
                    "seq 9", 9);
   }
-  EXPECT_EQ(security_sink(), nullptr);
+  EXPECT_EQ(event_sink(), nullptr);
   security_event(6, EvidenceKind::malformed, "G", "L", "x");  // dropped
   ASSERT_EQ(ledger.size(), 1u);
   EXPECT_EQ(ledger.entries()[0].kind, EvidenceKind::replayed_seq);
@@ -599,24 +604,24 @@ TEST(EmitTable, RowsAreNamedAndProduceSomething) {
 }
 
 // With every sink attached, one emit of each event produces exactly its row:
-// its counter, the security.* trio when the row has evidence, one trace
-// event of its kind and one ledger entry of its kind — and nothing else.
+// its counter, the security.* trio when the row has evidence, and one
+// record — in the trace view with its trace kind, in the ledger view with
+// its evidence kind — and nothing else.
 TEST(EmitTable, EachEventProducesExactlyItsRow) {
   for (std::size_t i = 0; i < kEventCount; ++i) {
     const EventRow& row = event_row(event_at(i));
     SCOPED_TRACE(std::string(row.name));
     MetricsRegistry metrics;
-    TraceLog trace;
-    SecurityLedger ledger;
+    EventStore store;
     {
       ScopedMetricsSink metrics_sink(metrics);
-      ScopedTraceSink trace_sink(trace);
-      ScopedSecurityLedger ledger_sink(ledger);
+      ScopedEventSink event_sink(store);
       emit(event_at(i), 7, "G", "A", "P", "why", 3);
     }
+    EXPECT_EQ(store.size(), row.trace || row.evidence ? 1u : 0u)
+        << "one record per event";
 
     std::map<MetricKey, std::uint64_t> counters;
-    std::map<MetricKey, std::int64_t> gauges;
     if (!row.counter.empty()) {
       const std::string_view group =
           row.counter_group.empty() ? "G" : row.counter_group;
@@ -631,14 +636,13 @@ TEST(EmitTable, EachEventProducesExactlyItsRow) {
                          std::string(evidence_metric_name(*row.evidence))}] =
           1;
       counters[MetricKey{"security", "P", "suspicion_total"}] = 1;
-      gauges[MetricKey{"security", "P", "suspicion"}] = 1;
     }
     const MetricsSnapshot snap = metrics.snapshot();
     EXPECT_EQ(snap.counters, counters);
-    EXPECT_EQ(snap.gauges, gauges);
+    EXPECT_TRUE(snap.gauges.empty());
     EXPECT_TRUE(snap.histograms.empty());
 
-    const auto events = trace.events();
+    const auto events = store.events();
     if (row.trace) {
       ASSERT_EQ(events.size(), 1u);
       EXPECT_EQ(events[0],
@@ -647,7 +651,7 @@ TEST(EmitTable, EachEventProducesExactlyItsRow) {
       EXPECT_TRUE(events.empty());
     }
 
-    const auto entries = ledger.entries();
+    const auto entries = store.entries();
     if (row.evidence) {
       ASSERT_EQ(entries.size(), 1u);
       EXPECT_EQ(entries[0],
@@ -676,10 +680,10 @@ TEST(EmitTable, EachEventProducesExactlyItsRow) {
 
 TEST(EmitTable, SiteChosenEvidenceReplacesTheRowDefault) {
   MetricsRegistry metrics;
-  SecurityLedger ledger;
+  EventStore ledger;
   {
     ScopedMetricsSink metrics_sink(metrics);
-    ScopedSecurityLedger ledger_sink(ledger);
+    ScopedEventSink ledger_sink(ledger);
     emit(Event::auth_reject, evidence_kind_for(Errc::stale), 1, "G", "A",
          "P", "AuthAckKey");
   }
@@ -691,12 +695,12 @@ TEST(EmitTable, SiteChosenEvidenceReplacesTheRowDefault) {
   EXPECT_EQ(metrics.counter("security", "A", "refusals_bad_label_total"), 0u);
 }
 
-// The cost-model claim in event.h, trace.h and security.h: with every sink
-// detached, reporting builds no strings and allocates nothing.
+// The cost-model claim in event.h and record.h: with every sink detached,
+// reporting builds no strings and allocates nothing.
 TEST(EmitTable, FreeWhenEverySinkDetached) {
   ASSERT_EQ(metrics_sink(), nullptr);
-  ASSERT_EQ(trace_sink(), nullptr);
-  ASSERT_EQ(security_sink(), nullptr);
+  ASSERT_EQ(event_sink(), nullptr);
+  ASSERT_FALSE(flight_active());
   // Longer than any small-string buffer, so a copy would have to allocate.
   const std::string_view long_text =
       "a detail long enough that copying it into a std::string allocates";
@@ -716,8 +720,8 @@ TEST(EmitTable, FreeWhenEverySinkDetached) {
   EXPECT_EQ(g_allocations, 0u);
 
   // The counter itself works: the same call with a sink attached allocates.
-  TraceLog log;
-  ScopedTraceSink sink(log);
+  EventStore log;
+  ScopedEventSink sink(log);
   g_allocations = 0;
   g_count_allocations = true;
   emit(Event::join, 1, long_text, long_text, long_text, long_text, 2);
@@ -889,6 +893,19 @@ TEST(ProfSnapshot, ThreadsSharingAPathMergeIntoOneEntry) {
   EXPECT_EQ(inner.bytes, 32u);
   EXPECT_LE(inner.min_ns, inner.max_ns);
   EXPECT_EQ(snap.scopes.at("shared/outer").count, 8u);
+}
+
+// A decoder sizes its buffers by what it has read, not by what the bytes
+// claim: the 5-byte shared-state snapshot reply d3 00 01 00 00 claims 65,536
+// entries and holds none, so decoding it must not reserve room for them.
+TEST(AllocationBounds, SnapshotCountIsNotReservedBeforeItIsRead) {
+  const Bytes raw{0xd3, 0x00, 0x01, 0x00, 0x00};
+  g_largest_allocation = 0;
+  g_count_allocations = true;
+  const bool decoded = app::decode_state_message(raw).ok();
+  g_count_allocations = false;
+  EXPECT_FALSE(decoded) << "the claimed entries are missing";
+  EXPECT_LT(g_largest_allocation, 1024u);
 }
 
 }  // namespace

@@ -11,7 +11,7 @@
 #include "core/policy.h"
 #include "net/sim_network.h"
 #include "obs/metrics.h"
-#include "obs/security.h"
+#include "obs/record.h"
 #include "util/rng.h"
 
 namespace enclaves::core {
@@ -89,9 +89,9 @@ struct World {
   }
 
   obs::MetricsRegistry metrics;
-  obs::SecurityLedger ledger;
+  obs::EventStore ledger;
   obs::ScopedMetricsSink metrics_sink{metrics};
-  obs::ScopedSecurityLedger ledger_sink{ledger};
+  obs::ScopedEventSink ledger_sink{ledger};
   net::SimNetwork net;
   DeterministicRng rng;
   Leader leader;
@@ -112,7 +112,7 @@ TEST(LeaderPolicy, DeniedMemberIsSilentlyIgnored) {
   // The denial produced NO message at all (silent; nothing forgeable).
   for (const auto& p : w.net.log()) EXPECT_NE(p.to, "mallory");
   EXPECT_EQ(w.leader_counter("join_denials_total"), 1u);
-  ASSERT_EQ(w.ledger.size(), 1u);
+  ASSERT_EQ(w.ledger.entries().size(), 1u);
   EXPECT_EQ(w.ledger.entries()[0].kind, obs::EvidenceKind::join_denied);
   EXPECT_EQ(w.ledger.entries()[0].peer, "mallory");
 

@@ -12,8 +12,7 @@
 #include "obs/flight.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
-#include "obs/security.h"
-#include "obs/trace.h"
+#include "obs/record.h"
 #include "tools/enclaves_postmortem_lib.h"
 
 namespace enclaves::postmortem {
@@ -138,6 +137,29 @@ TEST(Merge, OrdersEventsAcrossNodesWithSkewedClockPairs) {
   EXPECT_EQ(pm.timeline[2].line, a11);  // t=2'000'000
 }
 
+// One recorder covering several agents holds their lines in emission order,
+// each stamped with its own agent's clock: L's fence at L's tick 2 was
+// emitted after m0's tick-9 refusal, and must stay after it.
+TEST(Merge, KeepsADumpsEventLinesInBlobOrder) {
+  FlightLine m0_open{"ledger", 9, "aead_open_failure", "G", "m0", "L", "", 0};
+  FlightLine l_fence{"trace", 2, "fence", "G", "L", "", "deposed", 3};
+  FlightLine l_fenced{"ledger", 2, "fenced_repl", "G", "L", "L2", "", 3};
+  FlightLine m0_join{"trace", 10, "join", "G", "m0", "", "", 0};
+  FlightLine other{"trace", 10, "rekey", "G", "y", "", "", 4};
+  Postmortem pm = merge({
+      make_dump("a", 10, 10'000'000, {m0_open, l_fence, l_fenced, m0_join}),
+      make_dump("b", 10, 10'000'000, {other}),
+  });
+  ASSERT_EQ(pm.timeline.size(), 5u);
+  EXPECT_EQ(pm.timeline[0].line, m0_open);
+  EXPECT_EQ(pm.timeline[1].line, l_fence);
+  EXPECT_EQ(pm.timeline[2].line, l_fenced);
+  EXPECT_EQ(pm.timeline[1].global_ns, pm.timeline[0].global_ns)
+      << "placed at the recorder's clock (tick 9), not at tick 2";
+  EXPECT_EQ(pm.timeline[3].line, m0_join);
+  EXPECT_EQ(pm.timeline[4].line, other);  // same instant: node name breaks
+}
+
 TEST(Merge, MixedIncidentIdsAreFlagged) {
   FlightDump a = make_dump("a", 1, 1, {});
   FlightDump b = make_dump("b", 1, 1, {});
@@ -164,10 +186,8 @@ class PostmortemScenario : public ::testing::Test {
 TEST_F(PostmortemScenario, TwoNodeUnderAttackMergesIntoGoldenReport) {
   obs::MetricsRegistry registry;
   obs::ScopedMetricsSink metrics_sink(registry);
-  obs::TraceLog trace_log;
-  obs::ScopedTraceSink trace_sink(trace_log);
-  obs::SecurityLedger ledger;
-  obs::ScopedSecurityLedger ledger_sink(ledger);
+  obs::EventStore store;
+  obs::ScopedEventSink event_sink(store);
 
   // One process, two nodes' perspectives: each recorder keeps its own
   // observer's refusals plus the shared health plane. The incident id is
@@ -191,8 +211,8 @@ TEST_F(PostmortemScenario, TwoNodeUnderAttackMergesIntoGoldenReport) {
                       "mallory", "old exchange");
 
   // The health window closes: suspicion crosses the attack threshold, the
-  // monitor escalates to under_attack, and the health trace event triggers
-  // an automatic flight dump on BOTH nodes.
+  // monitor escalates to under_attack, and that health event — an incident
+  // row — triggers an automatic flight dump on BOTH nodes.
   obs::HealthMonitor monitor;
   EXPECT_TRUE(monitor.observe(16, registry.snapshot()));
   EXPECT_EQ(monitor.verdict().worst(), obs::HealthState::under_attack);

@@ -19,9 +19,8 @@
 #include "net/trace_chart.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "obs/security.h"
+#include "obs/record.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "tests/flight_dumps.h"
 #include "util/rng.h"
 #include "wire/reconcile.h"
@@ -41,8 +40,7 @@ struct PartitionWorld {
         injector({}, seed ^ 0xFA017),
         leader(make_config(parole_epochs), rng),
         metrics_sink(metrics),
-        trace_sink(trace),
-        ledger_sink(ledger) {
+        event_sink(trace) {
     net.set_tap(injector.tap());
     leader.set_send([this](const std::string& to, wire::Envelope e) {
       net.send(to, std::move(e));
@@ -101,11 +99,10 @@ struct PartitionWorld {
   net::FaultInjector injector;
   Leader leader;
   obs::MetricsRegistry metrics;
-  obs::TraceLog trace;
-  obs::SecurityLedger ledger;
+  obs::EventStore trace;            // the one event store; `ledger` names
+  obs::EventStore& ledger = trace;  // it where the ledger view is read
   obs::ScopedMetricsSink metrics_sink;
-  obs::ScopedTraceSink trace_sink;
-  obs::ScopedSecurityLedger ledger_sink;
+  obs::ScopedEventSink event_sink;
   std::map<std::string, std::unique_ptr<Member>> members;
 };
 

@@ -15,7 +15,7 @@
 #include "crypto/aead.h"
 #include "net/sim_network.h"
 #include "obs/metrics.h"
-#include "obs/security.h"
+#include "obs/record.h"
 #include "util/rng.h"
 #include "wire/payloads.h"
 #include "wire/seal.h"
@@ -28,7 +28,7 @@ using obs::SecurityEvidence;
 
 // A two-plane view of the ledger: the clockless crypto plane files its own
 // tag-mismatch evidence, so protocol-level assertions filter to the group.
-std::vector<SecurityEvidence> core_entries(const obs::SecurityLedger& ledger) {
+std::vector<SecurityEvidence> core_entries(const obs::EventStore& ledger) {
   std::vector<SecurityEvidence> out;
   for (const auto& e : ledger.entries())
     if (e.group != "crypto") out.push_back(e);
@@ -64,9 +64,9 @@ struct LedgeredWorld {
   DeterministicRng rng;
   Leader leader;
   obs::MetricsRegistry metrics;
-  obs::SecurityLedger ledger;
+  obs::EventStore ledger;
   obs::ScopedMetricsSink metrics_sink;
-  obs::ScopedSecurityLedger ledger_sink;
+  obs::ScopedEventSink ledger_sink;
   std::map<std::string, std::unique_ptr<Member>> members;
 };
 
@@ -95,7 +95,7 @@ TEST(SecurityLedger, ForgedAdminMsgYieldsExactlyOneCoreEntry) {
   EXPECT_EQ(core[0].agent, "alice");
   EXPECT_EQ(core[0].peer, "L");
   // The crypto plane independently filed the tag mismatch.
-  EXPECT_GE(w.ledger.size(), 2u);
+  EXPECT_GE(w.ledger.entries().size(), 2u);
   EXPECT_EQ(w.ledger.suspicion("L"), 1u);
 }
 
@@ -261,7 +261,8 @@ TEST(SecurityLedger, MetricsAgreeWithLedger) {
                                    to_bytes("y")});
   w.net.run();
 
-  EXPECT_EQ(w.metrics.counter_total("refusals_total"), w.ledger.size());
+  EXPECT_EQ(w.metrics.counter_total("refusals_total"),
+            w.ledger.entries().size());
   std::uint64_t suspicion_metric = 0;
   for (const auto& [key, value] : w.metrics.snapshot().counters)
     if (key.group == "security" && key.name == "suspicion_total")
@@ -273,10 +274,10 @@ TEST(SecurityLedger, MetricsAgreeWithLedger) {
 }
 
 TEST(SecurityLedger, JsonlExportNamesEveryField) {
-  obs::SecurityLedger ledger;
-  ledger.record({7, EvidenceKind::relay_reject, "L", "L", "e\"ve",
+  obs::EventStore ledger;
+  ledger.append({7, {}, EvidenceKind::relay_reject, "L", "L", "e\"ve",
                  "not a member", 0});
-  const std::string jsonl = ledger.to_jsonl();
+  const std::string jsonl = ledger.to_jsonl(obs::View::ledger);
   EXPECT_NE(jsonl.find("\"kind\":\"relay_reject\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"accused\":\"e\\\"ve\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"observer\":\"L\""), std::string::npos);
@@ -287,9 +288,9 @@ TEST(SecurityLedger, JsonlExportNamesEveryField) {
 // improved protocol's refusals all land as attributed evidence.
 TEST(SecurityLedger, AttackMatrixProducesAttributedEvidence) {
   obs::MetricsRegistry metrics;
-  obs::SecurityLedger ledger;
+  obs::EventStore ledger;
   obs::ScopedMetricsSink metrics_sink(metrics);
-  obs::ScopedSecurityLedger ledger_sink(ledger);
+  obs::ScopedEventSink ledger_sink(ledger);
 
   auto reports = adversary::run_all_attacks(7);
   ASSERT_EQ(reports.size(), 12u);
@@ -299,8 +300,9 @@ TEST(SecurityLedger, AttackMatrixProducesAttributedEvidence) {
     }
   }
 
-  EXPECT_GT(ledger.size(), 0u) << "blocked attacks must leave evidence";
-  EXPECT_EQ(metrics.counter_total("refusals_total"), ledger.size());
+  EXPECT_GT(ledger.entries().size(), 0u)
+      << "blocked attacks must leave evidence";
+  EXPECT_EQ(metrics.counter_total("refusals_total"), ledger.entries().size());
   for (const auto& e : ledger.entries()) {
     EXPECT_FALSE(e.group.empty());
     EXPECT_FALSE(e.agent.empty());

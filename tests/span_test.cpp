@@ -18,8 +18,8 @@
 #include "ha/standby.h"
 #include "net/fault.h"
 #include "net/sim_network.h"
+#include "obs/record.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "util/rng.h"
 
 namespace enclaves::core {
@@ -210,8 +210,8 @@ struct TracedWorld {
   net::SimNetwork net;
   DeterministicRng rng;
   Leader leader;
-  obs::TraceLog trace;
-  obs::ScopedTraceSink sink;
+  obs::EventStore trace;
+  obs::ScopedEventSink sink;
   std::map<std::string, std::unique_ptr<Member>> members;
 };
 
@@ -419,8 +419,8 @@ TEST(GoldenSpanTree, KeyTreeExpelRekeyLevels) {
 TEST(GoldenSpanTree, FailoverCrashSuspicionPromotionRejoin) {
   net::SimNetwork net;
   DeterministicRng rng(4242);
-  obs::TraceLog trace;
-  obs::ScopedTraceSink sink(trace);
+  obs::EventStore trace;
+  obs::ScopedEventSink sink(trace);
   auto send = [&net](const std::string& to, wire::Envelope e) {
     net.send(to, std::move(e));
   };

@@ -156,7 +156,7 @@ TEST(ParseFlightStatus, LoadsTheFlightRouteBody) {
       "{\"node\":\"n0\",\"incident\":\"inc-7\",\"dumps\":2,"
       "\"last_reason\":\"sig_usr1\",\"last_trigger_tick\":64,"
       "\"last_wall_ns\":9000,\"last_path\":\"/tmp/flight_n0_1.jsonl\","
-      "\"trace_dropped\":0,\"ledger_dropped\":0,\"delta_dropped\":0,"
+      "\"events_dropped\":0,\"delta_dropped\":0,"
       "\"dumps_suppressed\":0}");
   ASSERT_TRUE(status.ok());
   EXPECT_TRUE(status->present);

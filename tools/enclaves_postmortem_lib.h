@@ -240,11 +240,16 @@ inline Result<FlightDump> FlightDump::parse(std::string_view blob) {
 // ---------------------------------------------------------------------------
 // Merge
 
-/// Merges per-node dumps into one causally ordered timeline: every ring
-/// line lands at `dump.global_ns(line.tick)` on the shared wall axis, ties
-/// break by node name then blob order (a node's own lines never reorder).
-/// Dumps are sorted by node; when one node contributed several blobs, keep
-/// the one you want before calling (the CLI keeps the highest seq).
+/// Merges per-node dumps into one causally ordered timeline on the shared
+/// wall axis, ties broken by node name then blob order. A dump's trace and
+/// ledger lines are in emission order, but each carries the tick of the
+/// agent that wrote it, and a recorder covering several agents interleaves
+/// their clocks; so each lands at `dump.global_ns` of the running maximum
+/// of its dump's trace/ledger ticks in blob order — the recorder's own
+/// monotone clock — and a node's own event lines never reorder. A delta
+/// line lands at its own (observe) tick. Dumps are sorted by node; when one
+/// node contributed several blobs, keep the one you want before calling
+/// (the CLI keeps the highest seq).
 inline Postmortem merge(std::vector<FlightDump> dumps) {
   Postmortem pm;
   std::sort(dumps.begin(), dumps.end(),
@@ -260,9 +265,12 @@ inline Postmortem merge(std::vector<FlightDump> dumps) {
       pm.incident = "(mixed)";
   }
   for (const FlightDump& d : dumps) {
+    std::uint64_t clock = 0;
     for (const FlightLine& line : d.lines) {
+      std::uint64_t tick = line.tick;
+      if (line.src != "delta") tick = clock = std::max(clock, line.tick);
       TimelineEntry e;
-      e.global_ns = d.global_ns(line.tick);
+      e.global_ns = d.global_ns(tick);
       e.node = d.header.node;
       e.line = line;
       pm.timeline.push_back(std::move(e));

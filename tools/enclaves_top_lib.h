@@ -302,7 +302,7 @@ inline std::string render_frame(const TopFrame& frame,
 
 /// Builds a frame from dumped artifacts (ENCLAVES_OBS_OUT_DIR contents):
 /// `metrics_json` is a MetricsSnapshot::to_json() body, `ledger_jsonl` a
-/// SecurityLedger::to_jsonl() body (may be empty), `profile_json` a
+/// EventStore::to_jsonl(View::ledger) body (may be empty), `profile_json` a
 /// ProfSnapshot::to_json() body (may be empty — pre-profiler dumps lack
 /// it, and the hot-scopes panel simply stays hidden). The whole run becomes
 /// a single health window — cumulative totals judged against the
