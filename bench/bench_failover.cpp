@@ -1,7 +1,7 @@
 // Costs of the HA layer (PROTOCOL.md §11): per-delta replication overhead
-// on the active leader's mutation path, baseline snapshot install on the
-// standby, promotion latency, and the full crash -> suspect -> promote ->
-// rejoin recovery cycle in virtual ticks.
+// (snapshot, diff, seal on the active's tick), baseline snapshot install on
+// the standby, promotion latency, and the full crash -> suspect -> promote
+// -> rejoin recovery cycle in virtual ticks.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -117,14 +117,16 @@ struct HaWorld {
   std::map<std::string, std::unique_ptr<core::Member>> members;
 };
 
-// One rekey delta end to end: emit + seal on the active, decrypt + apply on
-// the standby, cumulative ack back. No members, so the admin fan-out is out
-// of the picture and this isolates the replication tax per state change.
+// One rekey delta end to end: snapshot + diff + seal on the active's tick,
+// decrypt + patch on the standby, cumulative ack back. No members, so the
+// admin fan-out is out of the picture and this isolates the replication tax
+// per state change.
 void BM_ReplRekeyDelta(benchmark::State& state) {
   HaWorld w(21, /*member_count=*/0);
   w.net.run();  // drain the initial baseline + ack
   for (auto _ : state) {
     w.active->rekey();
+    w.replicator->tick();
     w.net.run();
     benchmark::DoNotOptimize(w.standby->applied_seq());
   }

@@ -190,13 +190,14 @@ void BM_AdminRoundTripUninstrumented(benchmark::State& state) {
 }
 BENCHMARK(BM_AdminRoundTripUninstrumented);
 
-// Flight-recorder parity guard (the other side of the cost model): the
-// same admin round-trip with the event store attached and a
-// FlightRecorder taking every event record into its preserialized ring. The
-// bench_diff gate holds this row to the same tolerance as BM_AdminRoundTrip
-// against its committed baseline — if recording drifts, the tee stopped
-// being cheap. (BM_AdminRoundTripUninstrumented anchors the other end:
-// no sinks at all.)
+// Flight-recorder parity guard (the other side of the cost model): an
+// admin round trip between a core::Leader and a core::Member, whose sends
+// and acks emit admin_send / admin_ack records, with the event store
+// attached and a FlightRecorder taking every record into its preserialized
+// ring. The bench_diff gate holds this row to its committed baseline — if
+// recording drifts, the tee stopped being cheap. (The session-level rows
+// above emit no records; BM_AdminRoundTripUninstrumented anchors the other
+// end: no sinks at all.)
 void BM_AdminRoundTripRecording(benchmark::State& state) {
   obs::EventStore store;
   store.set_capacity(1024);  // memory stays flat across iterations
@@ -204,24 +205,19 @@ void BM_AdminRoundTripRecording(benchmark::State& state) {
   obs::FlightRecorder recorder("bench", "/tmp");
   recorder.attach();
 
-  DeterministicRng rng(8);
-  auto pa = crypto::LongTermKey::random(rng);
-  core::MemberSession member("alice", "L", pa, rng);
-  core::LeaderSession leader("L", "alice", pa, rng);
-  auto init = member.start_join();
-  auto dist = leader.handle(*init);
-  auto ack = member.handle(*dist->reply);
-  (void)leader.handle(*ack->reply);
+  World w(core::RekeyPolicy::strict());
+  w.add_and_join("alice");
+  store.clear();  // only the loop's records count below
 
   for (auto _ : state) {
-    auto admin = leader.submit_admin(wire::Notice{"tick"});
-    auto out = member.handle(*admin);
-    auto done = leader.handle(*out->reply);
-    benchmark::DoNotOptimize(done);
+    w.leader.probe_liveness();  // one Notice + Ack over the admin channel
+    w.net.run();
   }
 
   recorder.detach();
   obs::set_event_sink(nullptr);
+  if (store.size() == 0)
+    state.SkipWithError("no records: the row measured no recording");
 }
 BENCHMARK(BM_AdminRoundTripRecording);
 

@@ -1,7 +1,7 @@
 // Warm-standby leader failover (PROTOCOL.md §11), end to end:
 //
 //   1. An active leader "L" forms a four-member group while a LeaderReplicator
-//      streams every durable state change to the warm standby "L2".
+//      streams each change of its snapshot to the warm standby "L2".
 //   2. "L" crashes mid-churn. The FailoverController suspects the replication
 //      silence and promotes the standby into a live leader whose epoch floor
 //      is fenced far above anything the dead incarnation issued.
@@ -178,13 +178,15 @@ int main() {
   int steps = 0;
   while (!converged_on(*active) && steps < 200) { step(); ++steps; }
   active->rekey();  // a little churn so the stream has history
-  while (replicator->lag() != 0 && steps < 220) { step(); ++steps; }
+  do { step(); ++steps; } while (replicator->lag() != 0 && steps < 220);
+  const bool mirrored = standby.snapshot() == active->snapshot();
   std::printf("group formed at epoch %llu; standby applied seq %llu "
-              "(replicator head %llu, lag %llu)\n",
+              "(replicator head %llu, lag %llu), mirror %s\n",
               static_cast<unsigned long long>(active->epoch()),
               static_cast<unsigned long long>(standby.applied_seq()),
               static_cast<unsigned long long>(replicator->head()),
-              static_cast<unsigned long long>(replicator->lag()));
+              static_cast<unsigned long long>(replicator->lag()),
+              mirrored ? "exact" : "DIVERGED");
 
   // --- Phase 2: the active leader crashes.
   std::printf("\ncrashing active leader \"L\"...\n");
@@ -290,7 +292,8 @@ int main() {
     }
   }
 
-  const bool ok = replicator->deposed() && converged_on(*promoted);
+  const bool ok =
+      mirrored && replicator->deposed() && converged_on(*promoted);
   std::printf("\n%s\n",
               ok ? "Failover complete: exact state handoff, fenced epochs, "
                    "no split-brain."

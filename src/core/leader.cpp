@@ -29,7 +29,6 @@ Status Leader::register_member(const std::string& member_id,
     if (on_oops) on_oops(member_id, k);
   };
   sessions_.emplace(member_id, std::move(session));
-  if (on_credential_added) on_credential_added(member_id, pa);
   return Status::success();
 }
 
@@ -38,7 +37,6 @@ Status Leader::update_credential(const std::string& member_id,
   auto it = sessions_.find(member_id);
   if (it == sessions_.end()) return make_error(Errc::unknown_peer, member_id);
   it->second->set_long_term_key(pa);
-  if (on_credential_updated) on_credential_updated(member_id, pa);
   return Status::success();
 }
 
@@ -518,7 +516,6 @@ Result<crypto::SessionKey> Leader::expel(const std::string& member_id,
     revoke_parole(member_id);
   obs::emit(counters_, obs::Event::expel, clock_.now(), config_.id, config_.id,
             member_id, reason);
-  if (was_member && on_member_expelled) on_member_expelled(member_id, reason);
   // Only authenticated members get a departure fan-out; tearing down a
   // mid-handshake session must not announce a member who never joined.
   if (was_member) handle_member_closed(member_id);
@@ -543,8 +540,6 @@ void Leader::shutdown_group(const std::string& reason) {
         obs::count(config_.id, config_.id, "exchanges_abandoned_total");
       obs::emit(counters_, obs::Event::expel, clock_.now(), config_.id,
                 config_.id, id, reason);
-      if (members_.count(id) && on_member_expelled)
-        on_member_expelled(id, reason);
       (void)session->force_close();
     }
   }
@@ -877,7 +872,6 @@ std::vector<std::string> Leader::expel_stalled(std::uint32_t attempts) {
       // A real member gone quiet: full expulsion (announce + rekey policy).
       obs::emit(counters_, obs::Event::expel, clock_.now(), config_.id,
                 config_.id, id, "stalled");
-      if (on_member_expelled) on_member_expelled(id, "stalled");
       auto old_key = it->second->force_close();
       // A liveness expulsion is reconcilable: retain Kr on parole so the
       // member can heal via the signed op-log instead of a full re-key.

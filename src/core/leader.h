@@ -198,24 +198,12 @@ class Leader {
   // Observability hooks (optional).
   std::function<void(const std::string&)> on_member_joined;
   std::function<void(const std::string&)> on_member_left;
+  /// Fires with the new epoch after each rekey.
+  std::function<void(std::uint64_t)> on_rekey;
   std::function<void(const std::string&, const Bytes&)> on_data;
   /// Fires with the discarded Ka when a member's session closes via
   /// ReqClose — the paper's Oops(Ka) event.
   std::function<void(const std::string&, const crypto::SessionKey&)> on_oops;
-
-  // HA replication hooks (optional): fired after every durable admin-state
-  // change, in the order it took effect, so a replicator (src/ha/) can
-  // stream deltas to a warm standby. Together with on_member_joined /
-  // on_member_left above they cover everything snapshot() persists.
-  std::function<void(const std::string&, const crypto::LongTermKey&)>
-      on_credential_added;
-  std::function<void(const std::string&, const crypto::LongTermKey&)>
-      on_credential_updated;
-  /// Fires with the new epoch after each rekey (the group key itself is
-  /// never replicated: a promoted leader always issues a fresh Kg).
-  std::function<void(std::uint64_t)> on_rekey;
-  std::function<void(const std::string&, const std::string&)>
-      on_member_expelled;
 
   /// Members currently on parole (expelled-but-reconcilable).
   std::size_t parole_count() const { return parole_.size(); }
@@ -240,7 +228,7 @@ class Leader {
   void send_group_key_to(const std::string& member_id);
   bool tree_mode() const { return config_.rekey.algo == RekeyAlgo::tree; }
   void ensure_tree();
-  /// Shared rekey bookkeeping (rekey event, epoch gauge, HA hook, parole GC)
+  /// Shared rekey bookkeeping (rekey event, epoch gauge, on_rekey, parole GC)
   /// — called by every path that moved epoch_/kg_.
   void note_rekey();
   /// Rotates the tree for a join/leave and broadcasts the update.

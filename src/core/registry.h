@@ -46,6 +46,7 @@ class Registry {
 
   std::size_t size() const { return entries_.size(); }
   std::vector<std::string> ids() const;
+  const std::map<std::string, Credential>& entries() const { return entries_; }
 
   /// Registers every credential with `leader`. Members already registered
   /// there are skipped (idempotent restore).

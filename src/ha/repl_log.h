@@ -1,10 +1,11 @@
-// Replication log — the active leader's epoch-fenced record of admin-state
-// deltas awaiting standby acknowledgement (PROTOCOL.md §11).
+// Replication log — the active leader's epoch-fenced record of snapshot
+// deltas awaiting standby acknowledgement (PROTOCOL.md §11) — and the diff
+// and patch that make and apply a delta.
 //
 // Each delta is keyed by a 1-based, strictly increasing sequence number
-// assigned at append time; (epoch, seq) uniquely names one admin-state
-// change for the lifetime of the active/standby pairing. The log retains
-// only the unacknowledged suffix: a cumulative ack from the standby prunes
+// assigned at append time; (epoch, seq) uniquely names one snapshot change
+// for the lifetime of the active/standby pairing. The log retains only the
+// unacknowledged suffix: a cumulative ack from the standby prunes
 // everything at or below it, so memory is bounded by the replication lag,
 // not by group history. Anything the standby missed beyond the retained
 // suffix is repaired with a full snapshot resync, never by rewinding seq.
@@ -12,11 +13,24 @@
 
 #include <cstdint>
 #include <map>
-#include <vector>
+#include <string>
 
+#include "core/registry.h"
 #include "wire/repl.h"
 
 namespace enclaves::ha {
+
+/// The delta that turns snapshot `from` into `to`, seq left unset: `to`'s
+/// epoch and key-tree depth, and per snapshot map the entries added or
+/// changed and the keys removed.
+wire::ReplDeltaPayload diff(const core::LeaderSnapshot& from,
+                            const core::LeaderSnapshot& to);
+
+/// Applies `delta` to `snap`: patch(from, diff(from, to)) leaves `from`
+/// equal to `to`. Returns the names of the fields that changed, comma
+/// separated, e.g. "epoch,slots" (the repl_delta event's detail).
+std::string patch(core::LeaderSnapshot& snap,
+                  const wire::ReplDeltaPayload& delta);
 
 class ReplLog {
  public:
@@ -34,14 +48,10 @@ class ReplLog {
   /// Acks never regress: a stale (lower) ack is a no-op.
   void ack(std::uint64_t seq);
 
-  /// Deltas above the ack floor, in sequence order (retransmission set).
-  std::vector<const wire::ReplDeltaPayload*> unacked() const;
-
-  /// Entry by sequence number, or nullptr if pruned / never assigned.
-  const wire::ReplDeltaPayload* find(std::uint64_t seq) const;
-
-  /// Retained (unacknowledged) entry count.
-  std::size_t size() const { return entries_.size(); }
+  /// Deltas above the ack floor by seq (the retransmission set).
+  const std::map<std::uint64_t, wire::ReplDeltaPayload>& unacked() const {
+    return entries_;
+  }
 
  private:
   std::map<std::uint64_t, wire::ReplDeltaPayload> entries_;

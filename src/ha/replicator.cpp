@@ -21,114 +21,38 @@ LeaderReplicator::LeaderReplicator(core::Leader& leader,
 void LeaderReplicator::start() {
   if (started_) return;
   started_ = true;
-
-  // Chain over any handlers already installed: the replicator must observe
-  // every durable change, but it must not silence other observers.
-  auto prev_added = std::move(leader_.on_credential_added);
-  leader_.on_credential_added = [this, prev_added = std::move(prev_added)](
-                                    const std::string& id,
-                                    const crypto::LongTermKey& pa) {
-    if (prev_added) prev_added(id, pa);
-    emit(wire::ReplDeltaKind::credential_add, id, pa);
-  };
-  auto prev_updated = std::move(leader_.on_credential_updated);
-  leader_.on_credential_updated = [this, prev_updated = std::move(
-                                             prev_updated)](
-                                      const std::string& id,
-                                      const crypto::LongTermKey& pa) {
-    if (prev_updated) prev_updated(id, pa);
-    emit(wire::ReplDeltaKind::credential_update, id, pa);
-  };
-  auto prev_rekey = std::move(leader_.on_rekey);
-  leader_.on_rekey = [this, prev_rekey = std::move(prev_rekey)](
-                         std::uint64_t epoch) {
-    if (prev_rekey) prev_rekey(epoch);
-    emit(wire::ReplDeltaKind::rekey, {}, {});
-  };
-  auto prev_joined = std::move(leader_.on_member_joined);
-  leader_.on_member_joined = [this, prev_joined = std::move(prev_joined)](
-                                 const std::string& id) {
-    if (prev_joined) prev_joined(id);
-    emit(wire::ReplDeltaKind::member_joined, id, {});
-  };
-  auto prev_left = std::move(leader_.on_member_left);
-  leader_.on_member_left = [this, prev_left = std::move(prev_left)](
-                               const std::string& id) {
-    if (prev_left) prev_left(id);
-    emit(wire::ReplDeltaKind::member_left, id, {});
-  };
-  auto prev_expelled = std::move(leader_.on_member_expelled);
-  leader_.on_member_expelled = [this, prev_expelled = std::move(
-                                          prev_expelled)](
-                                   const std::string& id,
-                                   const std::string& reason) {
-    if (prev_expelled) prev_expelled(id, reason);
-    emit(wire::ReplDeltaKind::member_expelled, id, {});
-  };
-
   // Initial baseline: the standby must never apply deltas against nothing.
+  shipped_ = leader_.snapshot();
   send_snapshot();
 }
 
-void LeaderReplicator::emit(wire::ReplDeltaKind kind,
-                            const std::string& member_id,
-                            const crypto::LongTermKey& pa) {
-  if (deposed_) return;  // a deposed leader replicates nothing
-  wire::ReplDeltaPayload delta;
-  delta.epoch = leader_.epoch();
-  delta.kind = kind;
-  delta.member_id = member_id;
-  delta.pa = pa;
-  const std::uint64_t seq = log_.append(delta);
-  delta.seq = seq;
-  send_delta(delta);
-  retry_.arm(clock_.now(), core::stable_salt(leader_.id()) ^ 0x4EA7);
-  if (config_.snapshot_interval > 0 &&
-      ++deltas_since_snapshot_ >= config_.snapshot_interval) {
-    send_snapshot();
-  }
-  if (on_delta) on_delta(delta);
-}
-
-void LeaderReplicator::send_delta(const wire::ReplDeltaPayload& delta) {
+void LeaderReplicator::send_delta(const wire::ReplDeltaPayload& delta,
+                                  std::string_view detail) {
   PROF_SCOPE("ha/repl/delta");
   obs::gauge_set(kHaGroup, leader_.id(), "repl_lag",
                  static_cast<std::int64_t>(lag()));
   obs::emit(counters_, obs::Event::repl_delta, clock_.now(), kHaGroup,
-            leader_.id(), config_.standby_id,
-            wire::enum_name(delta.kind), delta.seq);
-  if (!send_) return;
-  send_(config_.standby_id,
-        wire::make_sealed(aead_, config_.repl_key.view(), rng_,
-                          wire::Label::ReplDelta, leader_.id(),
-                          config_.standby_id, wire::encode(delta)));
-  last_send_ = clock_.now();
+            leader_.id(), config_.standby_id, detail, delta.seq);
+  seal_and_send(wire::Label::ReplDelta, wire::encode(delta));
 }
 
 void LeaderReplicator::send_snapshot() {
   PROF_SCOPE("ha/repl/snapshot");
   deltas_since_snapshot_ = 0;
   wire::ReplSnapshotPayload payload;
-  payload.epoch = leader_.epoch();
+  payload.epoch = shipped_.epoch;
   payload.seq = log_.head();
-  payload.snapshot = leader_.snapshot().serialize(config_.repl_key.view());
+  payload.snapshot = shipped_.serialize(config_.repl_key.view());
   obs::emit(counters_, obs::Event::repl_snapshot, clock_.now(), kHaGroup,
             leader_.id(), config_.standby_id, {}, payload.seq);
-  if (!send_) return;
-  send_(config_.standby_id,
-        wire::make_sealed(aead_, config_.repl_key.view(), rng_,
-                          wire::Label::ReplSnapshot, leader_.id(),
-                          config_.standby_id, wire::encode(payload)));
-  last_send_ = clock_.now();
+  seal_and_send(wire::Label::ReplSnapshot, wire::encode(payload));
 }
 
-void LeaderReplicator::send_heartbeat() {
-  wire::ReplHeartbeatPayload payload{leader_.epoch(), log_.head()};
+void LeaderReplicator::seal_and_send(wire::Label label, const Bytes& body) {
   if (!send_) return;
   send_(config_.standby_id,
-        wire::make_sealed(aead_, config_.repl_key.view(), rng_,
-                          wire::Label::ReplHeartbeat, leader_.id(),
-                          config_.standby_id, wire::encode(payload)));
+        wire::make_sealed(aead_, config_.repl_key.view(), rng_, label,
+                          leader_.id(), config_.standby_id, body));
   last_send_ = clock_.now();
 }
 
@@ -192,16 +116,35 @@ std::size_t LeaderReplicator::tick() {
   std::size_t sent = 0;
 
   if (log_.acked() < log_.head() && retry_.due(now, config_.retry)) {
-    for (const wire::ReplDeltaPayload* delta : log_.unacked()) {
-      send_delta(*delta);
+    for (const auto& [seq, delta] : log_.unacked()) {
+      send_delta(delta, "retransmit");
       ++sent;
     }
     retry_.record_attempt(now, config_.retry);
   }
 
+  // Ship whatever the leader's snapshot changed since the last delta.
+  core::LeaderSnapshot snap;
+  if (started_ && (snap = leader_.snapshot()) != shipped_) {
+    wire::ReplDeltaPayload delta = diff(shipped_, snap);
+    delta.seq = log_.append(delta);
+    // Patching rather than assigning keeps shipped_ exactly what the
+    // standby reconstructs, and yields the changed fields for the trace.
+    send_delta(delta, patch(shipped_, delta));
+    ++sent;
+    retry_.arm(now, core::stable_salt(leader_.id()) ^ 0x4EA7);
+    if (++deltas_since_snapshot_ >= kSnapshotInterval) {
+      send_snapshot();
+      ++sent;
+    }
+    if (on_delta) on_delta(delta);
+  }
+
   if (config_.heartbeat_interval > 0 &&
       now - last_send_ >= config_.heartbeat_interval) {
-    send_heartbeat();
+    seal_and_send(wire::Label::ReplHeartbeat,
+                  wire::encode(wire::ReplHeartbeatPayload{leader_.epoch(),
+                                                          log_.head()}));
     ++sent;
   }
   return sent;

@@ -1,13 +1,14 @@
-// LeaderReplicator — streams the active leader's admin-state changes to a
-// warm standby (PROTOCOL.md §11).
+// LeaderReplicator — streams the active leader's durable state to a warm
+// standby (PROTOCOL.md §11).
 //
-// Hooks into Leader's replication callbacks (chaining any handlers already
-// installed) and converts every durable state change — credential add /
-// update, rekey — plus the informational membership events into ReplDelta
-// payloads, keyed (epoch, seq) by a ReplLog. Deltas travel sealed under the
-// pairwise replication key; a full LeaderSnapshot baseline is shipped at
-// start(), periodically for compaction, and whenever the standby reports a
-// gap. Retransmission of the unacked suffix runs on the same RetryPolicy
+// `Leader::snapshot()` is the one definition of durable state. Each tick
+// the replicator takes a fresh snapshot and, if it differs from the last
+// one shipped, appends their diff (repl_log.h) to a ReplLog as one
+// ReplDelta keyed (epoch, seq), so the standby trails the leader by at most
+// one tick. Deltas travel sealed under the pairwise replication key; a full
+// LeaderSnapshot baseline is shipped at start(), after every
+// kSnapshotInterval deltas for compaction, and whenever the standby reports
+// a gap. Retransmission of the unacked suffix runs on the same RetryPolicy
 // machinery as the protocol's admin channel.
 //
 // Fencing: a standby that has been promoted answers replication traffic
@@ -20,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 
 #include "core/leader.h"
 #include "core/retry.h"
@@ -38,13 +40,9 @@ namespace enclaves::ha {
 struct ReplicatorConfig {
   std::string standby_id = "L2";
   /// Pairwise replication key, fresh per active/standby pairing. Seals the
-  /// stream (the credential deltas carry long-term keys) and doubles as the
-  /// storage key for baseline snapshot blobs.
+  /// stream (deltas carry long-term keys and parole keys) and doubles as
+  /// the storage key for baseline snapshot blobs.
   crypto::SessionKey repl_key;
-  /// Ship a fresh baseline after this many deltas (compaction: the standby
-  /// can discard buffered history, and a resync never replays the full
-  /// group lifetime). 0 disables periodic baselines.
-  std::uint64_t snapshot_interval = 32;
   /// Retransmission schedule for the unacked suffix.
   core::RetryPolicy retry = core::RetryPolicy::every_tick();
   /// Send a ReplHeartbeat after this many idle ticks, so the standby's
@@ -55,13 +53,17 @@ struct ReplicatorConfig {
 
 class LeaderReplicator {
  public:
+  /// A fresh baseline follows this many deltas (compaction: the standby can
+  /// discard buffered history, and a resync never replays the full group
+  /// lifetime).
+  static constexpr std::uint64_t kSnapshotInterval = 32;
+
   LeaderReplicator(core::Leader& leader, ReplicatorConfig config, Rng& rng,
                    const crypto::Aead& aead = crypto::default_aead());
 
   void set_send(core::SendFn send) { send_ = std::move(send); }
 
-  /// Installs the leader hooks (chained over any existing handlers) and
-  /// ships the initial baseline snapshot. Call once, after set_send.
+  /// Ships the initial baseline snapshot. Call once, after set_send.
   void start();
 
   /// Feeds one inbound envelope addressed to this leader's replication
@@ -69,8 +71,9 @@ class LeaderReplicator {
   void handle(const wire::Envelope& e);
 
   /// Advances the virtual clock: retransmits the unacked suffix on the
-  /// retry schedule, ships periodic compaction baselines, and emits
-  /// heartbeats when idle. Returns envelopes sent.
+  /// retry schedule, ships the delta of whatever the leader's snapshot
+  /// changed since the last one (plus a compaction baseline when due), and
+  /// emits heartbeats when idle. Returns envelopes sent.
   std::size_t tick();
 
   std::uint64_t head() const { return log_.head(); }
@@ -80,20 +83,19 @@ class LeaderReplicator {
   /// True once a fenced ReplAck proved a standby was promoted over us.
   bool deposed() const { return deposed_; }
 
-  /// Test/observability hook: fires after each delta is shipped, with the
-  /// payload as sent (chaos tests record the active leader's snapshot per
-  /// seq here and later diff it against the standby's reconstruction).
+  /// Test/observability hook: fires after each delta is first shipped, with
+  /// the payload as sent (chaos tests record the active leader's snapshot
+  /// per seq here and later diff it against the standby's reconstruction).
   std::function<void(const wire::ReplDeltaPayload&)> on_delta;
 
   /// Fires once, with the fencing epoch, when a fenced ack deposes us.
   std::function<void(std::uint64_t)> on_deposed;
 
  private:
-  void emit(wire::ReplDeltaKind kind, const std::string& member_id,
-            const crypto::LongTermKey& pa);
-  void send_delta(const wire::ReplDeltaPayload& delta);
+  void send_delta(const wire::ReplDeltaPayload& delta,
+                  std::string_view detail);
   void send_snapshot();
-  void send_heartbeat();
+  void seal_and_send(wire::Label label, const Bytes& body);
 
   core::Leader& leader_;
   ReplicatorConfig config_;
@@ -102,6 +104,7 @@ class LeaderReplicator {
   core::SendFn send_;
 
   ReplLog log_;
+  core::LeaderSnapshot shipped_;  // the state the standby holds at head()
   VirtualClock clock_;
   obs::EventCounters counters_;  // obs::emit's cached counter cells
   core::RetryState retry_;

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "ha/repl_log.h"
 #include "obs/event.h"
 #include "util/logging.h"
 #include "wire/seal.h"
@@ -17,19 +18,15 @@ StandbyLeader::StandbyLeader(StandbyConfig config, Rng& rng,
     : config_(std::move(config)), rng_(rng), aead_(aead) {}
 
 void StandbyLeader::handle(const wire::Envelope& e) {
+  const auto reject = [this] { ++stats_.rejects; };
   if (e.label != wire::Label::ReplDelta &&
       e.label != wire::Label::ReplSnapshot &&
-      e.label != wire::Label::ReplHeartbeat) {
-    ++stats_.rejects;
-    return;
-  }
+      e.label != wire::Label::ReplHeartbeat)
+    return reject();
   // Authenticate before reacting in ANY way — a forgery must neither mutate
   // replicated state nor provoke a fenced ack (which deposes its receiver).
   auto plain = wire::open_sealed(aead_, config_.repl_key.view(), e);
-  if (!plain) {
-    ++stats_.rejects;
-    return;
-  }
+  if (!plain) return reject();
   if (on_activity) on_activity();
 
   if (promoted_) {
@@ -39,17 +36,14 @@ void StandbyLeader::handle(const wire::Envelope& e) {
               e.sender, "fenced_repl_traffic", fenced_epoch_);
     obs::emit(counters_, obs::Event::repl_fenced, now_, kHaGroup, config_.id,
               e.sender, "repl traffic after promotion", fenced_epoch_);
-    send_fenced_ack();
+    send_ack(false);
     return;
   }
 
   switch (e.label) {
     case wire::Label::ReplSnapshot: {
       auto payload = wire::decode<wire::ReplSnapshotPayload>(*plain);
-      if (!payload) {
-        ++stats_.rejects;
-        return;
-      }
+      if (!payload) return reject();
       if (payload->seq < applied_) {
         // A stale baseline retransmit must never rewind the reconstruction.
         ++stats_.duplicates;
@@ -58,12 +52,8 @@ void StandbyLeader::handle(const wire::Envelope& e) {
       }
       auto snap = core::LeaderSnapshot::deserialize(payload->snapshot,
                                                     config_.repl_key.view());
-      if (!snap || snap->epoch != payload->epoch) {
-        ++stats_.rejects;
-        return;
-      }
-      registry_ = snap->registry;
-      epoch_ = snap->epoch;
+      if (!snap || snap->epoch != payload->epoch) return reject();
+      snapshot_ = *std::move(snap);
       applied_ = payload->seq;
       has_baseline_ = true;
       ++stats_.snapshots_installed;
@@ -75,38 +65,31 @@ void StandbyLeader::handle(const wire::Envelope& e) {
     }
     case wire::Label::ReplDelta: {
       auto payload = wire::decode<wire::ReplDeltaPayload>(*plain);
-      if (!payload) {
-        ++stats_.rejects;
-        return;
-      }
-      if (!has_baseline_ || payload->seq > applied_ + 1) {
-        // Can't extend the contiguous prefix from here: hold the delta (it
-        // may be the tail of a reordering) and ask for repair.
-        if (payload->seq > applied_ && buffer_.size() < config_.max_buffered)
-          buffer_.emplace(payload->seq, *std::move(payload));
-        ++stats_.gaps_detected;
-        obs::emit(counters_, obs::Event::repl_gap, now_, kHaGroup, config_.id,
-                  e.sender, has_baseline_ ? "gap" : "no_baseline", applied_);
-        send_ack(true);
-        return;
-      }
-      if (payload->seq <= applied_) {
+      if (!payload) return reject();
+      if (has_baseline_ && payload->seq <= applied_) {
         ++stats_.duplicates;
         obs::count(kHaGroup, config_.id, "repl_duplicates_total");
         send_ack(false);
         return;
       }
-      apply(*payload);
-      drain_buffer();
-      send_ack(false);
+      // A delta that cannot extend the contiguous prefix is held (it may be
+      // the tail of a reordering) while room lasts, and repair is asked for.
+      const bool gap = !has_baseline_ || payload->seq > applied_ + 1;
+      if (!gap || buffer_.size() < kMaxBuffered)
+        buffer_.emplace(payload->seq, *std::move(payload));
+      if (gap) {
+        ++stats_.gaps_detected;
+        obs::emit(counters_, obs::Event::repl_gap, now_, kHaGroup, config_.id,
+                  e.sender, has_baseline_ ? "gap" : "no_baseline", applied_);
+      } else {
+        drain_buffer();
+      }
+      send_ack(gap);
       return;
     }
     case wire::Label::ReplHeartbeat: {
       auto payload = wire::decode<wire::ReplHeartbeatPayload>(*plain);
-      if (!payload) {
-        ++stats_.rejects;
-        return;
-      }
+      if (!payload) return reject();
       // The heartbeat names the log head; trailing it means deltas (or the
       // opening baseline) were lost in flight with nothing left to trigger
       // retransmission semantics on our side — ask for repair.
@@ -123,68 +106,30 @@ void StandbyLeader::handle(const wire::Envelope& e) {
   }
 }
 
-void StandbyLeader::apply(const wire::ReplDeltaPayload& delta) {
-  switch (delta.kind) {
-    case wire::ReplDeltaKind::credential_add:
-      // Note "snapshot" matches what Leader::snapshot() stamps, keeping the
-      // reconstruction bit-identical to the active's snapshot.
-      (void)registry_.add({delta.member_id, delta.pa, "snapshot"});
-      break;
-    case wire::ReplDeltaKind::credential_update:
-      (void)registry_.remove(delta.member_id);
-      (void)registry_.add({delta.member_id, delta.pa, "snapshot"});
-      break;
-    case wire::ReplDeltaKind::rekey:
-      epoch_ = delta.epoch;
-      break;
-    case wire::ReplDeltaKind::member_joined:
-    case wire::ReplDeltaKind::member_left:
-    case wire::ReplDeltaKind::member_expelled:
-      // Membership is session state, which is never replicated: survivors
-      // re-authenticate with the promoted leader. Informational only.
-      break;
-  }
-  applied_ = delta.seq;
-  ++stats_.deltas_applied;
-  obs::emit(counters_, obs::Event::repl_delta, now_, kHaGroup, config_.id,
-            config_.active_id, wire::enum_name(delta.kind),
-            delta.seq);
-}
-
 void StandbyLeader::drain_buffer() {
   // Anything at or below the prefix is now useless; anything contiguous
   // extends it.
   buffer_.erase(buffer_.begin(), buffer_.upper_bound(applied_));
   while (!buffer_.empty() && buffer_.begin()->first == applied_ + 1) {
-    apply(buffer_.begin()->second);
+    const std::string changed = patch(snapshot_, buffer_.begin()->second);
+    applied_ = buffer_.begin()->first;
     buffer_.erase(buffer_.begin());
+    ++stats_.deltas_applied;
+    obs::emit(counters_, obs::Event::repl_delta, now_, kHaGroup, config_.id,
+              config_.active_id, changed, applied_);
   }
 }
 
 void StandbyLeader::send_ack(bool gap) {
   if (!send_) return;
-  wire::ReplAckPayload ack{applied_, epoch_, gap, /*fenced=*/false};
+  // Once promoted, every ack is the fence.
+  wire::ReplAckPayload ack{applied_,
+                           promoted_ ? fenced_epoch_ : snapshot_.epoch, gap,
+                           /*fenced=*/promoted_};
   send_(config_.active_id,
         wire::make_sealed(aead_, config_.repl_key.view(), rng_,
                           wire::Label::ReplAck, config_.id, config_.active_id,
                           wire::encode(ack)));
-}
-
-void StandbyLeader::send_fenced_ack() {
-  if (!send_) return;
-  wire::ReplAckPayload ack{applied_, fenced_epoch_, /*gap=*/false,
-                           /*fenced=*/true};
-  send_(config_.active_id,
-        wire::make_sealed(aead_, config_.repl_key.view(), rng_,
-                          wire::Label::ReplAck, config_.id, config_.active_id,
-                          wire::encode(ack)));
-}
-
-core::LeaderSnapshot StandbyLeader::snapshot() const {
-  core::LeaderSnapshot snap;
-  snap.registry = registry_;
-  snap.epoch = epoch_;
-  return snap;
 }
 
 Result<std::unique_ptr<core::Leader>> StandbyLeader::promote(
@@ -196,11 +141,11 @@ Result<std::unique_ptr<core::Leader>> StandbyLeader::promote(
     return make_error(Errc::unexpected, "epoch fence must be positive");
 
   auto leader = std::make_unique<core::Leader>(std::move(config), rng_, aead_);
-  registry_.install(*leader);
+  snapshot_.install(*leader);
   // The fence: every epoch the promoted leader ever distributes exceeds
   // anything the old incarnation could plausibly have issued — members'
   // epoch floors then reject the old leader's keys outright (§11).
-  fenced_epoch_ = epoch_ + epoch_fence;
+  fenced_epoch_ = snapshot_.epoch + epoch_fence;
   leader->set_epoch_floor(fenced_epoch_);
   promoted_ = true;
   ENCLAVES_LOG(info) << config_.id << ": promoted at replication seq "

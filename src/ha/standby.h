@@ -1,18 +1,19 @@
 // StandbyLeader — the warm standby of PROTOCOL.md §11: consumes the
-// replication stream and maintains a reconstruction of the active leader's
-// durable state (credential registry + epoch) that is bit-identical to
-// `Leader::snapshot()` at every replicated point.
+// replication stream and holds one core::LeaderSnapshot, patched delta by
+// delta (repl_log.h), that equals the active's `Leader::snapshot()` at
+// every replicated point: credentials, epoch, key-tree slots and parole.
 //
 // Apply discipline: a baseline snapshot must arrive before any delta takes
 // effect (the stream always opens with one). Deltas then apply strictly in
 // sequence order; duplicates (seq <= applied) are suppressed and re-acked,
-// out-of-order arrivals are buffered up to `max_buffered` awaiting the gap
+// out-of-order arrivals are buffered up to kMaxBuffered awaiting the gap
 // fill, and an unfillable gap is reported via ReplAck{gap} so the active
 // resyncs with a fresh baseline. Acks are cumulative: ack.seq is the highest
 // contiguously applied index.
 //
-// Promotion: promote() turns the replicated state into a live Leader whose
-// epoch floor is fenced `epoch_fence` above the last replicated epoch —
+// Promotion: promote() installs the snapshot into a live Leader through
+// LeaderSnapshot::install (as crash recovery and federation migration do)
+// and fences its epoch floor `epoch_fence` above the last replicated epoch —
 // every group key the promoted leader issues is strictly newer than
 // anything the old incarnation could have distributed (even keys it rekeyed
 // after replication stopped, as long as it managed fewer than `epoch_fence`
@@ -28,7 +29,6 @@
 #include <string>
 
 #include "core/leader.h"
-#include "core/registry.h"
 #include "crypto/aead.h"
 #include "crypto/keys.h"
 #include "obs/event.h"
@@ -45,13 +45,14 @@ struct StandbyConfig {
   std::string active_id = "L";
   /// Pairwise replication key (must match the active's ReplicatorConfig).
   crypto::SessionKey repl_key;
-  /// Out-of-order deltas held while awaiting a gap fill; beyond this the
-  /// standby reports a gap instead of buffering without bound.
-  std::size_t max_buffered = 64;
 };
 
 class StandbyLeader {
  public:
+  /// Out-of-order deltas held while awaiting a gap fill; beyond this the
+  /// standby reports a gap instead of buffering without bound.
+  static constexpr std::size_t kMaxBuffered = 64;
+
   StandbyLeader(StandbyConfig config, Rng& rng,
                 const crypto::Aead& aead = crypto::default_aead());
 
@@ -69,11 +70,11 @@ class StandbyLeader {
 
   /// The reconstructed durable state. Equals the active's
   /// `Leader::snapshot()` as of replication index applied_seq().
-  core::LeaderSnapshot snapshot() const;
+  const core::LeaderSnapshot& snapshot() const { return snapshot_; }
 
   bool has_baseline() const { return has_baseline_; }
   std::uint64_t applied_seq() const { return applied_; }
-  std::uint64_t epoch() const { return epoch_; }
+  std::uint64_t epoch() const { return snapshot_.epoch; }
   bool promoted() const { return promoted_; }
   std::uint64_t fenced_epoch() const { return fenced_epoch_; }
 
@@ -87,10 +88,11 @@ class StandbyLeader {
   const Stats& stats() const { return stats_; }
 
   /// Promotes the replicated state into a live Leader (fresh sessions, no
-  /// members — the survivors re-authenticate and a first rekey issues a
-  /// fresh Kg above the fence). The standby itself stays alive purely to
-  /// fence the old incarnation's replication traffic. Errc::unexpected if
-  /// promoted before a baseline arrived or twice.
+  /// members — the survivors re-authenticate, re-seated at their key-tree
+  /// slots, and a first rekey issues a fresh Kg above the fence). The
+  /// standby itself stays alive purely to fence the old incarnation's
+  /// replication traffic. Errc::unexpected if promoted before a baseline
+  /// arrived or twice.
   Result<std::unique_ptr<core::Leader>> promote(core::LeaderConfig config,
                                                 std::uint64_t epoch_fence);
 
@@ -98,18 +100,15 @@ class StandbyLeader {
   std::function<void()> on_activity;
 
  private:
-  void apply(const wire::ReplDeltaPayload& delta);
   void drain_buffer();
   void send_ack(bool gap);
-  void send_fenced_ack();
 
   StandbyConfig config_;
   Rng& rng_;
   const crypto::Aead& aead_;
   core::SendFn send_;
 
-  core::Registry registry_;  // credentials, note "snapshot" (see snapshot())
-  std::uint64_t epoch_ = 0;
+  core::LeaderSnapshot snapshot_;
   std::uint64_t applied_ = 0;
   bool has_baseline_ = false;
   std::map<std::uint64_t, wire::ReplDeltaPayload> buffer_;  // out-of-order

@@ -75,16 +75,6 @@ void emit_transition(Tick now, std::string_view group,
        static_cast<std::uint64_t>(to));
 }
 
-void append_json_field(std::string& out, const char* name,
-                       std::string_view value, bool& first) {
-  if (!first) out += ',';
-  first = false;
-  out += '"';
-  out += name;
-  out += "\":";
-  append_json_string(out, value);
-}
-
 }  // namespace
 
 std::string HealthVerdict::to_json() const {
@@ -100,21 +90,16 @@ std::string HealthVerdict::to_json() const {
     append_json_string(out, group);
     out += ":{\"state\":";
     append_json_string(out, health_state_name(gh.state));
-    if (!gh.why.empty()) {
-      out += ",\"why\":";
-      append_json_string(out, gh.why);
-    }
+    if (!gh.why.empty()) append_json_field(out, "why", gh.why);
     out += ",\"peers\":{";
     bool first_peer = true;
     for (const auto& [peer, ph] : gh.peers) {
       if (!first_peer) out += ',';
       first_peer = false;
       append_json_string(out, peer);
-      out += ":{";
-      bool first_field = true;
-      append_json_field(out, "state", health_state_name(ph.state),
-                        first_field);
-      if (!ph.why.empty()) append_json_field(out, "why", ph.why, first_field);
+      out += ":{\"state\":";
+      append_json_string(out, health_state_name(ph.state));
+      if (!ph.why.empty()) append_json_field(out, "why", ph.why);
       out += ",\"suspicion\":" + std::to_string(ph.suspicion);
       out += ",\"window\":{\"retransmits\":" +
              std::to_string(ph.window_retransmits);

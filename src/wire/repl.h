@@ -1,14 +1,15 @@
 // Replication payload family (labels 96–99) — the HA plane that streams the
-// active leader's admin-state changes to a warm standby (src/ha/,
-// PROTOCOL.md §11).
+// active leader's durable state to a warm standby (src/ha/, PROTOCOL.md §11).
 //
-// The replicated state is exactly what `Leader::snapshot()` persists: the
-// credential registry plus the epoch. Deltas are keyed by (epoch, seq) where
-// seq is a strictly increasing replication-log index; the standby applies
-// them in order, suppresses duplicates, and detects gaps. All four payloads
-// travel sealed (seal.h) under the pairwise replication key, which must be
-// fresh per active/standby pairing — the seal gives confidentiality for the
-// long-term keys in credential deltas and authenticity for the stream.
+// The replicated state is `Leader::snapshot()` itself. A delta is the diff
+// between two snapshots: the new epoch and key-tree depth, plus the entries
+// of the three snapshot maps (credentials, key-tree slots, parole) that were
+// added, changed or removed. Deltas are keyed by (epoch, seq) where seq is a
+// strictly increasing replication-log index; the standby applies them in
+// order, suppresses duplicates, and detects gaps. All four payloads travel
+// sealed (seal.h) under the pairwise replication key, which must be fresh
+// per active/standby pairing — the seal gives confidentiality for the
+// long-term keys and parole keys in deltas and authenticity for the stream.
 //
 // Like payloads.h, every payload starts with a distinct type octet (0xE0
 // range) and wire::decode<T> refuses trailing bytes (codec.h).
@@ -17,7 +18,7 @@
 #include <cstdint>
 #include <string>
 #include <tuple>
-#include <utility>
+#include <vector>
 
 #include "crypto/keys.h"
 #include "util/bytes.h"
@@ -25,39 +26,61 @@
 
 namespace enclaves::wire {
 
-/// One admin-state change at the active leader, in emission order.
-enum class ReplDeltaKind : std::uint8_t {
-  credential_add = 1,     // register_member: member_id + pa
-  credential_update = 2,  // update_credential: member_id + pa
-  member_joined = 3,      // membership view change (informational: sessions
-  member_left = 4,        //   are never replicated; members re-authenticate
-  member_expelled = 5,    //   with the promoted leader)
-  rekey = 6,              // epoch advanced to `epoch`
+/// Most entries one map diff may list: the largest snapshot map's own cap
+/// (key-tree slots). Above it a delta is refused as oversized.
+constexpr std::uint32_t kMaxReplEntries = 1 << 21;
+
+/// One snapshot-map entry that was added or changed, with its new value.
+template <class V>
+struct ReplEntry {
+  std::string key;
+  V value{};
+  auto fields() { return std::tie(key, value); }
+  friend bool operator==(const ReplEntry&, const ReplEntry&) = default;
 };
 
-/// Stable snake_case names for traces and logs (enum_name).
-template <>
-struct EnumNames<ReplDeltaKind> {
-  static constexpr std::pair<ReplDeltaKind, const char*> names[] = {
-      {ReplDeltaKind::credential_add, "credential_add"},
-      {ReplDeltaKind::credential_update, "credential_update"},
-      {ReplDeltaKind::member_joined, "member_joined"},
-      {ReplDeltaKind::member_left, "member_left"},
-      {ReplDeltaKind::member_expelled, "member_expelled"},
-      {ReplDeltaKind::rekey, "rekey"},
-  };
+/// How one snapshot map changed: entries set (added or changed) and keys
+/// erased.
+template <class V>
+struct ReplMapDiff {
+  std::vector<ReplEntry<V>> set;
+  std::vector<std::string> erased;
+  auto fields() {
+    return tie_fields(capped<kMaxReplEntries>(set),
+                      capped<kMaxReplEntries>(erased));
+  }
+  friend bool operator==(const ReplMapDiff&, const ReplMapDiff&) = default;
 };
-static_assert(std::size(EnumNames<ReplDeltaKind>::names) ==
-              static_cast<std::size_t>(ReplDeltaKind::rekey));
 
+/// A registry credential's value (the key is the member id).
+struct ReplCredential {
+  crypto::LongTermKey pa;
+  std::string note;
+  auto fields() { return std::tie(pa, note); }
+  friend bool operator==(const ReplCredential&,
+                         const ReplCredential&) = default;
+};
+
+/// A parole record's value (the key is the member id).
+struct ReplParole {
+  crypto::SessionKey kr;
+  std::uint64_t fence_epoch = 0;
+  auto fields() { return std::tie(kr, fence_epoch); }
+  friend bool operator==(const ReplParole&, const ReplParole&) = default;
+};
+
+/// The active's snapshot changed since the previous delta.
 struct ReplDeltaPayload {
   static constexpr std::uint8_t kType = 0xE1;
-  std::uint64_t epoch = 0;  // active's epoch when the delta was produced
+  std::uint64_t epoch = 0;  // the snapshot's epoch
   std::uint64_t seq = 0;    // log index, 1-based, strictly increasing
-  ReplDeltaKind kind = ReplDeltaKind::rekey;
-  std::string member_id;    // empty for rekey
-  crypto::LongTermKey pa;   // credential_* kinds only; all-zero otherwise
-  auto fields() { return std::tie(epoch, seq, kind, member_id, pa); }
+  std::uint32_t keytree_depth = 0;
+  ReplMapDiff<ReplCredential> credentials;
+  ReplMapDiff<std::uint32_t> slots;  // member id -> key-tree leaf
+  ReplMapDiff<ReplParole> parole;
+  auto fields() {
+    return std::tie(epoch, seq, keytree_depth, credentials, slots, parole);
+  }
   friend bool operator==(const ReplDeltaPayload&,
                          const ReplDeltaPayload&) = default;
 };

@@ -283,6 +283,33 @@ TEST(ExpositionServer, HealthReports503WhenPartitionedOrWorse) {
             std::string::npos);
 }
 
+// The whole /health body, byte for byte: one degraded and one partitioned
+// peer, both with ids that need escaping, in a group whose id does too.
+TEST(ExpositionServer, HealthBodyIsPinnedByteForByte) {
+  MetricsRegistry registry;
+  registry.add("L\"1", "evil\"agent\nid", "retransmits_total", 5);
+  registry.add("L\"1", "m2\t\\", "suspicions_total", 1);
+  HealthMonitor monitor;
+  monitor.observe(16, registry.snapshot());
+
+  ExpositionServer server(registry, &monitor);
+  net::HttpResponse health = server.respond({"GET", "/health"});
+  EXPECT_EQ(health.status, 503);
+  EXPECT_EQ(health.body,
+      R"({"tick":16,"windows":1,"state":"partitioned",)"
+      R"("groups":{"L\"1":{"state":"partitioned",)"
+      R"("why":"peer m2\t\\: 1 connectivity-loss signal(s) in window",)"
+      R"("peers":{)"
+      R"("evil\"agent\nid":{"state":"degraded",)"
+      R"("why":"5 retransmits/reanswers in window","suspicion":0,)"
+      R"("window":{"retransmits":5,"refusals":0,"suspicion":0,)"
+      R"("partition_signals":0,"reconcile_signals":0}},)"
+      R"("m2\t\\":{"state":"partitioned",)"
+      R"("why":"1 connectivity-loss signal(s) in window","suspicion":0,)"
+      R"("window":{"retransmits":0,"refusals":0,"suspicion":0,)"
+      R"("partition_signals":1,"reconcile_signals":0}}}}}})");
+}
+
 TEST(ExpositionServer, NullMonitorServesEmptyHealthyVerdict) {
   MetricsRegistry registry;
   ExpositionServer server(registry, nullptr);

@@ -1,9 +1,11 @@
 // Chaos failover suite: warm-standby promotion under seeded adversarial
 // schedules (PROTOCOL.md §11).
 //
-// Each seed drives a full failover lifecycle through a FaultInjector: the
-// group forms on the active leader while every admin-state change streams to
-// a warm standby; the active crashes at a seed-dependent point mid-churn;
+// Each seed drives a full failover lifecycle through a FaultInjector, once
+// per configuration in {flat, tree} rekey x {parole off, on}: the group
+// forms on the active leader while its snapshot streams to a warm standby
+// (with parole on, one member goes silent until it is auto-expelled onto
+// parole first); the active crashes at a seed-dependent point mid-churn;
 // the failover controller suspects the silence and promotes the standby;
 // survivors suspect, cycle their failover targets, re-authenticate with the
 // promoted leader and exchange data under a fresh fenced Kg; finally the old
@@ -11,7 +13,10 @@
 // per seed:
 //
 //   state equality — the standby's reconstruction at promotion equals the
-//     active's `Leader::snapshot()` at the last replicated point, exactly;
+//     active's `Leader::snapshot()` at the last replicated point, exactly:
+//     credentials, epoch, key-tree slots and parole;
+//   seating — in tree mode, survivors rejoin the promoted leader at the
+//     key-tree leaves they held before the crash;
 //   zero split-brain — per member, accepted epochs strictly increase across
 //     the whole run and every delivered (epoch, seq) pair per origin is
 //     lexicographically strictly increasing: nothing the deposed leader
@@ -59,36 +64,31 @@ struct Tracker {
       data;
 };
 
+// The leader configuration under test: rekey algorithm and parole window.
+struct Mode {
+  bool tree = false;
+  std::uint64_t parole_epochs = 0;
+
+  std::string name() const {
+    return std::string(tree ? "tree" : "flat") + "/parole=" +
+           std::to_string(parole_epochs);
+  }
+};
+
+constexpr Mode kModes[] = {{false, 0}, {false, 4}, {true, 0}, {true, 4}};
+
 struct FailoverWorld {
   static constexpr int kMembers = 4;
 
-  FailoverWorld(std::uint64_t seed, net::FaultPlan plan)
-      : rng(seed), injector(std::move(plan), seed ^ 0xFA170) {
+  FailoverWorld(std::uint64_t seed, net::FaultPlan plan, Mode mode = {})
+      : mode(mode), rng(seed), injector(std::move(plan), seed ^ 0xFA170) {
     net.set_tap(injector.tap());
     repl_key = crypto::SessionKey::random(rng);
 
     // Active leader + replication source.
-    LeaderConfig lc;
-    lc.id = "L";
-    lc.rekey = RekeyPolicy::strict();
-    lc.retry = RetryPolicy::exponential(1, 8, /*jitter=*/2);
-    lc.auto_expel_attempts = 8;
-    active = std::make_unique<Leader>(lc, rng);
+    active = std::make_unique<Leader>(leader_config("L"), rng);
     active->set_send(sender());
-
-    ReplicatorConfig rc;
-    rc.standby_id = "L2";
-    rc.repl_key = repl_key;
-    rc.snapshot_interval = 16;
-    rc.retry = RetryPolicy::exponential(1, 8, /*jitter=*/2);
-    rc.heartbeat_interval = 2;
-    replicator = std::make_unique<LeaderReplicator>(*active, rc, rng);
-    replicator->set_send(sender());
-    // The ground truth for the state-equality invariant: the active's own
-    // snapshot as of every replication index.
-    replicator->on_delta = [this](const wire::ReplDeltaPayload& d) {
-      recorded[d.seq] = active->snapshot();
-    };
+    make_replicator();
     net.attach("L", [this](const wire::Envelope& e) { route_active(e); });
 
     // Warm standby + failover controller.
@@ -101,10 +101,7 @@ struct FailoverWorld {
     FailoverConfig fc;
     fc.suspect_after = 25;
     fc.epoch_fence = 1024;
-    fc.promoted.id = "L2";
-    fc.promoted.rekey = RekeyPolicy::strict();
-    fc.promoted.retry = RetryPolicy::exponential(1, 8, /*jitter=*/2);
-    fc.promoted.auto_expel_attempts = 8;
+    fc.promoted = leader_config("L2");
     controller = std::make_unique<FailoverController>(*standby, fc);
     net.attach("L2", [this](const wire::Envelope& e) { route_standby(e); });
 
@@ -145,6 +142,32 @@ struct FailoverWorld {
   }
 
   static std::string member_id(int i) { return "m" + std::to_string(i); }
+
+  LeaderConfig leader_config(const std::string& id) const {
+    LeaderConfig lc;
+    lc.id = id;
+    lc.rekey = mode.tree ? RekeyPolicy::tree() : RekeyPolicy::strict();
+    lc.retry = RetryPolicy::exponential(1, 8, /*jitter=*/2);
+    lc.auto_expel_attempts = 8;
+    lc.parole_epochs = mode.parole_epochs;
+    return lc;
+  }
+
+  // A replicator for the current active leader; start() is the caller's.
+  void make_replicator() {
+    ReplicatorConfig rc;
+    rc.standby_id = "L2";
+    rc.repl_key = repl_key;
+    rc.retry = RetryPolicy::exponential(1, 8, /*jitter=*/2);
+    rc.heartbeat_interval = 2;
+    replicator = std::make_unique<LeaderReplicator>(*active, rc, rng);
+    replicator->set_send(sender());
+    // The ground truth for the state-equality invariant: the active's own
+    // snapshot as of every replication index.
+    replicator->on_delta = [this](const wire::ReplDeltaPayload& d) {
+      recorded[d.seq] = active->snapshot();
+    };
+  }
 
   core::SendFn sender() {
     return [this](const std::string& to, wire::Envelope e) {
@@ -204,22 +227,10 @@ struct FailoverWorld {
   // pre-crash snapshot — fresh sessions, fresh replicator, same identity.
   // Its replication opener meets the promoted standby's fence immediately.
   void restart_active_from(const core::LeaderSnapshot& snap) {
-    LeaderConfig lc;
-    lc.id = "L";
-    lc.rekey = RekeyPolicy::strict();
-    lc.retry = RetryPolicy::exponential(1, 8, /*jitter=*/2);
-    lc.auto_expel_attempts = 8;
-    active = std::make_unique<Leader>(lc, rng);
+    active = std::make_unique<Leader>(leader_config("L"), rng);
     active->set_send(sender());
     snap.install(*active);
-    ReplicatorConfig rc;
-    rc.standby_id = "L2";
-    rc.repl_key = repl_key;
-    rc.snapshot_interval = 16;
-    rc.retry = RetryPolicy::exponential(1, 8, /*jitter=*/2);
-    rc.heartbeat_interval = 2;
-    replicator = std::make_unique<LeaderReplicator>(*active, rc, rng);
-    replicator->set_send(sender());
+    make_replicator();
     replicator->start();
     resurrect_active();
   }
@@ -253,6 +264,7 @@ struct FailoverWorld {
   obs::ScopedMetricsSink metrics_sink{metrics};
   obs::ScopedEventSink trace_sink{trace};
 
+  Mode mode;
   net::SimNetwork net;
   DeterministicRng rng;
   net::FaultInjector injector;
@@ -291,16 +303,27 @@ void assert_strictly_increasing(const std::vector<std::uint64_t>& xs,
 
 constexpr int kMembersInt = FailoverWorld::kMembers;
 
-class ChaosFailover : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(ChaosFailover, StandbyTakesOverWithExactStateAndNoSplitBrain) {
-  const std::uint64_t seed = GetParam();
-  SCOPED_TRACE("seed=" + std::to_string(seed));
-  FailoverWorld w(seed, failover_plan(seed));
+// One failover lifecycle under `mode`; fatal failures return early.
+void run_failover(std::uint64_t seed, Mode mode) {
+  FailoverWorld w(seed, failover_plan(seed), mode);
 
   // Phase 1: the group forms on the active leader, replication flowing.
   for (auto& [id, m] : w.members) ASSERT_TRUE(m->join().ok());
   ASSERT_TRUE(w.settle_on(*w.active)) << "join phase did not converge";
+
+  // With parole on, the last member goes silent until the active expels it
+  // onto parole, and stays cut off until after the promotion: the standby
+  // must carry its parole record across the failover.
+  const std::string silent = FailoverWorld::member_id(kMembersInt - 1);
+  if (mode.parole_epochs > 0) {
+    w.injector.partition({silent});
+    for (int t = 0; t < 600 && !w.standby->snapshot().parole.count(silent);
+         ++t)
+      w.step();
+    ASSERT_TRUE(w.active->on_parole(silent)) << "never paroled";
+    ASSERT_TRUE(w.standby->snapshot().parole.count(silent))
+        << "parole never replicated";
+  }
 
   // Phase 2: churn, with the crash at a seed-dependent point mid-stream.
   const int crash_after = static_cast<int>(seed % 10);
@@ -331,11 +354,26 @@ TEST_P(ChaosFailover, StandbyTakesOverWithExactStateAndNoSplitBrain) {
   // own snapshot at the last replicated index, bit for bit.
   const std::uint64_t at = w.standby->applied_seq();
   ASSERT_TRUE(w.recorded.count(at)) << "no ground truth for seq " << at;
-  EXPECT_EQ(w.standby->snapshot(), w.recorded.at(at))
+  const core::LeaderSnapshot handed_over = w.standby->snapshot();
+  EXPECT_EQ(handed_over, w.recorded.at(at))
       << "standby state diverged from the replicated prefix at seq " << at;
+  EXPECT_EQ(handed_over.keytree_slots.empty(), !mode.tree);
+  EXPECT_EQ(handed_over.parole.count(silent), mode.parole_epochs > 0 ? 1u : 0u);
 
   // Phase 4: survivors cycle onto the promoted leader and re-form the group
-  // above the fence.
+  // above the fence. In tree mode each sits at its pre-crash leaf.
+  const auto seated = [&w, &handed_over] {
+    const core::KeyTree* tree = w.promoted->keytree();
+    for (const auto& [id, leaf] : handed_over.keytree_slots)
+      if (!tree || !tree->has_member(id)) return false;
+    return true;
+  };
+  for (int t = 0; t < 6000 && !seated(); ++t) w.step();
+  ASSERT_TRUE(seated()) << "survivors did not rejoin the promoted tree";
+  for (const auto& [id, leaf] : handed_over.keytree_slots)
+    EXPECT_EQ(w.promoted->keytree()->leaf_of(id), leaf)
+        << id << " re-seated away from its pre-crash leaf";
+  if (mode.parole_epochs > 0) w.injector.heal();
   ASSERT_TRUE(w.settle_on(*w.promoted, 6000))
       << "survivors did not re-form on the promoted leader";
   EXPECT_GE(w.promoted->epoch(), w.standby->fenced_epoch())
@@ -355,7 +393,7 @@ TEST_P(ChaosFailover, StandbyTakesOverWithExactStateAndNoSplitBrain) {
   // by the standby's fence; nobody follows it anywhere.
   const std::uint64_t promoted_epoch_before = w.promoted->epoch();
   w.resurrect_active();
-  w.active->rekey();  // emits a replication delta -> fenced ack
+  w.active->rekey();  // its next replicator tick ships a delta -> fenced ack
   for (int t = 0; t < 80 && !w.replicator->deposed(); ++t) w.step();
   EXPECT_TRUE(w.replicator->deposed())
       << "resurrected leader was never deposed";
@@ -387,6 +425,16 @@ TEST_P(ChaosFailover, StandbyTakesOverWithExactStateAndNoSplitBrain) {
   EXPECT_GE(w.metrics.counter("ha", "L2", "suspicions_total"), 1u);
   EXPECT_EQ(
       w.metrics.histogram("ha", "L2", "time_to_recovery_ticks").count, 1u);
+}
+
+class ChaosFailover : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ChaosFailover, StandbyTakesOverWithExactStateAndNoSplitBrain) {
+  const std::uint64_t seed = GetParam();
+  for (const Mode& mode : kModes) {
+    SCOPED_TRACE("seed=" + std::to_string(seed) + " mode=" + mode.name());
+    run_failover(seed, mode);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosFailover,

@@ -170,7 +170,6 @@ TEST(GoldenTrace, FailoverCrashSuspicionPromotionRejoin) {
   active.set_send(send);
   ha::ReplicatorConfig rc;
   rc.repl_key = repl_key;
-  rc.snapshot_interval = 0;   // no periodic baselines: keep the chart minimal
   rc.heartbeat_interval = 0;  // crash silence is the only liveness signal
   ha::LeaderReplicator replicator(active, rc, rng);
   replicator.set_send(send);
@@ -213,6 +212,8 @@ TEST(GoldenTrace, FailoverCrashSuspicionPromotionRejoin) {
   ASSERT_TRUE(alice.join().ok());
   net.run();
   ASSERT_TRUE(alice.connected());
+  replicator.tick();  // ship the join's snapshot delta
+  net.run();
   ASSERT_EQ(standby.applied_seq(), replicator.head()) << "standby behind";
   trace.clear();  // golden-diff the failover itself, not the group forming
 

@@ -19,6 +19,7 @@
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/record.h"
+#include "tests/alloc_hook.h"
 #include "tests/flight_dumps.h"
 #include "util/rng.h"
 #include "wire/repl.h"
@@ -38,8 +39,15 @@ using core::RetryPolicy;
 
 TEST(ReplCodec, RoundTrips) {
   DeterministicRng rng(1);
-  wire::ReplDeltaPayload delta{7, 42, wire::ReplDeltaKind::credential_add,
-                               "alice", crypto::LongTermKey::random(rng)};
+  wire::ReplDeltaPayload delta;
+  delta.epoch = 7;
+  delta.seq = 42;
+  delta.keytree_depth = 3;
+  delta.credentials.set.push_back(
+      {"alice", {crypto::LongTermKey::random(rng), "snapshot"}});
+  delta.credentials.erased.push_back("bob");
+  delta.slots.set.push_back({"alice", 9});
+  delta.parole.set.push_back({"carol", {crypto::SessionKey::random(rng), 6}});
   auto d = wire::decode<wire::ReplDeltaPayload>(wire::encode(delta));
   ASSERT_TRUE(d.ok());
   EXPECT_EQ(*d, delta);
@@ -62,7 +70,7 @@ TEST(ReplCodec, RoundTrips) {
 
 TEST(ReplCodec, RejectsTrailingBytes) {
   DeterministicRng rng(2);
-  wire::ReplDeltaPayload delta{1, 1, wire::ReplDeltaKind::rekey, "", {}};
+  wire::ReplDeltaPayload delta;
   wire::ReplSnapshotPayload snap{1, 1, to_bytes("x")};
   wire::ReplAckPayload ack{1, 1, false, false};
   wire::ReplHeartbeatPayload hb{1, 1};
@@ -76,14 +84,26 @@ TEST(ReplCodec, RejectsTrailingBytes) {
   }
 }
 
-TEST(ReplCodec, RejectsUnknownDeltaKind) {
-  wire::ReplDeltaPayload delta{1, 1, static_cast<wire::ReplDeltaKind>(9),
-                               "", {}};
-  EXPECT_FALSE(wire::decode<wire::ReplDeltaPayload>(wire::encode(delta)).ok());
-  EXPECT_FALSE(wire::is_known<wire::ReplDeltaKind>(0));
-  EXPECT_FALSE(wire::is_known<wire::ReplDeltaKind>(7));
-  EXPECT_TRUE(wire::is_known<wire::ReplDeltaKind>(1));
-  EXPECT_TRUE(wire::is_known<wire::ReplDeltaKind>(6));
+// A forged entry count must be refused before it sizes anything: the count
+// sits above the cap, and decoding it allocates nothing near that count.
+TEST(ReplCodec, RefusesOversizedEntryCountWithoutReserving) {
+  wire::ReplDeltaPayload delta;
+  Bytes raw = wire::encode(delta);
+  // Type octet, epoch, seq, keytree_depth, then the credentials' set count.
+  const std::size_t at = 1 + 8 + 8 + 4;
+  const std::uint32_t count = wire::kMaxReplEntries + 1;
+  for (int i = 0; i < 4; ++i)
+    raw[at + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(count >> (24 - 8 * i));
+
+  testing_support::g_largest_allocation = 0;
+  testing_support::g_count_allocations = true;
+  auto decoded = wire::decode<wire::ReplDeltaPayload>(raw);
+  testing_support::g_count_allocations = false;
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.code(), Errc::oversized);
+  EXPECT_LT(testing_support::g_largest_allocation, std::size_t{4096})
+      << "reserved room for the forged count";
 }
 
 TEST(ReplCodec, CrossDecodeRejected) {
@@ -101,26 +121,24 @@ TEST(ReplLog, AssignsSequencesAndPrunesOnAck) {
   ReplLog log;
   EXPECT_EQ(log.head(), 0u);
   wire::ReplDeltaPayload d;
-  d.kind = wire::ReplDeltaKind::rekey;
   EXPECT_EQ(log.append(d), 1u);
   EXPECT_EQ(log.append(d), 2u);
   EXPECT_EQ(log.append(d), 3u);
   EXPECT_EQ(log.head(), 3u);
   EXPECT_EQ(log.unacked().size(), 3u);
-  EXPECT_EQ(log.unacked()[0]->seq, 1u);
+  EXPECT_EQ(log.unacked().begin()->second.seq, 1u);
 
   log.ack(2);
   EXPECT_EQ(log.acked(), 2u);
   ASSERT_EQ(log.unacked().size(), 1u);
-  EXPECT_EQ(log.unacked()[0]->seq, 3u);
-  EXPECT_EQ(log.find(1), nullptr) << "acked entries are pruned";
-  ASSERT_NE(log.find(3), nullptr);
+  EXPECT_EQ(log.unacked().begin()->second.seq, 3u)
+      << "acked entries are pruned";
 
   log.ack(1);  // stale ack never regresses
   EXPECT_EQ(log.acked(), 2u);
   log.ack(99);  // beyond head: clamped, not trusted
   EXPECT_EQ(log.acked(), 3u);
-  EXPECT_EQ(log.size(), 0u);
+  EXPECT_TRUE(log.unacked().empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -128,16 +146,16 @@ TEST(ReplLog, AssignsSequencesAndPrunesOnAck) {
 // a SimNetwork.
 
 struct ReplWorld {
-  explicit ReplWorld(std::uint64_t seed, std::uint64_t snapshot_interval = 32)
+  explicit ReplWorld(std::uint64_t seed,
+                     LeaderConfig config = {"L", RekeyPolicy::strict()})
       : rng(seed),
         repl_key(crypto::SessionKey::random(rng)),
-        leader(LeaderConfig{"L", RekeyPolicy::strict()}, rng) {
+        leader(std::move(config), rng) {
     leader.set_send(sender());
 
     ReplicatorConfig rc;
     rc.standby_id = "L2";
     rc.repl_key = repl_key;
-    rc.snapshot_interval = snapshot_interval;
     rc.heartbeat_interval = 2;
     replicator = std::make_unique<LeaderReplicator>(leader, rc, rng);
     replicator->set_send(sender());
@@ -164,6 +182,12 @@ struct ReplWorld {
     };
   }
 
+  // One replicator tick ships whatever the leader's snapshot changed.
+  void sync() {
+    replicator->tick();
+    net.run();
+  }
+
   obs::MetricsRegistry metrics;
   obs::ScopedMetricsSink metrics_sink{metrics};
   net::SimNetwork net;
@@ -187,19 +211,19 @@ TEST(Replication, MirrorsActiveStateAtEveryReplicatedPoint) {
   for (const char* id : {"alice", "bob", "carol"}) {
     ASSERT_TRUE(
         w.leader.register_member(id, crypto::LongTermKey::random(keys)).ok());
-    w.net.run();
+    w.sync();
     EXPECT_EQ(w.standby->snapshot(), w.leader.snapshot()) << id;
   }
   ASSERT_TRUE(
       w.leader.update_credential("bob", crypto::LongTermKey::random(keys))
           .ok());
-  w.net.run();
+  w.sync();
   EXPECT_EQ(w.standby->snapshot(), w.leader.snapshot());
 
   w.leader.rekey();
-  w.net.run();
+  w.sync();
   w.leader.rekey();
-  w.net.run();
+  w.sync();
   EXPECT_EQ(w.standby->snapshot(), w.leader.snapshot());
   EXPECT_EQ(w.standby->epoch(), 2u);
   EXPECT_EQ(w.standby->applied_seq(), w.replicator->head());
@@ -211,15 +235,108 @@ TEST(Replication, MirrorsActiveStateAtEveryReplicatedPoint) {
             w.standby->stats().deltas_applied);
 }
 
+// The standby mirrors the whole snapshot, not only credentials and epoch: a
+// tree-mode leader's key-tree depth and slots, and its parole list. Each
+// delta's trace detail names the fields it changed.
+TEST(Replication, MirrorsKeyTreeSlotsAndParole) {
+  LeaderConfig lc{"L", RekeyPolicy::tree()};
+  lc.parole_epochs = 4;
+  ReplWorld w(16, lc);
+  obs::EventStore trace;
+  obs::ScopedEventSink trace_sink(trace);
+  w.replicator->start();
+  w.net.run();
+
+  DeterministicRng keys(10);
+  std::vector<std::unique_ptr<Member>> members;
+  for (const char* id : {"alice", "bob", "carol"}) {
+    auto pa = crypto::LongTermKey::random(keys);
+    ASSERT_TRUE(w.leader.register_member(id, pa).ok());
+    auto& m =
+        members.emplace_back(std::make_unique<Member>(id, "L", pa, w.rng));
+    m->set_send(w.sender());
+    w.net.attach(id, [raw = m.get()](const wire::Envelope& e) {
+      raw->handle(e);
+    });
+    ASSERT_TRUE(m->join().ok());
+    w.net.run();
+    w.sync();
+    EXPECT_EQ(w.standby->snapshot(), w.leader.snapshot()) << id;
+  }
+  EXPECT_EQ(w.standby->snapshot().keytree_slots.size(), 3u);
+  EXPECT_EQ(w.standby->snapshot().keytree_depth, 2u);
+
+  ASSERT_TRUE(w.leader.expel("bob", "stalled").ok());  // onto parole
+  w.net.run();
+  w.sync();
+  ASSERT_TRUE(w.leader.on_parole("bob"));
+  EXPECT_EQ(w.standby->snapshot(), w.leader.snapshot());
+  EXPECT_EQ(w.standby->snapshot().parole.count("bob"), 1u);
+  EXPECT_EQ(w.standby->snapshot().keytree_slots.count("bob"), 0u);
+
+  // The last delta on each side: the leave rekey, bob's pruned leaf, his
+  // parole record.
+  std::map<std::string, std::string> last_detail;
+  for (const auto& e : trace.events())
+    if (e.kind == obs::TraceKind::repl_delta) last_detail[e.agent] = e.detail;
+  EXPECT_EQ(last_detail["L"], "epoch,slots,parole");
+  EXPECT_EQ(last_detail["L2"], "epoch,slots,parole");
+}
+
+// One diff, one patch, for all three snapshot maps: entries added, changed
+// and removed, plus the scalar fields.
+TEST(SnapshotDiff, PatchOfDiffRebuildsTheTarget) {
+  DeterministicRng rng(17);
+  core::LeaderSnapshot from;
+  from.epoch = 4;
+  from.keytree_depth = 2;
+  for (const char* id : {"alice", "bob", "carol"})
+    ASSERT_TRUE(
+        from.registry.add({id, crypto::LongTermKey::random(rng), "snapshot"})
+            .ok());
+  from.keytree_slots = {{"alice", 4}, {"bob", 5}};
+  from.parole["carol"] = {crypto::SessionKey::random(rng), 3};
+
+  core::LeaderSnapshot to = from;
+  to.epoch = 5;
+  ASSERT_TRUE(to.registry.remove("alice").ok());
+  ASSERT_TRUE(to.registry.remove("bob").ok());
+  ASSERT_TRUE(
+      to.registry.add({"bob", crypto::LongTermKey::random(rng), "snapshot"})
+          .ok());
+  ASSERT_TRUE(
+      to.registry.add({"dave", crypto::LongTermKey::random(rng), "snapshot"})
+          .ok());
+  to.keytree_slots = {{"bob", 6}, {"dave", 4}};
+  to.parole.clear();
+
+  const wire::ReplDeltaPayload delta = diff(from, to);
+  EXPECT_EQ(delta.credentials.set.size(), 2u);  // bob changed, dave added
+  EXPECT_EQ(delta.credentials.erased, std::vector<std::string>{"alice"});
+  EXPECT_EQ(delta.slots.set.size(), 2u);
+  EXPECT_EQ(delta.slots.erased, std::vector<std::string>{"alice"});
+  EXPECT_TRUE(delta.parole.set.empty());
+  EXPECT_EQ(delta.parole.erased, std::vector<std::string>{"carol"});
+
+  auto patched = wire::decode<wire::ReplDeltaPayload>(wire::encode(delta));
+  ASSERT_TRUE(patched.ok());
+  core::LeaderSnapshot rebuilt = from;
+  EXPECT_EQ(patch(rebuilt, *patched), "epoch,credentials,slots,parole");
+  EXPECT_EQ(rebuilt, to);
+  EXPECT_EQ(patch(rebuilt, diff(to, to)), "") << "an empty diff is a no-op";
+  EXPECT_EQ(rebuilt, to);
+}
+
 TEST(Replication, GapRepairedBySnapshotResync) {
   ReplWorld w(11);
   w.replicator->start();
   w.net.run();
 
-  // Drop the first delta on the wire; the second arrives out of order.
+  // Drop delta 1 and its retransmission, which the next tick sends ahead of
+  // delta 2; delta 2 then arrives over a gap.
   int deltas_seen = 0;
   w.net.set_tap([&deltas_seen](const net::Packet& p) {
-    if (p.envelope.label == wire::Label::ReplDelta && ++deltas_seen == 1)
+    if (p.envelope.label == wire::Label::ReplDelta && ++deltas_seen <= 2)
       return net::TapVerdict::drop;
     return net::TapVerdict::deliver;
   });
@@ -227,12 +344,12 @@ TEST(Replication, GapRepairedBySnapshotResync) {
   ASSERT_TRUE(
       w.leader.register_member("alice", crypto::LongTermKey::random(keys))
           .ok());
-  w.net.run();
+  w.sync();
   EXPECT_EQ(w.standby->applied_seq(), 0u) << "delta 1 was dropped";
 
   ASSERT_TRUE(
       w.leader.register_member("bob", crypto::LongTermKey::random(keys)).ok());
-  w.net.run();  // delta 2 -> gap ack -> snapshot resync -> caught up
+  w.sync();  // delta 2 -> gap ack -> snapshot resync -> caught up
   EXPECT_GE(w.standby->stats().gaps_detected, 1u);
   EXPECT_EQ(w.standby->snapshot(), w.leader.snapshot());
   EXPECT_GE(w.metrics.counter("ha", "L2", "repl_gaps_total"), 1u);
@@ -256,7 +373,7 @@ TEST(Replication, LostDeltaRepairedByRetransmission) {
   ASSERT_TRUE(
       w.leader.register_member("alice", crypto::LongTermKey::random(keys))
           .ok());
-  w.net.run();
+  w.sync();
   EXPECT_EQ(w.standby->applied_seq(), 0u);
   EXPECT_EQ(w.replicator->lag(), 1u);
 
@@ -283,7 +400,7 @@ TEST(Replication, DuplicateDeltasSuppressed) {
   ASSERT_TRUE(
       w.leader.register_member("alice", crypto::LongTermKey::random(keys))
           .ok());
-  w.net.run();
+  w.sync();
   ASSERT_TRUE(captured.has_value());
   const auto state_before = w.standby->snapshot();
 
@@ -302,9 +419,10 @@ TEST(Replication, ForgedStreamRejectedWithoutEffect) {
 
   // An attacker without the replication key cannot feed the standby.
   DeterministicRng attacker(666);
-  wire::ReplDeltaPayload forged{0, 1, wire::ReplDeltaKind::credential_add,
-                                "mallory",
-                                crypto::LongTermKey::random(attacker)};
+  wire::ReplDeltaPayload forged;
+  forged.seq = 1;
+  forged.credentials.set.push_back(
+      {"mallory", {crypto::LongTermKey::random(attacker), "snapshot"}});
   auto wrong_key = crypto::SessionKey::random(attacker);
   w.net.inject("L2", wire::make_sealed(crypto::default_aead(),
                                        wrong_key.view(), attacker,
@@ -316,21 +434,23 @@ TEST(Replication, ForgedStreamRejectedWithoutEffect) {
 }
 
 TEST(Replication, PeriodicSnapshotCompaction) {
-  ReplWorld w(15, /*snapshot_interval=*/3);
+  ReplWorld w(15);
   w.replicator->start();
   w.net.run();
   const std::uint64_t baselines_before =
       w.metrics.counter("ha", "L2", "repl_snapshots_total");
 
   DeterministicRng keys(8);
-  for (int i = 0; i < 7; ++i) {
+  constexpr auto kInterval = LeaderReplicator::kSnapshotInterval;
+  for (std::uint64_t i = 0; i < 2 * kInterval + 1; ++i) {
     ASSERT_TRUE(w.leader
                     .register_member("m" + std::to_string(i),
                                      crypto::LongTermKey::random(keys))
                     .ok());
-    w.net.run();
+    w.sync();
   }
-  // 7 deltas at interval 3 -> at least 2 fresh baselines beyond the opener.
+  // One delta per tick, so 2 * interval + 1 deltas -> at least 2 fresh
+  // baselines beyond the opener.
   EXPECT_GE(w.metrics.counter("ha", "L2", "repl_snapshots_total"),
             baselines_before + 2);
   EXPECT_EQ(w.standby->snapshot(), w.leader.snapshot());
@@ -353,7 +473,7 @@ TEST(Failover, PromotionFencesEpochAndInstallsCredentials) {
   auto pa = crypto::LongTermKey::random(keys);
   ASSERT_TRUE(w.leader.register_member("alice", pa).ok());
   w.leader.rekey();  // epoch 1
-  w.net.run();
+  w.sync();
   ASSERT_EQ(w.standby->epoch(), 1u);
 
   FailoverConfig fc;
@@ -403,8 +523,8 @@ TEST(Failover, PromotionFencesEpochAndInstallsCredentials) {
   w.replicator->on_deposed = [&deposed_epoch](std::uint64_t e) {
     deposed_epoch = e;
   };
-  w.leader.rekey();  // emits a delta to L2
-  w.net.run();
+  w.leader.rekey();
+  w.sync();  // ships the rekey's delta to L2
   EXPECT_TRUE(w.replicator->deposed());
   EXPECT_EQ(deposed_epoch, 1u + 1024u);
   EXPECT_EQ(w.metrics.counter("ha", "L", "deposed_total"), 1u);

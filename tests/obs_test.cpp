@@ -20,18 +20,23 @@
 #include "obs/metrics.h"
 #include "obs/prof.h"
 #include "obs/record.h"
+#include "tests/alloc_hook.h"
 #include "tests/flight_dumps.h"
 #include "util/clock.h"
 
 // Counts heap allocations made on the current thread while armed, and keeps
-// the largest request, so a test can prove a code path allocates nothing or
-// nothing big. Replacing the global operator new/delete pair is the only way
-// to see every allocation, including those made inside the standard library.
-namespace {
+// the largest request (alloc_hook.h). Replacing the global operator
+// new/delete pair is the only way to see every allocation, including those
+// made inside the standard library.
+namespace enclaves::testing_support {
 thread_local bool g_count_allocations = false;
 thread_local std::size_t g_allocations = 0;
 thread_local std::size_t g_largest_allocation = 0;
-}  // namespace
+}  // namespace enclaves::testing_support
+
+using enclaves::testing_support::g_allocations;
+using enclaves::testing_support::g_count_allocations;
+using enclaves::testing_support::g_largest_allocation;
 
 void* operator new(std::size_t size) {
   if (g_count_allocations) {

@@ -430,7 +430,6 @@ TEST(GoldenSpanTree, FailoverCrashSuspicionPromotionRejoin) {
   active.set_send(send);
   ha::ReplicatorConfig rc;
   rc.repl_key = repl_key;
-  rc.snapshot_interval = 0;
   rc.heartbeat_interval = 0;
   ha::LeaderReplicator replicator(active, rc, rng);
   replicator.set_send(send);
@@ -473,6 +472,9 @@ TEST(GoldenSpanTree, FailoverCrashSuspicionPromotionRejoin) {
   ASSERT_TRUE(alice.join().ok());
   net.run();
   ASSERT_TRUE(alice.connected());
+  replicator.tick();  // ship the join's snapshot delta
+  net.run();
+  ASSERT_EQ(standby.applied_seq(), replicator.head()) << "standby behind";
   trace.clear();
 
   net.detach("L");

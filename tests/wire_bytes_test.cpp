@@ -90,9 +90,13 @@ constexpr Pinned kPayloads[] = {
     {"FedDirSyncPayload",
      "f50000000167000000027332000000000000000e"},
     {"ReplDeltaPayload",
-     "e1000000000000000800000000000000150100000004646176650506"
-     "0708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f202122"
-     "2324"},
+     "e1000000000000000800000000000000150000000200000001000000"
+     "046461766505060708090a0b0c0d0e0f101112131415161718191a1b"
+     "1c1d1e1f202122232400000008736e617073686f7400000001000000"
+     "046572696e0000000100000004646176650000000500000000000000"
+     "01000000056672616e6b25262728292a2b2c2d2e2f30313233343536"
+     "3738393a3b3c3d3e3f40414243440000000000000003000000010000"
+     "0003677573"},
     {"ReplSnapshotPayload",
      "e2000000000000000800000000000000150000000425262728"},
     {"ReplAckPayload",

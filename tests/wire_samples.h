@@ -98,8 +98,11 @@ inline auto payloads() {
       FedMigrateAckPayload{"g", 11, FedMigrateVerdict::accept, 1012},
       FedMigrateCommitPayload{"g", 11, 14},
       FedDirSyncPayload{"g", "s2", 14},
-      ReplDeltaPayload{8, 21, ReplDeltaKind::credential_add, "dave",
-                       key<crypto::LongTermKey>(0x05)},
+      ReplDeltaPayload{
+          8, 21, 2,
+          {{{"dave", {key<crypto::LongTermKey>(0x05), "snapshot"}}}, {"erin"}},
+          {{{"dave", 5}}, {}},
+          {{{"frank", {key<crypto::SessionKey>(0x25), 3}}}, {"gus"}}},
       ReplSnapshotPayload{8, 21, pattern(4, 0x25)},
       ReplAckPayload{21, 8, false, true},
       ReplHeartbeatPayload{8, 22},
