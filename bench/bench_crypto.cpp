@@ -3,9 +3,11 @@
 #include <benchmark/benchmark.h>
 
 #include "crypto/aead.h"
+#include "crypto/chacha20_kernels.h"
 #include "crypto/hkdf.h"
 #include "crypto/hmac.h"
 #include "crypto/pbkdf2.h"
+#include "crypto/poly1305_kernels.h"
 #include "crypto/sha256.h"
 #include "crypto/sha256_kernels.h"
 #include "crypto/x25519.h"
@@ -48,6 +50,53 @@ void BM_Sha256Compress(benchmark::State& state, decltype(&sha256_blocks) kernel)
 }
 BENCHMARK_CAPTURE(BM_Sha256Compress, portable, &sha256_blocks_portable);
 BENCHMARK_CAPTURE(BM_Sha256Compress, dispatched, &sha256_blocks);
+
+// The AEAD's two kernels, portable against dispatched, in one process (as
+// BM_Sha256Compress): "dispatched" is AVX2 where the blob's
+// "chacha20_kernel" / "poly1305_kernel" say "avx2", else the portable
+// kernel again. ChaCha20's wide kernel takes whole 512-byte batches, so its
+// smallest row is 512 B; a shorter message runs the four-block batch on
+// either path. Poly1305 dispatches below 1 KiB to donna-64, so its 64 B
+// rows read alike.
+void BM_ChaCha20(benchmark::State& state,
+                 decltype(&chacha20_xor_batches) kernel) {
+  const auto len = static_cast<std::size_t>(state.range(0));
+  Bytes data = make_data(len);
+  std::uint32_t s[16] = {};
+  for (auto _ : state) {
+    kernel(s, data.data(), len / kChaCha20WideBatch);
+    benchmark::DoNotOptimize(data.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK_CAPTURE(BM_ChaCha20, portable, &chacha20_xor_batches_portable)
+    ->Arg(512)->Arg(1024)->Arg(16384);
+BENCHMARK_CAPTURE(BM_ChaCha20, dispatched, &chacha20_xor_batches)
+    ->Arg(512)->Arg(1024)->Arg(16384);
+
+void poly1305_portable_full_blocks(std::uint64_t h[3], const std::uint64_t r[3],
+                                   const std::uint8_t* data,
+                                   std::size_t nblocks) {
+  poly1305_blocks_portable(h, r, data, nblocks);
+}
+
+void BM_Poly1305(benchmark::State& state, decltype(&poly1305_blocks) kernel) {
+  const auto len = static_cast<std::size_t>(state.range(0));
+  Bytes data = make_data(len);
+  const std::uint64_t r[3] = {0xffc0fffffff, 0xfffffc0ffff, 0x00ffffffc0f};
+  std::uint64_t h[3] = {};
+  for (auto _ : state) {
+    kernel(h, r, data.data(), len / 16);
+    benchmark::DoNotOptimize(h);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK_CAPTURE(BM_Poly1305, portable, &poly1305_portable_full_blocks)
+    ->Arg(64)->Arg(1024)->Arg(16384);
+BENCHMARK_CAPTURE(BM_Poly1305, dispatched, &poly1305_blocks)
+    ->Arg(64)->Arg(1024)->Arg(16384);
 
 void BM_HmacSha256(benchmark::State& state) {
   Bytes key = make_data(32);
@@ -153,5 +202,7 @@ BENCHMARK(BM_AeadRejectForgery);
 int main(int argc, char** argv) {
   return enclaves::benchjson::run_bench_main(
       "crypto", argc, argv,
-      {{"sha256_kernel", enclaves::crypto::sha256_kernel_name()}});
+      {{"sha256_kernel", enclaves::crypto::sha256_kernel_name()},
+       {"chacha20_kernel", enclaves::crypto::chacha20_kernel_name()},
+       {"poly1305_kernel", enclaves::crypto::poly1305_kernel_name()}});
 }

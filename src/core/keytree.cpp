@@ -88,18 +88,23 @@ std::uint32_t KeyTree::leaf_of(const std::string& id) const {
 }
 
 std::uint32_t KeyTree::assign(const std::string& id,
-                              crypto::GroupKey leaf_kek, std::uint32_t hint) {
+                              crypto::GroupKey leaf_kek, std::uint32_t hint,
+                              const std::set<std::uint32_t>& reserved) {
   std::uint32_t leaf = 0;
   if (hint >= capacity() && hint < 2 * capacity() && live_[hint] == 0) {
     leaf = hint;
   } else {
+    std::uint32_t first_free = 0;
     for (std::uint32_t n = static_cast<std::uint32_t>(capacity());
          n < 2 * capacity(); ++n) {
-      if (live_[n] == 0) {
+      if (live_[n] != 0) continue;
+      if (first_free == 0) first_free = n;
+      if (!reserved.count(n)) {
         leaf = n;
         break;
       }
     }
+    if (leaf == 0) leaf = first_free;
   }
   keks_[leaf] = leaf_kek;
   leaf_of_[id] = leaf;

@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -77,9 +78,13 @@ class KeyTree {
 
   /// Grafts `id` onto a free leaf (prefers `hint` when it is a free leaf at
   /// the current depth — snapshot-restored members get their old subtree
-  /// back). Precondition: !full() and !has_member(id). Returns the leaf.
+  /// back). Otherwise the first free leaf not in `reserved` (leaves hinted
+  /// to members that have not rejoined yet); the first free leaf only when
+  /// every free leaf is reserved. Precondition: !full() and
+  /// !has_member(id). Returns the leaf.
   std::uint32_t assign(const std::string& id, crypto::GroupKey leaf_kek,
-                       std::uint32_t hint = 0);
+                       std::uint32_t hint = 0,
+                       const std::set<std::uint32_t>& reserved = {});
 
   /// Prunes `id`'s leaf without rotating (manual rekey policy). The stale
   /// path KEKs stay until the next rotation touches them.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <set>
 
 #include "core/oplog.h"
 #include "wire/keytree.h"
@@ -187,12 +188,20 @@ void Leader::handle_member_authenticated(const std::string& member_id) {
     if (tree_->full()) keytree_grow_and_rebuild();
     auto it = sessions_.find(member_id);
     assert(it != sessions_.end() && it->second->in_session());
+    // The joiner's own hint is spent here; every other hint still holds
+    // its leaf for a survivor that has not rejoined yet.
     std::uint32_t hint = 0;
-    if (auto h = keytree_hints_.find(member_id); h != keytree_hints_.end())
-      hint = h->second;
+    std::set<std::uint32_t> reserved;
+    for (const auto& [id, slot] : keytree_hints_) {
+      if (id == member_id)
+        hint = slot;
+      else
+        reserved.insert(slot);
+    }
+    keytree_hints_.erase(member_id);
     std::uint32_t leaf = tree_->assign(
         member_id, derive_leaf_kek(it->second->session_key(), member_id),
-        hint);
+        hint, reserved);
     // The slot travels on the authenticated admin channel; the leaf KEK
     // never travels at all (both sides derive it from Ka).
     submit_admin_to(member_id, wire::KeyTreeAssign{leaf, tree_->depth()});
@@ -491,6 +500,7 @@ void Leader::broadcast_notice(const std::string& text) {
 
 Result<crypto::SessionKey> Leader::expel(const std::string& member_id,
                                          const std::string& reason) {
+  keytree_hints_.erase(member_id);  // an expelled member's leaf is not held
   auto it = sessions_.find(member_id);
   if (it == sessions_.end() || !it->second->in_session())
     return make_error(Errc::unknown_peer, member_id);

@@ -5,6 +5,9 @@
 #include <cassert>
 #include <cstring>
 
+#include "crypto/chacha20_kernels.h"
+#include "crypto/cpu.h"
+
 namespace enclaves::crypto {
 
 // Keystream words and data are moved with memcpy in host byte order, which
@@ -14,42 +17,14 @@ static_assert(std::endian::native == std::endian::little,
 
 namespace {
 
+using chacha20_detail::twenty_rounds;
+
 // Four 32-bit lanes; lane i of word w is word w of block counter+i.
 using u32x4 = std::uint32_t __attribute__((vector_size(16)));
 
 std::uint32_t load_le32(const std::uint8_t* p) {
   return std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8) |
          (std::uint32_t{p[2]} << 16) | (std::uint32_t{p[3]} << 24);
-}
-
-// One round schedule for both widths: W is std::uint32_t (one block) or
-// u32x4 (four blocks, one per lane). Forced inline so the 16 state words
-// stay in registers.
-template <class W>
-[[gnu::always_inline]] inline W rotl(W x, int n) {
-  return (x << n) | (x >> (32 - n));
-}
-
-template <class W>
-[[gnu::always_inline]] inline void quarter_round(W& a, W& b, W& c, W& d) {
-  a += b; d ^= a; d = rotl(d, 16);
-  c += d; b ^= c; b = rotl(b, 12);
-  a += b; d ^= a; d = rotl(d, 8);
-  c += d; b ^= c; b = rotl(b, 7);
-}
-
-template <class W>
-[[gnu::always_inline]] inline void twenty_rounds(W (&x)[16]) {
-  for (int round = 0; round < 10; ++round) {
-    quarter_round(x[0], x[4], x[8], x[12]);
-    quarter_round(x[1], x[5], x[9], x[13]);
-    quarter_round(x[2], x[6], x[10], x[14]);
-    quarter_round(x[3], x[7], x[11], x[15]);
-    quarter_round(x[0], x[5], x[10], x[15]);
-    quarter_round(x[1], x[6], x[11], x[12]);
-    quarter_round(x[2], x[7], x[8], x[13]);
-    quarter_round(x[3], x[4], x[9], x[14]);
-  }
 }
 
 // Writes the 64-byte keystream block for `in` (scalar; one block). Only
@@ -115,6 +90,29 @@ void xor_bytes(std::uint8_t* data, const std::uint8_t* ks, std::size_t len) {
 
 }  // namespace
 
+void chacha20_xor_batches_portable(std::uint32_t state[16], std::uint8_t* data,
+                                   std::size_t nbatches) {
+  std::array<std::uint32_t, 16> in;
+  std::copy(state, state + 16, in.begin());
+  for (std::size_t i = 0; i < 2 * nbatches; ++i) {
+    chacha_batch(in, data + i * 4 * ChaCha20::kBlockSize, true);
+    in[12] += 4;
+  }
+  state[12] = in[12];
+}
+
+void chacha20_xor_batches(std::uint32_t state[16], std::uint8_t* data,
+                          std::size_t nbatches) {
+  if (cpu_has_avx2())
+    chacha20_xor_batches_avx2(state, data, nbatches);
+  else
+    chacha20_xor_batches_portable(state, data, nbatches);
+}
+
+const char* chacha20_kernel_name() {
+  return cpu_has_avx2() ? "avx2" : "portable";
+}
+
 ChaCha20::ChaCha20(BytesView key, BytesView nonce,
                    std::uint32_t initial_counter) {
   assert(key.size() == kKeySize);
@@ -135,6 +133,12 @@ void ChaCha20::apply(std::uint8_t* data, std::size_t len) {
     ks_pos_ += n;
     data += n;
     len -= n;
+  }
+  if (len >= kChaCha20WideBatch) {
+    const std::size_t nbatches = len / kChaCha20WideBatch;
+    chacha20_xor_batches(state_.data(), data, nbatches);
+    data += nbatches * kChaCha20WideBatch;
+    len -= nbatches * kChaCha20WideBatch;
   }
   for (; len >= kBatchSize; data += kBatchSize, len -= kBatchSize) {
     chacha_batch(state_, data, true);

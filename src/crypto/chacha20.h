@@ -1,10 +1,14 @@
 // ChaCha20 stream cipher (RFC 8439 §2.4), implemented from scratch.
 //
-// The keystream is computed four blocks at a time: each of the 16 state
-// words is a 4-lane vector whose lane i belongs to block counter+i, so one
-// batch is 256 bytes. GCC vector extensions lower this to baseline SSE2.
-// A tail shorter than a batch still gets a whole batch; what it leaves
-// unused is kept for the next apply().
+// While at least 512 bytes remain, apply() XORs whole 512-byte runs with
+// chacha20_xor_batches() (crypto/chacha20_kernels.h): eight blocks per
+// batch on AVX2 where crypto/cpu.h finds it, else two of the four-block
+// batches below. The rest is computed four blocks at a time: each of the
+// 16 state words is a 4-lane vector whose lane i belongs to block
+// counter+i, so one batch is 256 bytes; GCC vector extensions lower this
+// to baseline SSE2. A tail shorter than a batch still gets a whole batch;
+// what it leaves unused is kept for the next apply(). A message under 512
+// bytes therefore runs the same code on every CPU.
 // The 32-bit block counter wraps modulo 2^32, as in RFC 8439.
 #pragma once
 

@@ -1,7 +1,10 @@
 // Poly1305 one-time authenticator (RFC 8439 §2.5), implemented from scratch.
 // r and the accumulator h are held in three limbs of 44, 44 and 42 bits and
 // multiplied with 64x64->128-bit products (unsigned __int128), the
-// "donna-64" schedule.
+// "donna-64" schedule. When one update() brings at least 1 KiB of full
+// blocks and crypto/cpu.h finds AVX2, those blocks run a four-lane Horner
+// loop in 26-bit limbs instead (crypto/poly1305_kernels.h); the tag is the
+// same bit for bit.
 #pragma once
 
 #include <array>
@@ -26,8 +29,6 @@ class Poly1305 {
   static Tag mac(BytesView key, BytesView data);
 
  private:
-  void blocks(const std::uint8_t* data, std::size_t len, bool final_partial);
-
   std::uint64_t r_[3];  // clamped r, 44/44/42-bit limbs
   std::uint64_t h_[3];  // accumulator, same limbs
   std::uint64_t pad_[2];

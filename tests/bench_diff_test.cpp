@@ -188,12 +188,36 @@ TEST(BenchDiff, Sha256KernelIsParsedAndAChangeIsANote) {
   auto cand = with_kernel("shani");
   ASSERT_TRUE(base.ok()) << base.error().to_string();
   ASSERT_TRUE(cand.ok()) << cand.error().to_string();
-  EXPECT_EQ(base->sha256_kernel, "portable");
+  EXPECT_EQ(base->kernels.at("sha256_kernel"), "portable");
   EXPECT_TRUE(diff_blobs(*base, *base).notes.empty());
   auto report = diff_blobs(*base, *cand);
   EXPECT_FALSE(report.failed());
   ASSERT_EQ(report.notes.size(), 1u);
   EXPECT_NE(report.notes[0].find("sha256_kernel"), std::string::npos);
+}
+
+// The AEAD kernels ride the same rule: each differing field is one note,
+// and a kernel field bench_crypto never writes is refused.
+TEST(BenchDiff, AeadKernelsAreParsedAndAChangeIsANote) {
+  auto with_kernels = [](const std::string& fields) {
+    std::string json = blob_json("crypto", 100, 5);
+    const std::string anchor = "\"metrics_attached\":true,";
+    json.insert(json.find(anchor) + anchor.size(), fields);
+    return BenchBlob::parse(json);
+  };
+  auto base = with_kernels(
+      "\"chacha20_kernel\":\"portable\",\"poly1305_kernel\":\"portable\",");
+  auto cand = with_kernels(
+      "\"chacha20_kernel\":\"avx2\",\"poly1305_kernel\":\"portable\",");
+  ASSERT_TRUE(base.ok()) << base.error().to_string();
+  ASSERT_TRUE(cand.ok()) << cand.error().to_string();
+  EXPECT_EQ(cand->kernels.at("chacha20_kernel"), "avx2");
+  EXPECT_EQ(cand->kernels.at("poly1305_kernel"), "portable");
+  auto report = diff_blobs(*base, *cand);
+  EXPECT_FALSE(report.failed());
+  ASSERT_EQ(report.notes.size(), 1u);
+  EXPECT_NE(report.notes[0].find("chacha20_kernel"), std::string::npos);
+  EXPECT_FALSE(with_kernels("\"aes_kernel\":\"aesni\",").ok());
 }
 
 // --- profiled scopes (the tentpole gate: ISSUE 9 acceptance criteria).

@@ -361,7 +361,10 @@ void run_failover(std::uint64_t seed, Mode mode) {
   EXPECT_EQ(handed_over.parole.count(silent), mode.parole_epochs > 0 ? 1u : 0u);
 
   // Phase 4: survivors cycle onto the promoted leader and re-form the group
-  // above the fence. In tree mode each sits at its pre-crash leaf.
+  // above the fence. In tree mode each sits at its pre-crash leaf, even
+  // though the paroled member (no slot in the handed-over snapshot) is
+  // healed first and may be seated before them.
+  if (mode.parole_epochs > 0) w.injector.heal();
   const auto seated = [&w, &handed_over] {
     const core::KeyTree* tree = w.promoted->keytree();
     for (const auto& [id, leaf] : handed_over.keytree_slots)
@@ -373,7 +376,6 @@ void run_failover(std::uint64_t seed, Mode mode) {
   for (const auto& [id, leaf] : handed_over.keytree_slots)
     EXPECT_EQ(w.promoted->keytree()->leaf_of(id), leaf)
         << id << " re-seated away from its pre-crash leaf";
-  if (mode.parole_epochs > 0) w.injector.heal();
   ASSERT_TRUE(w.settle_on(*w.promoted, 6000))
       << "survivors did not re-form on the promoted leader";
   EXPECT_GE(w.promoted->epoch(), w.standby->fenced_epoch())

@@ -366,5 +366,30 @@ TEST(KeyTree, SnapshotSlotsRestoreAsHints) {
         << id;
 }
 
+// A joiner with no hint skips leaves still hinted to members that have not
+// rejoined, so a survivor seated later still finds its old leaf free.
+TEST(KeyTree, UnhintedJoinerSkipsReservedLeaves) {
+  DeterministicRng rng(8);
+  const crypto::Aead& aead = crypto::default_aead();
+  KeyTree tree("L", aead, rng, /*depth=*/2);  // leaves 4..7
+  auto kek = [&rng] { return crypto::GroupKey::random(rng); };
+  const std::set<std::uint32_t> reserved = {4, 6};
+  EXPECT_EQ(tree.assign("newcomer", kek(), 0, reserved), 5u);
+  EXPECT_EQ(tree.assign("survivor", kek(), 4, {6}), 4u);
+  EXPECT_EQ(tree.assign("late", kek(), 0, {6}), 7u);
+}
+
+// Only when every free leaf is reserved does the joiner take the first
+// free one (the tree never refuses a seat it has room for).
+TEST(KeyTree, AllFreeLeavesReservedFallsBackToFirstFree) {
+  DeterministicRng rng(9);
+  const crypto::Aead& aead = crypto::default_aead();
+  KeyTree tree("L", aead, rng, /*depth=*/2);  // leaves 4..7
+  auto kek = [&rng] { return crypto::GroupKey::random(rng); };
+  EXPECT_EQ(tree.assign("a", kek(), 0, {}), 4u);
+  EXPECT_EQ(tree.assign("b", kek(), 0, {5, 6, 7}), 5u);
+  EXPECT_EQ(tree.assign("c", kek(), 0, {4, 5, 6, 7}), 6u);
+}
+
 }  // namespace
 }  // namespace enclaves::core

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -53,7 +54,10 @@ struct BenchResult {
 struct BenchBlob {
   std::string bench;
   bool metrics_attached = false;
-  std::string sha256_kernel;  // bench_crypto only: "shani" or "portable"
+  // bench_crypto only: which kernel each dispatched primitive ran, keyed
+  // by its field ("sha256_kernel": "shani" or "portable";
+  // "chacha20_kernel" / "poly1305_kernel": "avx2" or "portable").
+  std::map<std::string, std::string> kernels;
   std::vector<BenchResult> results;
   obs::MetricsSnapshot metrics;
   obs::ProfSnapshot profile;
@@ -120,10 +124,11 @@ inline Result<BenchBlob> BenchBlob::parse(std::string_view json) {
         auto v = c.parse_bool();
         if (!v.ok()) return v.error();
         blob.metrics_attached = *v;
-      } else if (*key == "sha256_kernel") {
+      } else if (*key == "sha256_kernel" || *key == "chacha20_kernel" ||
+                 *key == "poly1305_kernel") {
         auto v = c.parse_string();
         if (!v.ok()) return v.error();
-        blob.sha256_kernel = *std::move(v);
+        blob.kernels[*key] = *std::move(v);
       } else if (*key == "results") {
         if (!c.consume('[')) return Errc::malformed;
         if (!c.peek(']')) {
@@ -208,11 +213,17 @@ inline DiffReport diff_blobs(const BenchBlob& baseline,
     report.failures.push_back(
         "baseline recorded metrics but the candidate ran with the sink "
         "detached (ENCLAVES_BENCH_NO_METRICS?)");
-  if (baseline.sha256_kernel != candidate.sha256_kernel)
-    report.notes.push_back("sha256_kernel: baseline \"" +
-                           baseline.sha256_kernel + "\", candidate \"" +
-                           candidate.sha256_kernel +
-                           "\" (SHA-256 ns/op compare different kernels)");
+  for (const auto& field : {"sha256_kernel", "chacha20_kernel",
+                             "poly1305_kernel"}) {
+    const auto base = baseline.kernels.find(field);
+    const auto cand = candidate.kernels.find(field);
+    const std::string b = base == baseline.kernels.end() ? "" : base->second;
+    const std::string c = cand == candidate.kernels.end() ? "" : cand->second;
+    if (b != c)
+      report.notes.push_back(std::string(field) + ": baseline \"" + b +
+                             "\", candidate \"" + c +
+                             "\" (its ns/op rows compare different kernels)");
+  }
 
   // --- ns/op, per benchmark name.
   for (const BenchResult& base : baseline.results) {
