@@ -133,7 +133,9 @@ void BM_LeaderSnapshotRoundTrip(benchmark::State& state) {
     (void)reg.add(core::Credential{"m" + std::to_string(i),
                                    crypto::LongTermKey::random(rng), "pw"});
   }
-  core::LeaderSnapshot snap{reg, 1000};
+  core::LeaderSnapshot snap;
+  snap.registry = reg;
+  snap.epoch = 1000;
   const Bytes key = to_bytes("bench-storage-key");
   for (auto _ : state) {
     Bytes blob = snap.serialize(key);

@@ -132,10 +132,13 @@ BENCHMARK(BM_KeyTreeApplyUpdate)->Arg(64)->Arg(256)->Arg(1024)
 // End-to-end joins over the lossless SimNetwork (handshake + rekey + notices
 // + acks), tree vs flat. The world persists across iterations; each
 // iteration times one join and pays the matching leave off the clock.
+// `handlers` gives every member an event handler that keeps nothing, as
+// every real application installs one: each membership notice then also
+// publishes a ViewChanged (EXPERIMENTS.md E18).
 
 struct World {
-  World(core::RekeyPolicy policy, std::uint32_t depth)
-      : rng(42) {
+  World(core::RekeyPolicy policy, std::uint32_t depth, bool handlers)
+      : rng(42), handlers(handlers) {
     core::LeaderConfig config{"L", policy};
     config.keytree_depth = depth;
     leader = std::make_unique<core::Leader>(config, rng);
@@ -154,6 +157,10 @@ struct World {
     (void)leader->register_member(id, pa);
     auto m = std::make_unique<core::Member>(id, "L", pa, rng);
     m->set_send(sender());
+    if (handlers) {
+      m->set_event_handler(
+          [](const core::GroupEvent& ev) { benchmark::DoNotOptimize(&ev); });
+    }
     auto* raw = m.get();
     net.attach(id, [raw](const wire::Envelope& e) { raw->handle(e); });
     members[id] = std::move(m);
@@ -162,13 +169,15 @@ struct World {
 
   net::SimNetwork net;
   DeterministicRng rng;
+  bool handlers;
   std::unique_ptr<core::Leader> leader;
   std::map<std::string, std::unique_ptr<core::Member>> members;
 };
 
-void join_churn(benchmark::State& state, core::RekeyPolicy policy) {
+void join_churn(benchmark::State& state, core::RekeyPolicy policy,
+                bool handlers = false) {
   const int n = static_cast<int>(state.range(0));
-  World w(policy, depth_for(static_cast<std::size_t>(n) + 2));
+  World w(policy, depth_for(static_cast<std::size_t>(n) + 2), handlers);
   for (int i = 0; i < n; ++i) {
     (void)w.add(member_name(i)).join();
     w.net.run();
@@ -193,6 +202,12 @@ void BM_JoinIntoGroupOfN_Tree(benchmark::State& state) {
   join_churn(state, core::RekeyPolicy::tree());
 }
 BENCHMARK(BM_JoinIntoGroupOfN_Tree)->Arg(64)->Arg(256)->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_JoinIntoGroupOfN_TreeWithHandlers(benchmark::State& state) {
+  join_churn(state, core::RekeyPolicy::tree(), /*handlers=*/true);
+}
+BENCHMARK(BM_JoinIntoGroupOfN_TreeWithHandlers)->Arg(64)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_JoinIntoGroupOfN_Flat(benchmark::State& state) {

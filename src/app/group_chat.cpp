@@ -1,5 +1,7 @@
 #include "app/group_chat.h"
 
+#include <algorithm>
+
 #include "wire/codec.h"
 
 namespace enclaves::app {
@@ -89,10 +91,10 @@ void GroupChat::on_event(const core::GroupEvent& ev) {
     }
   } else if (const auto* v = std::get_if<core::ViewChanged>(&ev)) {
     // Drop presence entries for members no longer in the group.
-    const auto& members = v->members();
-    std::set<std::string> current(members.begin(), members.end());
+    const auto& members = v->members();  // sorted
     for (auto it = presence_.begin(); it != presence_.end();) {
-      if (!current.count(it->first) && it->first != member_.id()) {
+      if (!std::binary_search(members.begin(), members.end(), it->first) &&
+          it->first != member_.id()) {
         it = presence_.erase(it);
       } else {
         ++it;

@@ -26,12 +26,12 @@ struct AdminAccepted {
   wire::AdminBody body;
 };
 
-/// The membership view changed (join/leave/list snapshot applied). The
-/// snapshot is materialized once per membership change — and not at all
-/// when no event handler is installed (EXPERIMENTS.md E18: rebuilding it
-/// per fan-out recipient made 1024-member tree joins O(N^3)) — and shared
-/// immutably with the application, so handlers can retain it without
-/// copying.
+/// The membership view changed (join/leave/list snapshot applied). One
+/// event per applied notice, even one that left the view as it was. The
+/// snapshot is the member's own copy-on-write roster (core/roster.h), not a
+/// copy of it: emitting costs nothing per member (EXPERIMENTS.md E18). A
+/// handler may retain it without copying; the roster then copies itself on
+/// its next change, so a retained snapshot never changes.
 struct ViewChanged {
   std::shared_ptr<const std::vector<std::string>> snapshot;
 

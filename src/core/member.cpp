@@ -24,9 +24,7 @@ void Member::emit(GroupEvent event) {
 }
 
 void Member::emit_view_changed() {
-  if (!on_event_) return;
-  emit(ViewChanged{std::make_shared<const std::vector<std::string>>(
-      view_.begin(), view_.end())});
+  if (on_event_) emit(ViewChanged{view_.snapshot()});
 }
 
 Status Member::join() {
@@ -142,7 +140,7 @@ void Member::handle(const wire::Envelope& e) {
   const bool terminal_admin =
       outcome->admin && std::holds_alternative<wire::Expelled>(*outcome->admin);
   if (outcome->reply && send_ && !terminal_admin)
-    send_(leader_id_, *outcome->reply);
+    send_(leader_id_, *std::move(outcome->reply));
   if (outcome->became_connected) {
     join_retry_.disarm();
     rejoin_retry_.disarm();
@@ -156,7 +154,8 @@ void Member::handle(const wire::Envelope& e) {
   if (outcome->admin) {
     // A fenced admin body was authenticated but rejected on group-state
     // grounds (stale epoch from a deposed leader) — not "accepted".
-    if (apply_admin(*outcome->admin)) emit(AdminAccepted{*outcome->admin});
+    if (apply_admin(*outcome->admin))
+      emit(AdminAccepted{*std::move(outcome->admin)});
   }
 }
 
@@ -277,7 +276,7 @@ bool Member::apply_admin(const wire::AdminBody& body) {
           view_.erase(b.member);
           emit_view_changed();
         } else if constexpr (std::is_same_v<T, wire::MemberList>) {
-          view_ = std::set<std::string>(b.members.begin(), b.members.end());
+          view_.assign(b.members);
           emit_view_changed();
         } else if constexpr (std::is_same_v<T, wire::Notice>) {
           // surfaced via the AdminAccepted event only
@@ -797,8 +796,6 @@ std::size_t Member::tick() {
   return sent;
 }
 
-std::vector<std::string> Member::view() const {
-  return std::vector<std::string>(view_.begin(), view_.end());
-}
+std::vector<std::string> Member::view() const { return view_.members(); }
 
 }  // namespace enclaves::core

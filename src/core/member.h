@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -28,6 +27,7 @@
 #include "core/member_session.h"
 #include "core/oplog.h"
 #include "core/retry.h"
+#include "core/roster.h"
 #include "crypto/aead.h"
 #include "crypto/keys.h"
 #include "obs/event.h"
@@ -176,10 +176,9 @@ class Member {
 
  private:
   void emit(GroupEvent event);
-  /// Emits ViewChanged with a freshly materialized shared snapshot of
-  /// view_ — or nothing at all when no handler is installed, so the
-  /// admin fan-out never pays O(N) per notice just to drop the result
-  /// (EXPERIMENTS.md E18).
+  /// Emits ViewChanged carrying view_'s shared snapshot, not a copy of it,
+  /// so a notice costs one binary search plus one insert or erase whether
+  /// or not a handler is installed (core/roster.h, EXPERIMENTS.md E18).
   void emit_view_changed();
   /// Returns false when the body was fenced (rejected, session dropped).
   bool apply_admin(const wire::AdminBody& body);
@@ -214,7 +213,7 @@ class Member {
   crypto::GroupKey kg_;
   std::uint64_t epoch_ = 0;
   bool have_kg_ = false;
-  std::set<std::string> view_;
+  Roster view_;
   std::uint64_t next_seq_ = 0;                  // our outbound counter
   std::map<std::string, std::uint64_t> last_seq_;  // per-origin inbound floor
   std::uint64_t data_rejects_ = 0;

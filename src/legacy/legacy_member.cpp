@@ -155,9 +155,7 @@ void LegacyMember::handle(const wire::Envelope& e) {
         view_.insert(payload->member);
       else
         view_.erase(payload->member);
-      if (on_event_)
-        emit(core::ViewChanged{std::make_shared<const std::vector<std::string>>(
-            view_.begin(), view_.end())});
+      if (on_event_) emit(core::ViewChanged{view_.snapshot()});
       return;
     }
 
@@ -182,7 +180,7 @@ void LegacyMember::handle(const wire::Envelope& e) {
 }
 
 std::vector<std::string> LegacyMember::view() const {
-  return std::vector<std::string>(view_.begin(), view_.end());
+  return view_.members();
 }
 
 }  // namespace enclaves::legacy

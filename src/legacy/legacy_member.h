@@ -15,11 +15,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "core/events.h"
+#include "core/roster.h"
 #include "crypto/aead.h"
 #include "crypto/keys.h"
 #include "util/result.h"
@@ -82,7 +82,7 @@ class LegacyMember {
   crypto::GroupKey kg_;
   std::uint64_t epoch_ = 0;
   bool have_kg_ = false;
-  std::set<std::string> view_;
+  core::Roster view_;
   std::uint64_t rekeys_accepted_ = 0;
 };
 

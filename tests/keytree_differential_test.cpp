@@ -202,11 +202,12 @@ RunResult run_schedule(std::uint64_t seed, RekeyAlgo algo,
         for (const std::string& id : std::vector<std::string>(
                  w.wanted.begin(), w.wanted.end())) {
           auto& m = *w.members[id];
-          if (m.connected() && m.has_group_key())
+          if (m.connected() && m.has_group_key()) {
             EXPECT_TRUE(
                 m.send_data(to_bytes("p" + std::to_string(op) + "#" +
                                      std::to_string(data_counter++)))
                     .ok());
+          }
         }
         break;
       }

@@ -140,10 +140,12 @@ TEST(KeyTreeModel, NoEvicteeEverReachesPostExpelSecretsAcrossSchedules) {
       }
       // Completeness at every step: members hold the current Kg.
       if (m.member_count() > 0 && m.current_group_key() != kNoField) {
-        for (std::int32_t a = 0; a < kAgents; ++a)
-          if (m.is_member(a))
+        for (std::int32_t a = 0; a < kAgents; ++a) {
+          if (m.is_member(a)) {
             ASSERT_TRUE(m.knowledge(a).contains(m.current_group_key()))
                 << "step " << step << ": member " << a << " lost the key";
+          }
+        }
       }
     }
   }

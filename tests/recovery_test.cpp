@@ -141,7 +141,9 @@ TEST(Recovery, LeaderSnapshotRoundTripAndTamperRejection) {
           .ok());
   ASSERT_TRUE(
       reg.add(Credential{"bob", crypto::LongTermKey::random(rng), "pw"}).ok());
-  LeaderSnapshot snap{reg, 42};
+  LeaderSnapshot snap;
+  snap.registry = reg;
+  snap.epoch = 42;
 
   Bytes blob = snap.serialize(storage_key);
   auto back = LeaderSnapshot::deserialize(blob, storage_key);

@@ -124,7 +124,9 @@ TEST(Registry, TrailingBytesRejected) {
 TEST(Registry, SnapshotTrailingBytesRejected) {
   Registry reg;
   ASSERT_TRUE(reg.add(make_cred("alice")).ok());
-  LeaderSnapshot snap{reg, 7};
+  LeaderSnapshot snap;
+  snap.registry = reg;
+  snap.epoch = 7;
   Bytes key = to_bytes("k");
   Bytes data = snap.serialize(key);
 
