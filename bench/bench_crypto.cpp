@@ -51,13 +51,29 @@ void BM_Sha256Compress(benchmark::State& state, decltype(&sha256_blocks) kernel)
 BENCHMARK_CAPTURE(BM_Sha256Compress, portable, &sha256_blocks_portable);
 BENCHMARK_CAPTURE(BM_Sha256Compress, dispatched, &sha256_blocks);
 
-// The AEAD's two kernels, portable against dispatched, in one process (as
+// The AEAD's kernels, portable against dispatched, in one process (as
 // BM_Sha256Compress): "dispatched" is AVX2 where the blob's
 // "chacha20_kernel" / "poly1305_kernel" say "avx2", else the portable
 // kernel again. ChaCha20's wide kernel takes whole 512-byte batches, so its
-// smallest row is 512 B; a shorter message runs the four-block batch on
-// either path. Poly1305 dispatches below 1 KiB to donna-64, so its 64 B
-// rows read alike.
+// smallest row is 512 B; BM_ChaCha20Batch4 is the four-block batch that
+// covers everything shorter (and the Poly1305 key block of every message).
+// Poly1305 dispatches below 1 KiB to donna-64, so its 64 B rows read alike.
+void BM_ChaCha20Batch4(benchmark::State& state,
+                       decltype(&chacha20_batch4) kernel) {
+  Bytes data = make_data(kChaCha20Batch4);
+  std::uint32_t s[16] = {};
+  for (auto _ : state) {
+    kernel(s, data.data(), true);
+    s[12] += 4;
+    benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kChaCha20Batch4));
+}
+BENCHMARK_CAPTURE(BM_ChaCha20Batch4, portable, &chacha20_batch4_portable);
+BENCHMARK_CAPTURE(BM_ChaCha20Batch4, dispatched, &chacha20_batch4);
+
 void BM_ChaCha20(benchmark::State& state,
                  decltype(&chacha20_xor_batches) kernel) {
   const auto len = static_cast<std::size_t>(state.range(0));
@@ -142,7 +158,8 @@ void BM_AeadSeal(benchmark::State& state) {
   state.SetLabel(aead.name());
 }
 BENCHMARK(BM_AeadSeal)
-    ->Args({0, 64})->Args({0, 1024})->Args({0, 16384})->Args({0, 1 << 20})
+    ->Args({0, 64})->Args({0, 192})->Args({0, 1024})->Args({0, 16384})
+    ->Args({0, 1 << 20})
     ->Args({1, 64})->Args({1, 1024})->Args({1, 16384})->Args({1, 1 << 20});
 
 void BM_AeadOpen(benchmark::State& state) {
@@ -160,7 +177,7 @@ void BM_AeadOpen(benchmark::State& state) {
   state.SetLabel(aead.name());
 }
 BENCHMARK(BM_AeadOpen)
-    ->Args({0, 64})->Args({0, 1024})->Args({0, 16384})
+    ->Args({0, 64})->Args({0, 192})->Args({0, 1024})->Args({0, 16384})
     ->Args({1, 64})->Args({1, 1024})->Args({1, 16384});
 
 void BM_X25519KeyGen(benchmark::State& state) {

@@ -47,13 +47,24 @@ void put16(std::uint8_t* out, u32x4 v, bool xor_into) {
   std::memcpy(out, &v, sizeof v);
 }
 
-// Computes blocks in[12] .. in[12]+3 (the counter wraps modulo 2^32) and
-// writes them to out[0, 256), or XORs them into it if `xor_into`.
-void chacha_batch(const std::array<std::uint32_t, 16>& in, std::uint8_t* out,
-                  bool xor_into) {
+void xor_bytes(std::uint8_t* data, const std::uint8_t* ks, std::size_t len) {
+  std::size_t i = 0;
+  for (; i + 8 <= len; i += 8) {
+    std::uint64_t d, k;
+    std::memcpy(&d, data + i, 8);
+    std::memcpy(&k, ks + i, 8);
+    d ^= k;
+    std::memcpy(data + i, &d, 8);
+  }
+  for (; i < len; ++i) data[i] ^= ks[i];
+}
+
+}  // namespace
+
+void chacha20_batch4_portable(const std::uint32_t state[16],
+                              std::uint8_t* out, bool xor_into) {
   u32x4 x[16], start[16];
-  for (int i = 0; i < 16; ++i)
-    start[i] = u32x4{} + in[static_cast<std::size_t>(i)];
+  for (int i = 0; i < 16; ++i) start[i] = u32x4{} + state[i];
   start[12] += u32x4{0, 1, 2, 3};
   std::copy(start, start + 16, x);
   twenty_rounds(x);
@@ -76,29 +87,20 @@ void chacha_batch(const std::array<std::uint32_t, 16>& in, std::uint8_t* out,
   }
 }
 
-void xor_bytes(std::uint8_t* data, const std::uint8_t* ks, std::size_t len) {
-  std::size_t i = 0;
-  for (; i + 8 <= len; i += 8) {
-    std::uint64_t d, k;
-    std::memcpy(&d, data + i, 8);
-    std::memcpy(&k, ks + i, 8);
-    d ^= k;
-    std::memcpy(data + i, &d, 8);
-  }
-  for (; i < len; ++i) data[i] ^= ks[i];
-}
-
-}  // namespace
-
 void chacha20_xor_batches_portable(std::uint32_t state[16], std::uint8_t* data,
                                    std::size_t nbatches) {
-  std::array<std::uint32_t, 16> in;
-  std::copy(state, state + 16, in.begin());
   for (std::size_t i = 0; i < 2 * nbatches; ++i) {
-    chacha_batch(in, data + i * 4 * ChaCha20::kBlockSize, true);
-    in[12] += 4;
+    chacha20_batch4_portable(state, data + i * kChaCha20Batch4, true);
+    state[12] += 4;
   }
-  state[12] = in[12];
+}
+
+void chacha20_batch4(const std::uint32_t state[16], std::uint8_t* out,
+                     bool xor_into) {
+  if (cpu_has_avx2())
+    chacha20_batch4_avx2(state, out, xor_into);
+  else
+    chacha20_batch4_portable(state, out, xor_into);
 }
 
 void chacha20_xor_batches(std::uint32_t state[16], std::uint8_t* data,
@@ -141,12 +143,12 @@ void ChaCha20::apply(std::uint8_t* data, std::size_t len) {
     len -= nbatches * kChaCha20WideBatch;
   }
   for (; len >= kBatchSize; data += kBatchSize, len -= kBatchSize) {
-    chacha_batch(state_, data, true);
+    chacha20_batch4(state_.data(), data, true);
     state_[12] += 4;
   }
   if (len == 0) return;
   // The tail takes a whole batch; what it leaves unused carries over.
-  chacha_batch(state_, keystream_.data(), false);
+  chacha20_batch4(state_.data(), keystream_.data(), false);
   state_[12] += 4;
   xor_bytes(data, keystream_.data(), len);
   ks_pos_ = len;

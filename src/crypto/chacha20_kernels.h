@@ -1,15 +1,21 @@
-// Internal: the ChaCha20 round function and the wide keystream kernels
-// behind ChaCha20::apply (not a public API).
+// Internal: the ChaCha20 round function and the keystream kernels behind
+// ChaCha20::apply (not a public API).
 //
 // One round schedule serves every width: W is std::uint32_t (one block),
 // u32x4 (four blocks) or u32x8 (eight blocks), lane i of word w being word
-// w of block counter+i. The wide kernels XOR `nbatches` 512-byte batches
-// (eight blocks each, counters state[12], state[12]+1, ..., wrapping
-// modulo 2^32) into `data` and advance state[12] by 8 per batch. The
-// portable kernel (two four-block batches per 512 bytes) is the oracle; the
-// AVX2 kernel must agree with it bit for bit (tests/crypto_openssl_cross_
-// test.cpp). chacha20_xor_batches() is the single dispatch point; it picks
-// by cpu_has_avx2().
+// w of block counter+i. There are two kernel families, each with a portable
+// oracle, one AVX2 variant that must agree with it bit for bit (tests/
+// crypto_openssl_cross_test.cpp) and one dispatch point that picks by
+// cpu_has_avx2():
+//   - the four-block batch, chacha20_batch4(): blocks state[12] ..
+//     state[12]+3 (256 bytes) stored or XORed at `out`; the state is not
+//     advanced. The AVX2 variant keeps the rows of the state in 256-bit
+//     vectors, two blocks per vector and two independent chains of two
+//     blocks, and turns columns into diagonals by lane shuffles.
+//   - the wide kernel, chacha20_xor_batches(): `nbatches` 512-byte batches
+//     (eight blocks each) XORed into `data`, state[12] advanced by 8 per
+//     batch. The portable one runs two four-block batches per 512 bytes.
+// Block counters wrap modulo 2^32 inside word 12, as in RFC 8439.
 #pragma once
 
 #include <cstddef>
@@ -20,7 +26,7 @@ namespace enclaves::crypto {
 namespace chacha20_detail {
 
 // Forced inline so the 16 state words stay in registers, and so that the
-// AVX2 kernel, the only caller with W = u32x8, compiles them for AVX2. No
+// AVX2 kernels, the only callers with W = u32x8, compile them for AVX2. No
 // vector passes by value: a u32x8 argument would change the baseline ABI.
 // On a 256-bit vector a rotation by 16 or 8 moves whole bytes within each
 // 32-bit lane, one byte shuffle (vpshufb) instead of two shifts and an or.
@@ -67,7 +73,23 @@ template <class W>
 
 }  // namespace chacha20_detail
 
+inline constexpr std::size_t kChaCha20Batch4 = 256;
 inline constexpr std::size_t kChaCha20WideBatch = 512;
+
+/// Four blocks in 4-lane vectors (SSE2 on x86-64): writes them to
+/// out[0, 256), or XORs them into it if `xor_into`.
+void chacha20_batch4_portable(const std::uint32_t state[16],
+                              std::uint8_t* out, bool xor_into);
+
+/// The same four blocks in row layout on AVX2. Precondition:
+/// cpu_has_avx2().
+void chacha20_batch4_avx2(const std::uint32_t state[16], std::uint8_t* out,
+                          bool xor_into);
+
+/// The four-block batch this CPU runs: AVX2 when the probe found it, else
+/// portable.
+void chacha20_batch4(const std::uint32_t state[16], std::uint8_t* out,
+                     bool xor_into);
 
 /// Two four-block batches per 512 bytes in plain C++ (SSE2 on x86-64).
 void chacha20_xor_batches_portable(std::uint32_t state[16], std::uint8_t* data,
@@ -82,7 +104,8 @@ void chacha20_xor_batches_avx2(std::uint32_t state[16], std::uint8_t* data,
 void chacha20_xor_batches(std::uint32_t state[16], std::uint8_t* data,
                           std::size_t nbatches);
 
-/// "avx2" or "portable": which kernel chacha20_xor_batches() runs here.
+/// "avx2" or "portable": which kernels chacha20_batch4() and
+/// chacha20_xor_batches() run here.
 const char* chacha20_kernel_name();
 
 }  // namespace enclaves::crypto

@@ -13,36 +13,15 @@ namespace enclaves::crypto {
 
 namespace {
 
-void store_le64(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-// Keystream block 0, whose first 32 bytes key Poly1305. Blocks 1.. encrypt;
-// the batch that yields block 0 keeps blocks 1-3 for the first data bytes.
-std::array<std::uint8_t, ChaCha20::kBlockSize> poly1305_key_block(
-    ChaCha20& cipher) {
+// The Poly1305 one-time key: the first 32 bytes of keystream block 0.
+// Blocks 1.. encrypt; the batch that yields block 0 keeps blocks 1-3 for
+// the first data bytes.
+std::array<std::uint8_t, Poly1305::kKeySize> poly1305_key(ChaCha20& cipher) {
   std::array<std::uint8_t, ChaCha20::kBlockSize> block0{};
   cipher.apply(block0.data(), block0.size());
-  return block0;
-}
-
-// Tag over aad || pad || ciphertext || pad || lengths under the one-time
-// key `otk`, the first 32 bytes of keystream block 0.
-Poly1305::Tag compute_tag(BytesView otk, BytesView aad, BytesView ciphertext) {
-  Poly1305 mac(otk.first(Poly1305::kKeySize));
-
-  static constexpr std::uint8_t kZeros[15] = {};
-  mac.update(aad);
-  if (aad.size() % 16 != 0) mac.update({kZeros, 16 - aad.size() % 16});
-  mac.update(ciphertext);
-  if (ciphertext.size() % 16 != 0)
-    mac.update({kZeros, 16 - ciphertext.size() % 16});
-
-  std::uint8_t lengths[16];
-  store_le64(lengths, aad.size());
-  store_le64(lengths + 8, ciphertext.size());
-  mac.update({lengths, 16});
-  return mac.finish();
+  std::array<std::uint8_t, Poly1305::kKeySize> otk;
+  std::memcpy(otk.data(), block0.data(), otk.size());
+  return otk;
 }
 
 constexpr char kName[] = "chacha20poly1305";
@@ -63,13 +42,13 @@ class ChaCha20Poly1305 final : public Aead {
     g_seals.add();
     g_sealed_bytes.add(plaintext.size());
     ChaCha20 cipher(key, nonce, 0);
-    const auto block0 = poly1305_key_block(cipher);
+    const auto otk = poly1305_key(cipher);
     const std::size_t n = plaintext.size();
     Bytes out;
     out.reserve(n + kTagSize);
     out.assign(plaintext.begin(), plaintext.end());
     cipher.apply(out.data(), n);
-    const auto tag = compute_tag(block0, aad, {out.data(), n});
+    const auto tag = poly1305_aead_tag(otk, aad, {out.data(), n});
     out.insert(out.end(), tag.begin(), tag.end());
     return out;
   }
@@ -86,7 +65,7 @@ class ChaCha20Poly1305 final : public Aead {
     BytesView body = ct.subspan(0, ct.size() - kTagSize);
     BytesView tag = ct.subspan(ct.size() - kTagSize);
     ChaCha20 cipher(key, nonce, 0);
-    const auto expect = compute_tag(poly1305_key_block(cipher), aad, body);
+    const auto expect = poly1305_aead_tag(poly1305_key(cipher), aad, body);
     if (!ct_equal({expect.data(), expect.size()}, tag)) {
       obs::emit(obs::thread_event_counters(), obs::Event::aead_open_failure,
                 0, "crypto", name(), {}, "poly1305 tag mismatch");

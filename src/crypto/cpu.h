@@ -1,10 +1,10 @@
 // The crypto layer's one CPU feature probe.
 //
 // Every ISA-specific kernel is chosen from here and nowhere else: SHA-256
-// on the SHA extensions (cpu_has_sha_ni), ChaCha20's 8-block batch and
-// Poly1305's 4-lane Horner loop on AVX2 (cpu_has_avx2). Each primitive has
-// one such variant, and its portable kernel stays as the oracle and the
-// fallback. The probe runs once, on first use; the result sits in a
+// on the SHA extensions (cpu_has_sha_ni); ChaCha20's 4-block and 8-block
+// batches and Poly1305's 4-lane Horner loop on AVX2 (cpu_has_avx2). Each
+// kernel has one such variant, and its portable kernel stays as the oracle
+// and the fallback. The probe runs once, on first use; the result sits in a
 // function-local static, so no caller can read it during static
 // initialisation before it is filled.
 #pragma once

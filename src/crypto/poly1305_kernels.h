@@ -7,7 +7,9 @@
 // The portable kernel (donna-64) is the oracle; the AVX2 kernel must land
 // on the same h (tests/crypto_openssl_cross_test.cpp).
 // poly1305_blocks() is the single dispatch point; it picks by
-// cpu_has_avx2() and the length.
+// cpu_has_avx2() and the length. poly1305_aead_tag() (poly1305.h) folds
+// short runs itself on donna-64 and calls it only for runs that reach
+// kPoly1305Avx2MinBytes.
 #pragma once
 
 #include <cstddef>

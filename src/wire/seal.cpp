@@ -6,7 +6,7 @@ namespace enclaves::wire {
 
 Bytes envelope_aad(Label label, std::string_view sender,
                    std::string_view recipient) {
-  Writer w;
+  Writer w(1 + 4 + sender.size() + 4 + recipient.size());
   w.u8(static_cast<std::uint8_t>(label));
   w.str(sender);
   w.str(recipient);
@@ -16,10 +16,14 @@ Bytes envelope_aad(Label label, std::string_view sender,
 Bytes seal_body(const crypto::Aead& aead, BytesView key, Rng& rng,
                 Label label, std::string_view sender,
                 std::string_view recipient, BytesView plaintext) {
-  Bytes nonce = rng.bytes(crypto::Aead::kNonceSize);
-  Bytes aad = envelope_aad(label, sender, recipient);
-  Bytes ct = aead.seal(key, nonce, aad, plaintext);
-  Bytes body = std::move(nonce);
+  constexpr std::size_t kNonceSize = crypto::Aead::kNonceSize;
+  Bytes body;
+  body.reserve(kNonceSize + plaintext.size() + crypto::Aead::kTagSize);
+  body.resize(kNonceSize);
+  rng.fill(body);
+  const Bytes aad = envelope_aad(label, sender, recipient);
+  const Bytes ct =
+      aead.seal(key, BytesView{body}.first(kNonceSize), aad, plaintext);
   append(body, ct);
   return body;
 }

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 #include <vector>
 
 #include "crypto/aead.h"
@@ -61,6 +62,40 @@ Bytes openssl_poly1305(BytesView key, BytesView data) {
   EVP_MAC_CTX_free(ctx);
   EVP_MAC_free(mac);
   return tag;
+}
+
+// ChaCha20-Poly1305 through OpenSSL's EVP interface: seals `msg`, or, with
+// `tag` set, opens `msg` under that tag (nullopt when OpenSSL refuses it).
+std::optional<Bytes> openssl_aead(bool seal, BytesView key, BytesView nonce,
+                                  BytesView aad, BytesView msg,
+                                  BytesView tag = {}) {
+  EVP_CIPHER_CTX* ctx = EVP_CIPHER_CTX_new();
+  EXPECT_EQ(1, EVP_CipherInit_ex(ctx, EVP_chacha20_poly1305(), nullptr,
+                                 key.data(), nonce.data(), seal ? 1 : 0));
+  int len = 0;
+  if (!aad.empty()) {
+    EXPECT_EQ(1, EVP_CipherUpdate(ctx, nullptr, &len, aad.data(),
+                                  static_cast<int>(aad.size())));
+  }
+  Bytes out(msg.size() + (seal ? 16 : 0));
+  if (!msg.empty()) {
+    EXPECT_EQ(1, EVP_CipherUpdate(ctx, out.data(), &len, msg.data(),
+                                  static_cast<int>(msg.size())));
+  }
+  if (!seal) {
+    Bytes t(tag.begin(), tag.end());
+    EXPECT_EQ(1, EVP_CIPHER_CTX_ctrl(ctx, EVP_CTRL_AEAD_SET_TAG, 16,
+                                     t.data()));
+  }
+  int fin = 0;
+  const bool ok = EVP_CipherFinal_ex(ctx, out.data() + msg.size(), &fin) == 1;
+  if (ok && seal) {
+    EXPECT_EQ(1, EVP_CIPHER_CTX_ctrl(ctx, EVP_CTRL_AEAD_GET_TAG, 16,
+                                     out.data() + msg.size()));
+  }
+  EVP_CIPHER_CTX_free(ctx);
+  if (!ok) return std::nullopt;
+  return out;
 }
 
 class ChaChaCross : public ::testing::TestWithParam<std::size_t> {};
@@ -174,6 +209,35 @@ TEST(ChaChaKernels, Avx2MatchesPortable) {
     check(counter, 1);
     check(counter, 2);
   }
+}
+
+// The AVX2 four-block batch (row layout) equals the portable one from
+// random states, both storing and XORing, and with the batch starting at
+// each counter from 0xfffffffc to 0xffffffff, so the wrap to 0 lands on
+// every block and stays inside word 12. The state is left as it was.
+TEST(ChaChaKernels, Batch4Avx2MatchesPortable) {
+  if (!cpu_has_avx2()) GTEST_SKIP() << "CPU lacks AVX2";
+  DeterministicRng rng(256);
+  auto check = [&](std::uint32_t counter) {
+    std::array<std::uint32_t, 16> state;
+    for (auto& word : state)
+      word = static_cast<std::uint32_t>(rng.below(std::uint64_t{1} << 32));
+    state[12] = counter;
+    const auto before = state;
+    const Bytes data = rng.bytes(kChaCha20Batch4);
+    for (bool xor_into : {false, true}) {
+      Bytes by_portable = data, by_avx2 = data;
+      chacha20_batch4_portable(state.data(), by_portable.data(), xor_into);
+      chacha20_batch4_avx2(state.data(), by_avx2.data(), xor_into);
+      EXPECT_EQ(by_avx2, by_portable)
+          << "counter=" << counter << " xor_into=" << xor_into;
+    }
+    EXPECT_EQ(state, before);
+  };
+  for (int trial = 0; trial < 64; ++trial)
+    check(static_cast<std::uint32_t>(rng.below(std::uint64_t{1} << 32)));
+  for (std::uint32_t counter = 0xfffffffcu; counter != 0; ++counter)
+    check(counter);
 }
 
 // apply() at every length 0..1100, 16 KiB and 64 KiB equals OpenSSL: below
@@ -420,6 +484,44 @@ TEST(PolyKernels, AllOnesUnderMaximalRMatchesOpenSsl) {
   }
 }
 
+// The one-call AEAD tag equals the streaming Poly1305 fed the five pieces
+// of RFC 8439 §2.8 (aad, its pad16, ciphertext, its pad16, the lengths)
+// for every AAD and ciphertext length 0..48, and for lengths around the
+// 1 KiB run where poly1305_blocks() may take the vector loop.
+TEST(PolyCross, AeadTagMatchesStreaming) {
+  DeterministicRng rng(2808);
+  auto streaming = [](BytesView key, BytesView aad, BytesView ct) {
+    static constexpr std::uint8_t kZeros[15] = {};
+    Poly1305 mac(key);
+    mac.update(aad);
+    if (aad.size() % 16 != 0) mac.update({kZeros, 16 - aad.size() % 16});
+    mac.update(ct);
+    if (ct.size() % 16 != 0) mac.update({kZeros, 16 - ct.size() % 16});
+    std::uint8_t lengths[16];
+    for (int i = 0; i < 8; ++i) {
+      lengths[i] = static_cast<std::uint8_t>(aad.size() >> (8 * i));
+      lengths[8 + i] = static_cast<std::uint8_t>(ct.size() >> (8 * i));
+    }
+    mac.update({lengths, 16});
+    return mac.finish();
+  };
+  auto check = [&](std::size_t aad_len, std::size_t ct_len) {
+    const Bytes key = rng.bytes(32);
+    const Bytes aad = rng.bytes(aad_len), ct = rng.bytes(ct_len);
+    EXPECT_EQ(poly1305_aead_tag(key, aad, ct), streaming(key, aad, ct))
+        << "aad=" << aad_len << " ct=" << ct_len;
+  };
+  for (std::size_t aad_len = 0; aad_len <= 48; ++aad_len)
+    for (std::size_t ct_len = 0; ct_len <= 48; ++ct_len)
+      check(aad_len, ct_len);
+  for (std::size_t big : {1008u, 1024u, 1040u}) {
+    for (std::size_t other : {0u, 1u, 15u, 16u, 17u, 1008u, 1024u, 1040u}) {
+      check(big, other);
+      check(other, big);
+    }
+  }
+}
+
 class AeadCross : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(AeadCross, SealedOutputMatchesOpenSslChaChaPoly) {
@@ -428,25 +530,9 @@ TEST_P(AeadCross, SealedOutputMatchesOpenSslChaChaPoly) {
   Bytes msg = rng.bytes(GetParam());
 
   Bytes mine = chacha20poly1305().seal(key, nonce, aad, msg);
-
-  EVP_CIPHER_CTX* ctx = EVP_CIPHER_CTX_new();
-  ASSERT_EQ(1, EVP_EncryptInit_ex(ctx, EVP_chacha20_poly1305(), nullptr,
-                                  key.data(), nonce.data()));
-  int len = 0;
-  ASSERT_EQ(1, EVP_EncryptUpdate(ctx, nullptr, &len, aad.data(),
-                                 static_cast<int>(aad.size())));
-  Bytes ref(msg.size() + 16);
-  if (!msg.empty()) {
-    ASSERT_EQ(1, EVP_EncryptUpdate(ctx, ref.data(), &len, msg.data(),
-                                   static_cast<int>(msg.size())));
-  }
-  int fin = 0;
-  ASSERT_EQ(1, EVP_EncryptFinal_ex(ctx, ref.data() + len, &fin));
-  ASSERT_EQ(1, EVP_CIPHER_CTX_ctrl(ctx, EVP_CTRL_AEAD_GET_TAG, 16,
-                                   ref.data() + msg.size()));
-  EVP_CIPHER_CTX_free(ctx);
-
-  EXPECT_EQ(mine, ref);
+  const auto ref = openssl_aead(true, key, nonce, aad, msg);
+  ASSERT_TRUE(ref.has_value());
+  EXPECT_EQ(mine, *ref);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, AeadCross,
@@ -459,23 +545,73 @@ TEST(AeadCross, OpenSslCanOpenOurSeals) {
   Bytes key = rng.bytes(32), nonce = rng.bytes(12), aad = rng.bytes(8);
   Bytes msg = to_bytes("interop both ways");
   Bytes sealed = chacha20poly1305().seal(key, nonce, aad, msg);
+  const auto plain =
+      openssl_aead(false, key, nonce, aad, BytesView{sealed}.first(msg.size()),
+                   BytesView{sealed}.last(16));
+  ASSERT_TRUE(plain.has_value());
+  EXPECT_EQ(*plain, msg);
+}
 
-  EVP_CIPHER_CTX* ctx = EVP_CIPHER_CTX_new();
-  ASSERT_EQ(1, EVP_DecryptInit_ex(ctx, EVP_chacha20_poly1305(), nullptr,
-                                  key.data(), nonce.data()));
-  int len = 0;
-  ASSERT_EQ(1, EVP_DecryptUpdate(ctx, nullptr, &len, aad.data(),
-                                 static_cast<int>(aad.size())));
-  Bytes plain(msg.size());
-  ASSERT_EQ(1, EVP_DecryptUpdate(ctx, plain.data(), &len, sealed.data(),
-                                 static_cast<int>(msg.size())));
-  Bytes tag(sealed.end() - 16, sealed.end());
-  ASSERT_EQ(1,
-            EVP_CIPHER_CTX_ctrl(ctx, EVP_CTRL_AEAD_SET_TAG, 16, tag.data()));
-  int fin = 0;
-  EXPECT_EQ(1, EVP_DecryptFinal_ex(ctx, plain.data() + len, &fin));
-  EVP_CIPHER_CTX_free(ctx);
-  EXPECT_EQ(plain, msg);
+// Every plaintext length 0..600 under AAD lengths around one and two
+// Poly1305 blocks, in both directions: our seal equals OpenSSL's, and each
+// side opens the other's output.
+TEST(AeadCross, EveryShortLengthAndAadBothWays) {
+  DeterministicRng rng(600);
+  const Aead& aead = chacha20poly1305();
+  for (std::size_t aad_len : {0u, 1u, 15u, 16u, 17u, 33u}) {
+    for (std::size_t len = 0; len <= 600; ++len) {
+      const Bytes key = rng.bytes(32), nonce = rng.bytes(12);
+      const Bytes aad = rng.bytes(aad_len), msg = rng.bytes(len);
+      const Bytes mine = aead.seal(key, nonce, aad, msg);
+      const auto theirs = openssl_aead(true, key, nonce, aad, msg);
+      ASSERT_TRUE(theirs.has_value());
+      ASSERT_EQ(mine, *theirs) << "aad=" << aad_len << " len=" << len;
+
+      const BytesView body = BytesView{mine}.first(len);
+      const auto by_openssl = openssl_aead(false, key, nonce, aad, body,
+                                           BytesView{mine}.subspan(len));
+      ASSERT_TRUE(by_openssl.has_value())
+          << "aad=" << aad_len << " len=" << len;
+      EXPECT_EQ(*by_openssl, msg);
+      const auto by_us = aead.open(key, nonce, aad, *theirs);
+      ASSERT_TRUE(by_us.ok()) << "aad=" << aad_len << " len=" << len;
+      EXPECT_EQ(*by_us, msg);
+    }
+  }
+}
+
+// A one-bit flip in the ciphertext, the tag, the AAD or the nonce of a
+// message of every length 0..192 is refused as auth_failed. Each byte is
+// flipped once, at bit (position mod 8).
+TEST(AeadCross, ShortForgeriesRefused) {
+  DeterministicRng rng(192);
+  const Aead& aead = chacha20poly1305();
+  for (std::size_t len = 0; len <= 192; ++len) {
+    const Bytes key = rng.bytes(32), nonce = rng.bytes(12);
+    const Bytes aad = rng.bytes(22), msg = rng.bytes(len);
+    const Bytes sealed = aead.seal(key, nonce, aad, msg);
+    auto refused = [&](BytesView n, BytesView a, BytesView ct) {
+      return aead.open(key, n, a, ct).code() == Errc::auth_failed;
+    };
+    for (std::size_t i = 0; i < sealed.size(); ++i) {
+      Bytes forged = sealed;
+      forged[i] ^= static_cast<std::uint8_t>(1u << (i % 8));
+      EXPECT_TRUE(refused(nonce, aad, forged))
+          << "len=" << len << " ciphertext/tag byte " << i;
+    }
+    for (std::size_t i = 0; i < aad.size(); ++i) {
+      Bytes forged = aad;
+      forged[i] ^= static_cast<std::uint8_t>(1u << (i % 8));
+      EXPECT_TRUE(refused(nonce, forged, sealed))
+          << "len=" << len << " aad byte " << i;
+    }
+    for (std::size_t i = 0; i < nonce.size(); ++i) {
+      Bytes forged = nonce;
+      forged[i] ^= static_cast<std::uint8_t>(1u << (i % 8));
+      EXPECT_TRUE(refused(forged, aad, sealed))
+          << "len=" << len << " nonce byte " << i;
+    }
+  }
 }
 
 }  // namespace

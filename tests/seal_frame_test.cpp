@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "tests/alloc_hook.h"
 #include "util/rng.h"
 #include "wire/envelope.h"
 #include "wire/frame.h"
@@ -10,6 +11,21 @@
 
 namespace enclaves::wire {
 namespace {
+
+// The AAD is sized before it is written: one allocation, whatever the
+// lengths of the sender and recipient names.
+TEST(Seal, EnvelopeAadAllocatesOnce) {
+  const std::string long_name(300, 'm');
+  for (std::string_view recipient : {"", "alice", long_name.c_str()}) {
+    testing_support::g_allocations = 0;
+    testing_support::g_count_allocations = true;
+    const Bytes aad = envelope_aad(Label::AdminMsg, "L", recipient);
+    testing_support::g_count_allocations = false;
+    const std::size_t allocations = testing_support::g_allocations;
+    EXPECT_EQ(allocations, 1u) << "recipient length " << recipient.size();
+    EXPECT_EQ(aad.size(), 1 + 4 + 1 + 4 + recipient.size());
+  }
+}
 
 TEST(Seal, RoundTrip) {
   DeterministicRng rng(1);
