@@ -95,9 +95,10 @@ void BM_RekeyFlatGroupOfN(benchmark::State& state) {
 BENCHMARK(BM_RekeyFlatGroupOfN)->Arg(64)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
 
-// Member-side apply: decrypt the reachable entries of a broadcast rotation
-// and commit the new path. The rotated member walks its whole path; the
-// others stop at the first shared ancestor.
+// Member-side apply, as Member::handle_keytree_update runs it: decode the
+// encoded broadcast as a view into its bytes, then walk the member's own
+// path. Member 0 opens one entry per level, from its lowest ancestor
+// shared with the rotated member up to the root.
 void BM_KeyTreeApplyUpdate(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   MintHarness h(n, 93);
@@ -114,10 +115,16 @@ void BM_KeyTreeApplyUpdate(benchmark::State& state) {
   int next = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    auto update = h.tree.rotate_join(member_name(next), ++epoch);
+    const Bytes body =
+        wire::encode(h.tree.rotate_join(member_name(next), ++epoch));
     next = (next + 1) % n;
     state.ResumeTiming();
-    auto applied = view.apply_update(aead, update, epoch - 1);
+    auto update = wire::decode<wire::KeyTreeUpdateView>(body);
+    if (!update) {
+      state.SkipWithError("decode refused");
+      break;
+    }
+    auto applied = view.apply_update(aead, *update, epoch - 1);
     benchmark::DoNotOptimize(applied);
     if (applied.outcome != core::KeyTreeView::Outcome::applied) {
       state.SkipWithError("apply refused");

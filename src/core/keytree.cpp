@@ -1,6 +1,8 @@
 #include "core/keytree.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
 #include "crypto/ct.h"
 #include "crypto/hkdf.h"
@@ -15,19 +17,28 @@ constexpr std::string_view kKgSalt = "enclaves keytree kg v1";
 constexpr std::string_view kConfirmContext = "enclaves keytree confirm v1";
 constexpr std::string_view kPathContext = "enclaves keytree path v1";
 
-Bytes be64(std::uint64_t v) {
-  Bytes b(8);
-  for (int i = 7; i >= 0; --i) {
-    b[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v & 0xff);
-    v >>= 8;
-  }
-  return b;
+// encode(KeyTreeNodeKek): type octet, node, epoch, KEK.
+constexpr std::size_t kNodeKekBytes = 1 + 4 + 8 + crypto::kKeyBytes;
+
+// Heap level of node n >= 1 (root = 0); a leaf at level L has L ancestors.
+std::uint32_t heap_level(std::uint32_t n) {
+  return static_cast<std::uint32_t>(std::bit_width(n)) - 1;
 }
 
-bool is_ancestor(std::uint32_t node, std::uint32_t leaf) {
-  for (std::uint32_t n = leaf >> 1; n >= 1; n >>= 1)
-    if (n == node) return true;
-  return false;
+BytesView as_bytes(std::string_view s) {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
+
+// Big-endian u64 into `out` (8 bytes).
+void put_be64(std::uint8_t* out, std::uint64_t v) {
+  for (int i = 7; i >= 0; --i, v >>= 8)
+    out[i] = static_cast<std::uint8_t>(v & 0xff);
+}
+
+std::array<std::uint8_t, 8> be64(std::uint64_t v) {
+  std::array<std::uint8_t, 8> b;
+  put_be64(b.data(), v);
+  return b;
 }
 
 }  // namespace
@@ -36,15 +47,15 @@ bool is_ancestor(std::uint32_t node, std::uint32_t leaf) {
 // keyed HMAC (built once, thread-safe, read-only after) and copies it.
 crypto::GroupKey derive_leaf_kek(const crypto::SessionKey& ka,
                                  std::string_view member_id) {
-  static const crypto::HmacSha256 extract(to_bytes(kLeafSalt));
-  Bytes okm = crypto::hkdf(extract, ka.view(), to_bytes(member_id),
+  static const crypto::HmacSha256 extract(as_bytes(kLeafSalt));
+  Bytes okm = crypto::hkdf(extract, ka.view(), as_bytes(member_id),
                            crypto::kKeyBytes);
   return crypto::GroupKey::from_bytes(okm);
 }
 
 crypto::GroupKey derive_group_key(const crypto::GroupKey& root_kek,
                                   std::uint64_t epoch) {
-  static const crypto::HmacSha256 extract(to_bytes(kKgSalt));
+  static const crypto::HmacSha256 extract(as_bytes(kKgSalt));
   Bytes okm =
       crypto::hkdf(extract, root_kek.view(), be64(epoch), crypto::kKeyBytes);
   return crypto::GroupKey::from_bytes(okm);
@@ -52,21 +63,32 @@ crypto::GroupKey derive_group_key(const crypto::GroupKey& root_kek,
 
 crypto::HmacSha256::Tag keytree_confirm_tag(const crypto::GroupKey& kg,
                                             std::uint64_t epoch) {
-  Bytes data = concat({to_bytes(kConfirmContext), be64(epoch)});
+  std::array<std::uint8_t, kConfirmContext.size() + 8> data;
+  std::copy(kConfirmContext.begin(), kConfirmContext.end(), data.begin());
+  put_be64(data.data() + kConfirmContext.size(), epoch);
   return crypto::HmacSha256::mac(kg.view(), data);
 }
 
 /// Path answers bind EVERY entry into the tag, not just the root-derived
 /// Kg: a tampered intermediate KEK would otherwise install silently and
-/// only surface later as unreachability on the broadcast channel.
+/// only surface later as unreachability on the broadcast channel. The MAC
+/// runs over context || be64(epoch) || be64(leaf) || (be64(node) ||
+/// be64(epoch) || kek) per entry, fed part by part.
 crypto::HmacSha256::Tag keytree_path_tag(const crypto::GroupKey& kg,
                                          const wire::KeyTreePathPayload& p) {
-  Bytes data = concat({to_bytes(kPathContext), be64(p.epoch), be64(p.leaf)});
+  crypto::HmacSha256 mac(kg.view());
+  mac.update(as_bytes(kPathContext));
+  std::array<std::uint8_t, 16 + crypto::kKeyBytes> part;
+  put_be64(part.data(), p.epoch);
+  put_be64(part.data() + 8, p.leaf);
+  mac.update(BytesView{part}.first(16));
   for (const auto& nk : p.path) {
-    Bytes part = concat({be64(nk.node), be64(nk.epoch), nk.kek.view()});
-    data.insert(data.end(), part.begin(), part.end());
+    put_be64(part.data(), nk.node);
+    put_be64(part.data() + 8, nk.epoch);
+    std::copy(nk.kek.view().begin(), nk.kek.view().end(), part.begin() + 16);
+    mac.update(part);
   }
-  return crypto::HmacSha256::mac(kg.view(), data);
+  return mac.finish();
 }
 
 // ---------------------------------------------------------------------------
@@ -268,67 +290,110 @@ const crypto::GroupKey* KeyTree::kek_at(std::uint32_t node) const {
 // ---------------------------------------------------------------------------
 // KeyTreeView (member side)
 
+void KeyTreeView::seat(std::uint32_t leaf) {
+  leaf_ = leaf;
+  path_.assign(leaf == 0 ? 0 : heap_level(leaf), crypto::GroupKey());
+  held_ = 0;
+}
+
 void KeyTreeView::assign(std::uint32_t leaf, const crypto::SessionKey& ka,
                          std::string_view member_id) {
-  if (leaf != leaf_) path_.clear();  // re-index (tree growth): stale path
-  leaf_ = leaf;
+  if (leaf != leaf_) seat(leaf);  // re-index (tree growth): stale path
   leaf_kek_ = derive_leaf_kek(ka, member_id);
 }
 
 void KeyTreeView::reset() {
-  leaf_ = 0;
+  seat(0);
   leaf_kek_ = crypto::GroupKey();
-  path_.clear();
+}
+
+KeyTreeView::ApplyResult KeyTreeView::apply_update(
+    const crypto::Aead& aead, const wire::KeyTreeUpdateView& p,
+    std::uint64_t current_epoch) {
+  return walk(aead, p, current_epoch);
 }
 
 KeyTreeView::ApplyResult KeyTreeView::apply_update(
     const crypto::Aead& aead, const wire::KeyTreeUpdatePayload& p,
     std::uint64_t current_epoch) {
+  return walk(aead, p, current_epoch);
+}
+
+template <class Blob>
+KeyTreeView::ApplyResult KeyTreeView::walk(
+    const crypto::Aead& aead, const wire::BasicKeyTreeUpdate<Blob>& p,
+    std::uint64_t current_epoch) {
   if (!assigned()) return {Outcome::unreachable, {}, 0};
   if (p.epoch <= current_epoch) return {Outcome::stale, {}, 0};
 
-  // Decrypt reachable entries to a fixpoint. Carrier preference is
-  // learned-first: an on-path child's entry is always sealed under that
-  // child's NEW KEK, an off-path child's under its current one.
-  std::map<std::uint32_t, crypto::GroupKey> learned;
-  std::vector<bool> used(p.entries.size(), false);
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (std::size_t i = 0; i < p.entries.size(); ++i) {
-      if (used[i]) continue;
+  // Our leaf sits at heap level `levels`. At ancestor level k the node is
+  // leaf_ >> (levels - k) and its child on our path leaf_ >> (levels-k-1);
+  // the only entry we can use there is (node, carrier = that child). One
+  // pass finds the first such entry of every level.
+  const std::uint32_t levels = heap_level(leaf_);
+  constexpr std::size_t kNone = SIZE_MAX;
+  std::array<std::size_t, kMaxLevels> first;
+  first.fill(kNone);
+  for (std::size_t i = p.entries.size(); i-- > 0;) {
+    const auto& e = p.entries[i];
+    if (e.carrier < 2 || e.node != e.carrier >> 1) continue;
+    const std::uint32_t level = heap_level(e.carrier);
+    if (level > levels || leaf_ >> (levels - level) != e.carrier) continue;
+    first[level - 1] = i;
+  }
+
+  // Bottom-up: the carrier at level k is the child's KEK learned one level
+  // below, else the leaf KEK or the path KEK we hold for the child. Several
+  // entries may claim the same (node, carrier): the first that opens wins.
+  const Bytes aad = wire::envelope_aad(wire::Label::KeyTreeUpdate, p.l,
+                                       wire::kGroupRecipient);
+  std::array<crypto::GroupKey, kMaxLevels> learned;
+  std::uint32_t learned_mask = 0;
+  for (std::uint32_t k = levels; k-- > 0;) {
+    const std::uint32_t child = leaf_ >> (levels - k - 1);
+    const std::uint32_t node = child >> 1;
+    const crypto::GroupKey* carrier =
+        child == leaf_ ? &leaf_kek_
+        : (learned_mask >> (k + 1) & 1) ? &learned[k + 1]
+                                         : held(k + 1);
+    if (!carrier) continue;
+    for (std::size_t i = first[k]; i < p.entries.size(); ++i) {
       const auto& e = p.entries[i];
-      const crypto::GroupKey* carrier = nullptr;
-      if (auto it = learned.find(e.carrier); it != learned.end())
-        carrier = &it->second;
-      else if (e.carrier == leaf_)
-        carrier = &leaf_kek_;
-      else if (auto it = path_.find(e.carrier); it != path_.end())
-        carrier = &it->second;
-      if (!carrier) continue;
-      auto plain = wire::open_body(aead, carrier->view(),
-                                   wire::Label::KeyTreeUpdate, p.l,
-                                   wire::kGroupRecipient, e.sealed);
-      if (!plain) continue;  // sealed under a KEK version we do not hold
-      auto kek = wire::decode<wire::KeyTreeNodeKek>(*plain);
-      if (!kek || kek->node != e.node || kek->epoch != p.epoch)
+      if (e.node != node || e.carrier != child) continue;
+      const BytesView sealed = e.sealed;
+      // An honest plaintext is one encoded KeyTreeNodeKek; only a forged
+      // entry needs the heap.
+      std::array<std::uint8_t, kNodeKekBytes> small;
+      Bytes large;
+      std::span<std::uint8_t> plain = small;
+      const std::size_t n = sealed.size() > wire::kSealOverhead
+                                ? sealed.size() - wire::kSealOverhead
+                                : 0;
+      if (n != small.size()) {
+        large.resize(n);
+        plain = large;
+      }
+      if (!wire::open_body_into(aead, carrier->view(), aad, sealed, plain))
+        continue;  // sealed under a KEK version we do not hold
+      auto kek = wire::decode<wire::KeyTreeNodeKek>(plain);
+      if (!kek || kek->node != node || kek->epoch != p.epoch)
         return {Outcome::forged, {}, 0};  // spliced from another update
-      learned[e.node] = kek->kek;
-      used[i] = true;
-      progress = true;
+      learned[k] = kek->kek;
+      learned_mask |= 1u << k;
+      break;
     }
   }
 
-  auto root = learned.find(1);
-  if (root == learned.end()) return {Outcome::unreachable, {}, 0};
-  crypto::GroupKey kg = derive_group_key(root->second, p.epoch);
+  if (!(learned_mask & 1)) return {Outcome::unreachable, {}, 0};
+  crypto::GroupKey kg = derive_group_key(learned[0], p.epoch);
   auto expect = keytree_confirm_tag(kg, p.epoch);
   if (!crypto::ct_equal(BytesView{expect.data(), expect.size()},
                         BytesView{p.confirm.data(), p.confirm.size()}))
     return {Outcome::forged, {}, 0};
 
-  for (const auto& [node, kek] : learned)
-    if (is_ancestor(node, leaf_)) path_[node] = kek;
+  for (std::uint32_t k = 0; k < levels; ++k)
+    if (learned_mask >> k & 1) path_[k] = learned[k];
+  held_ |= learned_mask;
   return {Outcome::applied, kg, p.epoch};
 }
 
@@ -363,15 +428,25 @@ KeyTreeView::ApplyResult KeyTreeView::apply_path(
                         BytesView{p.confirm.data(), p.confirm.size()}))
     return {Outcome::forged, {}, 0};
 
-  leaf_ = p.leaf;
-  path_.clear();
-  for (const auto& nk : p.path) path_[nk.node] = nk.kek;
+  seat(p.leaf);
+  for (const auto& nk : p.path) {
+    const std::uint32_t k = heap_level(nk.node);
+    path_[k] = nk.kek;
+    held_ |= 1u << k;
+  }
   return {Outcome::applied, kg, p.epoch};
 }
 
+const crypto::GroupKey* KeyTreeView::held(std::uint32_t level) const {
+  return held_ >> level & 1 ? &path_[level] : nullptr;
+}
+
 const crypto::GroupKey* KeyTreeView::path_kek(std::uint32_t node) const {
-  auto it = path_.find(node);
-  return it == path_.end() ? nullptr : &it->second;
+  if (node == 0 || !assigned()) return nullptr;
+  const std::uint32_t levels = heap_level(leaf_);
+  const std::uint32_t k = heap_level(node);
+  if (k >= levels || leaf_ >> (levels - k) != node) return nullptr;
+  return held(k);
 }
 
 }  // namespace enclaves::core

@@ -179,9 +179,21 @@ class KeyTreeView {
 
   void reset();
 
-  /// Applies a broadcast KEY_TREE_UPDATE: decrypts every reachable entry
-  /// to a fixpoint, requires the new root, checks the confirmation tag,
-  /// and only then commits. Never partially installs.
+  /// Applies a broadcast KEY_TREE_UPDATE by one bottom-up walk of this
+  /// member's ancestor chain. At each ancestor the only usable entry is
+  /// (node = the ancestor, carrier = our child of it), opened under the
+  /// child's KEK just learned one level below, else under the leaf KEK or
+  /// the path KEK we hold; when several entries claim that pair, the first
+  /// that opens wins. An opened plaintext whose (node, epoch) mismatches is
+  /// forged; a walk that does not reach the new root is unreachable; the
+  /// root must then pass the confirmation tag, and only then are the
+  /// learned ancestors committed. Never partially installs. An entry whose
+  /// carrier is not a child of its node is never opened (the honest
+  /// KeyTree emits none). The view form is what Member decodes straight
+  /// from the envelope body; both forms run the same walk.
+  ApplyResult apply_update(const crypto::Aead& aead,
+                           const wire::KeyTreeUpdateView& p,
+                           std::uint64_t current_epoch);
   ApplyResult apply_update(const crypto::Aead& aead,
                            const wire::KeyTreeUpdatePayload& p,
                            std::uint64_t current_epoch);
@@ -200,9 +212,25 @@ class KeyTreeView {
   const crypto::GroupKey* path_kek(std::uint32_t node) const;
 
  private:
+  /// A u32 leaf sits at heap level <= 31, so its ancestors' levels
+  /// (root = 0) fit in [0, 31).
+  static constexpr std::size_t kMaxLevels = 31;
+
+  /// Seats the view on `leaf` with no path KEK held.
+  void seat(std::uint32_t leaf);
+
+  template <class Blob>
+  ApplyResult walk(const crypto::Aead& aead,
+                   const wire::BasicKeyTreeUpdate<Blob>& p,
+                   std::uint64_t current_epoch);
+  /// The path KEK held for our ancestor at heap level `level`, or null.
+  const crypto::GroupKey* held(std::uint32_t level) const;
+
   std::uint32_t leaf_ = 0;
   crypto::GroupKey leaf_kek_;
-  std::map<std::uint32_t, crypto::GroupKey> path_;  // ancestor -> KEK
+  /// One slot per ancestor of leaf_, by heap level (root = 0).
+  std::vector<crypto::GroupKey> path_;
+  std::uint32_t held_ = 0;  // bit k set iff path_[k] holds a KEK
 };
 
 }  // namespace enclaves::core

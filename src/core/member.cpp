@@ -543,7 +543,8 @@ void Member::handle_keytree_update(const wire::Envelope& e) {
     obs::count(leader_id_, id_, "keytree_unapplied_total");
     return;
   }
-  auto p = wire::decode<wire::KeyTreeUpdatePayload>(e.body);
+  // The view borrows the sealed entries from e.body, which outlives it.
+  auto p = wire::decode<wire::KeyTreeUpdateView>(e.body);
   if (!p) {
     reject(obs::EvidenceKind::malformed, "malformed keytree update");
     return;

@@ -9,7 +9,9 @@
 // data so a ciphertext cannot be transplanted onto a different message type.
 #pragma once
 
+#include <algorithm>
 #include <memory>
+#include <span>
 
 #include "util/bytes.h"
 #include "util/result.h"
@@ -35,6 +37,27 @@ class Aead {
   /// Decrypts and verifies; Errc::auth_failed if the tag does not match.
   virtual Result<Bytes> open(BytesView key, BytesView nonce, BytesView aad,
                              BytesView ciphertext_and_tag) const = 0;
+
+  /// seal(), appending ciphertext || tag to `out` instead of returning a
+  /// fresh buffer. `nonce` may point into `out`: it is read before `out`
+  /// grows. The default forwards to seal(), so a decorator that overrides
+  /// only seal() and open() still sees every call.
+  virtual void seal_into(BytesView key, BytesView nonce, BytesView aad,
+                         BytesView plaintext, Bytes& out) const {
+    append(out, seal(key, nonce, aad, plaintext));
+  }
+
+  /// open(), writing the plaintext into `out`, which must hold exactly
+  /// ciphertext_and_tag.size() - kTagSize bytes. On failure `out` holds
+  /// no plaintext. The default forwards to open().
+  virtual Status open_into(BytesView key, BytesView nonce, BytesView aad,
+                           BytesView ciphertext_and_tag,
+                           std::span<std::uint8_t> out) const {
+    auto plain = open(key, nonce, aad, ciphertext_and_tag);
+    if (!plain) return plain.error();
+    std::copy(plain->begin(), plain->end(), out.begin());
+    return {};
+  }
 };
 
 /// From-scratch RFC 8439 implementation.

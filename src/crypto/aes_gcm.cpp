@@ -1,6 +1,8 @@
 // AES-256-GCM via OpenSSL EVP, behind the Aead interface.
 #include <openssl/evp.h>
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 #include <memory>
 #include <stdexcept>
@@ -31,6 +33,13 @@ class AesGcm final : public Aead {
 
   Bytes seal(BytesView key, BytesView nonce, BytesView aad,
              BytesView plaintext) const override {
+    Bytes out;
+    seal_into(key, nonce, aad, plaintext, out);
+    return out;
+  }
+
+  void seal_into(BytesView key, BytesView nonce, BytesView aad,
+                 BytesView plaintext, Bytes& out) const override {
     assert(key.size() == kKeySize && nonce.size() == kNonceSize);
     PROF_SCOPE("crypto/seal");
     obs::prof_bytes(plaintext.size());
@@ -39,7 +48,7 @@ class AesGcm final : public Aead {
     CtxPtr ctx(EVP_CIPHER_CTX_new());
     if (!ctx) throw std::bad_alloc();
     if (EVP_EncryptInit_ex(ctx.get(), EVP_aes_256_gcm(), nullptr, key.data(),
-                           nonce.data()) != 1)
+                           nonce.data()) != 1)  // the last read of `nonce`
       throw std::runtime_error("EVP_EncryptInit_ex failed");
 
     int len = 0;
@@ -48,25 +57,33 @@ class AesGcm final : public Aead {
                           static_cast<int>(aad.size())) != 1)
       throw std::runtime_error("EVP_EncryptUpdate(aad) failed");
 
-    Bytes out(plaintext.size() + kTagSize);
+    const std::size_t at = out.size();
+    out.resize(at + plaintext.size() + kTagSize);
+    std::uint8_t* ct = out.data() + at;
     if (!plaintext.empty() &&
-        EVP_EncryptUpdate(ctx.get(), out.data(), &len, plaintext.data(),
+        EVP_EncryptUpdate(ctx.get(), ct, &len, plaintext.data(),
                           static_cast<int>(plaintext.size())) != 1)
       throw std::runtime_error("EVP_EncryptUpdate failed");
 
     int fin = 0;
-    if (EVP_EncryptFinal_ex(ctx.get(), out.data() + len, &fin) != 1)
+    if (EVP_EncryptFinal_ex(ctx.get(), ct + len, &fin) != 1)
       throw std::runtime_error("EVP_EncryptFinal_ex failed");
 
     if (EVP_CIPHER_CTX_ctrl(ctx.get(), EVP_CTRL_GCM_GET_TAG,
                             static_cast<int>(kTagSize),
-                            out.data() + plaintext.size()) != 1)
+                            ct + plaintext.size()) != 1)
       throw std::runtime_error("GCM get tag failed");
-    return out;
   }
 
   Result<Bytes> open(BytesView key, BytesView nonce, BytesView aad,
                      BytesView ct) const override {
+    Bytes out(ct.size() < kTagSize ? 0 : ct.size() - kTagSize);
+    if (auto st = open_into(key, nonce, aad, ct, out); !st) return st.error();
+    return out;
+  }
+
+  Status open_into(BytesView key, BytesView nonce, BytesView aad, BytesView ct,
+                   std::span<std::uint8_t> out) const override {
     assert(key.size() == kKeySize && nonce.size() == kNonceSize);
     PROF_SCOPE("crypto/open");
     obs::prof_bytes(ct.size());
@@ -75,6 +92,7 @@ class AesGcm final : public Aead {
     if (ct.size() < kTagSize)
       return make_error(Errc::truncated, "aead ciphertext shorter than tag");
     const std::size_t body_len = ct.size() - kTagSize;
+    assert(out.size() == body_len);
 
     CtxPtr ctx(EVP_CIPHER_CTX_new());
     if (!ctx) throw std::bad_alloc();
@@ -88,24 +106,27 @@ class AesGcm final : public Aead {
                           static_cast<int>(aad.size())) != 1)
       throw std::runtime_error("EVP_DecryptUpdate(aad) failed");
 
-    Bytes out(body_len);
     if (body_len > 0 &&
         EVP_DecryptUpdate(ctx.get(), out.data(), &len, ct.data(),
                           static_cast<int>(body_len)) != 1)
       throw std::runtime_error("EVP_DecryptUpdate failed");
 
-    Bytes tag(ct.begin() + static_cast<std::ptrdiff_t>(body_len), ct.end());
+    std::array<std::uint8_t, kTagSize> tag;
+    std::copy(ct.begin() + static_cast<std::ptrdiff_t>(body_len), ct.end(),
+              tag.begin());
     if (EVP_CIPHER_CTX_ctrl(ctx.get(), EVP_CTRL_GCM_SET_TAG,
                             static_cast<int>(kTagSize), tag.data()) != 1)
       throw std::runtime_error("GCM set tag failed");
 
     int fin = 0;
     if (EVP_DecryptFinal_ex(ctx.get(), out.data() + len, &fin) != 1) {
+      // GCM decrypts before it verifies: wipe the unauthenticated output.
+      std::fill(out.begin(), out.end(), std::uint8_t{0});
       obs::emit(obs::thread_event_counters(), obs::Event::aead_open_failure,
                 0, "crypto", name(), {}, "gcm tag mismatch");
       return make_error(Errc::auth_failed, "gcm tag mismatch");
     }
-    return out;
+    return {};
   }
 };
 

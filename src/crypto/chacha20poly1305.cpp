@@ -36,42 +36,69 @@ class ChaCha20Poly1305 final : public Aead {
 
   Bytes seal(BytesView key, BytesView nonce, BytesView aad,
              BytesView plaintext) const override {
+    Bytes out;
+    out.reserve(plaintext.size() + kTagSize);
+    seal_into(key, nonce, aad, plaintext, out);
+    return out;
+  }
+
+  void seal_into(BytesView key, BytesView nonce, BytesView aad,
+                 BytesView plaintext, Bytes& out) const override {
     assert(key.size() == kKeySize && nonce.size() == kNonceSize);
     PROF_SCOPE("crypto/seal");
     obs::prof_bytes(plaintext.size());
     g_seals.add();
     g_sealed_bytes.add(plaintext.size());
-    ChaCha20 cipher(key, nonce, 0);
+    ChaCha20 cipher(key, nonce, 0);  // the last read of `nonce`
     const auto otk = poly1305_key(cipher);
+    const std::size_t at = out.size();
     const std::size_t n = plaintext.size();
-    Bytes out;
-    out.reserve(n + kTagSize);
-    out.assign(plaintext.begin(), plaintext.end());
-    cipher.apply(out.data(), n);
-    const auto tag = poly1305_aead_tag(otk, aad, {out.data(), n});
+    out.insert(out.end(), plaintext.begin(), plaintext.end());
+    cipher.apply(out.data() + at, n);
+    const auto tag = poly1305_aead_tag(otk, aad, {out.data() + at, n});
     out.insert(out.end(), tag.begin(), tag.end());
-    return out;
   }
 
   Result<Bytes> open(BytesView key, BytesView nonce, BytesView aad,
                      BytesView ct) const override {
     assert(key.size() == kKeySize && nonce.size() == kNonceSize);
     PROF_SCOPE("crypto/open");
+    ChaCha20 cipher(key, nonce, 0);
+    if (auto st = verify(cipher, aad, ct); !st) return st.error();
+    return cipher.transform(ct.first(ct.size() - kTagSize));
+  }
+
+  Status open_into(BytesView key, BytesView nonce, BytesView aad, BytesView ct,
+                   std::span<std::uint8_t> out) const override {
+    assert(key.size() == kKeySize && nonce.size() == kNonceSize);
+    PROF_SCOPE("crypto/open");
+    ChaCha20 cipher(key, nonce, 0);
+    if (auto st = verify(cipher, aad, ct); !st) return st;
+    const std::size_t n = ct.size() - kTagSize;
+    assert(out.size() == n);
+    if (n > 0) std::memcpy(out.data(), ct.data(), n);
+    cipher.apply(out.data(), n);
+    return {};
+  }
+
+ private:
+  // Counts one open and checks the tag of ct = body || tag; on success
+  // `cipher` stands at the first data block.
+  Status verify(ChaCha20& cipher, BytesView aad, BytesView ct) const {
     obs::prof_bytes(ct.size());
     g_opens.add();
     g_opened_bytes.add(ct.size());
     if (ct.size() < kTagSize)
       return make_error(Errc::truncated, "aead ciphertext shorter than tag");
-    BytesView body = ct.subspan(0, ct.size() - kTagSize);
-    BytesView tag = ct.subspan(ct.size() - kTagSize);
-    ChaCha20 cipher(key, nonce, 0);
+    BytesView body = ct.first(ct.size() - kTagSize);
+    BytesView tag = ct.last(kTagSize);
     const auto expect = poly1305_aead_tag(poly1305_key(cipher), aad, body);
     if (!ct_equal({expect.data(), expect.size()}, tag)) {
       obs::emit(obs::thread_event_counters(), obs::Event::aead_open_failure,
                 0, "crypto", name(), {}, "poly1305 tag mismatch");
       return make_error(Errc::auth_failed, "poly1305 tag mismatch");
     }
-    return cipher.transform(body);
+    return {};
   }
 };
 

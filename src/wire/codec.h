@@ -25,6 +25,9 @@
 //   one-octet enum       one octet, known iff in the enum's EnumNames table
 //   keys, nonces, tags   raw at their fixed size
 //   Bytes                u32 length + bytes
+//   BytesView            the same on the wire; decodes to a view borrowed
+//                        from the input (decode-only structs, which must
+//                        not outlive the bytes they were decoded from)
 //   capped<N>(x)         an integer, or a vector's u32 count then its
 //                        elements; above N is oversized
 //   exact<N>(b)          Bytes whose length must be exactly N (malformed)
@@ -250,7 +253,8 @@ void put(W& w, const F& f) {
     w.u32(f);
   } else if constexpr (std::is_same_v<F, std::uint64_t>) {
     w.u64(f);
-  } else if constexpr (std::is_same_v<F, Bytes>) {
+  } else if constexpr (std::is_same_v<F, Bytes> ||
+                       std::is_same_v<F, BytesView>) {
     w.var_bytes(f);
   } else if constexpr (kIsByteArray<F>) {
     w.raw(f);
@@ -334,6 +338,8 @@ bool get(Reader& r, F& f, Error& err) {
     return take(r.u64(), f, err);
   } else if constexpr (std::is_same_v<F, Bytes>) {
     return take(r.var_bytes(), f, err);
+  } else if constexpr (std::is_same_v<F, BytesView>) {
+    return take(r.var_view(), f, err);
   } else if constexpr (kIsByteArray<F>) {
     BytesView b;
     if (!take(r.view(f.size()), b, err)) return false;

@@ -76,13 +76,19 @@ constexpr std::uint32_t kMaxKeyTreePathLen = kMaxKeyTreeDepth + 1;
 /// One rotated node: the node's NEW KEK, sealed under the current KEK of
 /// `carrier` (one of the node's children, or a leaf). The sealed blob is a
 /// seal.h body whose plaintext is encode(KeyTreeNodeKek{node, epoch, kek}).
-struct KeyTreeEntry {
+/// `Blob` is Bytes (KeyTreeEntry, owning) or BytesView (KeyTreeEntryView,
+/// borrowed from the decoded input); both have the same wire form.
+template <class Blob>
+struct BasicKeyTreeEntry {
   std::uint32_t node = 0;     // heap index of the rotated node (1 = root)
   std::uint32_t carrier = 0;  // heap index whose current KEK seals this entry
-  Bytes sealed;               // aead_nonce || ciphertext || tag
+  Blob sealed;                // aead_nonce || ciphertext || tag
   auto fields() { return std::tie(node, carrier, sealed); }
-  friend bool operator==(const KeyTreeEntry&, const KeyTreeEntry&) = default;
+  friend bool operator==(const BasicKeyTreeEntry&,
+                         const BasicKeyTreeEntry&) = default;
 };
+using KeyTreeEntry = BasicKeyTreeEntry<Bytes>;
+using KeyTreeEntryView = BasicKeyTreeEntry<BytesView>;
 
 /// Plaintext inside one sealed entry. The (node, epoch) binding prevents an
 /// entry from being spliced into a different update or onto a different
@@ -101,21 +107,30 @@ struct KeyTreeNodeKek {
 /// HMAC-SHA256(Kg_new, "enclaves keytree confirm" || epoch); only the
 /// leader (and members who faithfully reach the new root) can compute it,
 /// so a forged or spliced entry set fails confirmation atomically.
-struct KeyTreeUpdatePayload {
+///
+/// One field list, two forms: KeyTreeUpdatePayload owns its sealed blobs
+/// (the leader mints it, tests mutate it); KeyTreeUpdateView, decode-only,
+/// points them into the envelope body it was decoded from, so a member
+/// applies a broadcast without copying its entries. The view shares type
+/// octet 0x61 with the payload and is therefore not in wire::AllPayloads.
+template <class Blob>
+struct BasicKeyTreeUpdate {
   static constexpr std::uint8_t kType = 0x61;
   std::string l;              // leader id
   std::uint64_t epoch = 0;    // the NEW epoch this update establishes
   KeyTreeReason reason = KeyTreeReason::manual;
   std::uint32_t depth = 0;    // tree depth (leaves live at heap level depth)
-  std::vector<KeyTreeEntry> entries;
+  std::vector<BasicKeyTreeEntry<Blob>> entries;
   crypto::HmacSha256::Tag confirm = {};
   auto fields() {
     return tie_fields(l, epoch, reason, capped<kMaxKeyTreeDepth>(depth),
                       capped<kMaxKeyTreeEntries>(entries), confirm);
   }
-  friend bool operator==(const KeyTreeUpdatePayload&,
-                         const KeyTreeUpdatePayload&) = default;
+  friend bool operator==(const BasicKeyTreeUpdate&,
+                         const BasicKeyTreeUpdate&) = default;
 };
+using KeyTreeUpdatePayload = BasicKeyTreeUpdate<Bytes>;
+using KeyTreeUpdateView = BasicKeyTreeUpdate<BytesView>;
 
 /// Member -> leader: "I cannot reach the current root" (lost broadcast,
 /// missed epoch). Sealed under the member's leaf KEK; `have_epoch` is the

@@ -18,25 +18,32 @@ Bytes seal_body(const crypto::Aead& aead, BytesView key, Rng& rng,
                 std::string_view recipient, BytesView plaintext) {
   constexpr std::size_t kNonceSize = crypto::Aead::kNonceSize;
   Bytes body;
-  body.reserve(kNonceSize + plaintext.size() + crypto::Aead::kTagSize);
+  body.reserve(kSealOverhead + plaintext.size());
   body.resize(kNonceSize);
   rng.fill(body);
   const Bytes aad = envelope_aad(label, sender, recipient);
-  const Bytes ct =
-      aead.seal(key, BytesView{body}.first(kNonceSize), aad, plaintext);
-  append(body, ct);
+  aead.seal_into(key, BytesView{body}.first(kNonceSize), aad, plaintext,
+                 body);
   return body;
 }
 
 Result<Bytes> open_body(const crypto::Aead& aead, BytesView key,
                         Label label, std::string_view sender,
                         std::string_view recipient, BytesView body) {
-  if (body.size() < crypto::Aead::kNonceSize + crypto::Aead::kTagSize)
+  if (body.size() < kSealOverhead)
     return make_error(Errc::truncated, "sealed body too short");
   BytesView nonce = body.subspan(0, crypto::Aead::kNonceSize);
   BytesView ct = body.subspan(crypto::Aead::kNonceSize);
   Bytes aad = envelope_aad(label, sender, recipient);
   return aead.open(key, nonce, aad, ct);
+}
+
+Status open_body_into(const crypto::Aead& aead, BytesView key, BytesView aad,
+                      BytesView body, std::span<std::uint8_t> out) {
+  if (body.size() < kSealOverhead)
+    return make_error(Errc::truncated, "sealed body too short");
+  return aead.open_into(key, body.first(crypto::Aead::kNonceSize), aad,
+                        body.subspan(crypto::Aead::kNonceSize), out);
 }
 
 Envelope make_sealed(const crypto::Aead& aead, BytesView key, Rng& rng,

@@ -17,6 +17,10 @@
 
 namespace enclaves::wire {
 
+/// Bytes a sealed body adds to its plaintext: the AEAD nonce and tag.
+constexpr std::size_t kSealOverhead =
+    crypto::Aead::kNonceSize + crypto::Aead::kTagSize;
+
 /// AAD derived from the envelope header fields.
 Bytes envelope_aad(Label label, std::string_view sender,
                    std::string_view recipient);
@@ -32,6 +36,12 @@ Bytes seal_body(const crypto::Aead& aead, BytesView key, Rng& rng,
 Result<Bytes> open_body(const crypto::Aead& aead, BytesView key,
                         Label label, std::string_view sender,
                         std::string_view recipient, BytesView body);
+
+/// open_body for a caller that builds the AAD once (envelope_aad) and owns
+/// the plaintext buffer: `out` must hold body.size() - kSealOverhead bytes
+/// (a shorter body is Errc::truncated). Allocates nothing itself.
+Status open_body_into(const crypto::Aead& aead, BytesView key, BytesView aad,
+                      BytesView body, std::span<std::uint8_t> out);
 
 /// Convenience overloads working on a whole Envelope.
 Envelope make_sealed(const crypto::Aead& aead, BytesView key, Rng& rng,

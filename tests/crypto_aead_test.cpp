@@ -177,6 +177,65 @@ TEST_P(AeadBehaviour, TruncatedRejected) {
   EXPECT_EQ(r.code(), Errc::truncated);
 }
 
+// seal_into appends exactly seal()'s output, also with the nonce read from
+// the buffer it appends to (seal_body's layout); open_into writes exactly
+// open()'s plaintext and, on a forgery, no plaintext at all.
+TEST_P(AeadBehaviour, IntoFormsMatchSealAndOpen) {
+  DeterministicRng rng(8);
+  Bytes key = rng.bytes(32), aad = rng.bytes(20), msg = rng.bytes(len());
+  Bytes body = rng.bytes(Aead::kNonceSize);
+  const Bytes nonce = body;
+  body.reserve(body.size() + msg.size() + Aead::kTagSize);
+  aead().seal_into(key, BytesView{body}.first(Aead::kNonceSize), aad, msg,
+                   body);
+  const Bytes ct = aead().seal(key, nonce, aad, msg);
+  EXPECT_EQ(Bytes(body.begin() + Aead::kNonceSize, body.end()), ct);
+
+  Bytes out(msg.size());
+  ASSERT_TRUE(aead().open_into(key, nonce, aad, ct, out).ok());
+  EXPECT_EQ(out, msg);
+
+  Bytes bad = ct;
+  bad.back() ^= 0x01;
+  Bytes none(msg.size(), 0);
+  const Status st = aead().open_into(key, nonce, aad, bad, none);
+  EXPECT_EQ(st.code(), Errc::auth_failed);
+  EXPECT_EQ(none, Bytes(msg.size(), 0));
+}
+
+// A decorator that overrides only seal() and open() still sees the
+// seal_into/open_into calls: the base forms forward to them.
+TEST(AeadProviders, IntoFormsForwardThroughADecorator) {
+  struct Counting final : Aead {
+    const char* name() const override { return "counting"; }
+    Bytes seal(BytesView key, BytesView nonce, BytesView aad,
+               BytesView plaintext) const override {
+      ++seals;
+      return chacha20poly1305().seal(key, nonce, aad, plaintext);
+    }
+    Result<Bytes> open(BytesView key, BytesView nonce, BytesView aad,
+                       BytesView ct) const override {
+      ++opens;
+      return chacha20poly1305().open(key, nonce, aad, ct);
+    }
+    mutable int seals = 0, opens = 0;
+  } counting;
+  DeterministicRng rng(9);
+  Bytes key = rng.bytes(32), nonce = rng.bytes(12), msg = rng.bytes(33);
+  Bytes sealed = {0xEE};
+  counting.seal_into(key, nonce, {}, msg, sealed);
+  EXPECT_EQ(counting.seals, 1);
+  EXPECT_EQ(Bytes(sealed.begin() + 1, sealed.end()),
+            chacha20poly1305().seal(key, nonce, {}, msg));
+  Bytes out(msg.size());
+  ASSERT_TRUE(counting
+                  .open_into(key, nonce, {},
+                             BytesView{sealed}.subspan(1), out)
+                  .ok());
+  EXPECT_EQ(counting.opens, 1);
+  EXPECT_EQ(out, msg);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Providers, AeadBehaviour,
     ::testing::Combine(::testing::Values(0, 1),

@@ -34,11 +34,14 @@ void for_each_type(std::tuple<T...>*, F&& f) {
 }
 
 // Runs every decoder on the given bytes; result values are irrelevant, the
-// point is no crash/UB and clean error paths.
+// point is no crash/UB and clean error paths. KeyTreeUpdateView shares its
+// type octet with KeyTreeUpdatePayload, so it is swept here by name rather
+// than listed in wire::AllPayloads.
 void sweep_all_decoders(BytesView soup) {
   for_each_type(static_cast<Decodable*>(nullptr), [soup](auto type) {
     (void)wire::decode<typename decltype(type)::type>(soup);
   });
+  (void)wire::decode<wire::KeyTreeUpdateView>(soup);
   (void)app::decode_chat_message(soup);
   (void)core::Registry::deserialize(soup, to_bytes("k"));
 }

@@ -27,6 +27,28 @@ TEST(Seal, EnvelopeAadAllocatesOnce) {
   }
 }
 
+// A seal appends ciphertext and tag straight after the nonce: the body and
+// the AAD are the only allocations, with either AEAD.
+TEST(Seal, SealBodyAllocatesBodyAndAadOnly) {
+  DeterministicRng rng(3);
+  const Bytes key = rng.bytes(32);
+  const Bytes plaintext = rng.bytes(73);
+  for (const crypto::Aead* aead :
+       {&crypto::chacha20poly1305(), &crypto::aes256gcm()}) {
+    testing_support::g_allocations = 0;
+    testing_support::g_count_allocations = true;
+    const Bytes body = seal_body(*aead, key, rng, Label::AdminMsg, "L",
+                                 "member-042", plaintext);
+    testing_support::g_count_allocations = false;
+    EXPECT_EQ(testing_support::g_allocations, 2u) << aead->name();
+    EXPECT_EQ(body.size(), kSealOverhead + plaintext.size());
+    auto opened = open_body(*aead, key, Label::AdminMsg, "L", "member-042",
+                            body);
+    ASSERT_TRUE(opened.ok()) << aead->name();
+    EXPECT_EQ(*opened, plaintext);
+  }
+}
+
 TEST(Seal, RoundTrip) {
   DeterministicRng rng(1);
   Bytes key = rng.bytes(32);
