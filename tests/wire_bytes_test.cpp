@@ -5,6 +5,9 @@
 
 #include <string_view>
 
+#include "app/group_chat.h"
+#include "app/shared_state.h"
+#include "core/oplog.h"
 #include "tests/wire_samples.h"
 #include "util/hex.h"
 
@@ -161,6 +164,50 @@ TEST(WireBytes, EveryAdminBodyAlternativeEncodesToItsPinnedBytes) {
   expect_pinned(wire_samples::admin_bodies(), kAdminBodies,
                 std::size(kAdminBodies),
                 [](const auto& s) { return wire::AdminBody(s); });
+}
+
+// The application payloads ride the sealed data plane between members of
+// different builds, so their bytes are pinned like the wire payloads': one
+// chat message of each kind and every shared-state alternative.
+TEST(WireBytes, AppPayloadsEncodeToTheirPinnedBytes) {
+  using namespace app;
+  const Pinned pinned[] = {
+      {"ChatMessage/text",
+       "c40100000005616c6963650000000000000007000000026869"},
+      {"ChatMessage/presence",
+       "c40200000003626f6201020304050607080000000461776179"},
+      {"StateUpdate",
+       "d100000005636f6c6f7200000004626c756500000000000000070000"
+       "0005616c69636500"},
+      {"SnapshotRequest", "d2"},
+      {"SnapshotReply",
+       "d3000000020000000161000000013100000000000000010000000178"
+       "000000000162000000000000000000000002000000017901"},
+  };
+  const Bytes encoded[] = {
+      encode(ChatMessage{ChatKind::text, "alice", "hi", 7}),
+      encode(ChatMessage{ChatKind::presence, "bob", "away",
+                         0x0102030405060708}),
+      encode(StateUpdate{"color", Entry{"blue", Version{7, "alice"}, false}}),
+      encode(SnapshotRequest{}),
+      encode(SnapshotReply{{{"a", Entry{"1", Version{1, "x"}, false}},
+                            {"b", Entry{"", Version{2, "y"}, true}}}}),
+  };
+  for (std::size_t i = 0; i < std::size(pinned); ++i)
+    EXPECT_EQ(to_hex(encoded[i]), pinned[i].hex) << pinned[i].name;
+}
+
+// The op-log chain link is recomputed by the leader from the replayed ops
+// (PROTOCOL.md §12): a moved octet in its MAC input would break every
+// chain head a partitioned member already holds.
+TEST(WireBytes, OpLogChainLinkIsPinned) {
+  using wire_samples::key;
+  const auto link = core::OpLog::chain_next(
+      key<crypto::SessionKey>(0x11).view(), wire_samples::tag(0x31), 2, 9,
+      wire_samples::pattern(3, 0x51));
+  EXPECT_EQ(to_hex({link.data(), link.size()}),
+            "0fb8fd3efa8024753fb53193ec4287041384d3e80e0e6c8c0b6d852f"
+            "322c6d63");
 }
 
 }  // namespace
