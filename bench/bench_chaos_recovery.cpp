@@ -14,6 +14,7 @@
 #include "net/fault.h"
 #include "net/sim_network.h"
 #include "util/rng.h"
+#include "wire/seal.h"
 
 namespace {
 
@@ -130,16 +131,16 @@ void BM_LeaderSnapshotRoundTrip(benchmark::State& state) {
   DeterministicRng rng(7);
   core::Registry reg;
   for (std::int64_t i = 0; i < state.range(0); ++i) {
-    (void)reg.add(core::Credential{"m" + std::to_string(i),
-                                   crypto::LongTermKey::random(rng), "pw"});
+    (void)reg.add("m" + std::to_string(i),
+                  {crypto::LongTermKey::random(rng), "pw"});
   }
   core::LeaderSnapshot snap;
   snap.registry = reg;
   snap.epoch = 1000;
   const Bytes key = to_bytes("bench-storage-key");
   for (auto _ : state) {
-    Bytes blob = snap.serialize(key);
-    auto back = core::LeaderSnapshot::deserialize(blob, key);
+    Bytes blob = wire::mac_encode(snap, key);
+    auto back = wire::mac_decode<core::LeaderSnapshot>(blob, key);
     benchmark::DoNotOptimize(back);
   }
 }
@@ -160,14 +161,14 @@ void BM_CrashRestartRecovery(benchmark::State& state) {
     const Bytes key = to_bytes("bench-storage-key");
     state.ResumeTiming();
 
-    Bytes blob = w.leader->snapshot().serialize(key);
+    Bytes blob = wire::mac_encode(w.leader->snapshot(), key);
     w.leader.reset();
     w.net.detach("L");
     for (int t = 0; t < 6; ++t) {  // downtime: members start suspecting
       w.net.run();
       for (auto& [id, m] : w.members) m->tick();
     }
-    auto snap = core::LeaderSnapshot::deserialize(blob, key);
+    auto snap = wire::mac_decode<core::LeaderSnapshot>(blob, key);
     core::LeaderConfig config;
     w.leader = std::make_unique<core::Leader>(config, w.rng);
     w.leader->set_send([&w](const std::string& to, wire::Envelope e) {

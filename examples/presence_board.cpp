@@ -64,7 +64,7 @@ int main() {
     auto pa = crypto::derive_long_term_key_x25519(
         leader_keys->private_key, keys->public_key, id, "L");
     if (!pa.ok()) return 1;
-    (void)registry.add(core::Credential{id, *pa, "x25519"});
+    (void)registry.add(id, {*pa, "x25519"});
     member_keys.emplace(id, *std::move(keys));
   }
 

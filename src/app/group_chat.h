@@ -21,6 +21,7 @@
 
 #include "core/member.h"
 #include "util/result.h"
+#include "wire/codec.h"
 
 namespace enclaves::app {
 
@@ -29,18 +30,32 @@ enum class ChatKind : std::uint8_t {
   presence = 2,  // free-form status ("online", "away", ...)
 };
 
+}  // namespace enclaves::app
+
+namespace enclaves::wire {
+template <>
+struct EnumNames<app::ChatKind> {
+  static constexpr std::pair<app::ChatKind, const char*> names[] = {
+      {app::ChatKind::text, "text"},
+      {app::ChatKind::presence, "presence"},
+  };
+};
+}  // namespace enclaves::wire
+
+namespace enclaves::app {
+
+/// Application payload (inside the encrypted data plane), encoded with
+/// wire::encode and decoded with wire::decode<ChatMessage>.
 struct ChatMessage {
+  static constexpr std::uint8_t kType = 0xC4;
   ChatKind kind = ChatKind::text;
   std::string author;
   std::string content;
   std::uint64_t author_seq = 0;  // author's own message counter
 
+  auto fields() { return std::tie(kind, author, author_seq, content); }
   friend bool operator==(const ChatMessage&, const ChatMessage&) = default;
 };
-
-/// Application-payload codec (inside the encrypted data plane).
-Bytes encode(const ChatMessage& m);
-Result<ChatMessage> decode_chat_message(BytesView raw);
 
 class GroupChat {
  public:

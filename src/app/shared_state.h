@@ -23,6 +23,7 @@
 
 #include "core/member.h"
 #include "util/result.h"
+#include "wire/codec.h"
 
 namespace enclaves::app {
 
@@ -30,6 +31,7 @@ struct Version {
   std::uint64_t clock = 0;   // Lamport-ish update counter
   std::string author;        // tie-breaker
 
+  auto fields() { return std::tie(clock, author); }
   friend bool operator==(const Version&, const Version&) = default;
   friend bool operator<(const Version& a, const Version& b) {
     if (a.clock != b.clock) return a.clock < b.clock;
@@ -42,32 +44,35 @@ struct Entry {
   Version version;
   bool tombstone = false;  // deleted entries keep their version for LWW
 
+  auto fields() { return std::tie(value, version, tombstone); }
   friend bool operator==(const Entry&, const Entry&) = default;
 };
 
-/// Wire payloads (inside the sealed data plane).
+/// Wire payloads (inside the sealed data plane), encoded with wire::encode.
 struct StateUpdate {
+  static constexpr std::uint8_t kType = 0xD1;
   std::string key;
   Entry entry;
+  auto fields() { return std::tie(key, entry); }
   friend bool operator==(const StateUpdate&, const StateUpdate&) = default;
 };
 struct SnapshotRequest {
+  static constexpr std::uint8_t kType = 0xD2;
+  auto fields() { return std::tie(); }
   friend bool operator==(const SnapshotRequest&,
                          const SnapshotRequest&) = default;
 };
 struct SnapshotReply {
+  static constexpr std::uint8_t kType = 0xD3;
   std::vector<StateUpdate> entries;
+  auto fields() { return wire::tie_fields(wire::capped<1u << 16>(entries)); }
   friend bool operator==(const SnapshotReply&,
                          const SnapshotReply&) = default;
 };
 
-Bytes encode(const StateUpdate& u);
-Bytes encode(const SnapshotRequest& r);
-Bytes encode(const SnapshotReply& r);
-
-/// Decodes any of the three payloads (tagged).
+/// Any of the three payloads: wire::decode<StateMessage> dispatches on the
+/// type octet.
 using StateMessage = std::variant<StateUpdate, SnapshotRequest, SnapshotReply>;
-Result<StateMessage> decode_state_message(BytesView raw);
 
 class SharedState {
  public:

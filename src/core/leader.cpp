@@ -907,12 +907,16 @@ LeaderSnapshot Leader::snapshot() const {
   LeaderSnapshot snap;
   snap.epoch = epoch_;
   for (const auto& [id, session] : sessions_)
-    (void)snap.registry.add(Credential{id, session->long_term_key(),
-                                       "snapshot"});
+    (void)snap.registry.add(id, {session->long_term_key(), "snapshot"});
   if (tree_) {
     snap.keytree_depth = tree_->depth();
     snap.keytree_slots = tree_->slots();
+  } else if (!keytree_hints_.empty()) {
+    snap.keytree_depth = keytree_hint_depth_;
   }
+  // A restored member not re-seated yet still holds its hinted leaf, so a
+  // snapshot taken before it rejoins hands the hint on.
+  snap.keytree_slots.insert(keytree_hints_.begin(), keytree_hints_.end());
   for (const auto& [id, p] : parole_)
     snap.parole.emplace(id, ParoleRecord{p.kr, p.fence_epoch});
   return snap;

@@ -165,7 +165,10 @@ class Leader {
   /// Crash-recovery snapshot: every registered credential plus the current
   /// epoch, enough for a restarted leader to re-form the group (members
   /// re-authenticate with fresh keys; the epoch floor keeps every future
-  /// group key strictly newer than anything issued before the crash).
+  /// group key strictly newer than anything issued before the crash). On a
+  /// fresh leader, install() then snapshot() gives back the installed
+  /// snapshot, its epoch raised to any later floor: slot hints of members
+  /// not re-seated yet are reported as their slots.
   LeaderSnapshot snapshot() const;
 
   /// Installs the epoch floor from a pre-crash snapshot. Only meaningful on

@@ -1,14 +1,20 @@
 #include "core/oplog.h"
 
-#include <algorithm>
-
-#include "wire/codec.h"
+#include "wire/seal.h"
 
 namespace enclaves::core {
 
 namespace {
-constexpr std::uint32_t kMagic = 0x454E4F4C;  // "ENOL"
-constexpr std::uint16_t kVersion = 1;
+
+// The chain link's MAC input: prev_mac || seq || epoch || u32 len + payload.
+struct ChainInput {
+  crypto::HmacSha256::Tag prev;
+  std::uint64_t seq = 0;
+  std::uint64_t epoch = 0;
+  BytesView payload;
+  auto fields() { return std::tie(prev, seq, epoch, payload); }
+};
+
 }  // namespace
 
 crypto::HmacSha256::Tag OpLog::chain_next(BytesView chain_key,
@@ -16,13 +22,8 @@ crypto::HmacSha256::Tag OpLog::chain_next(BytesView chain_key,
                                           std::uint64_t seq,
                                           std::uint64_t epoch,
                                           BytesView payload) {
-  wire::Writer w;
-  w.raw({prev.data(), prev.size()});
-  w.u64(seq);
-  w.u64(epoch);
-  w.var_bytes(payload);
-  const Bytes data = std::move(w).take();
-  return crypto::HmacSha256::mac(chain_key, data);
+  return crypto::HmacSha256::mac(
+      chain_key, wire::encode(ChainInput{prev, seq, epoch, payload}));
 }
 
 Status OpLog::append(std::uint64_t epoch, BytesView payload) {
@@ -34,75 +35,22 @@ Status OpLog::append(std::uint64_t epoch, BytesView payload) {
   e.seq = entries_.size() + 1;
   e.epoch = epoch;
   e.payload.assign(payload.begin(), payload.end());
-  e.mac = chain_next(chain_key_.view(), head_, e.seq, epoch, payload);
-  head_ = e.mac;
+  e.mac = chain_next(chain_key_.view(), head(), e.seq, epoch, payload);
   entries_.push_back(std::move(e));
   return Status::success();
 }
 
-void OpLog::clear() {
-  entries_.clear();
-  head_ = {};
-}
-
 Bytes OpLog::serialize(BytesView storage_key) const {
-  wire::Writer w;
-  w.u32(kMagic);
-  w.u16(kVersion);
-  w.u32(static_cast<std::uint32_t>(entries_.size()));
-  for (const Entry& e : entries_) {
-    w.u64(e.seq);
-    w.u64(e.epoch);
-    w.raw({e.mac.data(), e.mac.size()});
-    w.var_bytes(e.payload);
-  }
-  Bytes out = std::move(w).take();
-  auto tag = crypto::HmacSha256::mac(storage_key, out);
-  out.insert(out.end(), tag.begin(), tag.end());
-  return out;
+  return wire::mac_encode(*this, storage_key);
 }
 
 Result<OpLog> OpLog::deserialize(BytesView data, BytesView storage_key) {
-  if (data.size() < crypto::HmacSha256::kTagSize)
-    return make_error(Errc::truncated, "op-log shorter than its MAC");
-  BytesView body = data.subspan(0, data.size() - crypto::HmacSha256::kTagSize);
-  BytesView tag = data.subspan(data.size() - crypto::HmacSha256::kTagSize);
-  if (!crypto::hmac_verify(storage_key, body, tag))
-    return make_error(Errc::auth_failed, "op-log MAC mismatch");
-
-  wire::Reader r(body);
-  auto magic = r.u32();
-  if (!magic || *magic != kMagic)
-    return make_error(Errc::malformed, "bad op-log magic");
-  auto version = r.u16();
-  if (!version || *version != kVersion)
-    return make_error(Errc::malformed, "unsupported op-log version");
-  auto count = r.u32();
-  if (!count) return count.error();
-  if (*count > kMaxEntries)
-    return make_error(Errc::oversized, "op-log entry count");
-
-  OpLog log;
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto seq = r.u64();
-    if (!seq) return seq.error();
-    if (*seq != i + 1)
+  auto log = wire::mac_decode<OpLog>(data, storage_key);
+  if (!log) return log;
+  for (std::size_t i = 0; i < log->entries_.size(); ++i) {
+    if (log->entries_[i].seq != i + 1)
       return make_error(Errc::malformed, "op-log seq not contiguous");
-    auto epoch = r.u64();
-    if (!epoch) return epoch.error();
-    auto mac = r.raw(crypto::HmacSha256::kTagSize);
-    if (!mac) return mac.error();
-    auto payload = r.var_bytes();
-    if (!payload) return payload.error();
-    Entry e;
-    e.seq = *seq;
-    e.epoch = *epoch;
-    std::copy(mac->begin(), mac->end(), e.mac.begin());
-    e.payload = *std::move(payload);
-    log.head_ = e.mac;
-    log.entries_.push_back(std::move(e));
   }
-  if (auto end = r.expect_end(); !end) return end.error();
   return log;
 }
 

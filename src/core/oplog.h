@@ -14,9 +14,9 @@
 //    delivery safe: authenticity and order come from the chain, not from
 //    trust in the healed member.
 //
-//  - serialize()/deserialize() seal the whole log under a storage key with
-//    a trailing HMAC, exactly like core/registry.h — so a member that
-//    reboots mid-partition can persist and recover its queue.
+//  - serialize()/deserialize() store the whole log as one wire::mac_encode
+//    blob under a storage key, as the leader snapshot is stored — so a
+//    member that reboots mid-partition can persist and recover its queue.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +26,7 @@
 #include "crypto/keys.h"
 #include "util/bytes.h"
 #include "util/result.h"
+#include "wire/codec.h"
 
 namespace enclaves::core {
 
@@ -36,8 +37,12 @@ class OpLog {
     std::uint64_t epoch = 0;  // group epoch held when the op was queued
     Bytes payload;            // the application bytes
     crypto::HmacSha256::Tag mac = {};  // chain link (see chain_next)
+    auto fields() { return std::tie(seq, epoch, mac, payload); }
     friend bool operator==(const Entry&, const Entry&) = default;
   };
+
+  /// Type octet of the stored blob (serialize).
+  static constexpr std::uint8_t kType = 0x92;
 
   /// Hard cap on queued ops: a partition longer than this stops accepting
   /// sends rather than growing without bound.
@@ -58,34 +63,46 @@ class OpLog {
 
   /// MAC of the last entry — the value offered to the leader so it can
   /// check the replayed chain arrived whole. All-zero while empty.
-  const crypto::HmacSha256::Tag& head() const { return head_; }
+  const crypto::HmacSha256::Tag& head() const {
+    return entries_.empty() ? kEmptyHead : entries_.back().mac;
+  }
 
   /// Discards all entries (replay acknowledged, or reconciliation
   /// abandoned). The chain restarts from zero.
-  void clear();
+  void clear() { entries_.clear(); }
 
   /// The chain rule, shared between member (append) and leader (replay
-  /// validation): HMAC(key, prev_mac || seq || epoch || payload).
+  /// validation): HMAC(key, prev_mac || seq || epoch || payload), the
+  /// input encoded as a wire record (u32 length before the payload).
   static crypto::HmacSha256::Tag chain_next(BytesView chain_key,
                                             const crypto::HmacSha256::Tag& prev,
                                             std::uint64_t seq,
                                             std::uint64_t epoch,
                                             BytesView payload);
 
-  /// Registry-style sealed persistence: body + trailing HMAC under
-  /// `storage_key`. deserialize verifies the MAC before parsing anything
-  /// and re-verifies the per-entry chain is internally consistent in shape
-  /// (seq contiguity); the chain MACs themselves can only be checked by a
-  /// holder of Kr. A deserialized log is unkeyed: it can be replayed or
-  /// cleared but not appended to.
+  /// Sealed persistence: wire::mac_encode of the entries under
+  /// `storage_key` (type octet, u32 count, then seq, epoch, chain MAC and
+  /// payload per entry; one trailing HMAC). deserialize verifies the MAC
+  /// before parsing anything, refuses more than kMaxEntries as
+  /// Errc::oversized, and re-verifies the per-entry chain is internally
+  /// consistent in shape (seq contiguity, else Errc::malformed); the chain
+  /// MACs themselves can only be checked by a holder of Kr. A deserialized
+  /// log is unkeyed: it can be replayed or cleared but not appended to.
   Bytes serialize(BytesView storage_key) const;
   static Result<OpLog> deserialize(BytesView data, BytesView storage_key);
 
+  /// The stored blob's fields (wire/codec.h); deserialize adds the seq
+  /// check that a bare wire::decode<OpLog> does not make.
+  auto fields() {
+    return wire::tie_fields(wire::capped<kMaxEntries>(entries_));
+  }
+
  private:
+  static constexpr crypto::HmacSha256::Tag kEmptyHead = {};
+
   crypto::SessionKey chain_key_;  // Kr; all-zero when !keyed_
   bool keyed_ = false;
   std::vector<Entry> entries_;
-  crypto::HmacSha256::Tag head_ = {};
 };
 
 }  // namespace enclaves::core

@@ -1,28 +1,12 @@
 #include "core/registry.h"
 
-#include <fstream>
-
 #include "core/leader.h"
-#include "crypto/hmac.h"
-#include "wire/codec.h"
 
 namespace enclaves::core {
 
-namespace {
-constexpr std::uint32_t kMagic = 0x454E4352;  // "ENCR"
-constexpr std::uint16_t kVersion = 1;
-constexpr std::uint32_t kMaxEntries = 1 << 20;
-constexpr std::uint32_t kSnapshotMagic = 0x454E4353;  // "ENCS"
-// v2 appends the key-tree slot map (PROTOCOL.md §13); v3 appends the parole
-// list (PROTOCOL.md §12). Older files still load with those fields empty.
-constexpr std::uint16_t kSnapshotVersion = 3;
-constexpr std::uint32_t kMaxSlots = 1 << 21;
-constexpr std::uint32_t kMaxParole = 1 << 20;
-}  // namespace
-
-Status Registry::add(Credential credential) {
+Status Registry::add(std::string member_id, Credential credential) {
   auto [it, inserted] =
-      entries_.emplace(credential.member_id, std::move(credential));
+      entries_.emplace(std::move(member_id), std::move(credential));
   if (!inserted) return make_error(Errc::already_exists, it->first);
   return Status::success();
 }
@@ -57,149 +41,6 @@ std::size_t Registry::install(Leader& leader) const {
   return installed;
 }
 
-Bytes Registry::serialize(BytesView storage_key) const {
-  wire::Writer w;
-  w.u32(kMagic);
-  w.u16(kVersion);
-  w.u32(static_cast<std::uint32_t>(entries_.size()));
-  for (const auto& [id, cred] : entries_) {
-    w.str(id);
-    w.raw(cred.pa.view());
-    w.str(cred.note);
-  }
-  Bytes out = std::move(w).take();
-  auto tag = crypto::HmacSha256::mac(storage_key, out);
-  out.insert(out.end(), tag.begin(), tag.end());
-  return out;
-}
-
-Result<Registry> Registry::deserialize(BytesView data, BytesView storage_key) {
-  if (data.size() < crypto::HmacSha256::kTagSize)
-    return make_error(Errc::truncated, "registry shorter than its MAC");
-  BytesView body = data.subspan(0, data.size() - crypto::HmacSha256::kTagSize);
-  BytesView tag = data.subspan(data.size() - crypto::HmacSha256::kTagSize);
-  if (!crypto::hmac_verify(storage_key, body, tag))
-    return make_error(Errc::auth_failed, "registry MAC mismatch");
-
-  wire::Reader r(body);
-  auto magic = r.u32();
-  if (!magic || *magic != kMagic)
-    return make_error(Errc::malformed, "bad registry magic");
-  auto version = r.u16();
-  if (!version || *version != kVersion)
-    return make_error(Errc::malformed, "unsupported registry version");
-  auto count = r.u32();
-  if (!count) return count.error();
-  if (*count > kMaxEntries)
-    return make_error(Errc::oversized, "registry entry count");
-
-  Registry reg;
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto id = r.str();
-    if (!id) return id.error();
-    auto pa = r.raw(crypto::kKeyBytes);
-    if (!pa) return pa.error();
-    auto note = r.str();
-    if (!note) return note.error();
-    if (auto s = reg.add(Credential{*std::move(id),
-                                    crypto::LongTermKey::from_bytes(*pa),
-                                    *std::move(note)});
-        !s) {
-      return s.error();  // duplicate inside the file: refuse it
-    }
-  }
-  if (auto end = r.expect_end(); !end) return end.error();
-  return reg;
-}
-
-Bytes LeaderSnapshot::serialize(BytesView storage_key) const {
-  wire::Writer w;
-  w.u32(kSnapshotMagic);
-  w.u16(kSnapshotVersion);
-  w.u64(epoch);
-  w.var_bytes(registry.serialize(storage_key));
-  w.u32(keytree_depth);
-  w.u32(static_cast<std::uint32_t>(keytree_slots.size()));
-  for (const auto& [id, leaf] : keytree_slots) {
-    w.str(id);
-    w.u32(leaf);
-  }
-  w.u32(static_cast<std::uint32_t>(parole.size()));
-  for (const auto& [id, record] : parole) {
-    w.str(id);
-    w.raw(record.kr.view());
-    w.u64(record.fence_epoch);
-  }
-  Bytes out = std::move(w).take();
-  auto tag = crypto::HmacSha256::mac(storage_key, out);
-  out.insert(out.end(), tag.begin(), tag.end());
-  return out;
-}
-
-Result<LeaderSnapshot> LeaderSnapshot::deserialize(BytesView data,
-                                                   BytesView storage_key) {
-  if (data.size() < crypto::HmacSha256::kTagSize)
-    return make_error(Errc::truncated, "snapshot shorter than its MAC");
-  BytesView body = data.subspan(0, data.size() - crypto::HmacSha256::kTagSize);
-  BytesView tag = data.subspan(data.size() - crypto::HmacSha256::kTagSize);
-  if (!crypto::hmac_verify(storage_key, body, tag))
-    return make_error(Errc::auth_failed, "snapshot MAC mismatch");
-
-  wire::Reader r(body);
-  auto magic = r.u32();
-  if (!magic || *magic != kSnapshotMagic)
-    return make_error(Errc::malformed, "bad snapshot magic");
-  auto version = r.u16();
-  if (!version || *version < 1 || *version > kSnapshotVersion)
-    return make_error(Errc::malformed, "unsupported snapshot version");
-  auto epoch = r.u64();
-  if (!epoch) return epoch.error();
-  auto reg_blob = r.var_bytes();
-  if (!reg_blob) return reg_blob.error();
-
-  LeaderSnapshot snap;
-  snap.epoch = *epoch;
-  if (*version >= 2) {
-    auto depth = r.u32();
-    if (!depth) return depth.error();
-    auto count = r.u32();
-    if (!count) return count.error();
-    if (*count > kMaxSlots)
-      return make_error(Errc::oversized, "keytree slot count");
-    snap.keytree_depth = *depth;
-    for (std::uint32_t i = 0; i < *count; ++i) {
-      auto id = r.str();
-      if (!id) return id.error();
-      auto leaf = r.u32();
-      if (!leaf) return leaf.error();
-      snap.keytree_slots.emplace(*std::move(id), *leaf);
-    }
-  }
-  if (*version >= 3) {
-    auto count = r.u32();
-    if (!count) return count.error();
-    if (*count > kMaxParole)
-      return make_error(Errc::oversized, "parole entry count");
-    for (std::uint32_t i = 0; i < *count; ++i) {
-      auto id = r.str();
-      if (!id) return id.error();
-      auto kr = r.raw(crypto::kKeyBytes);
-      if (!kr) return kr.error();
-      auto fence = r.u64();
-      if (!fence) return fence.error();
-      snap.parole.emplace(
-          *std::move(id),
-          ParoleRecord{crypto::SessionKey::from_bytes(*kr), *fence});
-    }
-  }
-  if (auto end = r.expect_end(); !end) return end.error();
-
-  auto reg = Registry::deserialize(*reg_blob, storage_key);
-  if (!reg) return reg.error();
-  snap.registry = *std::move(reg);
-  return snap;
-}
-
 std::size_t LeaderSnapshot::install(Leader& leader) const {
   std::size_t installed = registry.install(leader);
   leader.set_epoch_floor(epoch);
@@ -208,27 +49,6 @@ std::size_t LeaderSnapshot::install(Leader& leader) const {
   for (const auto& [id, record] : parole)
     leader.restore_parole(id, record.kr, record.fence_epoch);
   return installed;
-}
-
-Status Registry::save_file(const std::string& path,
-                           BytesView storage_key) const {
-  Bytes data = serialize(storage_key);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return make_error(Errc::io_error, "cannot open " + path);
-  out.write(reinterpret_cast<const char*>(data.data()),
-            static_cast<std::streamsize>(data.size()));
-  if (!out) return make_error(Errc::io_error, "write failed: " + path);
-  return Status::success();
-}
-
-Result<Registry> Registry::load_file(const std::string& path,
-                                     BytesView storage_key) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return make_error(Errc::io_error, "cannot open " + path);
-  Bytes data((std::istreambuf_iterator<char>(in)),
-             std::istreambuf_iterator<char>());
-  if (in.bad()) return make_error(Errc::io_error, "read failed: " + path);
-  return deserialize(data, storage_key);
 }
 
 }  // namespace enclaves::core

@@ -3,11 +3,12 @@
 // The paper assumes "each potential group member has a long-term password
 // that must be known in advance to the group leader"; operationally that
 // set must survive leader restarts. The registry stores derived long-term
-// keys (password- or X25519-derived — the protocol doesn't care), serializes
-// to a versioned binary format protected by an HMAC under a storage key, and
-// can install itself into a Leader in one call.
+// keys (password- or X25519-derived — the protocol doesn't care) and can
+// install itself into a Leader in one call. It persists inside a
+// LeaderSnapshot (a bare credential set is a snapshot at epoch 0), sealed
+// by wire::mac_encode under a storage key.
 //
-// The storage key guards INTEGRITY (a tampered registry is detected and
+// The storage key guards INTEGRITY (a tampered snapshot is detected and
 // refused). Confidentiality of the file is the deployment's problem — it
 // holds long-term keys and must be protected like any other key store.
 #pragma once
@@ -19,16 +20,18 @@
 #include "crypto/keys.h"
 #include "util/bytes.h"
 #include "util/result.h"
+#include "wire/codec.h"
 
 namespace enclaves::core {
 
 class Leader;
 
+/// One member's credential; the member id is its key in the Registry.
 struct Credential {
-  std::string member_id;
   crypto::LongTermKey pa;
   std::string note;  // provenance, e.g. "password", "x25519", issue date
 
+  auto fields() { return std::tie(pa, note); }
   friend bool operator==(const Credential&, const Credential&) = default;
 };
 
@@ -37,7 +40,7 @@ class Registry {
   Registry() = default;
 
   /// Errc::already_exists on duplicate member ids.
-  Status add(Credential credential);
+  Status add(std::string member_id, Credential credential);
 
   bool contains(const std::string& member_id) const;
   const Credential* find(const std::string& member_id) const;
@@ -52,19 +55,8 @@ class Registry {
   /// there are skipped (idempotent restore).
   std::size_t install(Leader& leader) const;
 
-  // --- persistence -------------------------------------------------------
-
-  /// Versioned binary serialization, HMAC-SHA256-sealed under `storage_key`.
-  Bytes serialize(BytesView storage_key) const;
-
-  /// Rejects wrong magic/version, truncation, and any tampering
-  /// (Errc::auth_failed on MAC mismatch).
-  static Result<Registry> deserialize(BytesView data, BytesView storage_key);
-
-  /// Whole-file convenience wrappers (Errc::io_error on filesystem trouble).
-  Status save_file(const std::string& path, BytesView storage_key) const;
-  static Result<Registry> load_file(const std::string& path,
-                                    BytesView storage_key);
+  /// Wire form, nested in LeaderSnapshot: the id -> credential map.
+  auto fields() { return wire::tie_fields(wire::capped<1u << 20>(entries_)); }
 
   friend bool operator==(const Registry&, const Registry&) = default;
 
@@ -81,6 +73,7 @@ struct ParoleRecord {
   crypto::SessionKey kr;
   std::uint64_t fence_epoch = 0;
 
+  auto fields() { return std::tie(kr, fence_epoch); }
   friend bool operator==(const ParoleRecord&, const ParoleRecord&) = default;
 };
 
@@ -94,29 +87,33 @@ struct ParoleRecord {
 /// paper's model demands. The parole list is the one exception — Kr there
 /// is no longer a session key but reconciliation evidence, and dropping it
 /// on a crash would strand every disconnected member in quarantine.
+///
+/// Stored as wire::mac_encode(snapshot, storage_key) and read back with
+/// wire::mac_decode<LeaderSnapshot>: one HMAC-SHA256 over the whole
+/// encoding, registry included. The type octet names the format; any other
+/// leading octet, such as an older "ENCS" header, is Errc::malformed.
 struct LeaderSnapshot {
+  static constexpr std::uint8_t kType = 0x91;
+
   Registry registry;
   std::uint64_t epoch = 0;
   /// Key-tree leaf-slot assignments at snapshot time (tree-mode leaders
   /// only; empty otherwise). Leaf KEKs die with their sessions by design,
   /// so the slots are REJOIN HINTS: a restarted leader re-seats returning
   /// members in their old subtrees, keeping post-recovery rotations
-  /// congruent with pre-crash ones. Serialized from format v2 on; a v1
-  /// snapshot simply restores with no hints.
+  /// congruent with pre-crash ones.
   std::uint32_t keytree_depth = 0;
   std::map<std::string, std::uint32_t> keytree_slots;
 
   /// Members on parole at snapshot time (expelled-but-reconcilable,
-  /// PROTOCOL.md §12). Serialized from format v3 on; older snapshots
-  /// restore with an empty list — reconciliation-on-heal then falls back
-  /// to the standard quarantine + rejoin path, never to acceptance.
+  /// PROTOCOL.md §12).
   std::map<std::string, ParoleRecord> parole;
 
-  /// Versioned binary format, HMAC-SHA256-sealed under `storage_key` (the
-  /// nested registry blob carries its own MAC as well).
-  Bytes serialize(BytesView storage_key) const;
-  static Result<LeaderSnapshot> deserialize(BytesView data,
-                                            BytesView storage_key);
+  auto fields() {
+    return wire::tie_fields(epoch, registry, keytree_depth,
+                            wire::capped<1u << 21>(keytree_slots),
+                            wire::capped<1u << 20>(parole));
+  }
 
   /// Re-arms a freshly constructed leader: installs every credential and
   /// the epoch floor. Returns credentials installed.

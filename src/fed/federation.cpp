@@ -54,8 +54,8 @@ FedNode::FedNode(FedNodeConfig config, Rng& rng, const crypto::Aead& aead)
   hooks.install =
       [this](const wire::FedMigrateOfferPayload& o) -> Result<std::uint64_t> {
     if (host_.group(o.group)) return make_error(Errc::already_exists, o.group);
-    auto snap =
-        core::LeaderSnapshot::deserialize(o.snapshot, pair_key(o.source_shard));
+    auto snap = wire::mac_decode<core::LeaderSnapshot>(
+        o.snapshot, pair_key(o.source_shard));
     if (!snap) {
       obs::emit(counters_, obs::Event::fed_malformed,
                 obs::evidence_kind_for(snap.error().code), clock_.now(),
@@ -148,7 +148,7 @@ Status FedNode::migrate_out(const std::string& group,
   if (!ring_.contains(target_shard))
     return make_error(Errc::unknown_peer, target_shard);
   core::LeaderSnapshot snap = leader->snapshot();
-  Bytes blob = snap.serialize(pair_key(target_shard));
+  Bytes blob = wire::mac_encode(snap, pair_key(target_shard));
   auto id = migrator_.begin(group, target_shard, std::move(blob), snap.epoch,
                             directory_.version(group));
   if (!id) return id.error();

@@ -20,7 +20,7 @@ wire::ReplParole to_wire(const core::ParoleRecord& p) {
 void put(core::Registry& registry, const std::string& id,
          const wire::ReplCredential& c) {
   (void)registry.remove(id);
-  (void)registry.add({id, c.pa, c.note});
+  (void)registry.add(id, {c.pa, c.note});
 }
 void put(std::map<std::string, std::uint32_t>& slots, const std::string& id,
          std::uint32_t leaf) {

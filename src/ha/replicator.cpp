@@ -42,7 +42,7 @@ void LeaderReplicator::send_snapshot() {
   wire::ReplSnapshotPayload payload;
   payload.epoch = shipped_.epoch;
   payload.seq = log_.head();
-  payload.snapshot = shipped_.serialize(config_.repl_key.view());
+  payload.snapshot = wire::mac_encode(shipped_, config_.repl_key.view());
   obs::emit(counters_, obs::Event::repl_snapshot, clock_.now(), kHaGroup,
             leader_.id(), config_.standby_id, {}, payload.seq);
   seal_and_send(wire::Label::ReplSnapshot, wire::encode(payload));

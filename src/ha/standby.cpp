@@ -50,8 +50,8 @@ void StandbyLeader::handle(const wire::Envelope& e) {
         send_ack(false);
         return;
       }
-      auto snap = core::LeaderSnapshot::deserialize(payload->snapshot,
-                                                    config_.repl_key.view());
+      auto snap = wire::mac_decode<core::LeaderSnapshot>(
+          payload->snapshot, config_.repl_key.view());
       if (!snap || snap->epoch != payload->epoch) return reject();
       snapshot_ = *std::move(snap);
       applied_ = payload->seq;

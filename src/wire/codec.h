@@ -30,17 +30,23 @@
 //                        not outlive the bytes they were decoded from)
 //   capped<N>(x)         an integer, or a vector's u32 count then its
 //                        elements; above N is oversized
+//   capped<N>(map)       u32 count, then each key and value in key order;
+//                        a key not above the one before it is malformed,
+//                        so a repeated key is refused and a map has one
+//                        encoding
 //   exact<N>(b)          Bytes whose length must be exactly N (malformed)
 //   a struct with fields() and no kType: its fields (vector elements)
 //   a variant of typed structs: u32 length + the alternative's type octet
 //                        and fields (AdminPayload's X field)
 //
-// A struct without kType (the envelope) encodes its fields alone; a variant
-// encodes as its alternative and decodes by dispatching on the first octet.
+// A struct without kType (the envelope, a MAC input) encodes its fields
+// alone; a variant encodes as its alternative and decodes by dispatching on
+// the first octet.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -219,6 +225,11 @@ template <std::size_t N>
 inline constexpr bool kIsByteArray<std::array<std::uint8_t, N>> = true;
 
 template <class T>
+inline constexpr bool kIsMap = false;
+template <class K, class V>
+inline constexpr bool kIsMap<std::map<K, V>> = true;
+
+template <class T>
 inline constexpr bool kIsVariant = false;
 template <class... A>
 inline constexpr bool kIsVariant<std::variant<A...>> = (Typed<A> && ...);
@@ -263,8 +274,15 @@ void put(W& w, const F& f) {
   } else if constexpr (IsExact<F>) {
     w.var_bytes(f.v);
   } else if constexpr (IsCapped<F>) {
-    if constexpr (std::is_integral_v<std::remove_cvref_t<decltype(f.v)>>) {
+    using V = std::remove_cvref_t<decltype(f.v)>;
+    if constexpr (std::is_integral_v<V>) {
       w.u32(f.v);
+    } else if constexpr (kIsMap<V>) {
+      w.u32(static_cast<std::uint32_t>(f.v.size()));
+      for (const auto& [key, value] : f.v) {
+        put(w, key);
+        put(w, value);
+      }
     } else {
       w.u32(static_cast<std::uint32_t>(f.v.size()));
       for (const auto& e : f.v) put(w, e);
@@ -358,8 +376,18 @@ bool get(Reader& r, F& f, Error& err) {
     std::uint32_t n = 0;
     if (!take(r.u32(), n, err)) return false;
     if (n > F::kMax) return refuse(err, Errc::oversized, "count");
-    if constexpr (std::is_integral_v<std::remove_cvref_t<decltype(f.v)>>) {
+    using V = std::remove_cvref_t<decltype(f.v)>;
+    if constexpr (std::is_integral_v<V>) {
       f.v = n;
+    } else if constexpr (kIsMap<V>) {
+      f.v.clear();
+      for (std::uint32_t i = 0; i < n; ++i) {
+        std::pair<typename V::key_type, typename V::mapped_type> e;
+        if (!get(r, e.first, err) || !get(r, e.second, err)) return false;
+        if (!f.v.empty() && !(f.v.rbegin()->first < e.first))
+          return refuse(err, Errc::malformed, "map key repeated or unordered");
+        f.v.emplace_hint(f.v.end(), std::move(e));
+      }
     } else {
       // Every element takes at least one octet: never reserve more than
       // the input could hold.

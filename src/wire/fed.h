@@ -51,7 +51,7 @@ struct FedRedirectPayload {
 };
 
 /// Source -> target: the frozen group, offered for adoption. `snapshot` is
-/// LeaderSnapshot::serialize under the SAME pairwise key that seals this
+/// mac_encode(LeaderSnapshot) under the SAME pairwise key that seals this
 /// payload's envelope.
 struct FedMigrateOfferPayload {
   static constexpr std::uint8_t kType = 0xF2;

@@ -91,7 +91,7 @@ struct ReplSnapshotPayload {
   static constexpr std::uint8_t kType = 0xE2;
   std::uint64_t epoch = 0;  // epoch inside the snapshot (redundant, checked)
   std::uint64_t seq = 0;    // log head this baseline covers
-  Bytes snapshot;           // LeaderSnapshot::serialize(replication key)
+  Bytes snapshot;           // mac_encode(LeaderSnapshot, replication key)
   auto fields() { return std::tie(epoch, seq, snapshot); }
   friend bool operator==(const ReplSnapshotPayload&,
                          const ReplSnapshotPayload&) = default;

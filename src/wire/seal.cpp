@@ -57,6 +57,21 @@ Envelope make_sealed(const crypto::Aead& aead, BytesView key, Rng& rng,
   return e;
 }
 
+Bytes append_mac(Bytes body, BytesView key) {
+  const auto tag = crypto::HmacSha256::mac(key, body);
+  body.insert(body.end(), tag.begin(), tag.end());
+  return body;
+}
+
+Result<BytesView> verify_mac(BytesView blob, BytesView key) {
+  constexpr std::size_t kTag = crypto::HmacSha256::kTagSize;
+  if (blob.size() < kTag ||
+      !crypto::hmac_verify(key, blob.first(blob.size() - kTag),
+                           blob.last(kTag)))
+    return make_error(Errc::auth_failed, "blob MAC mismatch");
+  return blob.first(blob.size() - kTag);
+}
+
 Result<Bytes> open_sealed(const crypto::Aead& aead, BytesView key,
                           const Envelope& e) {
   return open_body(aead, key, e.label, e.sender, e.recipient, e.body);

@@ -9,10 +9,16 @@
 // improved protocol gets freshness from the nonce chain inside the plaintext
 // (Section 3.2); the legacy protocol deliberately lacks it, which is exactly
 // the Section 2.3 vulnerability the attack harness demonstrates.
+//
+// Stored blobs (the leader snapshot, the op log) are not encrypted, only
+// authenticated: blob = encode(t) || HMAC-SHA256(key, encode(t)). One MAC
+// covers the whole encoding, nested records included.
 #pragma once
 
 #include "crypto/aead.h"
+#include "crypto/hmac.h"
 #include "util/rng.h"
+#include "wire/codec.h"
 #include "wire/envelope.h"
 
 namespace enclaves::wire {
@@ -49,5 +55,30 @@ Envelope make_sealed(const crypto::Aead& aead, BytesView key, Rng& rng,
                      std::string_view recipient, BytesView plaintext);
 Result<Bytes> open_sealed(const crypto::Aead& aead, BytesView key,
                           const Envelope& e);
+
+/// Appends HMAC-SHA256(key, body) to `body`.
+Bytes append_mac(Bytes body, BytesView key);
+
+/// The bytes a blob's trailing MAC covers. Errc::auth_failed when the MAC
+/// does not verify under `key`: wrong key, or a byte changed, cut off or
+/// appended.
+Result<BytesView> verify_mac(BytesView blob, BytesView key);
+
+/// encode(t) with its HMAC under `key` appended.
+template <detail::Shape T>
+Bytes mac_encode(const T& t, BytesView key) {
+  Writer w(encoded_size(t) + crypto::HmacSha256::kTagSize);
+  write(w, t);
+  return append_mac(std::move(w).take(), key);
+}
+
+/// Verifies the MAC first, then decode<T> of what it covers: a body that
+/// authenticates but is not exactly one T is refused as decode refuses it.
+template <detail::Shape T>
+Result<T> mac_decode(BytesView blob, BytesView key) {
+  auto body = verify_mac(blob, key);
+  if (!body) return body.error();
+  return decode<T>(*body);
+}
 
 }  // namespace enclaves::wire

@@ -1,11 +1,14 @@
 // ChaosMigration: a seeded sweep of live migrations under message drops,
-// duplicates, and delays, finished off with a resurrected source leader.
+// duplicates, and delays, finished off with a resurrected source leader,
+// once per configuration in {flat, tree} rekey x {parole off, on}.
 // Every seed must converge — all members re-authenticated at the real
 // owner, the data plane intact with no plaintext divergence — while the
 // zombie's stale ownership claims are refused with exact ledger
 // attribution, and nothing sealed in the pre-migration era ever
-// authenticates at the new shard. A failing seed replays deterministically
-// from (plan, seed).
+// authenticates at the new shard. When the group moves, the target's
+// snapshot at commit is the source's frozen one (epoch raised by the
+// fence), and in tree mode every member rejoins at its old leaf. A failing
+// seed replays deterministically from (plan, seed, mode).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -32,6 +35,22 @@ using core::Member;
 
 constexpr int kMembers = 3;
 
+// The group's leader configuration: rekey algorithm and parole window.
+struct Mode {
+  bool tree = false;
+  std::uint64_t parole_epochs = 0;
+
+  std::string name() const {
+    return std::string(tree ? "tree" : "flat") + "/parole=" +
+           std::to_string(parole_epochs);
+  }
+};
+
+// The parole window exceeds MigratorConfig::epoch_fence_jump (1000): a
+// smaller one quarantines every migrated parole on arrival (FedNodeConfig),
+// and the parole half of the check would test nothing.
+constexpr Mode kModes[] = {{false, 0}, {false, 2000}, {true, 0}, {true, 2000}};
+
 net::FaultPlan plan_for_seed(std::uint64_t seed) {
   net::FaultPlan plan;
   plan.faults.drop_pct = 4 + seed % 11;            // 4..14%
@@ -42,25 +61,32 @@ net::FaultPlan plan_for_seed(std::uint64_t seed) {
 }
 
 struct MigrationChaosWorld {
-  MigrationChaosWorld(std::uint64_t seed, net::FaultPlan plan)
-      : rng(seed),
+  MigrationChaosWorld(std::uint64_t seed, net::FaultPlan plan, Mode mode)
+      : mode(mode),
+        rng(seed),
         injector(std::move(plan), seed ^ 0x51ED),
         fed_key(crypto::LongTermKey::random(rng)),
         shards({"s1", "s2", "s3"}) {
     net.set_tap(injector.tap());
-    for (const auto& s : shards) {
-      FedNodeConfig cfg;
-      cfg.shard_id = s;
-      cfg.fed_key = fed_key;
-      add_node(std::move(cfg));
-    }
+    for (const auto& s : shards) add_node(s);
   }
 
-  FedNode& add_node(FedNodeConfig cfg) {
-    const std::string s = cfg.shard_id;
+  FedNode& add_node(const std::string& s) {
+    FedNodeConfig cfg;
+    cfg.shard_id = s;
+    cfg.fed_key = fed_key;
+    cfg.rekey = mode.tree ? core::RekeyPolicy::tree()
+                          : core::RekeyPolicy::strict();
+    cfg.parole_epochs = mode.parole_epochs;
     auto owned = std::make_unique<FedNode>(std::move(cfg), rng);
     FedNode* n = owned.get();
     n->set_send([this](const std::string& to, wire::Envelope e) {
+      // The first commit leaves the source right after its handover, before
+      // any member can reach the target: the target's state is still
+      // exactly what it adopted.
+      if (e.label == wire::Label::FedMigrateCommit && !at_commit)
+        if (core::Leader* l = nodes.at(to)->host().group(group))
+          at_commit = l->snapshot();
       net.send(to, std::move(e));
     });
     for (const auto& other : shards) n->add_shard(other);
@@ -169,6 +195,7 @@ struct MigrationChaosWorld {
     return false;
   }
 
+  Mode mode;
   net::SimNetwork net;
   DeterministicRng rng;
   net::FaultInjector injector;
@@ -179,20 +206,18 @@ struct MigrationChaosWorld {
   std::map<std::string, std::unique_ptr<Member>> members;
   std::map<std::string, std::vector<std::string>> inbox;
   std::optional<wire::Envelope> old_era_seal;  // first pre-migration seal
+  std::optional<core::LeaderSnapshot> at_commit;  // the target's, see add_node
   std::uint64_t step_count = 0;
 };
 
-class ChaosMigration : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(ChaosMigration, ConvergesAndFencesTheResurrectedSource) {
-  const std::uint64_t seed = GetParam();
-  SCOPED_TRACE("seed=" + std::to_string(seed));
+// One migration lifecycle under `mode`; fatal failures return early.
+void run_migration(std::uint64_t seed, Mode mode) {
   obs::MetricsRegistry metrics;
   obs::ScopedMetricsSink msink(metrics);
   obs::EventStore ledger;
   obs::ScopedEventSink lguard(ledger);
 
-  MigrationChaosWorld w(seed, plan_for_seed(seed));
+  MigrationChaosWorld w(seed, plan_for_seed(seed), mode);
   w.create_group();
   if (::testing::Test::HasFatalFailure()) return;
   w.enroll_members();
@@ -207,9 +232,27 @@ TEST_P(ChaosMigration, ConvergesAndFencesTheResurrectedSource) {
   for (int i = 0; i < 6; ++i) w.step();
   ASSERT_TRUE(w.old_era_seal.has_value());
 
+  // With parole on, the last member is cut off and expelled as stalled, so
+  // the frozen snapshot carries its parole record; it heals right after.
+  const std::string silent = MigrationChaosWorld::member_id(kMembers - 1);
+  core::Leader* source = w.node("s1").host().group(w.group);
+  if (mode.parole_epochs > 0) {
+    w.injector.partition({silent});
+    ASSERT_TRUE(source->expel(silent, "stalled").ok());
+    ASSERT_TRUE(source->on_parole(silent));
+  }
+
   // Migrate under fire. Drops may abort the offer (the group then stays on
   // s1) — both outcomes must converge to ONE owner serving every member.
+  // migrate_out freezes the group, so this is the snapshot it ships.
+  const core::LeaderSnapshot frozen = source->snapshot();
+  EXPECT_EQ(frozen.keytree_slots.size(),
+            mode.tree ? static_cast<std::size_t>(kMembers) -
+                            (mode.parole_epochs > 0 ? 1 : 0)
+                      : 0u);
+  EXPECT_EQ(frozen.parole.size(), mode.parole_epochs > 0 ? 1u : 0u);
   ASSERT_TRUE(w.node("s1").migrate_out(w.group, "s2").ok());
+  if (mode.parole_epochs > 0) w.injector.heal();
   ASSERT_TRUE(w.settle()) << "post-migration convergence failed";
 
   // Heal the network for the deterministic endgame.
@@ -220,14 +263,25 @@ TEST_P(ChaosMigration, ConvergesAndFencesTheResurrectedSource) {
   const bool migrated = owner->shard_id() == "s2";
   EXPECT_TRUE(migrated || owner->shard_id() == "s1");
 
+  // The snapshot differential: what the target held at commit is what the
+  // source froze, above the fence; tree-mode members keep their leaves.
+  if (migrated) {
+    ASSERT_TRUE(w.at_commit.has_value()) << "migrated without a commit";
+    core::LeaderSnapshot expected = frozen;
+    expected.epoch += MigratorConfig{}.epoch_fence_jump;
+    EXPECT_EQ(*w.at_commit, expected)
+        << "target state diverged from the frozen source snapshot";
+    const core::KeyTree* tree = owner->host().group(w.group)->keytree();
+    ASSERT_EQ(tree != nullptr, mode.tree);
+    for (const auto& [id, leaf] : frozen.keytree_slots)
+      EXPECT_EQ(tree->leaf_of(id), leaf) << id << " lost its leaf";
+  }
+
   // Resurrection: a zombie s1 with its pre-migration worldview re-creates
   // the group and re-offers it. Only meaningful when the group actually
   // left s1 — otherwise s1 legitimately owns it and there is no zombie.
   if (migrated) {
-    FedNodeConfig zcfg;
-    zcfg.shard_id = "s1";
-    zcfg.fed_key = w.fed_key;
-    FedNode& zombie = w.add_node(std::move(zcfg));
+    FedNode& zombie = w.add_node("s1");
     ASSERT_TRUE(zombie.create_group(w.group).ok());
     ASSERT_TRUE(zombie.migrate_out(w.group, "s2").ok());
     for (int i = 0; i < 30; ++i) w.step();
@@ -286,6 +340,16 @@ TEST_P(ChaosMigration, ConvergesAndFencesTheResurrectedSource) {
       EXPECT_FALSE(ev.peer.empty())
           << evidence_kind_name(ev.kind) << " entry lost its attribution";
     }
+  }
+}
+
+class ChaosMigration : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ChaosMigration, ConvergesAndFencesTheResurrectedSource) {
+  const std::uint64_t seed = GetParam();
+  for (const Mode& mode : kModes) {
+    SCOPED_TRACE("seed=" + std::to_string(seed) + " mode=" + mode.name());
+    run_migration(seed, mode);
   }
 }
 

@@ -325,13 +325,13 @@ TEST_P(ChaosLifecycle, InvariantsHoldUnderSeededFaultSchedule) {
   const crypto::GroupKey old_kg = w.leader->group_key();
   const std::uint64_t old_epoch = w.leader->epoch();
   const Bytes snapshot_blob =
-      w.leader->snapshot().serialize(to_bytes("chaos-storage-key"));
+      wire::mac_encode(w.leader->snapshot(), to_bytes("chaos-storage-key"));
   w.leader.reset();
   w.net.detach("L");
   for (int t = 0; t < 80; ++t) w.step();  // downtime: suspicion kicks in
 
-  auto restored = LeaderSnapshot::deserialize(snapshot_blob,
-                                              to_bytes("chaos-storage-key"));
+  auto restored = wire::mac_decode<LeaderSnapshot>(
+      snapshot_blob, to_bytes("chaos-storage-key"));
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored->registry.size(),
             static_cast<std::size_t>(ChaosWorld::kMembers));

@@ -16,24 +16,24 @@ namespace {
 
 TEST(ChatCodec, RoundTripText) {
   ChatMessage m{ChatKind::text, "alice", "hello there", 7};
-  auto back = decode_chat_message(encode(m));
+  auto back = wire::decode<ChatMessage>(wire::encode(m));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, m);
 }
 
 TEST(ChatCodec, RoundTripPresence) {
   ChatMessage m{ChatKind::presence, "bob", "away", 0};
-  auto back = decode_chat_message(encode(m));
+  auto back = wire::decode<ChatMessage>(wire::encode(m));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, m);
 }
 
 TEST(ChatCodec, RejectsGarbage) {
-  EXPECT_FALSE(decode_chat_message(to_bytes("not a chat message")).ok());
-  EXPECT_FALSE(decode_chat_message({}).ok());
-  Bytes bad_kind = encode(ChatMessage{ChatKind::text, "a", "b", 0});
+  EXPECT_FALSE(wire::decode<ChatMessage>(to_bytes("not a chat message")).ok());
+  EXPECT_FALSE(wire::decode<ChatMessage>({}).ok());
+  Bytes bad_kind = wire::encode(ChatMessage{ChatKind::text, "a", "b", 0});
   bad_kind[1] = 0x7F;
-  EXPECT_FALSE(decode_chat_message(bad_kind).ok());
+  EXPECT_FALSE(wire::decode<ChatMessage>(bad_kind).ok());
 }
 
 struct ChatWorld {
@@ -161,7 +161,7 @@ TEST(GroupChat, HostilePayloadsCountedNotCrashing) {
   // An insider forging the AUTHOR field inside the payload: the data-plane
   // origin check flags the mismatch.
   ChatMessage forged{ChatKind::text, "bob", "I never said this", 0};
-  ASSERT_TRUE(w.members["alice"]->send_data(encode(forged)).ok());
+  ASSERT_TRUE(w.members["alice"]->send_data(wire::encode(forged)).ok());
   w.net.run();
   EXPECT_EQ(bob.decode_failures(), 2u);
   EXPECT_TRUE(bob.history().empty());

@@ -295,7 +295,7 @@ TEST(SnapshotDiff, PatchOfDiffRebuildsTheTarget) {
   from.keytree_depth = 2;
   for (const char* id : {"alice", "bob", "carol"})
     ASSERT_TRUE(
-        from.registry.add({id, crypto::LongTermKey::random(rng), "snapshot"})
+        from.registry.add(id, {crypto::LongTermKey::random(rng), "snapshot"})
             .ok());
   from.keytree_slots = {{"alice", 4}, {"bob", 5}};
   from.parole["carol"] = {crypto::SessionKey::random(rng), 3};
@@ -305,10 +305,10 @@ TEST(SnapshotDiff, PatchOfDiffRebuildsTheTarget) {
   ASSERT_TRUE(to.registry.remove("alice").ok());
   ASSERT_TRUE(to.registry.remove("bob").ok());
   ASSERT_TRUE(
-      to.registry.add({"bob", crypto::LongTermKey::random(rng), "snapshot"})
+      to.registry.add("bob", {crypto::LongTermKey::random(rng), "snapshot"})
           .ok());
   ASSERT_TRUE(
-      to.registry.add({"dave", crypto::LongTermKey::random(rng), "snapshot"})
+      to.registry.add("dave", {crypto::LongTermKey::random(rng), "snapshot"})
           .ok());
   to.keytree_slots = {{"bob", 6}, {"dave", 4}};
   to.parole.clear();

@@ -880,7 +880,7 @@ TEST(AllocationBounds, SnapshotCountIsNotReservedBeforeItIsRead) {
   const Bytes raw{0xd3, 0x00, 0x01, 0x00, 0x00};
   g_largest_allocation = 0;
   g_count_allocations = true;
-  const bool decoded = app::decode_state_message(raw).ok();
+  const bool decoded = wire::decode<app::StateMessage>(raw).ok();
   g_count_allocations = false;
   EXPECT_FALSE(decoded) << "the claimed entries are missing";
   EXPECT_LT(g_largest_allocation, 1024u);

@@ -123,10 +123,10 @@ TEST(OpLog, DeserializeRejectsSeqGaps) {
 
   // Bump the second entry's seq from 2 to 3 and re-seal under the correct
   // storage key, so only the contiguity check can reject it. Layout (all
-  // big-endian): u32 magic + u16 version + u32 count, then per entry
+  // big-endian): type octet + u32 count, then per entry
   // u64 seq + u64 epoch + 32-byte mac + u32 len + payload.
   const std::size_t entry1_size = 8 + 8 + 32 + 4 + 1;  // payload "a"
-  const std::size_t seq2_off = 10 + entry1_size;
+  const std::size_t seq2_off = 5 + entry1_size;
   Bytes body(blob.begin(), blob.end() - 32);
   ASSERT_EQ(body[seq2_off + 7], 0x02);
   body[seq2_off + 7] = 0x03;
@@ -136,6 +136,46 @@ TEST(OpLog, DeserializeRejectsSeqGaps) {
   auto r = OpLog::deserialize(doctored, storage.view());
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().code, Errc::malformed);
+}
+
+// The blob's remaining refusals: every truncation and an appended byte fail
+// the MAC; under a valid MAC, junk, the retired "ENOL" format and a repeated
+// seq are malformed.
+TEST(OpLog, DeserializeRefusesCutAppendedJunkOldFormatAndRepeatedSeq) {
+  auto storage = test_key(12);
+  OpLog log(test_key(13));
+  ASSERT_TRUE(log.append(1, bytes("a")).ok());
+  ASSERT_TRUE(log.append(1, bytes("b")).ok());
+  const Bytes blob = log.serialize(storage.view());
+
+  for (std::size_t len = 0; len < blob.size(); ++len)
+    EXPECT_EQ(OpLog::deserialize({blob.data(), len}, storage.view()).code(),
+              Errc::auth_failed)
+        << "len=" << len;
+  Bytes appended = blob;
+  appended.push_back(0x00);
+  EXPECT_EQ(OpLog::deserialize(appended, storage.view()).code(),
+            Errc::auth_failed);
+
+  const auto remacd = [&storage](Bytes body) {
+    const auto mac = crypto::HmacSha256::mac(storage.view(), body);
+    body.insert(body.end(), mac.begin(), mac.end());
+    return body;
+  };
+  EXPECT_EQ(OpLog::deserialize(remacd(bytes("junk")), storage.view()).code(),
+            Errc::malformed);
+  // "ENOL", u16 version 1, no entries: a valid empty log of the old format.
+  const Bytes v1{'E', 'N', 'O', 'L', 0, 1, 0, 0, 0, 0};
+  EXPECT_EQ(OpLog::deserialize(remacd(v1), storage.view()).code(),
+            Errc::malformed);
+
+  // The second entry's seq set back to 1: a repeated position.
+  Bytes body(blob.begin(), blob.end() - 32);
+  const std::size_t seq2_off = 5 + (8 + 8 + 32 + 4 + 1);
+  ASSERT_EQ(body[seq2_off + 7], 0x02);
+  body[seq2_off + 7] = 0x01;
+  EXPECT_EQ(OpLog::deserialize(remacd(body), storage.view()).code(),
+            Errc::malformed);
 }
 
 }  // namespace

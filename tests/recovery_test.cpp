@@ -94,19 +94,20 @@ TEST(Recovery, CrashedMemberFullCycle) {
 }
 
 // Leader restart: membership sessions are gone (members must rejoin), but
-// the credential registry persists, so nobody re-registers passwords.
+// the credential registry persists — as a snapshot at epoch 0 — so nobody
+// re-registers passwords.
 TEST(Recovery, LeaderRestartFromRegistry) {
   Bytes storage_key = to_bytes("ops");
-  Registry registry;
+  LeaderSnapshot credentials;
   auto pa = crypto::derive_long_term_key("alice", "pw", {16, "recovery"});
-  ASSERT_TRUE(registry.add(Credential{"alice", pa, "password"}).ok());
-  Bytes persisted = registry.serialize(storage_key);
+  ASSERT_TRUE(credentials.registry.add("alice", {pa, "password"}).ok());
+  Bytes persisted = wire::mac_encode(credentials, storage_key);
 
   // First leader incarnation.
   {
     SCOPED_TRACE("seed=2");
     World w(2);
-    auto restored = Registry::deserialize(persisted, storage_key);
+    auto restored = wire::mac_decode<LeaderSnapshot>(persisted, storage_key);
     ASSERT_TRUE(restored.ok());
     restored->install(w.leader);
     auto& alice = w.attach_member("alice", pa);
@@ -120,7 +121,7 @@ TEST(Recovery, LeaderRestartFromRegistry) {
   {
     SCOPED_TRACE("seed=3");
     World w(3);
-    auto restored = Registry::deserialize(persisted, storage_key);
+    auto restored = wire::mac_decode<LeaderSnapshot>(persisted, storage_key);
     ASSERT_TRUE(restored.ok());
     EXPECT_EQ(restored->install(w.leader), 1u);
     auto& alice = w.attach_member("alice", pa);
@@ -137,25 +138,23 @@ TEST(Recovery, LeaderSnapshotRoundTripAndTamperRejection) {
   Bytes storage_key = to_bytes("snapshot-ops");
   Registry reg;
   ASSERT_TRUE(
-      reg.add(Credential{"alice", crypto::LongTermKey::random(rng), "pw"})
-          .ok());
-  ASSERT_TRUE(
-      reg.add(Credential{"bob", crypto::LongTermKey::random(rng), "pw"}).ok());
+      reg.add("alice", {crypto::LongTermKey::random(rng), "pw"}).ok());
+  ASSERT_TRUE(reg.add("bob", {crypto::LongTermKey::random(rng), "pw"}).ok());
   LeaderSnapshot snap;
   snap.registry = reg;
   snap.epoch = 42;
 
-  Bytes blob = snap.serialize(storage_key);
-  auto back = LeaderSnapshot::deserialize(blob, storage_key);
+  Bytes blob = wire::mac_encode(snap, storage_key);
+  auto back = wire::mac_decode<LeaderSnapshot>(blob, storage_key);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, snap);
 
   // Any bit flip is detected by the outer MAC.
   Bytes tampered = blob;
   tampered[8] ^= 1;
-  EXPECT_FALSE(LeaderSnapshot::deserialize(tampered, storage_key).ok());
+  EXPECT_FALSE(wire::mac_decode<LeaderSnapshot>(tampered, storage_key).ok());
   // The wrong storage key opens nothing.
-  EXPECT_FALSE(LeaderSnapshot::deserialize(blob, to_bytes("wrong")).ok());
+  EXPECT_FALSE(wire::mac_decode<LeaderSnapshot>(blob, to_bytes("wrong")).ok());
 
   // install() re-arms a fresh leader: credentials present, and the NEXT
   // epoch strictly exceeds everything distributed before the crash.
@@ -170,7 +169,7 @@ TEST(Recovery, LeaderSnapshotRoundTripAndTamperRejection) {
 }
 
 // Satellite regression for the federation snapshot family: the parole list
-// (PROTOCOL.md §12) rides LeaderSnapshot v3, survives serialize/deserialize
+// (PROTOCOL.md §12) rides LeaderSnapshot, survives mac_encode/mac_decode
 // under the storage key, and re-arms a RESTARTED leader so that a member
 // expelled-for-stall before the crash still reconciles afterwards — without
 // this, every crash (or live migration) silently voided outstanding paroles.
@@ -230,13 +229,13 @@ TEST(Recovery, ParoleListSurvivesLeaderRestart) {
   LeaderSnapshot snap = first.snapshot();
   ASSERT_EQ(snap.parole.size(), 1u);
   ASSERT_TRUE(snap.parole.count("alice"));
-  Bytes blob = snap.serialize(storage_key);
-  auto back = LeaderSnapshot::deserialize(blob, storage_key);
+  Bytes blob = wire::mac_encode(snap, storage_key);
+  auto back = wire::mac_decode<LeaderSnapshot>(blob, storage_key);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, snap) << "parole must participate in snapshot equality";
   Bytes tampered = blob;
   tampered[blob.size() / 2] ^= 1;
-  EXPECT_FALSE(LeaderSnapshot::deserialize(tampered, storage_key).ok());
+  EXPECT_FALSE(wire::mac_decode<LeaderSnapshot>(tampered, storage_key).ok());
 
   // Restart: a fresh leader re-armed from the snapshot knows the parole.
   Leader second(cfg, rng);

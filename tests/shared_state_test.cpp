@@ -15,14 +15,14 @@ namespace {
 
 TEST(StateCodec, UpdateRoundTrip) {
   StateUpdate u{"color", Entry{"blue", Version{7, "alice"}, false}};
-  auto back = decode_state_message(encode(u));
+  auto back = wire::decode<StateMessage>(wire::encode(u));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(std::get<StateUpdate>(*back), u);
 }
 
 TEST(StateCodec, TombstoneRoundTrip) {
   StateUpdate u{"gone", Entry{{}, Version{3, "bob"}, true}};
-  auto back = decode_state_message(encode(u));
+  auto back = wire::decode<StateMessage>(wire::encode(u));
   ASSERT_TRUE(back.ok());
   EXPECT_TRUE(std::get<StateUpdate>(*back).entry.tombstone);
 }
@@ -32,17 +32,17 @@ TEST(StateCodec, SnapshotRoundTrip) {
       {"a", Entry{"1", Version{1, "x"}, false}},
       {"b", Entry{"", Version{2, "y"}, true}},
   }};
-  auto back = decode_state_message(encode(reply));
+  auto back = wire::decode<StateMessage>(wire::encode(reply));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(std::get<SnapshotReply>(*back), reply);
-  auto req = decode_state_message(encode(SnapshotRequest{}));
+  auto req = wire::decode<StateMessage>(wire::encode(SnapshotRequest{}));
   ASSERT_TRUE(req.ok());
   EXPECT_TRUE(std::holds_alternative<SnapshotRequest>(*req));
 }
 
 TEST(StateCodec, GarbageRejected) {
-  EXPECT_FALSE(decode_state_message(to_bytes("nope")).ok());
-  EXPECT_FALSE(decode_state_message({}).ok());
+  EXPECT_FALSE(wire::decode<StateMessage>(to_bytes("nope")).ok());
+  EXPECT_FALSE(wire::decode<StateMessage>({}).ok());
 }
 
 TEST(VersionOrder, LamportWithAuthorTieBreak) {

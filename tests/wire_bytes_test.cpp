@@ -185,16 +185,36 @@ TEST(WireBytes, AppPayloadsEncodeToTheirPinnedBytes) {
        "000000000162000000000000000000000002000000017901"},
   };
   const Bytes encoded[] = {
-      encode(ChatMessage{ChatKind::text, "alice", "hi", 7}),
-      encode(ChatMessage{ChatKind::presence, "bob", "away",
-                         0x0102030405060708}),
-      encode(StateUpdate{"color", Entry{"blue", Version{7, "alice"}, false}}),
-      encode(SnapshotRequest{}),
-      encode(SnapshotReply{{{"a", Entry{"1", Version{1, "x"}, false}},
-                            {"b", Entry{"", Version{2, "y"}, true}}}}),
+      wire::encode(ChatMessage{ChatKind::text, "alice", "hi", 7}),
+      wire::encode(ChatMessage{ChatKind::presence, "bob", "away",
+                               0x0102030405060708}),
+      wire::encode(
+          StateUpdate{"color", Entry{"blue", Version{7, "alice"}, false}}),
+      wire::encode(SnapshotRequest{}),
+      wire::encode(SnapshotReply{{{"a", Entry{"1", Version{1, "x"}, false}},
+                                  {"b", Entry{"", Version{2, "y"}, true}}}}),
   };
   for (std::size_t i = 0; i < std::size(pinned); ++i)
     EXPECT_EQ(to_hex(encoded[i]), pinned[i].hex) << pinned[i].name;
+}
+
+// The two stored blobs (wire_samples::blobs()), before their MAC. These
+// bytes name the storage format: a change here strands every blob stored
+// before it.
+TEST(WireBytes, StoredBlobsEncodeToTheirPinnedBytes) {
+  const auto blobs = wire_samples::blobs();
+  // Type octet, epoch, credentials, depth, slots, parole.
+  EXPECT_EQ(to_hex(wire::encode(std::get<core::LeaderSnapshot>(blobs))),
+            "9100000000000000090000000100000005616c69636508090a0b0c0d"
+            "0e0f101112131415161718191a1b1c1d1e1f20212223242526270000"
+            "00027077000000020000000100000005616c69636500000003000000"
+            "0100000003626f6228292a2b2c2d2e2f303132333435363738393a3b"
+            "3c3d3e3f40414243444546470000000000000004");
+  // Type octet, count, then seq, epoch, chain MAC and payload per entry.
+  EXPECT_EQ(to_hex(wire::encode(std::get<core::OpLog>(blobs))),
+            "920000000100000000000000010000000000000002f8ccedb3bc5580"
+            "0e9352652ca8d26e8c19517124dc10e26129b51bc14db2b318000000"
+            "0368696a");
 }
 
 // The op-log chain link is recomputed by the leader from the replayed ops

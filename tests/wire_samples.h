@@ -1,16 +1,24 @@
 // One fixed instance of every wire shape: the 29 sealed or clear payloads,
-// the seven AdminBody alternatives and the envelope. Every byte is a fixed
-// pattern, so encodings are reproducible; the pinned-bytes test, the fuzz
-// corpus and the cross-decode matrix all start from these.
+// the seven AdminBody alternatives and the envelope, then the stored blobs
+// and app payloads that go through the same codec from outside src/wire.
+// Every byte is a fixed pattern, so encodings are reproducible; the
+// pinned-bytes test, the fuzz corpus and the cross-decode matrix all start
+// from these.
 #pragma once
 
 #include <cstdint>
 #include <tuple>
+#include <utility>
 
+#include "app/group_chat.h"
+#include "app/shared_state.h"
+#include "core/oplog.h"
+#include "core/registry.h"
 #include "crypto/hmac.h"
 #include "crypto/keys.h"
 #include "util/bytes.h"
 #include "wire/admin_body.h"
+#include "wire/all_payloads.h"
 #include "wire/envelope.h"
 #include "wire/fed.h"
 #include "wire/keytree.h"
@@ -112,6 +120,37 @@ inline auto payloads() {
       OpReplayPayload{"alice", 1, 3, tag(0x36), pattern(3, 0x56)},
       AdminBody(MemberList{{"alice", "bob"}}),
       Envelope{Label::AdminMsg, "L", "alice", pattern(6, 0x07)});
+}
+
+/// The types defined outside src/wire that wire::decode<T> reads: the two
+/// stored blobs (core) and the app payloads, one StateMessage alternative
+/// each. Listed here, next to wire::AllPayloads, so src/wire need not know
+/// core or app.
+using BlobPayloads =
+    std::tuple<core::LeaderSnapshot, core::OpLog, app::ChatMessage,
+               app::StateUpdate, app::SnapshotRequest, app::SnapshotReply>;
+
+static_assert(wire::kDistinctTypeOctets<decltype(std::tuple_cat(
+                  std::declval<wire::AllPayloads>(),
+                  std::declval<BlobPayloads>()))>,
+              "a stored or app payload shares a wire payload's type octet");
+
+/// One instance of each BlobPayloads type, in the same order.
+inline BlobPayloads blobs() {
+  core::LeaderSnapshot snap;
+  snap.epoch = 9;
+  (void)snap.registry.add("alice", {key<crypto::LongTermKey>(0x08), "pw"});
+  snap.keytree_depth = 2;
+  snap.keytree_slots = {{"alice", 3}};
+  snap.parole = {{"bob", {key<crypto::SessionKey>(0x28), 4}}};
+  core::OpLog log(key<crypto::SessionKey>(0x48));
+  (void)log.append(2, pattern(3, 0x68));
+  return {snap,
+          log,
+          app::ChatMessage{app::ChatKind::text, "alice", "hi", 7},
+          app::StateUpdate{"k", {"v", {1, "alice"}, false}},
+          app::SnapshotRequest{},
+          app::SnapshotReply{{{"k", {"v", {1, "alice"}, true}}}}};
 }
 
 }  // namespace enclaves::wire_samples
